@@ -42,6 +42,8 @@ def parse_args() -> SweepConfig:
     ap.add_argument("--margin-filter", type=float, default=defaults.margin_filter)
     ap.add_argument("--out", default=defaults.out)
     args = ap.parse_args()
+    if args.samples < 1:
+        ap.error(f"--samples must be at least 1, got {args.samples}")
     return SweepConfig(
         n_values=tuple(args.n),
         samples=args.samples,
@@ -50,6 +52,11 @@ def parse_args() -> SweepConfig:
         margin_filter=args.margin_filter,
         out=args.out,
     )
+
+
+def _rate(value) -> str:
+    """An agreement rate, or n/a when no sample survived the margin filter."""
+    return "n/a" if value is None else f"{value:.4f}"
 
 
 def main() -> None:
@@ -65,10 +72,10 @@ def main() -> None:
         )
         reports.append(rep)
         print(
-            f"n={n}: three-way agreement {rep['three_way_agreement']:.4f} "
+            f"n={n}: three-way agreement {_rate(rep['three_way_agreement'])} "
             f"on {rep['compared']} filtered samples; "
-            f"unnormalized-vs-oracle {rep['pairwise_agreement']['paper_vs_oracle']:.4f}; "
-            f"halved-self-term variant {rep['printed_variant']['agreement_with_oracle']:.4f}"
+            f"unnormalized-vs-oracle {_rate(rep['pairwise_agreement']['paper_vs_oracle'])}; "
+            f"halved-self-term variant {_rate(rep['printed_variant']['agreement_with_oracle'])}"
         )
     with open(cfg.out, "w", encoding="utf-8") as fh:
         json.dump({"config": asdict(cfg), "reports": reports}, fh, indent=2)

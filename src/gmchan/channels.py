@@ -11,16 +11,25 @@ routes), and to act on density matrices.
 
 CP checking routes, in decreasing order of authority:
 
-  cp_check_oracle      eigen-spectrum of the Choi matrix, assembled by
-                       applying the map to every matrix unit. Ground truth.
-  cp_check_normalized  closed-form block criterion for eigenvalue-form maps,
-                       derived from the norm-weighted eigenvector sum
-                       sum_a l_a conj(sigma_a) (x) sigma_a / Tr(sigma_a²).
-                       Exactly equivalent to the oracle.
+  cp_check_oracle      eigen-spectrum of the Choi matrix, assembled in closed
+                       form from the table with one n²×n² matrix product:
+                         kf  J = sum_a p_a vec(sigma_a) vec(sigma_a)†
+                         ev  J = sum_a l_a conj(sigma_a) (x) sigma_a / Tr(sigma_a²)
+                       (the ev sum with its tensor factors regrouped). Ground
+                       truth.
+  cp_check_normalized  closed-form block criterion for eigenvalue-form maps:
+                       the diagonal-sector block and the 2×2 pair blocks of
+                       the ev Choi matrix above. Exactly equivalent to the
+                       oracle. `_block_margins` evaluates it for one table or
+                       for a whole trajectory of tables at once.
   cp_check_paper       closed-form block criterion from the unnormalized sum
                        sum_a l_a conj(sigma_a) (x) sigma_a, which equals
                        2J + ((n-2)/n) l_00 I. Exact for n = 2, strictly
                        weaker (necessary, not sufficient) for n >= 3.
+
+`choi(apply, n)` assembles J = sum_kl e_kl (x) apply(e_kl) for any linear map
+by applying it to every matrix unit. It is the independent route the closed
+forms are tested against.
 """
 
 from __future__ import annotations
@@ -250,31 +259,14 @@ def complete_tp(offdiag: np.ndarray, p_11: float) -> KrausChannel:
     return KrausChannel(n=n, p=p, trace_preserving=True)
 
 
-def choi(apply, n: int) -> ChoiMatrix:
-    """Assemble J = sum_kl e_kl (x) apply(e_kl) and diagonalize it.
+# Linearity probe of `choi`: a defect passes below PROBE_REL times the largest
+# probe output, or below PROBE_ABS when every output is small.
+PROBE_ABS = 1e-10
+PROBE_REL = 1e-12
 
-    `apply` is any function on n×n complex matrices; it is probed for
-    linearity first so a silently affine map cannot masquerade as a channel.
-    """
-    n = _check_dimension(n)
-    rng = np.random.default_rng(12345)
-    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    add_defect = np.max(np.abs(apply(A + B) - apply(A) - apply(B)))
-    c = 0.7 - 0.3j
-    scale_defect = np.max(np.abs(apply(c * A) - c * apply(A)))
-    if max(add_defect, scale_defect) > 1e-10:
-        raise NonLinearMap(
-            f"linearity probe failed: additivity {add_defect:.3e}, "
-            f"homogeneity {scale_defect:.3e}"
-        )
-    J = np.zeros((n * n, n * n), dtype=complex)
-    unit = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            unit[k, l] = 1.0
-            J[k * n:(k + 1) * n, l * n:(l + 1) * n] = apply(unit)
-            unit[k, l] = 0.0
+
+def _diagonalized(n: int, J: np.ndarray) -> ChoiMatrix:
+    """Symmetrize an assembled Choi matrix and attach its spectrum."""
     defect = float(np.max(np.abs(J - J.conj().T)))
     J = (J + J.conj().T) / 2.0
     spectrum = np.linalg.eigvalsh(J)
@@ -289,13 +281,55 @@ def choi(apply, n: int) -> ChoiMatrix:
     )
 
 
+def choi(apply, n: int) -> ChoiMatrix:
+    """Assemble J = sum_kl e_kl (x) apply(e_kl) and diagonalize it.
+
+    `apply` is any function on n×n complex matrices; it is probed for
+    linearity first so a silently affine map cannot masquerade as a channel.
+    The probe's threshold grows with the size of the outputs, so rounding
+    in a linear map on a large table does not fail it.
+    """
+    n = _check_dimension(n)
+    rng = np.random.default_rng(12345)
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    c = 0.7 - 0.3j
+    out_a, out_b, out_sum, out_scaled = (apply(X) for X in (A, B, A + B, c * A))
+    add_defect = np.max(np.abs(out_sum - out_a - out_b))
+    scale_defect = np.max(np.abs(out_scaled - c * out_a))
+    size = max(float(np.max(np.abs(out))) for out in (out_a, out_b, out_sum, out_scaled))
+    if max(add_defect, scale_defect) > max(PROBE_ABS, PROBE_REL * size):
+        raise NonLinearMap(
+            f"linearity probe failed: additivity {add_defect:.3e}, "
+            f"homogeneity {scale_defect:.3e}"
+        )
+    J = np.zeros((n * n, n * n), dtype=complex)
+    unit = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            unit[k, l] = 1.0
+            J[k * n:(k + 1) * n, l * n:(l + 1) * n] = apply(unit)
+            unit[k, l] = 0.0
+    return _diagonalized(n, J)
+
+
 def choi_of_channel(ch) -> ChoiMatrix:
-    """Choi matrix of either channel representation."""
+    """Choi matrix of either channel representation, from its table in closed form.
+
+    With S[a, k*n + l] = sigma_a[k, l] and a weight w_a per basis matrix,
+    M = conj(S)ᵀ diag(w) S. A weight table (w = p) gives J = M directly. An
+    eigenvalue table (w_a = l_a / Tr(sigma_a²)) gives M[(k,l), (i,j)] =
+    map(e_kl)[i, j], which regroups into J[(k,i), (l,j)].
+    """
+    if not isinstance(ch, (KrausChannel, EigenChannel)):
+        raise TypeError(f"expected a channel, got {type(ch).__name__}")
+    n, nn = ch.n, ch.n * ch.n
+    b = full_basis(n)
+    S = b.stack.reshape(nn, nn)
     if isinstance(ch, KrausChannel):
-        return choi(lambda X: apply_kf(ch, X), ch.n)
-    if isinstance(ch, EigenChannel):
-        return choi(lambda X: apply_ev(ch, X), ch.n)
-    raise TypeError(f"expected a channel, got {type(ch).__name__}")
+        return _diagonalized(n, (S.conj().T * ch.p.ravel()) @ S)
+    M = (S.conj().T * (ch.lam.ravel() / b.norms_sq)) @ S
+    return _diagonalized(n, M.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(nn, nn))
 
 
 def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
@@ -313,49 +347,71 @@ def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
     )
 
 
-def _diag_tail(lam: np.ndarray, j: int, weight: float) -> float:
-    """sum over j < k < n of weight * lam_kk / (k(k+1))."""
-    n = lam.shape[0]
-    kk = np.arange(j + 1, n)
-    if kk.size == 0:
-        return 0.0
-    return float(weight * np.sum(lam[kk, kk] / (kk * (kk + 1.0))))
+def _block_margins(lams: np.ndarray):
+    """Normalized block criterion for one table (n, n) or a stack (..., n, n).
+
+    The ev Choi matrix splits into one n×n diagonal-sector block A and one
+    2×2 block per index pair i < j, with eigenvalues d_j ± |l_ij - l_ji|/2.
+    Returns A, its spectrum, the pair margins d_j - |l_ij - l_ji|/2 in
+    row-major (i, j) order, and the smallest of them all, each carrying the
+    leading axes of `lams`.
+    """
+    n = lams.shape[-1]
+    k = np.arange(n)
+    diag = np.diagonal(lams, axis1=-2, axis2=-1)
+    l00 = diag[..., :1] / n
+    # tail_j = sum over j < m < n of l_mm / (m(m+1)); the m = 0 term is zero
+    weights = np.zeros(n)
+    weights[1:] = 1.0 / (k[1:] * (k[1:] + 1.0))
+    terms = diag * weights
+    tail = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1] - terms
+    lams_t = np.swapaxes(lams, -1, -2)
+    A = (lams + lams_t) / 2.0
+    A[..., k, k] = l00 + (k / (k + 1.0)) * diag + tail
+    a_spectrum = np.linalg.eigvalsh(A)
+    d = l00 - diag / (k + 1.0) + tail
+    gaps = np.abs(lams - lams_t) / 2.0
+    pairs = (d[..., None, :] - gaps)[..., k[:, None] < k]
+    margin = np.minimum(a_spectrum[..., 0], pairs.min(axis=-1))
+    return A, a_spectrum, pairs, margin
+
+
+def _pair_dict(n: int, pairs: np.ndarray) -> dict:
+    keys = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return dict(zip(keys, pairs.tolist()))
 
 
 def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     """Closed-form block conditions from the unnormalized eigenvector sum.
 
     Checks PSD of the n(n-1)/2 two-by-two blocks (margin c_j - |l_ij - l_ji|)
-    and of one n×n diagonal-sector matrix A. Exact for n=2; for n>=3 the
-    underlying sum is 2J + ((n-2)/n) l_00 I, so the check is necessary but
-    not sufficient for CP. Diagnostics carry the corrected A spectrum, the
-    variant with the halved diagonal self-term (`a_spectrum_printed`), and
-    det(A), so the variants can be compared downstream.
+    and of one n×n diagonal-sector matrix A. The underlying sum is
+    2J + s I with s = ((n-2)/n) l_00, so each block is twice the normalized
+    block shifted by s: exact for n=2, necessary but not sufficient for CP
+    for n>=3. Diagnostics carry the A spectrum, the variant with the halved
+    diagonal self-term (`a_spectrum_printed`), and det(A), so the variants
+    can be compared downstream.
     """
     if not isinstance(ch, EigenChannel):
         raise TypeError("closed-form CP conditions need the eigenvalue form")
     lam = ch.lam
     n = ch.n
-    l00 = lam[0, 0]
-    pair_margins = {}
-    for j in range(1, n):
-        c_j = l00 - 2.0 * lam[j, j] / (j + 1.0) + _diag_tail(lam, j, 2.0)
-        for i in range(j):
-            pair_margins[(i, j)] = float(c_j - abs(lam[i, j] - lam[j, i]))
-    A = lam + lam.T
-    A_printed = A.astype(float).copy()
-    for j in range(n):
-        tail = _diag_tail(lam, j, 2.0)
-        A[j, j] = l00 + (2.0 * j / (j + 1.0)) * lam[j, j] + tail
-        A_printed[j, j] = l00 + (j / (j + 1.0)) * lam[j, j] + tail
-    a_spectrum = np.linalg.eigvalsh(A)
-    margin = min(min(pair_margins.values()), float(a_spectrum[0]))
+    block, spectrum, pairs, _ = _block_margins(lam)
+    shift = (n - 2.0) / n * lam[0, 0]
+    k = np.arange(n)
+    A = 2.0 * block
+    A[k, k] += shift
+    A_printed = A.copy()
+    A_printed[k, k] -= (k / (k + 1.0)) * lam[k, k]
+    a_spectrum = 2.0 * spectrum + shift
+    pairs = 2.0 * pairs + shift
+    margin = min(float(pairs.min()), float(a_spectrum[0]))
     return CpReport(
         verdict=_verdict(margin, tol),
         method=METHOD_PAPER,
         margin=margin,
         diagnostics={
-            "pair_margins": pair_margins,
+            "pair_margins": _pair_dict(n, pairs),
             "a_matrix": A,
             "a_spectrum": a_spectrum,
             "det_a": float(np.linalg.det(A)),
@@ -374,26 +430,14 @@ def cp_check_normalized(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     """
     if not isinstance(ch, EigenChannel):
         raise TypeError("closed-form CP conditions need the eigenvalue form")
-    lam = ch.lam
-    n = ch.n
-    l00 = lam[0, 0]
-    A = (lam + lam.T) / 2.0
-    for a in range(n):
-        self_term = (a / (a + 1.0)) * lam[a, a] if a else 0.0
-        A[a, a] = l00 / n + self_term + _diag_tail(lam, a, 1.0)
-    a_spectrum = np.linalg.eigvalsh(A)
-    pair_margins = {}
-    for j in range(1, n):
-        d_j = l00 / n - lam[j, j] / (j + 1.0) + _diag_tail(lam, j, 1.0)
-        for i in range(j):
-            pair_margins[(i, j)] = float(d_j - abs(lam[i, j] - lam[j, i]) / 2.0)
-    margin = min(min(pair_margins.values()), float(a_spectrum[0]))
+    A, a_spectrum, pairs, margin = _block_margins(ch.lam)
+    margin = float(margin)
     return CpReport(
         verdict=_verdict(margin, tol),
         method=METHOD_NORMALIZED,
         margin=margin,
         diagnostics={
-            "pair_margins": pair_margins,
+            "pair_margins": _pair_dict(ch.n, pairs),
             "a_block": A,
             "a_spectrum": a_spectrum,
         },

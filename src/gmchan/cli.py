@@ -186,8 +186,10 @@ def crossval_report(
     eigensolver noise), and counts verdict agreement on the rest. Also scores
     the halved-self-term variant of the diagonal-sector matrix and the
     sign-of-determinant shortcut, both carried in the diagnostics of
-    cp_check_paper.
+    cp_check_paper. Needs at least one sample.
     """
+    if samples < 1:
+        raise ConstraintViolated(f"crossval needs at least 1 sample, got {samples}")
     rng = np.random.default_rng(seed)
     cp_counts = {"oracle": 0, "paper": 0, "normalized": 0}
     compared = 0

@@ -7,8 +7,12 @@ t = 0, where the map is the identity. Two builders:
   evolve_timedep    per-entry rate profiles, trapezoid quadrature of the
                     integral the eigenvalues exponentiate
 
-Each frame can carry a CP verdict from the Choi oracle (every frame by
-default; a stride skips frames on large grids, leaving their flag None).
+Each frame can carry a CP verdict (every frame by default; a stride skips
+frames on large grids, leaving their flag None). The checked frames are
+decided together in one batched pass of the normalized block criterion: a
+stacked eigensolve of the (T, n, n) diagonal-sector blocks plus the pair
+margins as arrays. The union of the block spectra is the Choi spectrum, so
+each verdict is the Choi oracle's, without building any n²×n² matrix.
 Frames where some eigenvalue sits within 1e-13 of zero are flagged singular:
 the map is still fine, but no generator eigenvalue table exists there.
 """
@@ -19,7 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DEFAULT_TOL, EigenChannel, DensityMatrix, apply_ev, cp_check_oracle
+from .channels import (
+    DEFAULT_TOL,
+    DensityMatrix,
+    EigenChannel,
+    _block_margins,
+    apply_ev,
+    cp_check_oracle,
+)
 from .errors import (
     ConstraintViolated,
     DimensionMismatch,
@@ -155,28 +166,37 @@ class Trajectory:
         return [self.frame(i) for i in range(len(self))]
 
 
-def _flags(n: int, lams: np.ndarray, cp_stride: int, tol: float):
+def _check_stride(cp_stride: int) -> None:
+    if cp_stride < 1:
+        raise ConstraintViolated(f"CP stride must be at least 1, got {cp_stride!r}")
+
+
+def _flags(lams: np.ndarray, cp_stride: int, tol: float):
+    """CP flags (None where the stride skips a frame) and singular flags.
+
+    Frames 0, cp_stride, 2*cp_stride, ... and the last frame are checked.
+    """
     last = lams.shape[0] - 1
-    cp = []
-    for idx in range(lams.shape[0]):
-        if cp_stride > 1 and idx % cp_stride and idx != last:
-            cp.append(None)
-        else:
-            ch = EigenChannel(n=n, lam=lams[idx])
-            cp.append(cp_check_oracle(ch, tol).is_cp)
-    singular = tuple(
-        bool(np.any(np.abs(lams[idx]) <= ZERO_TOL)) for idx in range(lams.shape[0])
-    )
-    return tuple(cp), singular
+    checked = np.zeros(last + 1, dtype=bool)
+    checked[::cp_stride] = True
+    checked[last] = True
+    frames = lams[checked]
+    if not np.all(np.isfinite(frames)):
+        raise InvariantError("eigenvalue table contains non-finite entries")
+    cp = np.full(last + 1, None, dtype=object)
+    cp[checked] = (_block_margins(frames)[3] >= -tol).tolist()
+    singular = np.any(np.abs(lams) <= ZERO_TOL, axis=(1, 2))
+    return tuple(cp), tuple(singular.tolist())
 
 
 def evolve_semigroup(
     gen: EigenGenerator, grid, cp_stride: int = 1, tol: float = DEFAULT_TOL
 ) -> Trajectory:
     """Closed-form trajectory exp(eta * t) for a constant generator."""
+    _check_stride(cp_stride)
     grid = _check_grid(grid)
     lams = np.exp(grid[:, None, None] * gen.eta[None, :, :])
-    cp, singular = _flags(gen.n, lams, cp_stride, tol)
+    cp, singular = _flags(lams, cp_stride, tol)
     return Trajectory(
         n=gen.n, grid=grid, lams=lams, cp_flags=cp, singular_flags=singular
     )
@@ -190,6 +210,7 @@ def evolve_timedep(
     `profiles` is an n×n nested sequence of RateProfile (None meaning zero).
     The (0,0) profile, if any, is ignored: that eigenvalue stays 0.
     """
+    _check_stride(cp_stride)
     grid = _check_grid(grid)
     rows = list(profiles)
     n = len(rows)
@@ -203,7 +224,7 @@ def evolve_timedep(
                 continue
             etas[:, i, j] = prof(grid)
     lams = lambda_from_eta(etas, grid)
-    cp, singular = _flags(n, lams, cp_stride, tol)
+    cp, singular = _flags(lams, cp_stride, tol)
     return Trajectory(n=n, grid=grid, lams=lams, cp_flags=cp, singular_flags=singular)
 
 

@@ -243,3 +243,77 @@ def test_random_density_is_valid():
     for n in (2, 4):
         rho = random_density(rng, n)
         DensityMatrix(n=n, entries=rho)  # validates
+
+
+def test_choi_probe_accepts_linear_map_on_large_table():
+    # linear, but its rounding error at this scale (~2e-10) once tripped an
+    # absolute probe threshold
+    lam = np.zeros((3, 3))
+    lam[0, 0] = 1.0
+    lam[0, 1], lam[1, 0] = 0.3334, -0.3334
+    ch = EigenChannel(n=3, lam=1e6 * lam)
+    cm = choi(lambda X: apply_ev(ch, X), 3)
+    assert np.max(np.abs(cm.spectrum - choi_of_channel(ch).spectrum)) <= 1e-12 * 1e6
+
+
+def test_choi_probe_still_rejects_nonlinear_map_at_scale():
+    with pytest.raises(NonLinearMap):
+        choi(lambda x: 1e6 * (x @ x), 3)
+    with pytest.raises(NonLinearMap):
+        choi(lambda x: 1e-6 * x + 1e-6, 3)  # affine
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(2, 8),
+    log_scale=st.floats(-6.0, 6.0),
+    form=st.sampled_from(["kf", "ev"]),
+)
+def test_closed_form_choi_matches_generic_route(seed, n, log_scale, form):
+    rng = np.random.default_rng(seed)
+    table = 10.0**log_scale * rng.uniform(-1.0, 1.0, (n, n))
+    if form == "kf":
+        ch = KrausChannel(n=n, p=table)
+        generic = choi(lambda X: apply_kf(ch, X), n)
+    else:
+        ch = EigenChannel(n=n, lam=table)
+        generic = choi(lambda X: apply_ev(ch, X), n)
+    fast = cp_check_oracle(ch).diagnostics["spectrum"]
+    scale = max(1.0, float(np.max(np.abs(generic.spectrum))))
+    assert np.max(np.abs(fast - generic.spectrum)) <= 1e-12 * scale
+
+
+def _paper_blocks_by_loop(lam):
+    # the unnormalized block conditions written out entry by entry
+    n = lam.shape[0]
+
+    def tail(j):
+        return sum(2.0 * lam[k, k] / (k * (k + 1.0)) for k in range(j + 1, n))
+
+    pairs = {}
+    for j in range(1, n):
+        c_j = lam[0, 0] - 2.0 * lam[j, j] / (j + 1.0) + tail(j)
+        for i in range(j):
+            pairs[(i, j)] = c_j - abs(lam[i, j] - lam[j, i])
+    A = lam + lam.T
+    A_printed = A.copy()
+    for j in range(n):
+        A[j, j] = lam[0, 0] + (2.0 * j / (j + 1.0)) * lam[j, j] + tail(j)
+        A_printed[j, j] = lam[0, 0] + (j / (j + 1.0)) * lam[j, j] + tail(j)
+    return pairs, A, A_printed
+
+
+def test_paper_check_matches_entrywise_conditions():
+    rng = np.random.default_rng(31)
+    for n in range(2, 7):
+        for _ in range(20):
+            ch = random_ev_channel(rng, n)
+            pairs, A, A_printed = _paper_blocks_by_loop(ch.lam)
+            diag = cp_check_paper(ch).diagnostics
+            assert diag["pair_margins"].keys() == pairs.keys()
+            assert max(abs(diag["pair_margins"][key] - pairs[key]) for key in pairs) <= 1e-13
+            assert np.max(np.abs(diag["a_matrix"] - A)) <= 1e-13
+            assert np.max(np.abs(diag["a_spectrum"] - np.linalg.eigvalsh(A))) <= 1e-12
+            assert np.max(np.abs(diag["a_spectrum_printed"] - np.linalg.eigvalsh(A_printed))) <= 1e-12
+            assert abs(diag["det_a"] - np.linalg.det(A)) <= 1e-10 * max(1.0, abs(np.linalg.det(A)))

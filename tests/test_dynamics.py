@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmchan.channels import DensityMatrix
+from gmchan.channels import DEFAULT_TOL, DensityMatrix, apply_ev, choi
 from gmchan.dynamics import (
     RateProfile,
     Trajectory,
@@ -16,7 +16,7 @@ from gmchan.errors import (
     NotCPAtTime,
     ZeroEigenvalue,
 )
-from gmchan.generators import EigenGenerator, eta_from_lambda, lf_to_ev
+from gmchan.generators import EigenGenerator, LindbladGenerator, eta_from_lambda, lf_to_ev
 from gmchan.sampling import random_lf_ev_admissible
 
 
@@ -202,3 +202,61 @@ def test_timedep_ignores_corner_profile():
                 [RateProfile.constant(-1.0), RateProfile.constant(-1.0)]]
     traj = evolve_timedep(profiles, grid, cp_stride=10)
     assert np.max(np.abs(traj.lams[:, 0, 0] - 1.0)) == 0.0
+
+
+def _negative_rate_semigroup(stride):
+    # admissible nonnegative rates with one diagonal rate made negative: the
+    # frames leave CP right after t = 0 and re-enter it near t = 1.5
+    rates = random_lf_ev_admissible(np.random.default_rng(0), 3, nonnegative=True).gamma.copy()
+    rates[2, 2] = -0.1
+    gen = lf_to_ev(LindbladGenerator(n=3, gamma=rates))
+    return evolve_semigroup(gen, uniform_grid(6.0, 61), cp_stride=stride)
+
+
+def _oscillating_timedep(stride):
+    # Markovian generator times cos(3t): the integrated rates follow sin(3t),
+    # so the frames leave and re-enter CP every half period
+    gen = lf_to_ev(random_lf_ev_admissible(np.random.default_rng(8), 3, nonnegative=True))
+    grid = uniform_grid(4.0, 81)
+    profiles = [
+        [RateProfile.tabulated(grid, gen.eta[i, j] * np.cos(3.0 * grid)) for j in range(3)]
+        for i in range(3)
+    ]
+    return evolve_timedep(profiles, grid, cp_stride=stride)
+
+
+@pytest.mark.parametrize("stride", (1, 7))
+@pytest.mark.parametrize("build", (_negative_rate_semigroup, _oscillating_timedep))
+def test_batched_flags_match_per_frame_choi(build, stride):
+    traj = build(stride)
+    last = len(traj) - 1
+    seen = set()
+    for idx, flag in enumerate(traj.cp_flags):
+        if idx % stride and idx != last:
+            assert flag is None
+            continue
+        frame = traj.frame(idx)
+        margin = choi(lambda X: apply_ev(frame, X), traj.n).min_eigenvalue
+        if abs(margin) <= 1e-8:
+            continue
+        assert flag is (margin >= -DEFAULT_TOL), f"frame {idx}: margin {margin:+.3e}"
+        seen.add(flag)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("stride", (0, -3))
+def test_nonpositive_stride_rejected(stride):
+    eta = np.array([[0.0, -1.0], [-1.0, -1.0]])
+    grid = uniform_grid(1.0, 11)
+    with pytest.raises(ConstraintViolated):
+        evolve_semigroup(EigenGenerator(n=2, eta=eta), grid, cp_stride=stride)
+    profiles = [[None, RateProfile.constant(-1.0)], [RateProfile.constant(-1.0), None]]
+    with pytest.raises(ConstraintViolated):
+        evolve_timedep(profiles, grid, cp_stride=stride)
+
+
+def test_non_finite_checked_frame_rejected():
+    # exp(800) overflows: a frame with an infinite eigenvalue has no verdict
+    eta = np.array([[0.0, 800.0], [0.0, 0.0]])
+    with pytest.raises(InvariantError):
+        evolve_semigroup(EigenGenerator(n=2, eta=eta), np.array([0.0, 1.0]))

@@ -1,6 +1,8 @@
 import json
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmchan.channels import DensityMatrix, EigenChannel, KrausChannel
-from gmchan.cli import main
-from gmchan.errors import InvariantError, ParseError, SchemaError
+from gmchan.cli import crossval_report, main
+from gmchan.errors import ConstraintViolated, InvariantError, ParseError, SchemaError
 from gmchan.fileio import document_text, load, load_document, save
 from gmchan.generators import EigenGenerator, LindbladGenerator
 
@@ -432,3 +434,34 @@ def test_cli_subprocess_smoke():
     )
     assert proc.returncode == 0
     assert "all displayed values reproduced" in proc.stdout
+
+
+@pytest.mark.parametrize("stride", ("0", "-3"))
+def test_evolve_rejects_nonpositive_stride(tmp_path, capsys, stride):
+    save(EigenGenerator(n=2, eta=np.array([[0.0, -1.0], [-1.0, -1.0]])), tmp_path / "g.json")
+    argv = ["evolve", "--generator", str(tmp_path / "g.json"), "--t", "1.0", "--steps", "10"]
+    assert main(argv + ["--stride", stride, "--out", str(tmp_path / "t.tsv")]) == 1
+    assert "stride must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "t.tsv").exists()
+
+
+def test_crossval_rejects_zero_samples(capsys):
+    with pytest.raises(ConstraintViolated):
+        crossval_report(2, 0, seed=1)
+    assert main(["crossval", "--n", "2", "--samples", "0"]) == 1
+    assert "at least 1 sample" in capsys.readouterr().err
+
+
+def test_crossval_sweep_prints_na_without_compared_samples(tmp_path, monkeypatch, capsys):
+    # a margin filter wider than every margin leaves nothing to compare
+    script = Path(__file__).resolve().parents[1] / "scripts" / "crossval_sweep.py"
+    out = tmp_path / "sweep.json"
+    argv = ["crossval_sweep.py", "--n", "2", "--samples", "5", "--margin-filter", "1e9"]
+    monkeypatch.setattr(sys, "argv", argv + ["--out", str(out)])
+    runpy.run_path(str(script), run_name="__main__")
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == (
+        "n=2: three-way agreement n/a on 0 filtered samples; "
+        "unnormalized-vs-oracle n/a; halved-self-term variant n/a"
+    )
+    assert json.loads(out.read_text())["reports"][0]["compared"] == 0
