@@ -8,7 +8,8 @@ broken dynamics; complete positivity lives at the trajectory level.
 
 The rate table is converted to generator eigenvalues frame by frame through
 the package converter (no hand-derived formulas), tabulated, integrated by
-quadrature, and CP-checked against the Choi oracle on a frame stride.
+quadrature, and CP-checked on a frame stride by the batched normalized block
+criterion, whose blocks are exactly the Choi matrix.
 Writes a TSV trajectory and prints a summary.
 """
 

@@ -58,7 +58,6 @@ from .fileio import ChannelFile, load, load_document, save
 from .generators import (
     EigenGenerator,
     LindbladGenerator,
-    apply_ev_gen,
     apply_lf,
     eta_from_lambda,
     ev_is_lf,
@@ -100,7 +99,6 @@ __all__ = [
     "Trajectory",
     "ZeroEigenvalue",
     "apply_ev",
-    "apply_ev_gen",
     "apply_kf",
     "apply_lf",
     "apply_to_state",

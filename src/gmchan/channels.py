@@ -30,11 +30,15 @@ CP checking routes, in decreasing order of authority:
 `choi(apply, n)` assembles J = sum_kl e_kl (x) apply(e_kl) for any linear map
 by applying it to every matrix unit. It is the independent route the closed
 forms are tested against.
+
+The private helpers below are the one core that the channel and generator
+converters and `dynamics` share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +52,10 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
+# Column-equality and recursion conditions of the converters; defect allowed
+# when a converted table is re-checked by applying it to every basis matrix.
+COND_TOL = 1e-12
+ORACLE_TOL = 1e-11
 
 CP = "CP"
 NOT_CP = "NotCP"
@@ -86,7 +94,7 @@ class KrausChannel:
         object.__setattr__(self, "n", _check_dimension(self.n))
         object.__setattr__(self, "p", _coeff_table(self.n, self.p, "weight"))
         if self.trace_preserving:
-            worst = float(np.max(np.abs(_tp_residuals_table(self.p))))
+            worst = float(np.max(np.abs(tp_residuals(self))))
             if worst > DEFAULT_TOL:
                 raise InvariantError(
                     f"flagged trace-preserving but max residual is {worst:.3e}"
@@ -171,11 +179,99 @@ def _verdict(margin: float, tol: float) -> str:
     return CP if margin >= -tol else NOT_CP
 
 
+_SANDWICH = "a,aij,...jk,akl->...il"
+
+
+@lru_cache(maxsize=64)
+def _sandwich_path(n: int, shape: tuple) -> list:
+    # einsum's optimized order depends only on the shapes, and searching for
+    # it costs more than the contraction itself at small n
+    stack = full_basis(n).stack
+    X = np.ones(shape, dtype=complex)
+    return np.einsum_path(_SANDWICH, np.ones(n * n), stack, X, stack, optimize=True)[0]
+
+
+def _sandwich(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_a w_a sigma_a X sigma_a for one matrix (n, n) or a stack (..., n, n)."""
+    n = w.shape[0]
+    b = full_basis(n)
+    path = _sandwich_path(n, X.shape)
+    return np.einsum(_SANDWICH, w.ravel(), b.stack, X, b.stack, optimize=path)
+
+
+def _verify_images(images: np.ndarray, lam: np.ndarray, what: str) -> None:
+    """Demand that a map's images of the basis matrices are lam_b sigma_b, entrywise."""
+    b = full_basis(lam.shape[0])
+    defect = float(np.max(np.abs(images - lam.reshape(-1, 1, 1) * b.stack)))
+    if defect > ORACLE_TOL:
+        raise InvariantError(
+            f"{what}: closed-form output fails the application oracle "
+            f"(defect {defect:.3e})"
+        )
+
+
+def _column_violations(table: np.ndarray, tol: float) -> list:
+    """Column-equality condition of a diagonal map's table t.
+
+    Within every column l the symmetrized entries t_jl + t_lj must agree for
+    all rows j < l. Returns the triples (j, k, l), j < k, whose entries differ
+    by more than tol, ordered by l, then j, then k.
+    """
+    sym = (table + table.T).T  # sym[l, j] = t_jl + t_lj
+    i = np.arange(table.shape[0])
+    order = (i[:, None] < i) & (i[:, None, None] > i)  # [l, j, k]: j < k < l
+    l, j, k = np.nonzero(order & (np.abs(sym[:, :, None] - sym[:, None, :]) > tol))
+    return list(zip(j.tolist(), k.tolist(), l.tolist()))
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """s_m = sum_{m<j<n} x_j over the last axis; s_{n-1} = 0.
+
+    Each s_m is one reduction over ascending j (np.sum's own), so it rounds
+    exactly like np.sum(x[m + 1:]) written inline.
+    """
+    out = np.zeros(x.shape)
+    for m in range(x.shape[-1] - 1):
+        out[..., m] = np.add.reduce(x[..., m + 1:], axis=-1)
+    return out
+
+
+def _tail_terms(diag: np.ndarray) -> np.ndarray:
+    """d_j / (j(j+1)) for diagonal entries d, over the last axis."""
+    j = np.arange(diag.shape[-1])
+    # j = 0 never enters a tail; the floor only keeps its division finite
+    return diag / np.maximum(j * (j + 1.0), 1.0)
+
+
+def _tails(diag: np.ndarray) -> np.ndarray:
+    """tail_m = sum_{m<j<n} d_j / (j(j+1)) of diagonal entries d, over the last axis."""
+    return _suffix_sums(_tail_terms(diag))
+
+
+def _offdiag_from_ev(table: np.ndarray, c: float) -> np.ndarray:
+    """Off-diagonal weights (or rates) realizing an eigenvalue table.
+
+    Column m's symmetrized entry is c - t_mm/(m+1) + tail_m, with c = 1/n for
+    a channel and c = -0.0 (which keeps the sign of a zero) for a generator;
+    entry (k, l) adds (t_kl - t_lk)/4. The diagonal is left zero.
+    """
+    k = np.arange(table.shape[0])
+    diag = np.diagonal(table)
+    col = c - diag / (k + 1.0) + _tails(diag)
+    out = 0.5 * col[np.maximum.outer(k, k)] + 0.25 * (table - table.T)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _ev_diagonal(col: np.ndarray, c: float) -> np.ndarray:
+    """c - (k+1) col_k - sum_{k<j<n} col_j for k >= 1; c as in _offdiag_from_ev."""
+    k = np.arange(1, col.shape[0])
+    return c - (k + 1.0) * col[1:] - _suffix_sums(col)[1:]
+
+
 def apply_kf(ch: KrausChannel, X: np.ndarray) -> np.ndarray:
     """sum_ij p_ij sigma_ij X sigma_ij."""
-    b = full_basis(ch.n)
-    X = _check_square(X, ch.n)
-    return np.einsum("a,aij,jk,akl->il", ch.p.ravel(), b.stack, X, b.stack, optimize=True)
+    return _sandwich(ch.p, _check_square(X, ch.n))
 
 
 def apply_ev(ch: EigenChannel, X: np.ndarray) -> np.ndarray:
@@ -184,36 +280,45 @@ def apply_ev(ch: EigenChannel, X: np.ndarray) -> np.ndarray:
     return recompose(decompose(X, b) * ch.lam, b)
 
 
-def _tp_residuals_table(p: np.ndarray) -> np.ndarray:
-    """Residuals of the trace-preservation system for a weight table.
+def _tp_solve(p: np.ndarray):
+    """Trace-preservation recursion of a weight table, n >= 3.
 
     Trace preservation pins every diagonal weight except p_11: one equation
-    fixes p_00, one is a pure constraint on the off-diagonals, and the rest
-    determine p_22..p_{n-1,n-1}. Residual = stored value minus the value the
-    system demands (constraint rows are returned as their left-hand side).
+    fixes p_00 (_tp_p00), one constrains the off-diagonals alone, and the rest
+    determine p_22.. Returns (gap, p22, steps): that constraint's left-hand
+    side, the value of p_22, and p_kk - p_22 for k >= 3.
     """
     n = p.shape[0]
     pt = p + p.T
-    ll = np.arange(1, n)
-    diag_tail = 2.0 * np.sum(p[ll, ll] / (ll * (ll + 1.0)))
-    res = [p[0, 0] - (1.0 - np.sum(pt[0, 1:]) - diag_tail)]
-    if n == 2:
-        return np.array(res)
-    res.append(float(np.sum(pt[1, 2:] - pt[0, 2:])))
-    res.append(p[2, 2] - (p[1, 1] + pt[0, 1] - pt[1, 2] + np.sum(pt[0, 3:] - pt[2, 3:])))
-    for k in range(3, n):
-        acc = 0.0
-        for j in range(2, k):
-            inner = np.sum(pt[:j, j] - pt[:j, j + 1])
-            inner += np.sum(pt[j, j + 2:] - pt[j + 1, j + 2:])
-            acc += (j + 1.0) / (2.0 * j) * inner
-        res.append(p[k, k] - (p[2, 2] + acc))
-    return np.array(res)
+    gap = float(np.sum(pt[1, 2:] - pt[0, 2:]))
+    p22 = p[1, 1] + pt[0, 1] - pt[1, 2] + np.sum(pt[0, 3:] - pt[2, 3:])
+    increments = [
+        (j + 1.0) / (2.0 * j)
+        * (np.sum(pt[:j, j] - pt[:j, j + 1]) + np.sum(pt[j, j + 2:] - pt[j + 1, j + 2:]))
+        for j in range(2, n - 1)
+    ]
+    return gap, p22, np.cumsum(increments)
+
+
+def _tp_p00(p: np.ndarray) -> float:
+    """The value trace preservation demands of p_00, given every other weight."""
+    return 1.0 - np.sum(p[0, 1:] + p[1:, 0]) - 2.0 * _tails(np.diagonal(p))[0]
 
 
 def tp_residuals(ch: KrausChannel) -> np.ndarray:
-    """Trace-preservation residuals: one entry for n=2, n entries for n>=3."""
-    return _tp_residuals_table(ch.p)
+    """Trace-preservation residuals: one entry for n=2, n entries for n>=3.
+
+    Residual = stored weight minus the value the system demands (the
+    constraint row is returned as its left-hand side); p_kk for k >= 3 is
+    measured against the stored p_22.
+    """
+    p = ch.p
+    res = [p[0, 0] - _tp_p00(p)]
+    if ch.n == 2:
+        return np.array(res)
+    gap, p22, steps = _tp_solve(p)
+    res += [gap, p[2, 2] - p22]
+    return np.concatenate([res, np.diagonal(p)[3:] - (p[2, 2] + steps)])
 
 
 def complete_tp(offdiag: np.ndarray, p_11: float) -> KrausChannel:
@@ -231,29 +336,22 @@ def complete_tp(offdiag: np.ndarray, p_11: float) -> KrausChannel:
         raise InvariantError(f"off-diagonal table must be square, got {off.shape}")
     p = off.copy()
     np.fill_diagonal(p, 0.0)
-    pt = p + p.T
     p[1, 1] = float(p_11)
     if n >= 3:
-        gap = float(np.sum(pt[1, 2:] - pt[0, 2:]))
+        gap, p22, steps = _tp_solve(p)
         if abs(gap) > 1e-12:
             raise ConstraintViolated(
                 f"off-diagonal weights violate the row-1/row-0 balance by {gap:.3e}"
             )
-        p[2, 2] = p[1, 1] + pt[0, 1] - pt[1, 2] + np.sum(pt[0, 3:] - pt[2, 3:])
-        for k in range(3, n):
-            acc = 0.0
-            for j in range(2, k):
-                inner = np.sum(pt[:j, j] - pt[:j, j + 1])
-                inner += np.sum(pt[j, j + 2:] - pt[j + 1, j + 2:])
-                acc += (j + 1.0) / (2.0 * j) * inner
-            p[k, k] = p[2, 2] + acc
+        p[2, 2] = p22
+        k = np.arange(3, n)
+        p[k, k] = p[2, 2] + steps
         for k in range(2, n):
             if p[k, k] < 0:
                 raise NegativeCoefficient(
                     f"completed p_{k}{k} = {p[k, k]:.6g} < 0", index=(k, k)
                 )
-    ll = np.arange(1, n)
-    p[0, 0] = 1.0 - np.sum(pt[0, 1:]) - 2.0 * np.sum(p[ll, ll] / (ll * (ll + 1.0)))
+    p[0, 0] = _tp_p00(p)
     if p[0, 0] < 0:
         raise NegativeCoefficient(f"completed p_00 = {p[0, 0]:.6g} < 0", index=(0, 0))
     return KrausChannel(n=n, p=p, trace_preserving=True)
@@ -360,11 +458,7 @@ def _block_margins(lams: np.ndarray):
     k = np.arange(n)
     diag = np.diagonal(lams, axis1=-2, axis2=-1)
     l00 = diag[..., :1] / n
-    # tail_j = sum over j < m < n of l_mm / (m(m+1)); the m = 0 term is zero
-    weights = np.zeros(n)
-    weights[1:] = 1.0 / (k[1:] * (k[1:] + 1.0))
-    terms = diag * weights
-    tail = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1] - terms
+    tail = _tails(diag)
     lams_t = np.swapaxes(lams, -1, -2)
     A = (lams + lams_t) / 2.0
     A[..., k, k] = l00 + (k / (k + 1.0)) * diag + tail
@@ -388,9 +482,8 @@ def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     and of one n×n diagonal-sector matrix A. The underlying sum is
     2J + s I with s = ((n-2)/n) l_00, so each block is twice the normalized
     block shifted by s: exact for n=2, necessary but not sufficient for CP
-    for n>=3. Diagnostics carry the A spectrum, the variant with the halved
-    diagonal self-term (`a_spectrum_printed`), and det(A), so the variants
-    can be compared downstream.
+    for n>=3. Diagnostics: `pair_margins` (dict (i, j) -> margin), the
+    n×n matrix `a_matrix` and its spectrum `a_spectrum`.
     """
     if not isinstance(ch, EigenChannel):
         raise TypeError("closed-form CP conditions need the eigenvalue form")
@@ -401,8 +494,6 @@ def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     k = np.arange(n)
     A = 2.0 * block
     A[k, k] += shift
-    A_printed = A.copy()
-    A_printed[k, k] -= (k / (k + 1.0)) * lam[k, k]
     a_spectrum = 2.0 * spectrum + shift
     pairs = 2.0 * pairs + shift
     margin = min(float(pairs.min()), float(a_spectrum[0]))
@@ -414,8 +505,6 @@ def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
             "pair_margins": _pair_dict(n, pairs),
             "a_matrix": A,
             "a_spectrum": a_spectrum,
-            "det_a": float(np.linalg.det(A)),
-            "a_spectrum_printed": np.linalg.eigvalsh(A_printed),
         },
     )
 

@@ -3,7 +3,8 @@
     gmchan validate FILE            trace + complete-positivity reports
     gmchan convert FILE --to FORM   apply the matching representation change
     gmchan choi FILE                Choi spectrum of a channel file
-    gmchan crossval --n N ...       CP-condition agreement experiment (JSON)
+    gmchan crossval --n N ...       CP-condition agreement experiment (JSON),
+                                    computed by gmchan.crossval
     gmchan evolve --generator FILE  trajectory table, optional state snapshots
     gmchan examples {paper-1,paper-2}  bundled regression examples
 
@@ -23,6 +24,7 @@ import sys
 import numpy as np
 
 from .channels import (
+    COND_TOL,
     DEFAULT_TOL,
     DensityMatrix,
     cp_check_normalized,
@@ -31,7 +33,8 @@ from .channels import (
     choi_of_channel,
     tp_residuals,
 )
-from .converters import COND_TOL, ev_to_kf, kf_is_ev, kf_to_ev
+from .converters import ev_to_kf, kf_is_ev, kf_to_ev
+from .crossval import crossval_report
 from .dynamics import RateProfile, evolve_semigroup, evolve_state, evolve_timedep, uniform_grid
 from .errors import (
     ConstraintViolated,
@@ -46,7 +49,6 @@ from .errors import (
 from .examples import RUNNERS
 from .fileio import document_text, load_document, save
 from .generators import ev_is_lf, ev_to_lf, lf_is_ev, lf_to_ev
-from .sampling import random_ev_channel
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -168,93 +170,6 @@ def cmd_choi(args) -> int:
     print(f"min eigenvalue: {cm.min_eigenvalue:+.17g}")
     print(f"hermiticity defect: {cm.hermiticity_defect:.3e}")
     return EXIT_OK
-
-
-def crossval_report(
-    n: int,
-    samples: int,
-    seed: int,
-    tol: float = DEFAULT_TOL,
-    margin_filter: float = 1e-8,
-    lo: float = -1.5,
-    hi: float = 1.5,
-) -> dict:
-    """Agreement experiment between the three CP checks on random tables.
-
-    Draws eigenvalue tables uniformly from [lo, hi], skips samples where any
-    method's margin is within margin_filter of zero (verdicts there hinge on
-    eigensolver noise), and counts verdict agreement on the rest. Also scores
-    the halved-self-term variant of the diagonal-sector matrix and the
-    sign-of-determinant shortcut, both carried in the diagnostics of
-    cp_check_paper. Needs at least one sample.
-    """
-    if samples < 1:
-        raise ConstraintViolated(f"crossval needs at least 1 sample, got {samples}")
-    rng = np.random.default_rng(seed)
-    cp_counts = {"oracle": 0, "paper": 0, "normalized": 0}
-    compared = 0
-    agree_all = 0
-    agree = {"paper_vs_oracle": 0, "normalized_vs_oracle": 0, "paper_vs_normalized": 0}
-    printed_compared = 0
-    printed_agree = 0
-    det_conflicts = 0
-    disagreements = []
-    for _ in range(samples):
-        ch = random_ev_channel(rng, n, lo=lo, hi=hi)
-        rep_o = cp_check_oracle(ch, tol)
-        rep_p = cp_check_paper(ch, tol)
-        rep_n = cp_check_normalized(ch, tol)
-        cp_counts["oracle"] += rep_o.is_cp
-        cp_counts["paper"] += rep_p.is_cp
-        cp_counts["normalized"] += rep_n.is_cp
-
-        diag = rep_p.diagnostics
-        pair_min = min(diag["pair_margins"].values())
-        printed_margin = min(float(diag["a_spectrum_printed"][0]), pair_min)
-        if min(abs(rep_o.margin), abs(printed_margin)) > margin_filter:
-            printed_compared += 1
-            printed_agree += (printed_margin >= -tol) == rep_o.is_cp
-        if (float(diag["det_a"]) >= 0) != (float(diag["a_spectrum"][0]) >= -tol):
-            det_conflicts += 1
-
-        if min(abs(rep_o.margin), abs(rep_p.margin), abs(rep_n.margin)) <= margin_filter:
-            continue
-        compared += 1
-        agree["paper_vs_oracle"] += rep_p.is_cp == rep_o.is_cp
-        agree["normalized_vs_oracle"] += rep_n.is_cp == rep_o.is_cp
-        agree["paper_vs_normalized"] += rep_p.is_cp == rep_n.is_cp
-        if rep_o.is_cp == rep_p.is_cp == rep_n.is_cp:
-            agree_all += 1
-        elif len(disagreements) < 5:
-            disagreements.append(
-                {
-                    "lam": ch.lam.tolist(),
-                    "oracle_margin": rep_o.margin,
-                    "paper_margin": rep_p.margin,
-                    "normalized_margin": rep_n.margin,
-                }
-            )
-    return {
-        "n": n,
-        "samples": samples,
-        "seed": seed,
-        "tolerance": tol,
-        "margin_filter": margin_filter,
-        "cp_counts": cp_counts,
-        "compared": compared,
-        "three_way_agreement": (agree_all / compared) if compared else None,
-        "pairwise_agreement": {
-            k: (v / compared if compared else None) for k, v in agree.items()
-        },
-        "printed_variant": {
-            "compared": printed_compared,
-            "agreement_with_oracle": (
-                printed_agree / printed_compared if printed_compared else None
-            ),
-        },
-        "det_a_sign_conflicts": det_conflicts,
-        "disagreement_examples": disagreements,
-    }
 
 
 def cmd_crossval(args) -> int:

@@ -9,6 +9,9 @@ closed-form output against direct operator application before returning: the
 off-diagonal basis matrices are always eigenvectors of the weight-table map,
 so the eigenvalue read-off is checkable entrywise.
 
+The generator pair is the same algebra (a generator is the derivative of its
+channel at t = 0), so both pairs use one private core in `channels`.
+
 Conversion can succeed with negative weights: that means the eigenvalue data
 is realizable by this operator sum only with signed coefficients (the map may
 even be CP, just not manifestly so in this form). Negative weights are
@@ -20,31 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import full_basis
-from .channels import DEFAULT_TOL, EigenChannel, KrausChannel, tp_residuals
-from .errors import InvariantError, NotEV, NotKF, NotTracePreserving
-
-COND_TOL = 1e-12
-ORACLE_TOL = 1e-11
-
-
-def _kf_images(p: np.ndarray, n: int) -> np.ndarray:
-    """Images of every basis matrix under X -> sum_a p_a sigma_a X sigma_a."""
-    b = full_basis(n)
-    return np.einsum(
-        "a,aij,bjk,akl->bil", p.ravel(), b.stack, b.stack, b.stack, optimize=True
-    )
-
-
-def _verify_kf_ev_pair(p: np.ndarray, lam: np.ndarray, n: int, what: str) -> None:
-    """Demand that the weight table maps sigma_b to lam_b sigma_b, entrywise."""
-    b = full_basis(n)
-    expected = lam.reshape(-1, 1, 1) * b.stack
-    defect = float(np.max(np.abs(_kf_images(p, n) - expected)))
-    if defect > ORACLE_TOL:
-        raise InvariantError(
-            f"{what}: closed-form output fails the application oracle "
-            f"(defect {defect:.3e})"
-        )
+from .channels import (
+    COND_TOL, DEFAULT_TOL, EigenChannel, KrausChannel, _column_violations, _ev_diagonal,
+    _offdiag_from_ev, _sandwich, _tails, _verify_images, tp_residuals,
+)
+from .errors import NotEV, NotKF, NotTracePreserving
 
 
 def _require_tp(ch: KrausChannel) -> None:
@@ -60,13 +43,7 @@ def kf_is_ev(ch: KrausChannel, tol: float = COND_TOL):
     rows j < k whose symmetrized weights disagree in column l.
     """
     _require_tp(ch)
-    pt = ch.p + ch.p.T
-    violations = []
-    for l in range(1, ch.n):
-        for j in range(l):
-            for k in range(j + 1, l):
-                if abs(pt[j, l] - pt[k, l]) > tol:
-                    violations.append((j, k, l))
+    violations = _column_violations(ch.p, tol)
     return (not violations), violations
 
 
@@ -90,21 +67,15 @@ def kf_to_ev(
         )
     n = ch.n
     p = ch.p
-    pt = p + p.T
-    ptc = pt[0, :]  # column-common symmetrized weights, index l >= 1
-    lam = np.ones((n, n))
-    for k in range(1, n):
-        lam[k, k] = 1.0 - (k + 1.0) * ptc[k] - float(np.sum(ptc[k + 1:]))
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            M = max(k, l)
-            jj = np.arange(M + 1, n)
-            tail = 2.0 * float(np.sum(p[jj, jj] / (jj * (jj + 1.0)))) if jj.size else 0.0
-            lam[k, l] = p[0, 0] + (p[k, l] - p[l, k]) - 2.0 * p[M, M] / (M + 1.0) + tail
+    k = np.arange(n)
+    M = np.maximum.outer(k, k)
+    diag = np.diagonal(p)
+    lam = p[0, 0] + (p - p.T) - (2.0 * diag / (k + 1.0))[M] + (2.0 * _tails(diag))[M]
+    lam[0, 0] = 1.0
+    # the column-common symmetrized weights p~_0l, l >= 1
+    lam[k[1:], k[1:]] = _ev_diagonal((p + p.T)[0], 1.0)
     if verify:
-        _verify_kf_ev_pair(p, lam, n, "kf_to_ev")
+        _verify_images(_sandwich(p, full_basis(n).stack), lam, "kf_to_ev")
     return EigenChannel(n=n, lam=lam, trace_preserving=True)
 
 
@@ -120,18 +91,11 @@ def ev_is_kf(ch: EigenChannel, tol: float = COND_TOL):
         raise NotTracePreserving(f"lam_00 = {ch.lam[0, 0]!r}, expected 1")
     lam = ch.lam
     lt = lam + lam.T
-    violations = []
-    for l in range(1, ch.n):
-        for j in range(l):
-            for k in range(j + 1, l):
-                if abs(lt[j, l] - lt[k, l]) > tol:
-                    violations.append(("tilde", j, k, l))
-    for k in range(2, ch.n):
-        target = lam[1, 1] + 0.5 * (
-            lt[0, 1] + float(np.sum(lt[0, 1:k])) - k * lt[0, k]
-        )
-        if abs(lam[k, k] - target) > tol:
-            violations.append(("diag", k))
+    violations = [("tilde",) + v for v in _column_violations(lam, tol)]
+    rows = np.arange(2, ch.n)
+    target = lam[1, 1] + 0.5 * (lt[0, 1] + np.cumsum(lt[0, 1:-1]) - rows * lt[0, rows])
+    bad = rows[np.abs(lam[rows, rows] - target) > tol]
+    violations += [("diag", k) for k in bad.tolist()]
     return (not violations), violations
 
 
@@ -155,20 +119,11 @@ def ev_to_kf(
     n = ch.n
     lam = ch.lam
     lt = lam + lam.T
-    ptc = np.zeros(n)  # symmetrized weight per column, index m >= 1
-    for m in range(1, n):
-        jj = np.arange(m + 1, n)
-        tail = float(np.sum(lam[jj, jj] / (jj * (jj + 1.0)))) if jj.size else 0.0
-        ptc[m] = 1.0 / n - lam[m, m] / (m + 1.0) + tail
-    p = np.zeros((n, n))
-    for k in range(n):
-        for l in range(n):
-            if k != l:
-                p[k, l] = 0.5 * ptc[max(k, l)] + 0.25 * (lam[k, l] - lam[l, k])
+    p = _offdiag_from_ev(lam, 1.0 / n)
     s_all = lt[0, 1] + float(np.sum(lt[0, 1:]))
-    for k in range(1, n):
-        p[k, k] = (1.0 - lam[1, 1] + n * lam[k, k] - 0.5 * s_all) / (2.0 * n)
+    k = np.arange(1, n)
+    p[k, k] = (1.0 - lam[1, 1] + n * lam[k, k] - 0.5 * s_all) / (2.0 * n)
     p[0, 0] = (1.0 + 0.5 * (n - 1.0) * (2.0 * lam[1, 1] + s_all)) / (n * n)
     if verify:
-        _verify_kf_ev_pair(p, lam, n, "ev_to_kf")
+        _verify_images(_sandwich(p, full_basis(n).stack), lam, "ev_to_kf")
     return KrausChannel(n=n, p=p, trace_preserving=True)

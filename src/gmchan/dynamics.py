@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    DEFAULT_TOL,
-    DensityMatrix,
-    EigenChannel,
-    _block_margins,
-    apply_ev,
-    cp_check_oracle,
-)
+from .channels import DEFAULT_TOL, DensityMatrix, EigenChannel, _block_margins, apply_ev
 from .errors import (
     ConstraintViolated,
     DimensionMismatch,
@@ -38,7 +31,7 @@ from .errors import (
     InvariantError,
     NotCPAtTime,
 )
-from .generators import EigenGenerator, ZERO_TOL, lambda_from_eta
+from .generators import EigenGenerator, ZERO_TOL, _check_grid, lambda_from_eta
 
 
 @dataclass(frozen=True)
@@ -111,17 +104,6 @@ def uniform_grid(t_final: float, points: int = 1001) -> np.ndarray:
     return np.linspace(0.0, float(t_final), int(points))
 
 
-def _check_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise DimensionMismatch("need a 1-d time grid with at least 2 points")
-    if grid[0] != 0.0:
-        raise ConstraintViolated(f"grid must start at t=0, got {grid[0]!r}")
-    if np.any(np.diff(grid) <= 0):
-        raise ConstraintViolated("time grid must be strictly increasing")
-    return grid
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled eigenvalue-form evolution.
@@ -175,16 +157,16 @@ def _flags(lams: np.ndarray, cp_stride: int, tol: float):
     """CP flags (None where the stride skips a frame) and singular flags.
 
     Frames 0, cp_stride, 2*cp_stride, ... and the last frame are checked.
+    Every frame must be finite, checked or not.
     """
+    if not np.all(np.isfinite(lams)):
+        raise InvariantError("eigenvalue table contains non-finite entries")
     last = lams.shape[0] - 1
     checked = np.zeros(last + 1, dtype=bool)
     checked[::cp_stride] = True
     checked[last] = True
-    frames = lams[checked]
-    if not np.all(np.isfinite(frames)):
-        raise InvariantError("eigenvalue table contains non-finite entries")
     cp = np.full(last + 1, None, dtype=object)
-    cp[checked] = (_block_margins(frames)[3] >= -tol).tolist()
+    cp[checked] = (_block_margins(lams[checked])[3] >= -tol).tolist()
     singular = np.any(np.abs(lams) <= ZERO_TOL, axis=(1, 2))
     return tuple(cp), tuple(singular.tolist())
 
@@ -234,7 +216,7 @@ def evolve_state(
     """Apply the frame at t_index to an initial state.
 
     The frame must be CP: a stored False flag raises NotCPAtTime; a skipped
-    flag (None) is computed on demand.
+    flag (None) is decided on demand by the normalized block criterion.
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(n=traj.n, entries=rho0)
@@ -242,7 +224,7 @@ def evolve_state(
         raise IndexOutOfRange(f"frame {t_index} outside 0..{len(traj) - 1}")
     flag = traj.cp_flags[t_index] if traj.cp_flags else None
     if flag is None:
-        flag = cp_check_oracle(traj.frame(t_index), tol).is_cp
+        flag = bool(_block_margins(traj.lams[t_index])[3] >= -tol)
     if not flag:
         raise NotCPAtTime(
             f"map at grid index {t_index} (t={traj.grid[t_index]:g}) is not CP",

@@ -14,6 +14,9 @@ vanishes in the rate form and trace preservation forces the (0,0) eigenvalue
 to zero. Both constructors normalize the entry to 0 and warn if the input
 had it nonzero.
 
+The converters share one private core in `channels` with the channel
+converters. An eigenvalue-form generator acts as `apply_ev` on its table.
+
 eta_from_lambda / lambda_from_eta translate between generator eigenvalues
 h(t) and channel eigenvalues l(t) per h = d/dt ln l and l = exp(integral h):
 second-order finite differences in log space one way, trapezoid quadrature
@@ -27,19 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import decompose, full_basis, recompose, _check_dimension, _check_square
-from .channels import _coeff_table
+from .basis import full_basis, _check_dimension, _check_square
+from .channels import (
+    COND_TOL, _coeff_table, _column_violations, _ev_diagonal, _offdiag_from_ev, _sandwich,
+    _suffix_sums, _tail_terms, _tails, _verify_images,
+)
 from .errors import (
     ConstraintViolated,
     DimensionMismatch,
-    InvariantError,
     NotEV,
     NotLF,
     ZeroEigenvalue,
 )
 
-COND_TOL = 1e-12
-ORACLE_TOL = 1e-11
 ZERO_TOL = 1e-13
 
 
@@ -81,31 +84,15 @@ class EigenGenerator:
         object.__setattr__(self, "eta", _normalized_00(h, "eta"))
 
 
+def _lf_action(g: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Rate-form action of table g on one matrix (n, n) or a stack (..., n, n)."""
+    S = np.einsum("a,aij->ij", g.ravel(), full_basis(g.shape[0]).squares)
+    return _sandwich(g, X) - 0.5 * (S @ X + X @ S)
+
+
 def apply_lf(gen: LindbladGenerator, X: np.ndarray) -> np.ndarray:
     """Rate-form action: sandwich sum minus the anticommutator half."""
-    b = full_basis(gen.n)
-    X = _check_square(X, gen.n)
-    g = gen.gamma.ravel()
-    sandwich = np.einsum("a,aij,jk,akl->il", g, b.stack, X, b.stack, optimize=True)
-    S = np.einsum("a,aij->ij", g, b.squares)
-    return sandwich - 0.5 * (S @ X + X @ S)
-
-
-def apply_ev_gen(gen: EigenGenerator, X: np.ndarray) -> np.ndarray:
-    """Eigenvalue-form action: scale basis coefficients by eta."""
-    b = full_basis(gen.n)
-    return recompose(decompose(X, b) * gen.eta, b)
-
-
-def _lf_images(gen: LindbladGenerator) -> np.ndarray:
-    """Images of every basis matrix under apply_lf, one einsum batch."""
-    b = full_basis(gen.n)
-    g = gen.gamma.ravel()
-    sand = np.einsum("a,aij,bjk,akl->bil", g, b.stack, b.stack, b.stack, optimize=True)
-    S = np.einsum("a,aij->ij", g, b.squares)
-    return sand - 0.5 * (
-        np.einsum("ij,bjk->bik", S, b.stack) + np.einsum("bij,jk->bik", b.stack, S)
-    )
+    return _lf_action(gen.gamma, _check_square(X, gen.n))
 
 
 def lf_is_ev(gen: LindbladGenerator, tol: float = COND_TOL):
@@ -114,13 +101,7 @@ def lf_is_ev(gen: LindbladGenerator, tol: float = COND_TOL):
     Returns (flag, violations); violations are triples (j, k, l) of rows
     whose symmetrized rates disagree in column l.
     """
-    gt = gen.gamma + gen.gamma.T
-    violations = []
-    for l in range(1, gen.n):
-        for j in range(l):
-            for k in range(j + 1, l):
-                if abs(gt[j, l] - gt[k, l]) > tol:
-                    violations.append((j, k, l))
+    violations = _column_violations(gen.gamma, tol)
     return (not violations), violations
 
 
@@ -136,46 +117,26 @@ def lf_to_ev(
         )
     n = gen.n
     g = gen.gamma
-    gt = np.zeros(n)  # column-common symmetrized rate, index l >= 1
-    for l in range(1, n):
-        gt[l] = g[0, l] + g[l, 0]
-    eta = np.zeros((n, n))
-    for k in range(1, n):
-        eta[k, k] = -(k + 1.0) * gt[k] - float(np.sum(gt[k + 1:]))
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            m, M = min(k, l), max(k, l)
-            v = -2.0 * g[l, k]
-            v -= 0.5 * (
-                m * gt[m]
-                + (M - 1.0) * gt[M]
-                + float(np.sum(gt[m + 1:M]))
-                + 2.0 * float(np.sum(gt[M + 1:]))
-            )
-            jj = np.arange(m + 1, M)
-            if jj.size:
-                v -= float(np.sum(g[jj, jj] / (jj * (jj + 1.0))))
-            if m >= 1:
-                v -= m / (m + 1.0) * g[m, m]
-            v -= (M + 1.0) / M * g[M, M]
-            eta[k, l] = v
+    gt = (g + g.T)[0]  # column-common symmetrized rate, index l >= 1
+    k = np.arange(n)
+    m, M = np.minimum.outer(k, k), np.maximum.outer(k, k)
+    between = (m[..., None] < k) & (k < M[..., None])  # [k, l, j]: m < j < M
+    d = np.diagonal(g)
+    eta = -2.0 * g.T - 0.5 * (
+        m * gt[m]
+        + (M - 1.0) * gt[M]
+        + np.add.reduce(between * gt, axis=-1)
+        + 2.0 * _suffix_sums(gt)[M]
+    )
+    eta -= np.add.reduce(between * _tail_terms(d), axis=-1)
+    eta -= m / (m + 1.0) * d[m]
+    eta -= (M + 1.0) / np.maximum(M, 1) * d[M]
+    eta[k, k] = 0.0
+    eta[k[1:], k[1:]] = _ev_diagonal(gt, -0.0)
     result = EigenGenerator(n=n, eta=eta)
     if verify:
-        _verify_lf_ev_pair(gen, eta, "lf_to_ev")
+        _verify_images(_lf_action(g, full_basis(n).stack), eta, "lf_to_ev")
     return result
-
-
-def _verify_lf_ev_pair(gen: LindbladGenerator, eta: np.ndarray, what: str) -> None:
-    b = full_basis(gen.n)
-    expected = eta.reshape(-1, 1, 1) * b.stack
-    defect = float(np.max(np.abs(_lf_images(gen) - expected)))
-    if defect > ORACLE_TOL:
-        raise InvariantError(
-            f"{what}: closed-form output fails the application oracle "
-            f"(defect {defect:.3e})"
-        )
 
 
 def ev_is_lf(gen: EigenGenerator, tol: float = COND_TOL):
@@ -190,26 +151,19 @@ def ev_is_lf(gen: EigenGenerator, tol: float = COND_TOL):
     eta = gen.eta
     n = gen.n
     ht = eta + eta.T
-    violations = []
-    for l in range(2, n):
-        if abs(ht[0, l] - ht[1, l]) > tol:
-            violations.append(("tilde01", l))
-    for k in range(2, n - 1):
-        acc = eta[1, 1]
-        for j in range(1, k):
-            acc += (j + 1.0) / 2.0 * (
-                -(j + 2.0) / j * (ht[j, j + 2] - ht[j + 1, j + 2])
-                + ht[j - 1, j]
-                - ht[j - 1, j + 1]
-            )
-        if abs(eta[k, k] - acc) > tol:
-            violations.append(("diag", k))
-    for k in range(1, n):
-        for l in range(k + 1, n):
-            for m in range(l + 1, n):
-                gap = (ht[k, l] - ht[k - 1, l]) - (ht[k, m] - ht[k - 1, m])
-                if abs(gap) > tol:
-                    violations.append(("mixing", k, l, m))
+    violations = [("tilde01", l) for l in range(2, n) if abs(ht[0, l] - ht[1, l]) > tol]
+    j = np.arange(1, n - 2)
+    steps = (j + 1.0) / 2.0 * (
+        -(j + 2.0) / j * (ht[j, j + 2] - ht[j + 1, j + 2]) + ht[j - 1, j] - ht[j - 1, j + 1]
+    )
+    # the recursion's value of eta_kk for k = 2..n-2, summed in order of j
+    acc = np.cumsum(np.concatenate([[eta[1, 1]], steps]))[1:]
+    violations += [("diag", k) for k in range(2, n - 1) if abs(eta[k, k] - acc[k - 2]) > tol]
+    rise = np.diff(ht, axis=0)  # rise[k - 1, l] = ht_kl - ht_{k-1,l}
+    i = np.arange(n)
+    order = (i[1:, None, None] < i[:, None]) & (i[:, None] < i)  # [k - 1, l, m]: k < l < m
+    k, l, m = np.nonzero(order & (np.abs(rise[:, :, None] - rise[:, None, :]) > tol))
+    violations += [("mixing", a + 1, b, c) for a, b, c in zip(k.tolist(), l.tolist(), m.tolist())]
     return (not violations), violations
 
 
@@ -232,28 +186,17 @@ def ev_to_lf(
     n = gen.n
     eta = gen.eta
     ht = eta + eta.T
-    gt = np.zeros(n)  # symmetrized rate per column, index l >= 1
-    for l in range(1, n):
-        jj = np.arange(l + 1, n)
-        tail = float(np.sum(eta[jj, jj] / (jj * (jj + 1.0)))) if jj.size else 0.0
-        gt[l] = -eta[l, l] / (l + 1.0) + tail
-    g = np.zeros((n, n))
-    for k in range(n):
-        for l in range(n):
-            if k != l:
-                g[k, l] = 0.5 * gt[max(k, l)] + 0.25 * (eta[k, l] - eta[l, k])
-    for k in range(1, n):
-        jj = np.arange(k + 1, n)
-        tail = 2.0 * float(np.sum(eta[jj, jj] / (jj * (jj + 1.0)))) if jj.size else 0.0
-        value = -0.25 * (ht[k - 1, k] - tail - 2.0 * eta[k, k] / (k * (k + 1.0)))
-        frac = (k - 1.0) / (k + 1.0)
-        if k >= 2:
-            value += 0.25 * frac * (ht[0, k - 1] - ht[0, k] + 2.0 * eta[k, k])
-            value += frac * eta[k - 1, k - 1] / (2.0 * k)
-        g[k, k] = value
+    g = _offdiag_from_ev(eta, -0.0)
+    d = np.diagonal(eta)
+    k = np.arange(1, n)
+    g[k, k] = -0.25 * (ht[k - 1, k] - 2.0 * _tails(d)[k] - 2.0 * d[k] / (k * (k + 1.0)))
+    k = k[1:]
+    frac = (k - 1.0) / (k + 1.0)
+    g[k, k] += 0.25 * frac * (ht[0, k - 1] - ht[0, k] + 2.0 * d[k])
+    g[k, k] += frac * d[k - 1] / (2.0 * k)
     result = LindbladGenerator(n=n, gamma=g)
     if verify:
-        _verify_lf_ev_pair(result, eta, "ev_to_lf")
+        _verify_images(_lf_action(g, full_basis(n).stack), eta, "ev_to_lf")
     return result
 
 
@@ -304,13 +247,8 @@ def eta_from_lambda(lams: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.gradient(np.log(np.abs(lams)), grid, axis=0, edge_order=2)
 
 
-def lambda_from_eta(etas: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Channel eigenvalues from sampled generator eigenvalues.
-
-    Trapezoid cumulative integral on the user grid, exponentiated; the first
-    frame is exactly 1. The grid must start at t = 0.
-    """
-    etas = np.asarray(etas, dtype=float)
+def _check_grid(grid) -> np.ndarray:
+    """A time grid as a float array: 1-d, at least 2 points, from t = 0, increasing."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise DimensionMismatch("need a 1-d time grid with at least 2 points")
@@ -318,6 +256,17 @@ def lambda_from_eta(etas: np.ndarray, grid: np.ndarray) -> np.ndarray:
         raise ConstraintViolated(f"grid must start at t=0, got {grid[0]!r}")
     if np.any(np.diff(grid) <= 0):
         raise ConstraintViolated("time grid must be strictly increasing")
+    return grid
+
+
+def lambda_from_eta(etas: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Channel eigenvalues from sampled generator eigenvalues.
+
+    Trapezoid cumulative integral on the user grid, exponentiated; the first
+    frame is exactly 1. The grid must start at t = 0.
+    """
+    etas = np.asarray(etas, dtype=float)
+    grid = _check_grid(grid)
     if etas.shape[0] != grid.size:
         raise DimensionMismatch(
             f"trajectory has {etas.shape[0]} frames for {grid.size} grid points"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import EigenChannel, KrausChannel, complete_tp
+from .channels import EigenChannel, KrausChannel, _tails, _tp_solve, complete_tp
 from .errors import NegativeCoefficient
 from .generators import EigenGenerator, LindbladGenerator
 
@@ -33,8 +33,7 @@ def _tp_fixup(off: np.ndarray, n: int) -> None:
     # where p~ is the symmetrized table.
     if n < 3:
         return
-    pt = off + off.T
-    s = float(np.sum(pt[1, 2:] - pt[0, 2:]))
+    s = _tp_solve(off)[0]
     if s >= 0:
         off[0, n - 1] += s
     else:
@@ -107,8 +106,7 @@ def random_noncp_ev(rng: np.random.Generator, n: int) -> EigenChannel:
     lam[0, 0] = 1.0
     i = int(rng.integers(0, n - 1))
     j = int(rng.integers(i + 1, n))
-    d = lam[0, 0] / n - lam[j, j] / (j + 1)
-    d += sum(lam[k, k] / (k * (k + 1)) for k in range(j + 1, n))
+    d = lam[0, 0] / n - lam[j, j] / (j + 1) + _tails(np.diagonal(lam))[j]
     v = max(d, 0.0) + 0.1 + rng.uniform(0.0, 0.5)
     lam[i, j] = v
     lam[j, i] = -v

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from gmchan.basis import full_basis
 from gmchan.channels import EigenChannel, KrausChannel, apply_kf, complete_tp
 from gmchan.converters import ev_is_kf, ev_to_kf, kf_is_ev, kf_to_ev
-from gmchan.errors import NotEV, NotKF, NotTracePreserving
+from gmchan.errors import NegativeCoefficient, NotEV, NotKF, NotTracePreserving
+from gmchan.generators import LindbladGenerator, lf_is_ev
 from gmchan.sampling import random_kf_ev_admissible
 
 
@@ -128,3 +129,61 @@ def test_conversion_closes_under_hypothesis(seed, n):
     ch = random_kf_ev_admissible(rng, n)
     back = ev_to_kf(kf_to_ev(ch))
     assert np.max(np.abs(back.p - ch.p)) <= 1e-11
+
+
+def _column_violations_by_loop(table, tol=1e-12):
+    # the column-equality check as the converters wrote it out, loop by loop
+    n = table.shape[0]
+    sym = table + table.T
+    violations = []
+    for l in range(1, n):
+        for j in range(l):
+            for k in range(j + 1, l):
+                if abs(sym[j, l] - sym[k, l]) > tol:
+                    violations.append((j, k, l))
+    return violations
+
+
+def _planted_columns(rng, n, scale):
+    # random table whose symmetrized entries agree within each column for a
+    # random subset of rows (always rows 0 and 1, which keeps a weight table
+    # balanced), off by 3e-12 for another subset, and random elsewhere
+    t = scale * rng.uniform(0.0, 1.0, (n, n))
+    for l in range(1, n):
+        common = 2.0 * scale * rng.uniform()
+        for j in range(l):
+            kind = 0 if j < 2 else rng.integers(0, 3)
+            if kind < 2:
+                t[l, j] = common + 3e-12 * kind - t[j, l]
+    return t
+
+
+@pytest.mark.parametrize("form", ("kf", "ev", "lf"))
+def test_column_violations_match_loop_form(form):
+    rng = np.random.default_rng(12)
+    seen = 0
+    for n in range(2, 11):
+        for _ in range(6):
+            if form == "kf":
+                table = _planted_columns(rng, n, 1e-3)
+                try:
+                    ch = complete_tp(table, 0.1)
+                except NegativeCoefficient:
+                    continue
+                ok, got = kf_is_ev(ch)
+                want = _column_violations_by_loop(ch.p)
+            elif form == "ev":
+                table = _planted_columns(rng, n, 1.0)
+                table[0, 0] = 1.0
+                ok, got = ev_is_kf(EigenChannel(n=n, lam=table))
+                got = [v[1:] for v in got if v[0] == "tilde"]
+                want = _column_violations_by_loop(table)
+            else:
+                table = _planted_columns(rng, n, 1.0)
+                table[0, 0] = 0.0
+                ok, got = lf_is_ev(LindbladGenerator(n=n, gamma=table))
+                want = _column_violations_by_loop(table)
+            assert got == want
+            assert all(type(i) is int for v in got for i in v)
+            seen += bool(want)
+    assert seen >= 20

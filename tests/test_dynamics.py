@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmchan.channels import DEFAULT_TOL, DensityMatrix, apply_ev, choi
+from gmchan.channels import DEFAULT_TOL, DensityMatrix, apply_ev, choi, cp_check_oracle
 from gmchan.dynamics import (
     RateProfile,
     Trajectory,
@@ -260,3 +260,31 @@ def test_non_finite_checked_frame_rejected():
     eta = np.array([[0.0, 800.0], [0.0, 0.0]])
     with pytest.raises(InvariantError):
         evolve_semigroup(EigenGenerator(n=2, eta=eta), np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("stride", (1, 100))
+def test_overflowed_frame_rejected_at_any_stride(stride):
+    # the integrated rate 4000 t - 4000 t² overflows exp around t = 0.5 and is
+    # back to 0 at t = 1, so at stride 100 only unchecked frames overflow
+    rate = RateProfile.polynomial(4000.0, -8000.0)
+    profiles = [[None, rate], [rate, rate]]
+    with pytest.raises(InvariantError):
+        evolve_timedep(profiles, uniform_grid(1.0, 101), cp_stride=stride)
+
+
+def test_skipped_noncp_frame_decided_on_demand():
+    traj = _negative_rate_semigroup(7)
+    rho0 = DensityMatrix(n=3, entries=np.eye(3, dtype=complex) / 3)
+    skipped = [i for i, flag in enumerate(traj.cp_flags) if flag is None]
+    margins = {i: cp_check_oracle(traj.frame(i)).margin for i in skipped}
+    noncp = [i for i in skipped if margins[i] < -1e-8]
+    assert noncp
+    for idx in skipped:
+        if abs(margins[idx]) <= 1e-8:
+            continue
+        if idx in noncp:
+            with pytest.raises(NotCPAtTime) as exc:
+                evolve_state(traj, rho0, idx)
+            assert exc.value.time_index == idx
+        else:
+            evolve_state(traj, rho0, idx)

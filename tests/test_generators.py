@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmchan.basis import full_basis
+from gmchan.channels import EigenChannel, apply_ev
 from gmchan.errors import ConstraintViolated, NotEV, NotLF, ZeroEigenvalue
 from gmchan.generators import (
     EigenGenerator,
     LindbladGenerator,
-    apply_ev_gen,
     apply_lf,
     eta_from_lambda,
     ev_is_lf,
@@ -100,10 +100,11 @@ def test_generator_eigenvector_oracle(n):
 
 
 def test_apply_ev_gen_scales():
+    # an eigenvalue-form generator acts as apply_ev on its table
     eta = np.array([[0.0, -1.0], [-2.0, -3.0]])
     gen = EigenGenerator(n=2, eta=eta)
     b = full_basis(2)
-    got = apply_ev_gen(gen, b.matrix(1, 1))
+    got = apply_ev(EigenChannel(n=2, lam=gen.eta), b.matrix(1, 1))
     assert np.allclose(got, -3.0 * b.matrix(1, 1), atol=1e-15)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import runpy
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmchan.channels import DensityMatrix, EigenChannel, KrausChannel
-from gmchan.cli import crossval_report, main
+from gmchan.cli import main
+from gmchan.crossval import crossval_report
 from gmchan.errors import ConstraintViolated, InvariantError, ParseError, SchemaError
 from gmchan.fileio import document_text, load, load_document, save
 from gmchan.generators import EigenGenerator, LindbladGenerator
@@ -465,3 +467,33 @@ def test_crossval_sweep_prints_na_without_compared_samples(tmp_path, monkeypatch
         "unnormalized-vs-oracle n/a; halved-self-term variant n/a"
     )
     assert json.loads(out.read_text())["reports"][0]["compared"] == 0
+
+
+def test_evolve_rejects_overflowed_unchecked_frames(tmp_path, capsys):
+    # the profile's integral overflows exp mid-grid; --stride 100 checks only
+    # the first and last frame, which are finite
+    save(EigenGenerator(n=2, eta=np.array([[0.0, 1.0], [1.0, 1.0]])), tmp_path / "g.json")
+    argv = ["evolve", "--generator", str(tmp_path / "g.json"), "--profile", "poly:4000,-8000",
+            "--t", "1.0", "--steps", "100", "--stride", "100"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err
+    assert "inf" not in captured.out
+
+
+def test_nonmarkovian_demo_smoke(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "nonmarkovian_demo.py"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "trajectory.tsv"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--points", "51", "--cp-stride", "5", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = out.read_text().splitlines()
+    assert rows[0].split("\t")[0] == "t"
+    assert len(rows) == 1 + 51
