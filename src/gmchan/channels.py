@@ -11,25 +11,28 @@ routes), and to act on density matrices.
 
 CP checking routes, in decreasing order of authority:
 
-  cp_check_oracle      eigen-spectrum of the Choi matrix, assembled in closed
-                       form from the table with one n²×n² matrix product:
+  cp_check_oracle      eigen-spectrum of the Choi matrix, summed from the
+                       table's terms
                          kf  J = sum_a p_a vec(sigma_a) vec(sigma_a)†
                          ev  J = sum_a l_a conj(sigma_a) (x) sigma_a / Tr(sigma_a²)
-                       (the ev sum with its tensor factors regrouped). Ground
-                       truth.
+                       (the ev sum with its tensor factors regrouped). Every
+                       term lies in the diagonal sector {(k, k)} or in one
+                       pair sector {(i, j), (j, i)}, so J is one n×n block
+                       plus n(n-1)/2 2×2 blocks, and its spectrum is theirs:
+                       O(n³) time and memory, not O(n⁶). Ground truth.
   cp_check_normalized  closed-form block criterion for eigenvalue-form maps:
-                       the diagonal-sector block and the 2×2 pair blocks of
-                       the ev Choi matrix above. Exactly equivalent to the
-                       oracle. `_block_margins` evaluates it for one table or
-                       for a whole trajectory of tables at once.
+                       the same blocks of the ev Choi matrix, written with
+                       the paper's d_j/tail formulas. Exactly equivalent to
+                       the oracle, O(n³). `_block_margins` evaluates it for
+                       one table or for a whole trajectory of tables at once.
   cp_check_paper       closed-form block criterion from the unnormalized sum
                        sum_a l_a conj(sigma_a) (x) sigma_a, which equals
                        2J + ((n-2)/n) l_00 I. Exact for n = 2, strictly
-                       weaker (necessary, not sufficient) for n >= 3.
+                       weaker (necessary, not sufficient) for n >= 3; O(n³).
 
 `choi(apply, n)` assembles J = sum_kl e_kl (x) apply(e_kl) for any linear map
-by applying it to every matrix unit. It is the independent route the closed
-forms are tested against.
+by applying it to every matrix unit and diagonalizes the dense n²×n² result,
+O(n⁶). It is the independent route the closed forms are tested against.
 
 The private helpers below are the one core that the channel and generator
 converters and `dynamics` share.
@@ -363,22 +366,6 @@ PROBE_ABS = 1e-10
 PROBE_REL = 1e-12
 
 
-def _diagonalized(n: int, J: np.ndarray) -> ChoiMatrix:
-    """Symmetrize an assembled Choi matrix and attach its spectrum."""
-    defect = float(np.max(np.abs(J - J.conj().T)))
-    J = (J + J.conj().T) / 2.0
-    spectrum = np.linalg.eigvalsh(J)
-    J.setflags(write=False)
-    spectrum.setflags(write=False)
-    return ChoiMatrix(
-        n=n,
-        entries=J,
-        spectrum=spectrum,
-        min_eigenvalue=float(spectrum[0]),
-        hermiticity_defect=defect,
-    )
-
-
 def choi(apply, n: int) -> ChoiMatrix:
     """Assemble J = sum_kl e_kl (x) apply(e_kl) and diagonalize it.
 
@@ -408,39 +395,147 @@ def choi(apply, n: int) -> ChoiMatrix:
             unit[k, l] = 1.0
             J[k * n:(k + 1) * n, l * n:(l + 1) * n] = apply(unit)
             unit[k, l] = 0.0
-    return _diagonalized(n, J)
+    defect = float(np.max(np.abs(J - J.conj().T)))
+    J = (J + J.conj().T) / 2.0
+    return _choi_matrix(n, J, np.linalg.eigvalsh(J), defect)
+
+
+def _choi_matrix(n: int, J: np.ndarray, spectrum: np.ndarray, defect: float) -> ChoiMatrix:
+    """Freeze a symmetrized Choi matrix and its spectrum into a ChoiMatrix."""
+    J.setflags(write=False)
+    spectrum.setflags(write=False)
+    return ChoiMatrix(
+        n=n,
+        entries=J,
+        spectrum=spectrum,
+        min_eigenvalue=float(spectrum[0]),
+        hermiticity_defect=defect,
+    )
+
+
+@dataclass(frozen=True)
+class _ChoiLayout:
+    """Where the Choi matrix of a dimension-n table is nonzero, and what fills it.
+
+    J has one n×n block on the diagonal sector {(k, k)} and one 2×2 block on
+    each pair sector {(i, j), (j, i)}, i < j, and is zero elsewhere. Its block
+    entries are stored flat: the n×n block row-major, then four entries per
+    pair block in row-major (i, j) order. `rows`/`cols` give each stored
+    entry's position in J and `mirror` the index of its transpose.
+    `terms[form]` = (src, dest, coef) is the sparse sum that fills them:
+    stored entry dest accumulates coef × table entry src.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mirror: np.ndarray
+    terms: dict
+
+
+@lru_cache(maxsize=None)
+def _choi_layout(n: int) -> _ChoiLayout:
+    """Block layout of J, built from the nonzeros of every basis matrix.
+
+    kf: J[r, c] = sum_a p_a conj(S[a, r]) S[a, c], with S[a, k*n + l] =
+    sigma_a[k, l]. ev: J[k*n + i, l*n + j] = sum_a l_a conj(sigma_a[k, l])
+    sigma_a[i, j] / Tr(sigma_a²), the same sum with its indices regrouped.
+    Raises InvariantError if a term lands off the blocks or is not real.
+    """
+    nn = n * n
+    k, l = np.divmod(np.arange(nn), n)
+    lo, hi = np.minimum(k, l), np.maximum(k, l)
+    # block of each J index (0: diagonal sector, 1 + row-major pair number)
+    # and its position inside that block
+    block = np.where(k == l, 0, 1 + lo * n - lo * (lo + 1) // 2 + hi - lo - 1)
+    pos = np.where(k == l, k, (k > l).astype(int))
+
+    def stored(r, c):
+        if np.any(block[r] != block[c]):
+            raise InvariantError(f"a basis matrix of dimension {n} straddles two Choi blocks")
+        return np.where(block[r] == 0, pos[r] * n + pos[c],
+                        nn + 4 * (block[r] - 1) + 2 * pos[r] + pos[c])
+
+    b = full_basis(n)
+    src, r, c, coef = [], [], [], []
+    for a, v in enumerate(b.stack.reshape(nn, nn)):
+        nz = np.flatnonzero(v)
+        src.append(np.full(nz.size * nz.size, a))
+        r.append(np.repeat(nz, nz.size))
+        c.append(np.tile(nz, nz.size))
+        coef.append(np.conj(v[r[-1]]) * v[c[-1]])
+    src, r, c, coef = (np.concatenate(x) for x in (src, r, c, coef))
+    if np.any(coef.imag != 0.0):
+        raise InvariantError(f"the Choi matrix of a dimension-{n} table is not real")
+    coef = coef.real
+    terms = {
+        "kf": (src, stored(r, c), coef),
+        "ev": (src, stored(r // n * n + c // n, r % n * n + c % n), coef / b.norms_sq[src]),
+    }
+    diag = np.arange(n) * (n + 1)
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    sector = np.stack([i * n + j, j * n + i], axis=1)
+    rows = np.concatenate([np.repeat(diag, n), np.repeat(sector, 2, axis=1).ravel()])
+    cols = np.concatenate([np.tile(diag, n), np.tile(sector, 2).ravel()])
+    mirror = stored(cols, rows)
+    for arr in (rows, cols, mirror, *terms["kf"], *terms["ev"]):
+        arr.setflags(write=False)
+    return _ChoiLayout(rows=rows, cols=cols, mirror=mirror, terms=terms)
+
+
+def _choi_blocks(ch):
+    """Blocks of a channel's Choi matrix, their spectrum and Hermiticity defect.
+
+    Returns the symmetrized block entries (stored as in `_ChoiLayout`), the
+    sorted union of the n×n block's spectrum and the 2×2 blocks' closed-form
+    eigenvalues, and the largest entrywise |J - J†| over the blocks (entries
+    off the blocks are exactly zero).
+    """
+    if isinstance(ch, KrausChannel):
+        form, table = "kf", ch.p
+    elif isinstance(ch, EigenChannel):
+        form, table = "ev", ch.lam
+    else:
+        raise TypeError(f"expected a channel, got {type(ch).__name__}")
+    n = ch.n
+    layout = _choi_layout(n)
+    src, dest, coef = layout.terms[form]
+    vals = np.bincount(dest, weights=coef * table.ravel()[src], minlength=layout.rows.size)
+    mirrored = vals[layout.mirror]
+    defect = float(np.abs(vals - mirrored).max())
+    vals = (vals + mirrored) / 2.0
+    pair = vals[n * n:].reshape(-1, 4)
+    mid = (pair[:, 0] + pair[:, 3]) / 2.0
+    radius = np.hypot((pair[:, 0] - pair[:, 3]) / 2.0, pair[:, 1])
+    block = np.linalg.eigvalsh(vals[:n * n].reshape(n, n))
+    return vals, np.sort(np.concatenate([block, mid - radius, mid + radius])), defect
 
 
 def choi_of_channel(ch) -> ChoiMatrix:
     """Choi matrix of either channel representation, from its table in closed form.
 
-    With S[a, k*n + l] = sigma_a[k, l] and a weight w_a per basis matrix,
-    M = conj(S)ᵀ diag(w) S. A weight table (w = p) gives J = M directly. An
-    eigenvalue table (w_a = l_a / Tr(sigma_a²)) gives M[(k,l), (i,j)] =
-    map(e_kl)[i, j], which regroups into J[(k,i), (l,j)].
+    The blocks come from `_choi_blocks` and are scattered into the dense
+    n²×n² `entries`; the spectrum is the union of the block spectra.
     """
-    if not isinstance(ch, (KrausChannel, EigenChannel)):
-        raise TypeError(f"expected a channel, got {type(ch).__name__}")
-    n, nn = ch.n, ch.n * ch.n
-    b = full_basis(n)
-    S = b.stack.reshape(nn, nn)
-    if isinstance(ch, KrausChannel):
-        return _diagonalized(n, (S.conj().T * ch.p.ravel()) @ S)
-    M = (S.conj().T * (ch.lam.ravel() / b.norms_sq)) @ S
-    return _diagonalized(n, M.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(nn, nn))
+    vals, spectrum, defect = _choi_blocks(ch)
+    layout = _choi_layout(ch.n)
+    J = np.zeros((ch.n ** 2, ch.n ** 2), dtype=complex)
+    J[layout.rows, layout.cols] = vals
+    return _choi_matrix(ch.n, J, spectrum, defect)
 
 
 def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
-    """Ground-truth CP check: smallest Choi eigenvalue."""
-    cm = choi_of_channel(ch)
+    """Ground-truth CP check: smallest Choi eigenvalue, read off J's blocks."""
+    _, spectrum, defect = _choi_blocks(ch)
+    spectrum.setflags(write=False)
+    low = float(spectrum[0])
     return CpReport(
-        verdict=_verdict(cm.min_eigenvalue, tol),
+        verdict=_verdict(low, tol),
         method=METHOD_ORACLE,
-        margin=cm.min_eigenvalue,
+        margin=low,
         diagnostics={
-            "spectrum": cm.spectrum,
-            "min_eigenvalue": cm.min_eigenvalue,
-            "hermiticity_defect": cm.hermiticity_defect,
+            "spectrum": spectrum,
+            "min_eigenvalue": low,
+            "hermiticity_defect": defect,
         },
     )
 

@@ -33,7 +33,7 @@ from .channels import (
     choi_of_channel,
     tp_residuals,
 )
-from .converters import ev_to_kf, kf_is_ev, kf_to_ev
+from .converters import ev_to_kf, kf_to_ev
 from .crossval import crossval_report
 from .dynamics import RateProfile, evolve_semigroup, evolve_state, evolve_timedep, uniform_grid
 from .errors import (
@@ -92,14 +92,18 @@ def cmd_validate(args) -> int:
         print(f"trace preservation: max residual {worst:.3e} ({'ok' if tp_ok else 'violated'})")
         oracle = cp_check_oracle(obj, tol)
         _print_report("oracle", oracle)
-        diagonalizes, _ = kf_is_ev(obj)
-        if diagonalizes and tp_ok:
-            ev = kf_to_ev(obj)
+        ev, reason = None, "not trace-preserving"
+        if tp_ok:
+            try:
+                ev = kf_to_ev(obj)
+            except NotEV:
+                reason = "weight table does not diagonalize"
+        if ev is not None:
             _print_report("paper", cp_check_paper(ev, tol))
             _print_report("normalized", cp_check_normalized(ev, tol))
         else:
-            print("cp paper       n/a (weight table does not diagonalize)")
-            print("cp normalized  n/a (weight table does not diagonalize)")
+            print(f"cp paper       n/a ({reason})")
+            print(f"cp normalized  n/a ({reason})")
         ok = tp_ok and oracle.is_cp
     elif doc.form == "ev":
         dev = abs(float(obj.lam[0, 0]) - 1.0)

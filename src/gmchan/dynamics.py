@@ -177,7 +177,8 @@ def evolve_semigroup(
     """Closed-form trajectory exp(eta * t) for a constant generator."""
     _check_stride(cp_stride)
     grid = _check_grid(grid)
-    lams = np.exp(grid[:, None, None] * gen.eta[None, :, :])
+    with np.errstate(over="ignore"):  # _flags rejects an overflowed frame
+        lams = np.exp(grid[:, None, None] * gen.eta[None, :, :])
     cp, singular = _flags(lams, cp_stride, tol)
     return Trajectory(
         n=gen.n, grid=grid, lams=lams, cp_flags=cp, singular_flags=singular

@@ -263,7 +263,8 @@ def lambda_from_eta(etas: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Channel eigenvalues from sampled generator eigenvalues.
 
     Trapezoid cumulative integral on the user grid, exponentiated; the first
-    frame is exactly 1. The grid must start at t = 0.
+    frame is exactly 1. The grid must start at t = 0. An eigenvalue that
+    overflows comes back as inf, silently; `dynamics` rejects such frames.
     """
     etas = np.asarray(etas, dtype=float)
     grid = _check_grid(grid)
@@ -276,4 +277,5 @@ def lambda_from_eta(etas: np.ndarray, grid: np.ndarray) -> np.ndarray:
     integral = np.concatenate(
         [np.zeros((1,) + etas.shape[1:]), np.cumsum(steps, axis=0)], axis=0
     )
-    return np.exp(integral)
+    with np.errstate(over="ignore"):
+        return np.exp(integral)

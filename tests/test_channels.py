@@ -19,6 +19,7 @@ from gmchan.channels import (
     cp_check_oracle,
     cp_check_paper,
     tp_residuals,
+    _choi_layout,
     _sandwich,
 )
 from gmchan.errors import (
@@ -31,7 +32,8 @@ from gmchan.errors import (
 )
 from gmchan.crossval import _halved_self_term_spectrum
 from gmchan.generators import LindbladGenerator, _lf_action, apply_lf
-from gmchan.sampling import random_density, random_ev_channel
+from gmchan.converters import kf_to_ev
+from gmchan.sampling import random_density, random_ev_channel, random_kf_ev_admissible
 
 
 def identity_kf(n):
@@ -298,6 +300,14 @@ def test_choi_probe_still_rejects_nonlinear_map_at_scale():
         choi(lambda x: 1e-6 * x + 1e-6, 3)  # affine
 
 
+def _channel(form, table):
+    if form == "kf":
+        ch = KrausChannel(n=table.shape[0], p=table)
+        return ch, choi(lambda X: apply_kf(ch, X), ch.n)
+    ch = EigenChannel(n=table.shape[0], lam=table)
+    return ch, choi(lambda X: apply_ev(ch, X), ch.n)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     seed=st.integers(0, 2**31),
@@ -307,16 +317,91 @@ def test_choi_probe_still_rejects_nonlinear_map_at_scale():
 )
 def test_closed_form_choi_matches_generic_route(seed, n, log_scale, form):
     rng = np.random.default_rng(seed)
-    table = 10.0**log_scale * rng.uniform(-1.0, 1.0, (n, n))
-    if form == "kf":
-        ch = KrausChannel(n=n, p=table)
-        generic = choi(lambda X: apply_kf(ch, X), n)
-    else:
-        ch = EigenChannel(n=n, lam=table)
-        generic = choi(lambda X: apply_ev(ch, X), n)
+    ch, generic = _channel(form, 10.0**log_scale * rng.uniform(-1.0, 1.0, (n, n)))
     fast = cp_check_oracle(ch).diagnostics["spectrum"]
     scale = max(1.0, float(np.max(np.abs(generic.spectrum))))
     assert np.max(np.abs(fast - generic.spectrum)) <= 1e-12 * scale
+    cm = choi_of_channel(ch)
+    assert np.max(np.abs(cm.entries - generic.entries)) <= 1e-12 * scale
+    assert abs(cm.hermiticity_defect - generic.hermiticity_defect) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", (12, 16))
+@pytest.mark.parametrize("form", ("kf", "ev"))
+def test_block_choi_matches_generic_route_at_large_n(n, form):
+    rng = np.random.default_rng(100 + n)
+    signed = rng.uniform(-1.0, 1.0, (n, n))
+    kf = random_kf_ev_admissible(rng, n)  # nonnegative weights: CP
+    cp = kf.p if form == "kf" else kf_to_ev(kf).lam
+    verdicts = []
+    for table in (signed, cp):
+        ch, generic = _channel(form, table)
+        cm = choi_of_channel(ch)
+        scale = max(1.0, float(np.max(np.abs(generic.spectrum))))
+        assert np.max(np.abs(cm.spectrum - generic.spectrum)) <= 1e-12 * scale
+        assert np.max(np.abs(cm.entries - generic.entries)) <= 1e-12 * scale
+        assert abs(cm.hermiticity_defect - generic.hermiticity_defect) <= 1e-12 * scale
+        verdicts.append(cp_check_oracle(ch).is_cp)
+        assert verdicts[-1] == (generic.min_eigenvalue >= -1e-10)
+    assert verdicts == [False, True]
+
+
+def test_oracle_diagnostics_are_the_choi_spectrum():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7):
+        for form in ("kf", "ev"):
+            ch, _ = _channel(form, rng.uniform(-1.0, 1.0, (n, n)))
+            cm = choi_of_channel(ch)
+            diag = cp_check_oracle(ch).diagnostics
+            assert np.array_equal(diag["spectrum"], cm.spectrum)
+            assert diag["min_eigenvalue"] == cm.min_eigenvalue
+            assert diag["hermiticity_defect"] == cm.hermiticity_defect
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_choi_layout_covers_the_blocks(n):
+    layout = _choi_layout(n)
+    # one n×n block and n(n-1)/2 2×2 blocks
+    assert layout.rows.size == n * n + 2 * n * (n - 1)
+    assert len(set(zip(layout.rows.tolist(), layout.cols.tolist()))) == layout.rows.size
+    assert np.array_equal(layout.rows[layout.mirror], layout.cols)
+    for src, dest, coef in layout.terms.values():
+        assert src.shape == dest.shape == coef.shape
+        assert np.array_equal(np.unique(dest), np.arange(layout.rows.size))
+
+
+def _edit_basis(monkeypatch, n, index, value):
+    # the layout, uncached, sees a basis with one entry changed
+    import gmchan.channels as channels
+
+    b = full_basis(n)
+    stack = b.stack.copy()
+    stack[index] = value
+    bad = type(b)(n=n, stack=stack, norms_sq=b.norms_sq, squares=b.squares)
+    monkeypatch.setattr(channels, "full_basis", lambda n: bad)
+    monkeypatch.setattr(channels, "_choi_layout", _choi_layout.__wrapped__)
+
+
+@pytest.mark.parametrize(
+    "index, value, match",
+    [
+        ((1, 0, 0), 0.5, "straddles"),  # sigma_01 gains a diagonal entry
+        ((1, 0, 1), 1j, "not real"),  # sigma_01 = [[0, i], [1, 0]]
+    ],
+)
+def test_choi_layout_rejects_a_basis_it_cannot_block(monkeypatch, index, value, match):
+    _edit_basis(monkeypatch, 3, index, value)
+    with pytest.raises(InvariantError, match=match):
+        choi_of_channel(KrausChannel(n=3, p=np.ones((3, 3))))
+
+
+def test_block_hermiticity_defect_sees_an_asymmetric_basis(monkeypatch):
+    _edit_basis(monkeypatch, 2, (1, 1, 0), 0.5)  # sigma_01 stays in its pair sector
+    lam = np.zeros((2, 2))
+    lam[0, 1] = 1.0
+    cm = choi_of_channel(EigenChannel(n=2, lam=lam))
+    # J[(0,0),(1,1)] = 1 * 1 / 2 but J[(1,1),(0,0)] = 0.5 * 0.5 / 2
+    assert cm.hermiticity_defect == 0.375
 
 
 def _paper_blocks_by_loop(lam):

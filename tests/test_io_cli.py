@@ -227,6 +227,44 @@ def test_validate_non_tp_ev(tmp_path, capsys):
     assert "violated" in capsys.readouterr().out
 
 
+def test_validate_non_tp_kf_exit_two(tmp_path, capsys):
+    rows = [[0.5, 0.1, 0.1], [0.1, 0.1, 0.1], [0.1, 0.1, 0.1]]
+    path = _write(tmp_path / "ntp.json", _doc(3, "kf", rows))
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "form: kf  n: 3\n"
+        "trace preservation: max residual 3.333e-02 (violated)\n"
+        "cp oracle      CP     margin +2.000000e-01\n"
+        "cp paper       n/a (not trace-preserving)\n"
+        "cp normalized  n/a (not trace-preserving)\n"
+        "verdict: not a valid quantum channel\n"
+    )
+    assert captured.err == ""
+
+
+def test_validate_kf_evaluates_trace_residuals_at_most_twice(tmp_path, monkeypatch, capsys):
+    import gmchan.cli
+    import gmchan.converters
+    from gmchan.channels import tp_residuals
+
+    calls = []
+
+    def counted(ch):
+        calls.append(ch.n)
+        return tp_residuals(ch)
+
+    for module in (gmchan.cli, gmchan.converters):
+        monkeypatch.setattr(module, "tp_residuals", counted)
+    p = np.zeros((3, 3))
+    p[0, 0] = 1.0
+    save(KrausChannel(n=3, p=p), tmp_path / "id.json")
+    assert main(["validate", str(tmp_path / "id.json")]) == 0
+    out = capsys.readouterr().out
+    assert "cp paper       CP" in out and "cp normalized  CP" in out
+    assert 1 <= len(calls) <= 2
+
+
 def test_validate_lf_state_evgen_exit_ok(tmp_path, capsys):
     save(LindbladGenerator(n=2, gamma=np.array([[0.0, 0.3], [0.2, 0.1]])), tmp_path / "lf.json")
     save(EigenGenerator(n=2, eta=np.array([[0.0, -1.0], [-1.0, -2.0]])), tmp_path / "g.json")
@@ -479,6 +517,23 @@ def test_evolve_rejects_overflowed_unchecked_frames(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "non-finite" in captured.err
     assert "inf" not in captured.out
+
+
+def test_evolve_overflow_leaves_one_error_line(tmp_path):
+    # numpy's overflow warning must not reach the user's stderr
+    eta = np.ones((2, 2))
+    eta[0, 0] = 0.0
+    save(EigenGenerator(n=2, eta=eta), tmp_path / "g.json")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["evolve", "--generator", str(tmp_path / "g.json"), "--profile", "poly:4000,-8000",
+            "--t", "1", "--steps", "100", "--stride", "100"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmchan.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: eigenvalue table contains non-finite entries\n"
 
 
 def test_nonmarkovian_demo_smoke(tmp_path):
