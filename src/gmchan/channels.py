@@ -34,6 +34,15 @@ CP checking routes, in decreasing order of authority:
 by applying it to every matrix unit and diagonalizes the dense n²×n² result,
 O(n⁶). It is the independent route the closed forms are tested against.
 
+Every converter re-verifies its output with `_verify_images`: the map of the
+weight (or rate) table must send each sigma_b to lam_b sigma_b, entrywise
+within ORACLE_TOL. The superoperator M of a diagonal map (vec Phi(X) =
+M vec X) is J with its indices regrouped, so it has the same blocks; the
+check fills them from the same layout, adds -(s_i + s_j)/2 on M's diagonal
+for the rate form (S = sum_a g_a sigma_a² is diagonal), and applies them to
+each basis matrix's sector entries: O(n³), where applying the map to all n²
+basis matrices densely (`_sandwich` on the stack) is O(n⁷).
+
 The private helpers below are the one core that the channel and generator
 converters and `dynamics` share.
 """
@@ -200,17 +209,6 @@ def _sandwich(w: np.ndarray, X: np.ndarray) -> np.ndarray:
     b = full_basis(n)
     path = _sandwich_path(n, X.shape)
     return np.einsum(_SANDWICH, w.ravel(), b.stack, X, b.stack, optimize=path)
-
-
-def _verify_images(images: np.ndarray, lam: np.ndarray, what: str) -> None:
-    """Demand that a map's images of the basis matrices are lam_b sigma_b, entrywise."""
-    b = full_basis(lam.shape[0])
-    defect = float(np.max(np.abs(images - lam.reshape(-1, 1, 1) * b.stack)))
-    if defect > ORACLE_TOL:
-        raise InvariantError(
-            f"{what}: closed-form output fails the application oracle "
-            f"(defect {defect:.3e})"
-        )
 
 
 def _column_violations(table: np.ndarray, tol: float) -> list:
@@ -424,22 +422,39 @@ class _ChoiLayout:
     entry's position in J and `mirror` the index of its transpose.
     `terms[form]` = (src, dest, coef) is the sparse sum that fills them:
     stored entry dest accumulates coef × table entry src.
+
+    The superoperator M of a diagonal map (vec Phi(X) = M vec X, row-major
+    vec) is J with its indices regrouped, so it has the same sectors and is
+    stored the same way: `terms["sandwich"]` fills M for X -> sum_a t_a
+    sigma_a X sigma_a, and `diagonal[r]` is the stored index of M[r, r].
+    Each basis matrix lives in one sector; `vectors` holds them as the
+    columns of a matrix V in the same block layout (stored entry e is
+    vec(sigma_a)[rows[e]] with a = `members[e]`), so Phi sends every sigma_a
+    to lam_a sigma_a exactly when M V = V diag(lam[members]).
     """
 
     rows: np.ndarray
     cols: np.ndarray
     mirror: np.ndarray
     terms: dict
+    diagonal: np.ndarray
+    vectors: np.ndarray
+    members: np.ndarray
+    squares: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _choi_layout(n: int) -> _ChoiLayout:
-    """Block layout of J, built from the nonzeros of every basis matrix.
+    """Block layout of J and M, built from the nonzeros of every basis matrix.
 
     kf: J[r, c] = sum_a p_a conj(S[a, r]) S[a, c], with S[a, k*n + l] =
     sigma_a[k, l]. ev: J[k*n + i, l*n + j] = sum_a l_a conj(sigma_a[k, l])
     sigma_a[i, j] / Tr(sigma_a²), the same sum with its indices regrouped.
-    Raises InvariantError if a term lands off the blocks or is not real.
+    sandwich: M[i*n + j, k*n + l] = J_kf[k*n + i, l*n + j]. `squares` holds
+    the diagonals of sigma_a², which the rate form adds to M's diagonal.
+    Raises InvariantError if a term lands off the blocks or is not real, if
+    the basis matrices do not fill the sectors, or if a sigma_a² is not
+    diagonal.
     """
     nn = n * n
     k, l = np.divmod(np.arange(nn), n)
@@ -456,20 +471,24 @@ def _choi_layout(n: int) -> _ChoiLayout:
                         nn + 4 * (block[r] - 1) + 2 * pos[r] + pos[c])
 
     b = full_basis(n)
-    src, r, c, coef = [], [], [], []
-    for a, v in enumerate(b.stack.reshape(nn, nn)):
-        nz = np.flatnonzero(v)
-        src.append(np.full(nz.size * nz.size, a))
-        r.append(np.repeat(nz, nz.size))
-        c.append(np.tile(nz, nz.size))
-        coef.append(np.conj(v[r[-1]]) * v[c[-1]])
-    src, r, c, coef = (np.concatenate(x) for x in (src, r, c, coef))
+    S = b.stack.reshape(nn, nn)
+    # every ordered pair (r, c) of one basis matrix's nonzeros, row-major per
+    # matrix: the term sigma_a contributes to J[r, c]
+    owner, nz = np.nonzero(S)
+    count = np.bincount(owner, minlength=nn)
+    src = np.repeat(np.arange(nn), count * count)
+    first = np.cumsum(count) - count
+    t = np.arange(src.size) - np.repeat(np.cumsum(count * count) - count * count, count * count)
+    r = nz[first[src] + t // count[src]]
+    c = nz[first[src] + t % count[src]]
+    coef = np.conj(S[src, r]) * S[src, c]
     if np.any(coef.imag != 0.0):
         raise InvariantError(f"the Choi matrix of a dimension-{n} table is not real")
     coef = coef.real
     terms = {
         "kf": (src, stored(r, c), coef),
         "ev": (src, stored(r // n * n + c // n, r % n * n + c % n), coef / b.norms_sq[src]),
+        "sandwich": (src, stored(r % n * n + c % n, r // n * n + c // n), coef),
     }
     diag = np.arange(n) * (n + 1)
     i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
@@ -477,9 +496,74 @@ def _choi_layout(n: int) -> _ChoiLayout:
     rows = np.concatenate([np.repeat(diag, n), np.repeat(sector, 2, axis=1).ravel()])
     cols = np.concatenate([np.tile(diag, n), np.tile(sector, 2).ravel()])
     mirror = stored(cols, rows)
-    for arr in (rows, cols, mirror, *terms["kf"], *terms["ev"]):
+    # pair the basis matrices with the vec indices of their sector, in order
+    home = block[nz[first]]
+    if not np.array_equal(np.bincount(home, minlength=block.max() + 1), np.bincount(block)):
+        raise InvariantError(f"the basis matrices of dimension {n} do not fill the Choi blocks")
+    member_at = np.empty(nn, dtype=int)
+    member_at[np.argsort(block, kind="stable")] = np.argsort(home, kind="stable")
+    members = member_at[cols]
+    squares = np.diagonal(b.squares, axis1=1, axis2=2)
+    if np.count_nonzero(b.squares) != np.count_nonzero(squares):
+        raise InvariantError(f"a squared basis matrix of dimension {n} is not diagonal")
+    layout = _ChoiLayout(
+        rows=rows, cols=cols, mirror=mirror, terms=terms,
+        diagonal=stored(np.arange(nn), np.arange(nn)), vectors=S[members, rows],
+        members=members, squares=squares.real.copy(),
+    )
+    for arr in (rows, cols, mirror, *(x for form in terms.values() for x in form),
+                layout.diagonal, layout.vectors, members, layout.squares):
         arr.setflags(write=False)
-    return _ChoiLayout(rows=rows, cols=cols, mirror=mirror, terms=terms)
+    return layout
+
+
+def _fill(layout: _ChoiLayout, form: str, table: np.ndarray) -> np.ndarray:
+    """Stored block entries of `form`'s sparse sum for one table."""
+    src, dest, coef = layout.terms[form]
+    return np.bincount(dest, weights=coef * table.ravel()[src], minlength=layout.rows.size)
+
+
+def _basis_images(table: np.ndarray, rate: bool = False) -> np.ndarray:
+    """Images M V of the basis matrices under the sandwich map of `table`.
+
+    With rate=True the map is the rate form, sandwich minus
+    (S X + X S)/2 with S = sum_a t_a sigma_a², which is diagonal, so it
+    subtracts (s_i + s_j)/2 from M's diagonal entry (i*n + j, i*n + j).
+    Entries are stored as in `_ChoiLayout`: stored entry e is the image of
+    basis matrix members[e] at vec index rows[e]; every other entry of the
+    image is zero. O(n³).
+    """
+    n = table.shape[0]
+    nn = n * n
+    layout = _choi_layout(n)
+    M, V = _fill(layout, "sandwich", table), layout.vectors
+    if rate:
+        s = table.ravel() @ layout.squares
+        M[layout.diagonal] -= ((s[:, None] + s) / 2.0).ravel()
+    head = M[:nn].reshape(n, n) @ V[:nn].reshape(n, n)
+    pairs = M[nn:].reshape(-1, 2, 2) @ V[nn:].reshape(-1, 2, 2)
+    return np.concatenate([head.ravel(), pairs.ravel()])
+
+
+def _image_defect(table: np.ndarray, lam: np.ndarray, rate: bool = False) -> float:
+    """Largest entrywise |Phi(sigma_b) - lam_b sigma_b| over all basis matrices.
+
+    Phi is the sandwich (or, with rate=True, the rate-form) map of `table`;
+    the images are read from their sector entries (`_basis_images`).
+    """
+    layout = _choi_layout(lam.shape[0])
+    expected = layout.vectors * lam.ravel()[layout.members]
+    return float(np.max(np.abs(_basis_images(table, rate) - expected)))
+
+
+def _verify_images(table: np.ndarray, lam: np.ndarray, what: str, rate: bool = False) -> None:
+    """Demand that the map of `table` sends every sigma_b to lam_b sigma_b (`_image_defect`)."""
+    defect = _image_defect(table, lam, rate)
+    if defect > ORACLE_TOL:
+        raise InvariantError(
+            f"{what}: closed-form output fails the application oracle "
+            f"(defect {defect:.3e})"
+        )
 
 
 def _choi_blocks(ch):
@@ -498,8 +582,7 @@ def _choi_blocks(ch):
         raise TypeError(f"expected a channel, got {type(ch).__name__}")
     n = ch.n
     layout = _choi_layout(n)
-    src, dest, coef = layout.terms[form]
-    vals = np.bincount(dest, weights=coef * table.ravel()[src], minlength=layout.rows.size)
+    vals = _fill(layout, form, table)
     mirrored = vals[layout.mirror]
     defect = float(np.abs(vals - mirrored).max())
     vals = (vals + mirrored) / 2.0

@@ -5,9 +5,11 @@ column l >= 1, the symmetrized weights p~_jl := p_jl + p_lj agree for all
 rows j < l. An eigenvalue-table channel admits a weight-table realization iff
 the symmetrized eigenvalues satisfy the same column-equality and the diagonal
 eigenvalues follow a fixed linear recursion. Both converters re-verify their
-closed-form output against direct operator application before returning: the
-off-diagonal basis matrices are always eigenvectors of the weight-table map,
-so the eigenvalue read-off is checkable entrywise.
+closed-form output before returning: the weight-table map must send every
+basis matrix sigma_b to lam_b sigma_b, entrywise. `channels._verify_images`
+checks that from the blocks of the map's superoperator applied to each basis
+matrix's sector entries, O(n³) where applying the map densely to all n²
+basis matrices is O(n⁷).
 
 The generator pair is the same algebra (a generator is the derivative of its
 channel at t = 0), so both pairs use one private core in `channels`.
@@ -22,10 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import full_basis
 from .channels import (
     COND_TOL, DEFAULT_TOL, EigenChannel, KrausChannel, _column_violations, _ev_diagonal,
-    _offdiag_from_ev, _sandwich, _tails, _verify_images, tp_residuals,
+    _offdiag_from_ev, _tails, _verify_images, tp_residuals,
 )
 from .errors import NotEV, NotKF, NotTracePreserving
 
@@ -75,7 +76,7 @@ def kf_to_ev(
     # the column-common symmetrized weights p~_0l, l >= 1
     lam[k[1:], k[1:]] = _ev_diagonal((p + p.T)[0], 1.0)
     if verify:
-        _verify_images(_sandwich(p, full_basis(n).stack), lam, "kf_to_ev")
+        _verify_images(p, lam, "kf_to_ev")
     return EigenChannel(n=n, lam=lam, trace_preserving=True)
 
 
@@ -125,5 +126,5 @@ def ev_to_kf(
     p[k, k] = (1.0 - lam[1, 1] + n * lam[k, k] - 0.5 * s_all) / (2.0 * n)
     p[0, 0] = (1.0 + 0.5 * (n - 1.0) * (2.0 * lam[1, 1] + s_all)) / (n * n)
     if verify:
-        _verify_images(_sandwich(p, full_basis(n).stack), lam, "ev_to_kf")
+        _verify_images(p, lam, "ev_to_kf")
     return KrausChannel(n=n, p=p, trace_preserving=True)

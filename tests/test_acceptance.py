@@ -8,12 +8,10 @@ every random draw is seeded, so a failure reproduces exactly.
 import warnings
 
 import numpy as np
-import pytest
 
 from gmchan.basis import full_basis, gell_mann
 from gmchan.channels import (
     DEFAULT_TOL,
-    EigenChannel,
     KrausChannel,
     apply_kf,
     cp_check_normalized,

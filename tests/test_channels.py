@@ -19,7 +19,9 @@ from gmchan.channels import (
     cp_check_oracle,
     cp_check_paper,
     tp_residuals,
+    _basis_images,
     _choi_layout,
+    _image_defect,
     _sandwich,
 )
 from gmchan.errors import (
@@ -28,7 +30,6 @@ from gmchan.errors import (
     InvariantError,
     NegativeCoefficient,
     NonLinearMap,
-    NotTracePreserving,
 )
 from gmchan.crossval import _halved_self_term_spectrum
 from gmchan.generators import LindbladGenerator, _lf_action, apply_lf
@@ -370,14 +371,82 @@ def test_choi_layout_covers_the_blocks(n):
         assert np.array_equal(np.unique(dest), np.arange(layout.rows.size))
 
 
-def _edit_basis(monkeypatch, n, index, value):
-    # the layout, uncached, sees a basis with one entry changed
+def _layout_by_loop(n):
+    # the layout's index arrays and term lists, one basis matrix at a time
+    nn = n * n
+    k, l = np.divmod(np.arange(nn), n)
+    lo, hi = np.minimum(k, l), np.maximum(k, l)
+    block = np.where(k == l, 0, 1 + lo * n - lo * (lo + 1) // 2 + hi - lo - 1)
+    pos = np.where(k == l, k, (k > l).astype(int))
+
+    def stored(r, c):
+        return np.where(block[r] == 0, pos[r] * n + pos[c], nn + 4 * (block[r] - 1) + 2 * pos[r] + pos[c])
+
+    b = full_basis(n)
+    src, r, c, coef = [], [], [], []
+    for a, v in enumerate(b.stack.reshape(nn, nn)):
+        nz = np.flatnonzero(v)
+        src.append(np.full(nz.size * nz.size, a))
+        r.append(np.repeat(nz, nz.size))
+        c.append(np.tile(nz, nz.size))
+        coef.append(np.conj(v[r[-1]]) * v[c[-1]])
+    src, r, c, coef = (np.concatenate(x) for x in (src, r, c, coef))
+    coef = coef.real
+    terms = {
+        "kf": (src, stored(r, c), coef),
+        "ev": (src, stored(r // n * n + c // n, r % n * n + c % n), coef / b.norms_sq[src]),
+        "sandwich": (src, stored(r % n * n + c % n, r // n * n + c // n), coef),
+    }
+    diag = np.arange(n) * (n + 1)
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    sector = np.stack([i * n + j, j * n + i], axis=1)
+    rows = np.concatenate([np.repeat(diag, n), np.repeat(sector, 2, axis=1).ravel()])
+    cols = np.concatenate([np.tile(diag, n), np.tile(sector, 2).ravel()])
+    return rows, cols, stored(cols, rows), terms
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_choi_layout_matches_loop_form(n):
+    layout = _choi_layout(n)
+    rows, cols, mirror, terms = _layout_by_loop(n)
+    for got, want in [(layout.rows, rows), (layout.cols, cols), (layout.mirror, mirror)] + [
+        (got, want) for form in terms for got, want in zip(layout.terms[form], terms[form])
+    ]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert sorted(layout.terms) == sorted(terms)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_basis_images_match_dense_route(n):
+    # arbitrary tables, so the maps are not diagonal and every block entry counts
+    rng = np.random.default_rng(100 + n)
+    layout = _choi_layout(n)
+    stack = full_basis(n).stack
+    for rate, dense_route in ((False, _sandwich), (True, _lf_action)):
+        for scale in (1e-6, 1.0, 1e6):
+            table = scale * rng.uniform(-1.0, 1.0, (n, n))
+            lam = scale * rng.uniform(-1.0, 1.0, (n, n))
+            dense = dense_route(table, stack)
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(dense))))
+            images = np.zeros((n * n, n * n), dtype=complex)
+            images[layout.members, layout.rows] = _basis_images(table, rate)
+            assert np.max(np.abs(images - dense.reshape(n * n, n * n))) <= bound
+            want = float(np.max(np.abs(dense - lam.reshape(-1, 1, 1) * stack)))
+            assert abs(_image_defect(table, lam, rate) - want) <= bound
+
+
+def _edit_basis(monkeypatch, n, stack_edits=(), square_edits=()):
+    # the layout, uncached, sees a basis with (index, value) entries changed
     import gmchan.channels as channels
 
     b = full_basis(n)
-    stack = b.stack.copy()
-    stack[index] = value
-    bad = type(b)(n=n, stack=stack, norms_sq=b.norms_sq, squares=b.squares)
+    stack, squares = b.stack.copy(), b.squares.copy()
+    for index, value in stack_edits:
+        stack[index] = value
+    for index, value in square_edits:
+        squares[index] = value
+    bad = type(b)(n=n, stack=stack, norms_sq=b.norms_sq, squares=squares)
     monkeypatch.setattr(channels, "full_basis", lambda n: bad)
     monkeypatch.setattr(channels, "_choi_layout", _choi_layout.__wrapped__)
 
@@ -390,13 +459,27 @@ def _edit_basis(monkeypatch, n, index, value):
     ],
 )
 def test_choi_layout_rejects_a_basis_it_cannot_block(monkeypatch, index, value, match):
-    _edit_basis(monkeypatch, 3, index, value)
+    _edit_basis(monkeypatch, 3, [(index, value)])
+    with pytest.raises(InvariantError, match=match):
+        choi_of_channel(KrausChannel(n=3, p=np.ones((3, 3))))
+
+
+@pytest.mark.parametrize(
+    "stack_edits, square_edits, match",
+    [
+        # sigma_01 moved into the (0, 2) sector, which then holds three matrices
+        ([((1, 0, 1), 0), ((1, 1, 0), 0), ((1, 0, 2), 1), ((1, 2, 0), 1)], [], "do not fill"),
+        ([], [((1, 0, 1), 0.5)], "not diagonal"),  # sigma_01² gains an off-diagonal entry
+    ],
+)
+def test_choi_layout_rejects_a_basis_it_cannot_pair(monkeypatch, stack_edits, square_edits, match):
+    _edit_basis(monkeypatch, 3, stack_edits, square_edits)
     with pytest.raises(InvariantError, match=match):
         choi_of_channel(KrausChannel(n=3, p=np.ones((3, 3))))
 
 
 def test_block_hermiticity_defect_sees_an_asymmetric_basis(monkeypatch):
-    _edit_basis(monkeypatch, 2, (1, 1, 0), 0.5)  # sigma_01 stays in its pair sector
+    _edit_basis(monkeypatch, 2, [((1, 1, 0), 0.5)])  # sigma_01 stays in its pair sector
     lam = np.zeros((2, 2))
     lam[0, 1] = 1.0
     cm = choi_of_channel(EigenChannel(n=2, lam=lam))

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmchan import converters, generators
 from gmchan.basis import full_basis
 from gmchan.channels import EigenChannel, KrausChannel, apply_kf, complete_tp
 from gmchan.converters import ev_is_kf, ev_to_kf, kf_is_ev, kf_to_ev
-from gmchan.errors import NegativeCoefficient, NotEV, NotKF, NotTracePreserving
-from gmchan.generators import LindbladGenerator, lf_is_ev
-from gmchan.sampling import random_kf_ev_admissible
+from gmchan.errors import InvariantError, NegativeCoefficient, NotEV, NotKF, NotTracePreserving
+from gmchan.generators import LindbladGenerator, lf_is_ev, lf_to_ev
+from gmchan.sampling import random_kf_ev_admissible, random_lf_ev_admissible
 
 
 def test_kf_to_ev_frozen_qubit():
@@ -187,3 +188,27 @@ def test_column_violations_match_loop_form(form):
             assert all(type(i) is int for v in got for i in v)
             seen += bool(want)
     assert seen >= 20
+
+
+@pytest.mark.parametrize("name", ("kf_to_ev", "ev_to_kf", "lf_to_ev", "ev_to_lf"))
+@pytest.mark.parametrize("entry", ((3, 7), (15, 15)))
+def test_converters_reject_a_perturbed_closed_form(monkeypatch, name, entry):
+    # the closed-form output, nudged by 1e-9 before the converter verifies it
+    rng = np.random.default_rng(16)
+    ch = random_kf_ev_admissible(rng, 16)
+    gen = random_lf_ev_admissible(rng, 16)
+    inputs = {"kf_to_ev": ch, "ev_to_kf": kf_to_ev(ch), "lf_to_ev": gen, "ev_to_lf": lf_to_ev(gen)}
+    module = converters if name in ("kf_to_ev", "ev_to_kf") else generators
+    outputs_eigenvalues = name in ("kf_to_ev", "lf_to_ev")
+    verify = module._verify_images
+
+    def nudged(table, lam, what, rate=False):
+        out = (lam if outputs_eigenvalues else table).copy()
+        out[entry] += 1e-9
+        return verify(table, out, what, rate) if outputs_eigenvalues else verify(out, lam, what, rate)
+
+    convert = getattr(module, name)
+    convert(inputs[name])
+    monkeypatch.setattr(module, "_verify_images", nudged)
+    with pytest.raises(InvariantError, match=f"{name}: closed-form output fails"):
+        convert(inputs[name])

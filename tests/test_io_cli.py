@@ -243,6 +243,23 @@ def test_validate_non_tp_kf_exit_two(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_validate_kf_within_flag_tolerance_exit_ok(tmp_path, capsys):
+    # residual 1e-6: trace-preserving at --tolerance 1e-3, but not at the
+    # converter's own 1e-10, so the closed-form checks are skipped
+    path = _write(tmp_path / "near.json", _doc(2, "kf", [[0.700001, 0.1], [0.1, 0.1]]))
+    assert main(["validate", path, "--tolerance", "1e-3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "form: kf  n: 2\n"
+        "trace preservation: max residual 1.000e-06 (ok)\n"
+        "cp oracle      CP     margin +2.000000e-01\n"
+        "cp paper       n/a (max trace residual 1.000e-06 exceeds 1e-10)\n"
+        "cp normalized  n/a (max trace residual 1.000e-06 exceeds 1e-10)\n"
+        "verdict: valid quantum channel\n"
+    )
+    assert captured.err == ""
+
+
 def test_validate_kf_evaluates_trace_residuals_at_most_twice(tmp_path, monkeypatch, capsys):
     import gmchan.cli
     import gmchan.converters
@@ -449,6 +466,48 @@ def test_evolve_timedep_profile(tmp_path):
     assert abs(float(last[4]) - np.exp(-1.0)) <= 1e-6
 
 
+def _table_by_cell(traj):
+    # the trajectory table as written one format() call per cell
+    n = traj.n
+    names = [f"lambda_{i}_{j}" for i in range(n) for j in range(n)]
+    lines = ["\t".join(["t"] + names + ["cp"])]
+    for idx in range(len(traj)):
+        flag = traj.cp_flags[idx]
+        cell = "-" if flag is None else ("1" if flag else "0")
+        row = [format(traj.grid[idx], ".17g")]
+        row += [format(x, ".17g") for x in traj.lams[idx].ravel()]
+        lines.append("\t".join(row + [cell]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("profile", ("constant", "poly:1,-0.4"))
+def test_evolve_table_bytes_match_per_cell_writer(tmp_path, monkeypatch, n, profile):
+    import gmchan.cli
+
+    trajectories = []
+
+    def recording(evolve):
+        def run(*args, **kwargs):
+            trajectories.append(evolve(*args, **kwargs))
+            return trajectories[-1]
+        return run
+
+    for name in ("evolve_semigroup", "evolve_timedep"):
+        monkeypatch.setattr(gmchan.cli, name, recording(getattr(gmchan.cli, name)))
+    eta = -np.random.default_rng(n).uniform(0.2, 1.0, (n, n))
+    eta[0, 0] = 0.0
+    eta[1, 1] = 0.3  # a growing eigenvalue: later frames are not CP
+    save(EigenGenerator(n=n, eta=eta), tmp_path / "g.json")
+    out = tmp_path / "traj.tsv"
+    argv = ["evolve", "--generator", str(tmp_path / "g.json"), "--profile", profile,
+            "--t", "2.5", "--steps", "40", "--stride", "3", "--out", str(out)]
+    assert main(argv) == 0
+    (traj,) = trajectories
+    assert out.read_bytes() == _table_by_cell(traj).encode("utf-8")
+    assert {line.rsplit("\t", 1)[1] for line in out.read_text().splitlines()[1:]} == {"-", "0", "1"}
+
+
 def test_tolerance_env_flips_borderline_verdict(borderline_ev, monkeypatch, capsys):
     monkeypatch.delenv("GMCHAN_TOLERANCE", raising=False)
     assert main(["validate", borderline_ev]) == 2
@@ -458,6 +517,27 @@ def test_tolerance_env_flips_borderline_verdict(borderline_ev, monkeypatch, caps
     capsys.readouterr()
     # explicit flag beats the environment
     assert main(["validate", borderline_ev, "--tolerance", "1e-10"]) == 2
+
+
+def test_main_calls_share_no_state(borderline_ev, monkeypatch, capsys):
+    # one parser serves every call; each call parses its own arguments
+    from gmchan.cli import _parser
+
+    monkeypatch.delenv("GMCHAN_TOLERANCE", raising=False)
+    assert main(["validate", borderline_ev, "--tolerance", "1e-3"]) == 0
+    assert main(["validate", borderline_ev]) == 2
+    monkeypatch.setenv("GMCHAN_TOLERANCE", "1e-3")
+    assert main(["validate", borderline_ev]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gmchan validate [-h] [--tolerance TOLERANCE] file\n")
+    assert err.endswith("error: the following arguments are required: file\n")
+    monkeypatch.delenv("GMCHAN_TOLERANCE")
+    assert main(["validate", borderline_ev]) == 2
+    assert _parser() is _parser()
 
 
 def test_usage_error_exit_one(capsys):
