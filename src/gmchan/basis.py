@@ -90,9 +90,18 @@ class GellMannBasis:
 
 @lru_cache(maxsize=None)
 def _build_basis(n: int) -> GellMannBasis:
-    stack = np.stack([gell_mann(n, i, j) for i in range(n) for j in range(n)])
+    # every gell_mann(n, i, j) at once, written into stack[i, j]
+    stack = np.zeros((n, n, n, n), dtype=complex)
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    stack[i, j, i, j] = stack[i, j, j, i] = 1.0
+    stack[j, i, i, j], stack[j, i, j, i] = -1.0j, 1.0j
+    d = np.arange(n)
+    w = np.sqrt(2.0 / np.maximum(d * (d + 1), 1))
+    stack[d[:, None], d[:, None], d, d] = np.where(d < d[:, None], w[:, None], 0.0)
+    stack[d, d, d, d], stack[0, 0, d, d] = -d * w, 1.0
+    stack = stack.reshape(n * n, n, n)
     norms_sq = np.einsum("aij,aji->a", stack, stack).real
-    squares = np.einsum("aij,ajk->aik", stack, stack)
+    squares = stack @ stack + 0.0  # + 0.0 clears the signed zeros matmul leaves
     for arr in (stack, norms_sq, squares):
         arr.setflags(write=False)
     return GellMannBasis(n=n, stack=stack, norms_sq=norms_sq, squares=squares)

@@ -44,13 +44,16 @@ each basis matrix's sector entries: O(n³), where applying the map to all n²
 basis matrices densely (`_sandwich` on the stack) is O(n⁷).
 
 The private helpers below are the one core that the channel and generator
-converters and `dynamics` share.
+converters and `dynamics` share. Every index array and weight they use that
+depends on n alone is built once per n, in `_kernel_table`: at small n a
+call's cost is numpy call overhead, not arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -155,14 +158,16 @@ class DensityMatrix:
     def __post_init__(self):
         object.__setattr__(self, "n", _check_dimension(self.n))
         m = _check_square(self.entries, self.n).copy()
+        if not np.all(np.isfinite(m)):
+            raise InvariantError("density matrix contains non-finite entries")
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > 1e-12:
+        if not herm <= 1e-12:
             raise InvariantError(f"not Hermitian: defect {herm:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             raise InvariantError(f"trace is {tr!r}, expected 1")
         low = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if low < -DEFAULT_TOL:
+        if not low >= -DEFAULT_TOL:
             raise InvariantError(f"negative eigenvalue {low:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -211,6 +216,37 @@ def _sandwich(w: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.einsum(_SANDWICH, w.ravel(), b.stack, X, b.stack, optimize=path)
 
 
+@lru_cache(maxsize=None)
+def _kernel_table(n: int) -> SimpleNamespace:
+    """Every index array and weight of the small-table kernels; they depend on n alone.
+
+    Pairs i < j are row-major; the triples j < k < l of `_column_violations` run
+    by l, j, k, as flat indices (l*n + j, l*n + k). `tp_terms` indexes p + p.T
+    for the two sums of each TP recursion step (`_tp_solve`), padded with n*n,
+    an appended zero. `tail_den` floors j(j+1) at 1 for j = 0, which no tail uses.
+    """
+    k = np.arange(n)
+    i, j = np.nonzero(k[:, None] < k)
+    l, a, b = np.nonzero((k[:, None] < k) & (k[:, None, None] > k))  # [l, j, k]: j < k < l
+    step, pos = np.arange(2, n - 1)[:, None], np.arange(n - 2)
+    head = pos < step
+    plus = np.where(head, pos * n + step, step * n + pos + 2)
+    minus = np.where(head, plus + 1, plus + n)
+    lo, hi = np.minimum.outer(k, k), np.maximum.outer(k, k)
+    table = SimpleNamespace(
+        k=k, k1=k + 1.0, frac=k / (k + 1.0), tail_den=np.maximum(k * (k + 1.0), 1.0),
+        lo=lo, hi=hi, between=(lo[..., None] < k) & (k < hi[..., None]),
+        pairs=(i, j), pair_keys=tuple(zip(i.tolist(), j.tolist())),
+        triples=(l * n + a, l * n + b), triple_keys=tuple(zip(a.tolist(), b.tolist(), l.tolist())),
+        tp_terms=tuple(np.where([head, ~head], x, n * n) for x in (plus, minus)),
+        tp_coef=(step[:, 0] + 1.0) / (2.0 * step[:, 0]),
+    )
+    for arr in (k, table.k1, table.frac, table.tail_den, lo, hi, table.between,
+                i, j, *table.triples, *table.tp_terms, table.tp_coef):
+        arr.setflags(write=False)
+    return table
+
+
 def _column_violations(table: np.ndarray, tol: float) -> list:
     """Column-equality condition of a diagonal map's table t.
 
@@ -218,11 +254,10 @@ def _column_violations(table: np.ndarray, tol: float) -> list:
     all rows j < l. Returns the triples (j, k, l), j < k, whose entries differ
     by more than tol, ordered by l, then j, then k.
     """
-    sym = (table + table.T).T  # sym[l, j] = t_jl + t_lj
-    i = np.arange(table.shape[0])
-    order = (i[:, None] < i) & (i[:, None, None] > i)  # [l, j, k]: j < k < l
-    l, j, k = np.nonzero(order & (np.abs(sym[:, :, None] - sym[:, None, :]) > tol))
-    return list(zip(j.tolist(), k.tolist(), l.tolist()))
+    t = _kernel_table(table.shape[0])
+    sym = (table + table.T).ravel()  # sym[l*n + j] = t_lj + t_jl
+    a, b = t.triples
+    return [t.triple_keys[x] for x in np.flatnonzero(np.abs(sym[a] - sym[b]) > tol).tolist()]
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -239,9 +274,7 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 
 def _tail_terms(diag: np.ndarray) -> np.ndarray:
     """d_j / (j(j+1)) for diagonal entries d, over the last axis."""
-    j = np.arange(diag.shape[-1])
-    # j = 0 never enters a tail; the floor only keeps its division finite
-    return diag / np.maximum(j * (j + 1.0), 1.0)
+    return diag / _kernel_table(diag.shape[-1]).tail_den
 
 
 def _tails(diag: np.ndarray) -> np.ndarray:
@@ -256,18 +289,17 @@ def _offdiag_from_ev(table: np.ndarray, c: float) -> np.ndarray:
     a channel and c = -0.0 (which keeps the sign of a zero) for a generator;
     entry (k, l) adds (t_kl - t_lk)/4. The diagonal is left zero.
     """
-    k = np.arange(table.shape[0])
+    t = _kernel_table(table.shape[0])
     diag = np.diagonal(table)
-    col = c - diag / (k + 1.0) + _tails(diag)
-    out = 0.5 * col[np.maximum.outer(k, k)] + 0.25 * (table - table.T)
+    col = c - diag / t.k1 + _tails(diag)
+    out = 0.5 * col[t.hi] + 0.25 * (table - table.T)
     np.fill_diagonal(out, 0.0)
     return out
 
 
 def _ev_diagonal(col: np.ndarray, c: float) -> np.ndarray:
     """c - (k+1) col_k - sum_{k<j<n} col_j for k >= 1; c as in _offdiag_from_ev."""
-    k = np.arange(1, col.shape[0])
-    return c - (k + 1.0) * col[1:] - _suffix_sums(col)[1:]
+    return c - _kernel_table(col.shape[0]).k1[1:] * col[1:] - _suffix_sums(col)[1:]
 
 
 def apply_kf(ch: KrausChannel, X: np.ndarray) -> np.ndarray:
@@ -287,23 +319,24 @@ def _tp_solve(p: np.ndarray):
     Trace preservation pins every diagonal weight except p_11: one equation
     fixes p_00 (_tp_p00), one constrains the off-diagonals alone, and the rest
     determine p_22.. Returns (gap, p22, steps): that constraint's left-hand
-    side, the value of p_22, and p_kk - p_22 for k >= 3.
+    side, the value of p_22, and p_kk - p_22 for k >= 3. Step j = 2..n-2 adds
+    (j + 1)/(2j) times the sum over i < j of pt_ij - pt_i,j+1 plus the sum
+    over m > j + 1 of pt_jm - pt_j+1,m, with pt = p + p.T.
     """
-    n = p.shape[0]
+    t = _kernel_table(p.shape[0])
     pt = p + p.T
-    gap = float(np.sum(pt[1, 2:] - pt[0, 2:]))
-    p22 = p[1, 1] + pt[0, 1] - pt[1, 2] + np.sum(pt[0, 3:] - pt[2, 3:])
-    increments = [
-        (j + 1.0) / (2.0 * j)
-        * (np.sum(pt[:j, j] - pt[:j, j + 1]) + np.sum(pt[j, j + 2:] - pt[j + 1, j + 2:]))
-        for j in range(2, n - 1)
-    ]
-    return gap, p22, np.cumsum(increments)
+    gap = float(np.add.reduce(pt[1, 2:] - pt[0, 2:]))
+    p22 = p[1, 1] + pt[0, 1] - pt[1, 2] + np.add.reduce(pt[0, 3:] - pt[2, 3:])
+    plus, minus = t.tp_terms
+    flat = np.append(pt, 0.0)
+    head, rest = np.add.reduce(flat[plus] - flat[minus], axis=-1)
+    return gap, p22, np.add.accumulate(t.tp_coef * (head + rest))
 
 
 def _tp_p00(p: np.ndarray) -> float:
     """The value trace preservation demands of p_00, given every other weight."""
-    return 1.0 - np.sum(p[0, 1:] + p[1:, 0]) - 2.0 * _tails(np.diagonal(p))[0]
+    tail = np.add.reduce(_tail_terms(p.diagonal())[1:])  # _tails(diagonal)[0] alone
+    return 1.0 - np.add.reduce(p[0, 1:] + p[1:, 0]) - 2.0 * tail
 
 
 def tp_residuals(ch: KrausChannel) -> np.ndarray:
@@ -347,14 +380,10 @@ def complete_tp(offdiag: np.ndarray, p_11: float) -> KrausChannel:
         p[2, 2] = p22
         k = np.arange(3, n)
         p[k, k] = p[2, 2] + steps
-        for k in range(2, n):
-            if p[k, k] < 0:
-                raise NegativeCoefficient(
-                    f"completed p_{k}{k} = {p[k, k]:.6g} < 0", index=(k, k)
-                )
     p[0, 0] = _tp_p00(p)
-    if p[0, 0] < 0:
-        raise NegativeCoefficient(f"completed p_00 = {p[0, 0]:.6g} < 0", index=(0, 0))
+    for k in [*range(2, n), 0]:
+        if p[k, k] < 0:
+            raise NegativeCoefficient(f"completed p_{k}{k} = {p[k, k]:.6g} < 0", index=(k, k))
     return KrausChannel(n=n, p=p, trace_preserving=True)
 
 
@@ -491,7 +520,7 @@ def _choi_layout(n: int) -> _ChoiLayout:
         "sandwich": (src, stored(r % n * n + c % n, r // n * n + c // n), coef),
     }
     diag = np.arange(n) * (n + 1)
-    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    i, j = _kernel_table(n).pairs
     sector = np.stack([i * n + j, j * n + i], axis=1)
     rows = np.concatenate([np.repeat(diag, n), np.repeat(sector, 2, axis=1).ravel()])
     cols = np.concatenate([np.tile(diag, n), np.tile(sector, 2).ravel()])
@@ -633,24 +662,22 @@ def _block_margins(lams: np.ndarray):
     leading axes of `lams`.
     """
     n = lams.shape[-1]
-    k = np.arange(n)
-    diag = np.diagonal(lams, axis1=-2, axis2=-1)
+    t = _kernel_table(n)
+    diag = lams.diagonal(0, -2, -1)
     l00 = diag[..., :1] / n
     tail = _tails(diag)
-    lams_t = np.swapaxes(lams, -1, -2)
-    A = (lams + lams_t) / 2.0
-    A[..., k, k] = l00 + (k / (k + 1.0)) * diag + tail
+    A = (lams + lams.swapaxes(-1, -2)) / 2.0
+    A[..., t.k, t.k] = l00 + t.frac * diag + tail
     a_spectrum = np.linalg.eigvalsh(A)
-    d = l00 - diag / (k + 1.0) + tail
-    gaps = np.abs(lams - lams_t) / 2.0
-    pairs = (d[..., None, :] - gaps)[..., k[:, None] < k]
+    d = l00 - diag / t.k1 + tail
+    i, j = t.pairs
+    pairs = d[..., j] - np.abs(lams[..., i, j] - lams[..., j, i]) / 2.0
     margin = np.minimum(a_spectrum[..., 0], pairs.min(axis=-1))
     return A, a_spectrum, pairs, margin
 
 
 def _pair_dict(n: int, pairs: np.ndarray) -> dict:
-    keys = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return dict(zip(keys, pairs.tolist()))
+    return dict(zip(_kernel_table(n).pair_keys, pairs.tolist()))
 
 
 def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:

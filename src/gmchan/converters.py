@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import (
     COND_TOL, DEFAULT_TOL, EigenChannel, KrausChannel, _column_violations, _ev_diagonal,
-    _offdiag_from_ev, _tails, _verify_images, tp_residuals,
+    _kernel_table, _offdiag_from_ev, _tails, _verify_images, tp_residuals,
 )
 from .errors import NotEV, NotKF, NotTracePreserving
 
@@ -68,13 +68,12 @@ def kf_to_ev(
         )
     n = ch.n
     p = ch.p
-    k = np.arange(n)
-    M = np.maximum.outer(k, k)
+    t = _kernel_table(n)
     diag = np.diagonal(p)
-    lam = p[0, 0] + (p - p.T) - (2.0 * diag / (k + 1.0))[M] + (2.0 * _tails(diag))[M]
+    lam = p[0, 0] + (p - p.T) - (2.0 * diag / t.k1)[t.hi] + (2.0 * _tails(diag))[t.hi]
     lam[0, 0] = 1.0
     # the column-common symmetrized weights p~_0l, l >= 1
-    lam[k[1:], k[1:]] = _ev_diagonal((p + p.T)[0], 1.0)
+    lam[t.k[1:], t.k[1:]] = _ev_diagonal((p + p.T)[0], 1.0)
     if verify:
         _verify_images(p, lam, "kf_to_ev")
     return EigenChannel(n=n, lam=lam, trace_preserving=True)

@@ -19,7 +19,7 @@ the map is still fine, but no generator eigenvalue table exists there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -126,9 +126,12 @@ class Trajectory:
             raise DimensionMismatch(
                 f"expected lams shape {(grid.size, self.n, self.n)}, got {lams.shape}"
             )
-        if float(np.max(np.abs(lams[0] - 1.0))) > 1e-12:
+        # every frame must be finite, checked for CP or not
+        if not np.all(np.isfinite(lams)):
+            raise InvariantError("eigenvalue table contains non-finite entries")
+        if not float(np.max(np.abs(lams[0] - 1.0))) <= 1e-12:
             raise InvariantError("first frame must be the identity map")
-        if float(np.max(np.abs(lams[:, 0, 0] - 1.0))) > 1e-12:
+        if not float(np.max(np.abs(lams[:, 0, 0] - 1.0))) <= 1e-12:
             raise InvariantError("the (0,0) eigenvalue must stay 1 (trace)")
         grid.setflags(write=False)
         lams.setflags(write=False)
@@ -153,14 +156,13 @@ def _check_stride(cp_stride: int) -> None:
         raise ConstraintViolated(f"CP stride must be at least 1, got {cp_stride!r}")
 
 
-def _flags(lams: np.ndarray, cp_stride: int, tol: float):
-    """CP flags (None where the stride skips a frame) and singular flags.
+def _flagged(traj: Trajectory, cp_stride: int, tol: float) -> Trajectory:
+    """`traj` with CP flags (None where the stride skips a frame) and singular flags.
 
     Frames 0, cp_stride, 2*cp_stride, ... and the last frame are checked.
-    Every frame must be finite, checked or not.
+    Trajectory has refused a non-finite frame, checked or not.
     """
-    if not np.all(np.isfinite(lams)):
-        raise InvariantError("eigenvalue table contains non-finite entries")
+    lams = traj.lams
     last = lams.shape[0] - 1
     checked = np.zeros(last + 1, dtype=bool)
     checked[::cp_stride] = True
@@ -168,7 +170,7 @@ def _flags(lams: np.ndarray, cp_stride: int, tol: float):
     cp = np.full(last + 1, None, dtype=object)
     cp[checked] = (_block_margins(lams[checked])[3] >= -tol).tolist()
     singular = np.any(np.abs(lams) <= ZERO_TOL, axis=(1, 2))
-    return tuple(cp), tuple(singular.tolist())
+    return replace(traj, cp_flags=tuple(cp), singular_flags=tuple(singular.tolist()))
 
 
 def evolve_semigroup(
@@ -177,12 +179,9 @@ def evolve_semigroup(
     """Closed-form trajectory exp(eta * t) for a constant generator."""
     _check_stride(cp_stride)
     grid = _check_grid(grid)
-    with np.errstate(over="ignore"):  # _flags rejects an overflowed frame
+    with np.errstate(over="ignore"):  # Trajectory rejects an overflowed frame
         lams = np.exp(grid[:, None, None] * gen.eta[None, :, :])
-    cp, singular = _flags(lams, cp_stride, tol)
-    return Trajectory(
-        n=gen.n, grid=grid, lams=lams, cp_flags=cp, singular_flags=singular
-    )
+    return _flagged(Trajectory(n=gen.n, grid=grid, lams=lams), cp_stride, tol)
 
 
 def evolve_timedep(
@@ -206,9 +205,7 @@ def evolve_timedep(
             if prof is None or (i, j) == (0, 0):
                 continue
             etas[:, i, j] = prof(grid)
-    lams = lambda_from_eta(etas, grid)
-    cp, singular = _flags(lams, cp_stride, tol)
-    return Trajectory(n=n, grid=grid, lams=lams, cp_flags=cp, singular_flags=singular)
+    return _flagged(Trajectory(n=n, grid=grid, lams=lambda_from_eta(etas, grid)), cp_stride, tol)
 
 
 def evolve_state(

@@ -35,8 +35,8 @@ import numpy as np
 
 from .basis import full_basis, _check_dimension, _check_square
 from .channels import (
-    COND_TOL, _coeff_table, _column_violations, _ev_diagonal, _offdiag_from_ev, _sandwich,
-    _suffix_sums, _tail_terms, _tails, _verify_images,
+    COND_TOL, _coeff_table, _column_violations, _ev_diagonal, _kernel_table, _offdiag_from_ev,
+    _sandwich, _suffix_sums, _tail_terms, _tails, _verify_images,
 )
 from .errors import (
     ConstraintViolated,
@@ -121,18 +121,17 @@ def lf_to_ev(
     n = gen.n
     g = gen.gamma
     gt = (g + g.T)[0]  # column-common symmetrized rate, index l >= 1
-    k = np.arange(n)
-    m, M = np.minimum.outer(k, k), np.maximum.outer(k, k)
-    between = (m[..., None] < k) & (k < M[..., None])  # [k, l, j]: m < j < M
+    t = _kernel_table(n)
+    k, m, M = t.k, t.lo, t.hi
     d = np.diagonal(g)
     eta = -2.0 * g.T - 0.5 * (
         m * gt[m]
         + (M - 1.0) * gt[M]
-        + np.add.reduce(between * gt, axis=-1)
+        + np.add.reduce(t.between * gt, axis=-1)
         + 2.0 * _suffix_sums(gt)[M]
     )
-    eta -= np.add.reduce(between * _tail_terms(d), axis=-1)
-    eta -= m / (m + 1.0) * d[m]
+    eta -= np.add.reduce(t.between * _tail_terms(d), axis=-1)
+    eta -= t.frac[m] * d[m]
     eta -= (M + 1.0) / np.maximum(M, 1) * d[M]
     eta[k, k] = 0.0
     eta[k[1:], k[1:]] = _ev_diagonal(gt, -0.0)

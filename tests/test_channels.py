@@ -20,9 +20,12 @@ from gmchan.channels import (
     cp_check_paper,
     tp_residuals,
     _basis_images,
+    _block_margins,
     _choi_layout,
     _image_defect,
+    _pair_dict,
     _sandwich,
+    _tp_solve,
 )
 from gmchan.errors import (
     ConstraintViolated,
@@ -245,6 +248,20 @@ def test_density_matrix_validation():
         DensityMatrix(n=2, entries=np.diag([0.9, 0.3]).astype(complex))
     with pytest.raises(InvariantError):
         DensityMatrix(n=2, entries=np.diag([1.5, -0.5]).astype(complex))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0.5, np.nan], [np.nan, 0.5]],  # every comparison with a NaN is False
+        [[0.5, np.inf], [np.inf, 0.5]],
+        [[np.inf, 0.0], [0.0, 0.5]],  # inf - inf on the diagonal would warn
+        [[0.5, 0.0], [0.0, complex(0.5, np.nan)]],
+    ],
+)
+def test_density_matrix_rejects_non_finite_entries(entries):
+    with pytest.raises(InvariantError, match="non-finite"):
+        DensityMatrix(n=2, entries=entries)
 
 
 @settings(deadline=None, max_examples=30)
@@ -533,3 +550,63 @@ def test_crossval_variants_match_entrywise_conditions():
             assert np.max(np.abs(spectrum - np.linalg.eigvalsh(A_printed))) <= 1e-12
             det = np.linalg.det(A)
             assert abs(np.linalg.det(got) - det) <= 1e-10 * max(1.0, abs(det))
+
+
+# The small-table kernels read their indices and weights from one cached
+# per-n table; each is pinned here to its definition, written as loops
+# (`_column_violations` in test_converters). n = 2 has one pair, n = 3 no TP
+# recursion step.
+
+
+def _pair_margins_by_loop(lam):
+    # d_j - |l_ij - l_ji|/2 per pair i < j, with d_j = l_00/n - l_jj/(j+1) + tail_j
+    n = lam.shape[0]
+    margins = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            tail = np.sum([lam[m, m] / (m * (m + 1.0)) for m in range(j + 1, n)])
+            d = lam[0, 0] / n - lam[j, j] / (j + 1.0) + tail
+            margins[(i, j)] = d - abs(lam[i, j] - lam[j, i]) / 2.0
+    return margins
+
+
+@pytest.mark.parametrize("n", (2, 3, 16))
+def test_block_margins_pairs_match_loop_form(n):
+    rng = np.random.default_rng(70 + n)
+    lams = rng.uniform(-1.0, 1.0, (4, n, n))
+    pairs = _block_margins(lams)[2]
+    assert pairs.shape == (4, n * (n - 1) // 2)
+    for lam, row in zip(lams, pairs):
+        want = _pair_margins_by_loop(lam)
+        assert row.tolist() == list(want.values())
+        assert _block_margins(lam)[2].tolist() == row.tolist()
+        got = _pair_dict(n, row)
+        assert list(got) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert got == want
+
+
+def _tp_steps_by_loop(p):
+    # step j = 2..n-2 of the TP recursion, as the two sums that define it
+    n = p.shape[0]
+    pt = p + p.T
+    return [
+        (j + 1.0) / (2.0 * j)
+        * (np.sum(pt[:j, j] - pt[:j, j + 1]) + np.sum(pt[j, j + 2:] - pt[j + 1, j + 2:]))
+        for j in range(2, n - 1)
+    ]
+
+
+@pytest.mark.parametrize("n", (3, 4, 9, 16))
+def test_tp_solve_matches_per_step_sums(n):
+    rng = np.random.default_rng(60 + n)
+    for scale in (1e-3, 1.0, 1e3):
+        p = scale * rng.uniform(-1.0, 1.0, (n, n))
+        steps = _tp_solve(p)[2]
+        want = np.cumsum(_tp_steps_by_loop(p))
+        assert steps.shape == want.shape == (n - 3,)
+        if n <= 9:
+            # no sum has more than 7 terms, even padded to n - 2 with zeros,
+            # and numpy adds that few in order: the result is the loop's
+            assert steps.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(steps - want)) <= 4e-14 * scale

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gmchan import converters, generators
 from gmchan.basis import full_basis
-from gmchan.channels import EigenChannel, KrausChannel, apply_kf, complete_tp
+from gmchan.channels import EigenChannel, KrausChannel, _column_violations, apply_kf, complete_tp
 from gmchan.converters import ev_is_kf, ev_to_kf, kf_is_ev, kf_to_ev
 from gmchan.errors import InvariantError, NegativeCoefficient, NotEV, NotKF, NotTracePreserving
 from gmchan.generators import LindbladGenerator, lf_is_ev, lf_to_ev
@@ -163,7 +163,7 @@ def _planted_columns(rng, n, scale):
 def test_column_violations_match_loop_form(form):
     rng = np.random.default_rng(12)
     seen = 0
-    for n in range(2, 11):
+    for n in (*range(2, 11), 16):
         for _ in range(6):
             if form == "kf":
                 table = _planted_columns(rng, n, 1e-3)
@@ -186,6 +186,8 @@ def test_column_violations_match_loop_form(form):
                 want = _column_violations_by_loop(table)
             assert got == want
             assert all(type(i) is int for v in got for i in v)
+            # tol < 0 flags every triple j < k < l: all of them, in loop order
+            assert _column_violations(table, -1.0) == _column_violations_by_loop(table, -1.0)
             seen += bool(want)
     assert seen >= 20
 

@@ -50,6 +50,16 @@ def test_trajectory_must_start_at_identity():
         Trajectory(n=2, grid=grid, lams=lams)
 
 
+@pytest.mark.parametrize("frame, value", [(0, np.nan), (1, np.nan), (1, np.inf), (1, -np.inf)])
+def test_trajectory_rejects_non_finite_frames(frame, value):
+    # every comparison with a NaN is False, so the identity test alone would
+    # pass a NaN first frame; a directly built trajectory is checked like an evolved one
+    lams = np.ones((2, 2, 2))
+    lams[frame, 1, 1] = value
+    with pytest.raises(InvariantError, match="non-finite"):
+        Trajectory(n=2, grid=np.array([0.0, 1.0]), lams=lams)
+
+
 def test_trajectory_trace_eigenvalue_pinned():
     grid = np.array([0.0, 1.0])
     lams = np.ones((2, 2, 2))
