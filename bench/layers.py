@@ -6,8 +6,15 @@
 
 Times `cp_check_oracle`, `cp_check_normalized`, `cp_check_paper`,
 `tp_residuals`, `kf_is_ev`, `kf_to_ev` and `lf_to_ev` per call at
-n in {2, 3, 4, 6, 8, 12, 16}. Each tree is a source checkout (default: this
-one, labelled "change"); its `src/` is imported in a child process started
+n in {2, 3, 4, 6, 8, 12, 16}. Channels keep per-object memos, so every timed
+call builds a fresh channel (or generator) from its stored table, and
+`construct_kf`/`construct_ev` time that construction alone. `validate_kf`
+and `validate_ev` replay the call sequence that perfbench's certify workload
+makes on one fresh object: for a weight table the TP check, the oracle,
+`kf_is_ev`, `kf_to_ev` and the three CP checks of the result; for an
+eigenvalue table the three CP checks. Each tree is a source checkout
+(default: this one, labelled "change"); its `src/` is imported in a child
+process started
 with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1. The
 rounds run the trees in turn, first tree first in odd rounds and last in
 even ones, so slow spells of a shared host fall on every tree alike. Each
@@ -34,8 +41,10 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (2, 3, 4, 6, 8, 12, 16)
-LAYERS = ("cp_check_oracle", "cp_check_normalized", "cp_check_paper", "tp_residuals",
-          "kf_is_ev", "kf_to_ev", "lf_to_ev")
+LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalized",
+          "cp_check_paper", "tp_residuals", "kf_is_ev", "kf_to_ev", "lf_to_ev",
+          "validate_kf", "validate_ev")
+VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
 SEED = 6
@@ -47,20 +56,43 @@ def _child(src: str, repeats: int) -> None:
     import gmchan as gm
     from gmchan import sampling
 
+    def ev_checks(ch):
+        return [check(ch, VERDICT_TOL)
+                for check in (gm.cp_check_oracle, gm.cp_check_paper, gm.cp_check_normalized)]
+
+    def validate_kf(n, p):  # perfbench/workloads.py, Certify.run on a kf op
+        ch = gm.KrausChannel(n=n, p=p)
+        out = [float(np.max(np.abs(gm.tp_residuals(ch)))) <= VERDICT_TOL,
+               gm.cp_check_oracle(ch, VERDICT_TOL)]
+        if out[0] and gm.kf_is_ev(ch)[0]:
+            out += ev_checks(gm.kf_to_ev(ch))
+        return out
+
     calls = {}
     for n in SIZES:
         rng = np.random.default_rng([SEED, n])
-        kf = sampling.random_kf_ev_admissible(rng, n)
-        ev = gm.kf_to_ev(kf)
-        lf = sampling.random_lf_ev_admissible(rng, n)
+        p = sampling.random_kf_ev_admissible(rng, n).p
+        lam = gm.kf_to_ev(gm.KrausChannel(n=n, p=p)).lam
+        gamma = sampling.random_lf_ev_admissible(rng, n).gamma
+
+        def kf(n=n, p=p):
+            return gm.KrausChannel(n=n, p=p)
+
+        def ev(n=n, lam=lam):
+            return gm.EigenChannel(n=n, lam=lam)
+
         calls.update({
-            ("cp_check_oracle", n): lambda ev=ev: gm.cp_check_oracle(ev),
-            ("cp_check_normalized", n): lambda ev=ev: gm.cp_check_normalized(ev),
-            ("cp_check_paper", n): lambda ev=ev: gm.cp_check_paper(ev),
-            ("tp_residuals", n): lambda kf=kf: gm.tp_residuals(kf),
-            ("kf_is_ev", n): lambda kf=kf: gm.kf_is_ev(kf),
-            ("kf_to_ev", n): lambda kf=kf: gm.kf_to_ev(kf),
-            ("lf_to_ev", n): lambda lf=lf: gm.lf_to_ev(lf),
+            ("construct_kf", n): kf,
+            ("construct_ev", n): ev,
+            ("cp_check_oracle", n): lambda ev=ev: gm.cp_check_oracle(ev()),
+            ("cp_check_normalized", n): lambda ev=ev: gm.cp_check_normalized(ev()),
+            ("cp_check_paper", n): lambda ev=ev: gm.cp_check_paper(ev()),
+            ("tp_residuals", n): lambda kf=kf: gm.tp_residuals(kf()),
+            ("kf_is_ev", n): lambda kf=kf: gm.kf_is_ev(kf()),
+            ("kf_to_ev", n): lambda kf=kf: gm.kf_to_ev(kf()),
+            ("lf_to_ev", n): lambda n=n, g=gamma: gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=g)),
+            ("validate_kf", n): lambda n=n, p=p: validate_kf(n, p),
+            ("validate_ev", n): lambda ev=ev: ev_checks(ev()),
         })
     number = {}
     for key, call in calls.items():  # warm caches, then size each sample

@@ -47,12 +47,18 @@ The private helpers below are the one core that the channel and generator
 converters and `dynamics` share. Every index array and weight they use that
 depends on n alone is built once per n, in `_kernel_table`: at small n a
 call's cost is numpy call overhead, not arithmetic.
+
+What depends on a channel's table but not on a tolerance is computed once per
+object, on first use, and kept read-only on it: a KrausChannel's TP residuals,
+their max and `kf_is_ev`'s column gaps; an EigenChannel's `_block_margins`,
+shared by `cp_check_paper` and `cp_check_normalized`. `tp_residuals` returns
+a copy. `cp_check_oracle` memoizes nothing, so it stays an independent route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,6 +92,10 @@ def _coeff_table(n: int, table, what: str) -> np.ndarray:
         raise InvariantError(f"{what} table must be {n}x{n}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvariantError(f"{what} table contains non-finite entries")
+    return _read_only(arr)
+
+
+def _read_only(arr):
     arr.setflags(write=False)
     return arr
 
@@ -108,16 +118,32 @@ class KrausChannel:
     def __post_init__(self):
         object.__setattr__(self, "n", _check_dimension(self.n))
         object.__setattr__(self, "p", _coeff_table(self.n, self.p, "weight"))
-        if self.trace_preserving:
-            worst = float(np.max(np.abs(tp_residuals(self))))
-            if worst > DEFAULT_TOL:
-                raise InvariantError(
-                    f"flagged trace-preserving but max residual is {worst:.3e}"
-                )
+        if self.trace_preserving and self._tp_worst > DEFAULT_TOL:
+            raise InvariantError(
+                f"flagged trace-preserving but max residual is {self._tp_worst:.3e}")
 
     @property
     def nonnegative(self) -> bool:
         return bool(np.all(self.p >= 0.0))
+
+    @cached_property
+    def _tp_residuals(self) -> np.ndarray:
+        """`tp_residuals` of this channel, read-only."""
+        p = self.p
+        res = [p[0, 0] - _tp_p00(p)]
+        if self.n > 2:
+            gap, p22, steps = _tp_solve(p)
+            res += [gap, p[2, 2] - p22, *(np.diagonal(p)[3:] - (p[2, 2] + steps))]
+        return _read_only(np.array(res))
+
+    @cached_property
+    def _tp_worst(self) -> float:
+        return float(np.max(np.abs(self._tp_residuals)))
+
+    @cached_property
+    def _gaps(self) -> np.ndarray:
+        """`_column_gaps` of the weight table, read-only."""
+        return _read_only(_column_gaps(self.p))
 
 
 @dataclass(frozen=True)
@@ -135,6 +161,12 @@ class EigenChannel:
             raise InvariantError(
                 f"flagged trace-preserving but lam_00 = {self.lam[0, 0]!r}"
             )
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """`_block_margins` of the eigenvalue table, its arrays read-only."""
+        A, a_spectrum, pairs, margin = _block_margins(self.lam)
+        return _read_only(A), _read_only(a_spectrum), _read_only(pairs), margin
 
 
 @dataclass(frozen=True)
@@ -158,19 +190,20 @@ class DensityMatrix:
     def __post_init__(self):
         object.__setattr__(self, "n", _check_dimension(self.n))
         m = _check_square(self.entries, self.n).copy()
-        if not np.all(np.isfinite(m)):
-            raise InvariantError("density matrix contains non-finite entries")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if not herm <= 1e-12:
+        mh = m.conj().T
+        with np.errstate(invalid="ignore"):  # inf - inf
+            herm = float(np.max(np.abs(m - mh)))
+        if not herm <= 1e-12:  # so does every NaN or inf entry
+            if not np.all(np.isfinite(m)):
+                raise InvariantError("density matrix contains non-finite entries")
             raise InvariantError(f"not Hermitian: defect {herm:.3e}")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if not abs(tr - 1.0) <= 1e-12:
             raise InvariantError(f"trace is {tr!r}, expected 1")
-        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+        low = float(np.linalg.eigvalsh((m + mh) / 2.0)[0])
         if not low >= -DEFAULT_TOL:
             raise InvariantError(f"negative eigenvalue {low:.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _read_only(m))
 
 
 @dataclass(frozen=True)
@@ -221,13 +254,16 @@ def _kernel_table(n: int) -> SimpleNamespace:
     """Every index array and weight of the small-table kernels; they depend on n alone.
 
     Pairs i < j are row-major; the triples j < k < l of `_column_violations` run
-    by l, j, k, as flat indices (l*n + j, l*n + k). `tp_terms` indexes p + p.T
-    for the two sums of each TP recursion step (`_tp_solve`), padded with n*n,
-    an appended zero. `tail_den` floors j(j+1) at 1 for j = 0, which no tail uses.
+    by l, j, k, as flat indices (l*n + j, l*n + k). `ev_is_lf`'s mixing triples
+    1 <= k < l < m run by k, l, m, as flat indices of its (n-1, n) rise table.
+    `tp_terms` indexes p + p.T for the two sums of each TP recursion step
+    (`_tp_solve`), padded with n*n, an appended zero. `tail_den` floors j(j+1)
+    at 1 for j = 0, which no tail uses.
     """
     k = np.arange(n)
     i, j = np.nonzero(k[:, None] < k)
     l, a, b = np.nonzero((k[:, None] < k) & (k[:, None, None] > k))  # [l, j, k]: j < k < l
+    mk, ml, mm = np.nonzero((k[1:, None, None] < k[:, None]) & (k[:, None] < k))  # [k-1, l, m]
     step, pos = np.arange(2, n - 1)[:, None], np.arange(n - 2)
     head = pos < step
     plus = np.where(head, pos * n + step, step * n + pos + 2)
@@ -238,13 +274,27 @@ def _kernel_table(n: int) -> SimpleNamespace:
         lo=lo, hi=hi, between=(lo[..., None] < k) & (k < hi[..., None]),
         pairs=(i, j), pair_keys=tuple(zip(i.tolist(), j.tolist())),
         triples=(l * n + a, l * n + b), triple_keys=tuple(zip(a.tolist(), b.tolist(), l.tolist())),
+        mixing=(mk * n + ml, mk * n + mm),
+        mixing_keys=tuple(("mixing", *v) for v in zip((mk + 1).tolist(), ml.tolist(), mm.tolist())),
         tp_terms=tuple(np.where([head, ~head], x, n * n) for x in (plus, minus)),
         tp_coef=(step[:, 0] + 1.0) / (2.0 * step[:, 0]),
     )
     for arr in (k, table.k1, table.frac, table.tail_den, lo, hi, table.between,
-                i, j, *table.triples, *table.tp_terms, table.tp_coef):
+                i, j, *table.triples, *table.mixing, *table.tp_terms, table.tp_coef):
         arr.setflags(write=False)
     return table
+
+
+def _exceeding(keys: tuple, gaps: np.ndarray, tol: float) -> list:
+    """The keys whose gaps exceed tol, in order."""
+    return [keys[x] for x in np.flatnonzero(gaps > tol).tolist()]
+
+
+def _column_gaps(table: np.ndarray) -> np.ndarray:
+    """|s_jl - s_kl| of s = t + t.T for every triple j < k < l, in `_kernel_table` order."""
+    a, b = _kernel_table(table.shape[0]).triples
+    sym = (table + table.T).ravel()  # sym[l*n + j] = t_lj + t_jl
+    return np.abs(sym[a] - sym[b])
 
 
 def _column_violations(table: np.ndarray, tol: float) -> list:
@@ -254,10 +304,7 @@ def _column_violations(table: np.ndarray, tol: float) -> list:
     all rows j < l. Returns the triples (j, k, l), j < k, whose entries differ
     by more than tol, ordered by l, then j, then k.
     """
-    t = _kernel_table(table.shape[0])
-    sym = (table + table.T).ravel()  # sym[l*n + j] = t_lj + t_jl
-    a, b = t.triples
-    return [t.triple_keys[x] for x in np.flatnonzero(np.abs(sym[a] - sym[b]) > tol).tolist()]
+    return _exceeding(_kernel_table(table.shape[0]).triple_keys, _column_gaps(table), tol)
 
 
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
@@ -344,15 +391,9 @@ def tp_residuals(ch: KrausChannel) -> np.ndarray:
 
     Residual = stored weight minus the value the system demands (the
     constraint row is returned as its left-hand side); p_kk for k >= 3 is
-    measured against the stored p_22.
+    measured against the stored p_22. Each call returns a copy of the memo.
     """
-    p = ch.p
-    res = [p[0, 0] - _tp_p00(p)]
-    if ch.n == 2:
-        return np.array(res)
-    gap, p22, steps = _tp_solve(p)
-    res += [gap, p[2, 2] - p22]
-    return np.concatenate([res, np.diagonal(p)[3:] - (p[2, 2] + steps)])
+    return ch._tp_residuals.copy()
 
 
 def complete_tp(offdiag: np.ndarray, p_11: float) -> KrausChannel:
@@ -692,11 +733,10 @@ def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     """
     if not isinstance(ch, EigenChannel):
         raise TypeError("closed-form CP conditions need the eigenvalue form")
-    lam = ch.lam
     n = ch.n
-    block, spectrum, pairs, _ = _block_margins(lam)
-    shift = (n - 2.0) / n * lam[0, 0]
-    k = np.arange(n)
+    block, spectrum, pairs, _ = ch._blocks
+    shift = (n - 2.0) / n * ch.lam[0, 0]
+    k = _kernel_table(n).k
     A = 2.0 * block
     A[k, k] += shift
     a_spectrum = 2.0 * spectrum + shift
@@ -708,8 +748,8 @@ def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
         margin=margin,
         diagnostics={
             "pair_margins": _pair_dict(n, pairs),
-            "a_matrix": A,
-            "a_spectrum": a_spectrum,
+            "a_matrix": _read_only(A),
+            "a_spectrum": _read_only(a_spectrum),
         },
     )
 
@@ -724,7 +764,7 @@ def cp_check_normalized(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     """
     if not isinstance(ch, EigenChannel):
         raise TypeError("closed-form CP conditions need the eigenvalue form")
-    A, a_spectrum, pairs, margin = _block_margins(ch.lam)
+    A, a_spectrum, pairs, margin = ch._blocks
     margin = float(margin)
     return CpReport(
         verdict=_verdict(margin, tol),
@@ -743,9 +783,8 @@ def apply_to_state(ch, rho, tol: float = DEFAULT_TOL) -> DensityMatrix:
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(n=np.asarray(rho).shape[0], entries=rho)
     if isinstance(ch, KrausChannel):
-        worst = float(np.max(np.abs(tp_residuals(ch))))
-        if worst > tol:
-            raise InvalidChannel(f"not trace-preserving: max residual {worst:.3e}")
+        if ch._tp_worst > tol:
+            raise InvalidChannel(f"not trace-preserving: max residual {ch._tp_worst:.3e}")
         out = apply_kf(ch, rho.entries)
     elif isinstance(ch, EigenChannel):
         if abs(ch.lam[0, 0] - 1.0) > tol:

@@ -32,7 +32,6 @@ from .channels import (
     cp_check_oracle,
     cp_check_paper,
     choi_of_channel,
-    tp_residuals,
 )
 from .converters import ev_to_kf, kf_to_ev
 from .crossval import crossval_report
@@ -88,7 +87,7 @@ def cmd_validate(args) -> int:
     print(f"form: {doc.form}  n: {doc.n}")
 
     if doc.form == "kf":
-        worst = float(np.max(np.abs(tp_residuals(obj))))
+        worst = obj._tp_worst
         tp_ok = worst <= tol
         print(f"trace preservation: max residual {worst:.3e} ({'ok' if tp_ok else 'violated'})")
         oracle = cp_check_oracle(obj, tol)

@@ -26,15 +26,9 @@ import numpy as np
 
 from .channels import (
     COND_TOL, DEFAULT_TOL, EigenChannel, KrausChannel, _column_violations, _ev_diagonal,
-    _kernel_table, _offdiag_from_ev, _tails, _verify_images, tp_residuals,
+    _exceeding, _kernel_table, _offdiag_from_ev, _tails, _verify_images,
 )
 from .errors import NotEV, NotKF, NotTracePreserving
-
-
-def _require_tp(ch: KrausChannel) -> None:
-    worst = float(np.max(np.abs(tp_residuals(ch))))
-    if worst > DEFAULT_TOL:
-        raise NotTracePreserving(f"max trace residual {worst:.3e} exceeds 1e-10")
 
 
 def kf_is_ev(ch: KrausChannel, tol: float = COND_TOL):
@@ -43,8 +37,9 @@ def kf_is_ev(ch: KrausChannel, tol: float = COND_TOL):
     Returns (flag, violations); each violation is a triple (j, k, l) of two
     rows j < k whose symmetrized weights disagree in column l.
     """
-    _require_tp(ch)
-    violations = _column_violations(ch.p, tol)
+    if ch._tp_worst > DEFAULT_TOL:
+        raise NotTracePreserving(f"max trace residual {ch._tp_worst:.3e} exceeds 1e-10")
+    violations = _exceeding(_kernel_table(ch.n).triple_keys, ch._gaps, tol)
     return (not violations), violations
 
 
@@ -92,7 +87,7 @@ def ev_is_kf(ch: EigenChannel, tol: float = COND_TOL):
     lam = ch.lam
     lt = lam + lam.T
     violations = [("tilde",) + v for v in _column_violations(lam, tol)]
-    rows = np.arange(2, ch.n)
+    rows = _kernel_table(ch.n).k[2:]
     target = lam[1, 1] + 0.5 * (lt[0, 1] + np.cumsum(lt[0, 1:-1]) - rows * lt[0, rows])
     bad = rows[np.abs(lam[rows, rows] - target) > tol]
     violations += [("diag", k) for k in bad.tolist()]
@@ -121,7 +116,7 @@ def ev_to_kf(
     lt = lam + lam.T
     p = _offdiag_from_ev(lam, 1.0 / n)
     s_all = lt[0, 1] + float(np.sum(lt[0, 1:]))
-    k = np.arange(1, n)
+    k = _kernel_table(n).k[1:]
     p[k, k] = (1.0 - lam[1, 1] + n * lam[k, k] - 0.5 * s_all) / (2.0 * n)
     p[0, 0] = (1.0 + 0.5 * (n - 1.0) * (2.0 * lam[1, 1] + s_all)) / (n * n)
     if verify:

@@ -35,8 +35,8 @@ import numpy as np
 
 from .basis import full_basis, _check_dimension, _check_square
 from .channels import (
-    COND_TOL, _coeff_table, _column_violations, _ev_diagonal, _kernel_table, _offdiag_from_ev,
-    _sandwich, _suffix_sums, _tail_terms, _tails, _verify_images,
+    COND_TOL, _coeff_table, _column_violations, _ev_diagonal, _exceeding, _kernel_table,
+    _offdiag_from_ev, _sandwich, _suffix_sums, _tail_terms, _tails, _verify_images,
 )
 from .errors import (
     ConstraintViolated,
@@ -151,21 +151,21 @@ def ev_is_lf(gen: EigenGenerator, tol: float = COND_TOL):
                                                       for 1 <= k < l < m <= n-1
     """
     eta = gen.eta
-    n = gen.n
+    t = _kernel_table(gen.n)
     ht = eta + eta.T
-    violations = [("tilde01", l) for l in range(2, n) if abs(ht[0, l] - ht[1, l]) > tol]
-    j = np.arange(1, n - 2)
+    bad = np.flatnonzero(np.abs(ht[0, 2:] - ht[1, 2:]) > tol) + 2
+    violations = [("tilde01", l) for l in bad.tolist()]
+    j = t.k[1:-2]
     steps = (j + 1.0) / 2.0 * (
         -(j + 2.0) / j * (ht[j, j + 2] - ht[j + 1, j + 2]) + ht[j - 1, j] - ht[j - 1, j + 1]
     )
     # the recursion's value of eta_kk for k = 2..n-2, summed in order of j
     acc = np.cumsum(np.concatenate([[eta[1, 1]], steps]))[1:]
-    violations += [("diag", k) for k in range(2, n - 1) if abs(eta[k, k] - acc[k - 2]) > tol]
-    rise = np.diff(ht, axis=0)  # rise[k - 1, l] = ht_kl - ht_{k-1,l}
-    i = np.arange(n)
-    order = (i[1:, None, None] < i[:, None]) & (i[:, None] < i)  # [k - 1, l, m]: k < l < m
-    k, l, m = np.nonzero(order & (np.abs(rise[:, :, None] - rise[:, None, :]) > tol))
-    violations += [("mixing", a + 1, b, c) for a, b, c in zip(k.tolist(), l.tolist(), m.tolist())]
+    bad = np.flatnonzero(np.abs(np.diagonal(eta)[2:-1] - acc) > tol) + 2
+    violations += [("diag", k) for k in bad.tolist()]
+    rise = np.diff(ht, axis=0).ravel()  # rise[(k-1)*n + l] = ht_kl - ht_{k-1,l}
+    a, b = t.mixing
+    violations += _exceeding(t.mixing_keys, np.abs(rise[a] - rise[b]), tol)
     return (not violations), violations
 
 
@@ -190,8 +190,8 @@ def ev_to_lf(
     ht = eta + eta.T
     g = _offdiag_from_ev(eta, -0.0)
     d = np.diagonal(eta)
-    k = np.arange(1, n)
-    g[k, k] = -0.25 * (ht[k - 1, k] - 2.0 * _tails(d)[k] - 2.0 * d[k] / (k * (k + 1.0)))
+    k = _kernel_table(n).k[1:]
+    g[k, k] = -0.25 * (ht[k - 1, k] - 2.0 * _tails(d)[k] - 2.0 * _tail_terms(d)[k])
     k = k[1:]
     frac = (k - 1.0) / (k + 1.0)
     g[k, k] += 0.25 * frac * (ht[0, k - 1] - ht[0, k] + 2.0 * d[k])

@@ -257,6 +257,9 @@ def test_density_matrix_validation():
         [[0.5, np.inf], [np.inf, 0.5]],
         [[np.inf, 0.0], [0.0, 0.5]],  # inf - inf on the diagonal would warn
         [[0.5, 0.0], [0.0, complex(0.5, np.nan)]],
+        # non-Hermitian too: the non-finite entry is still what is reported
+        [[0.5, np.nan], [0.3, 0.5]],
+        [[0.5, np.inf], [0.0, 0.5]],
     ],
 )
 def test_density_matrix_rejects_non_finite_entries(entries):
@@ -610,3 +613,104 @@ def test_tp_solve_matches_per_step_sums(n):
             assert steps.tobytes() == want.tobytes()
         else:
             assert np.max(np.abs(steps - want)) <= 4e-14 * scale
+
+
+# Per-object memos: what depends on a channel's table but not on a tolerance
+# is computed once per object, on first use, and kept read-only.
+
+MEMOS = ("_tp_residuals", "_tp_worst", "_gaps", "_blocks")
+
+
+def _counting(monkeypatch, *names):
+    import gmchan.channels
+
+    calls = []
+    for name in names:
+        def call(*args, _original=getattr(gmchan.channels, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(gmchan.channels, name, call)
+    return calls
+
+
+@pytest.mark.parametrize("first", (cp_check_paper, cp_check_normalized))
+def test_block_margins_run_once_per_eigen_channel(monkeypatch, first):
+    calls = _counting(monkeypatch, "_block_margins")
+    ch = random_ev_channel(np.random.default_rng(80), 4)
+    second = cp_check_normalized if first is cp_check_paper else cp_check_paper
+    reports = [first(ch), second(ch), first(ch), cp_check_oracle(ch)]
+    assert calls == ["_block_margins"]
+    fresh = EigenChannel(n=4, lam=ch.lam)
+    assert reports[0].margin == first(fresh).margin == reports[2].margin
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_trace_preservation_evaluated_once_per_kraus_channel(monkeypatch, n):
+    from gmchan.converters import kf_is_ev
+
+    p = random_kf_ev_admissible(np.random.default_rng(81), n).p
+    calls = _counting(monkeypatch, "_tp_p00", "_tp_solve")
+    ch = KrausChannel(n=n, p=p)
+    tp_residuals(ch)
+    kf_is_ev(ch)
+    kf_is_ev(ch, 1e-9)
+    kf_to_ev(ch)
+    tp_residuals(ch)
+    assert calls == ["_tp_p00"] + ["_tp_solve"] * (n > 2)
+
+
+def test_cp_checks_at_two_tolerances_match_fresh_objects():
+    # the identity with one pair pushed 2e-6 past its bound: normalized margin
+    # -2e-6, so NotCP at the default tolerance and CP at 1e-3
+    lam = np.ones((3, 3))
+    lam[0, 1] += 2e-6
+    lam[1, 0] -= 2e-6
+    ch = EigenChannel(n=3, lam=lam)
+    for tol in (1e-10, 1e-3, 1e-10):
+        for check in (cp_check_paper, cp_check_normalized):
+            got, want = check(ch, tol), check(EigenChannel(n=3, lam=lam), tol)
+            assert (got.verdict, got.margin) == (want.verdict, want.margin)
+            assert got.diagnostics["pair_margins"] == want.diagnostics["pair_margins"]
+            for key in ("a_spectrum", "a_matrix", "a_block"):
+                if key in want.diagnostics:
+                    assert got.diagnostics[key].tobytes() == want.diagnostics[key].tobytes()
+    verdicts = {cp_check_normalized(ch, tol).verdict for tol in (1e-10, 1e-3)}
+    assert verdicts == {"CP", "NotCP"}
+
+
+def test_tp_residuals_returns_a_fresh_writable_copy():
+    p = np.full((4, 4), 0.05)
+    ch = KrausChannel(n=4, p=p)
+    first = tp_residuals(ch)
+    want = first.copy()
+    first[:] = 7.0
+    again = tp_residuals(ch)
+    assert again.tobytes() == want.tobytes()
+    assert again is not first and again.flags.writeable
+    assert tp_residuals(KrausChannel(n=4, p=p)).tobytes() == want.tobytes()
+
+
+def test_report_arrays_and_memos_are_read_only():
+    ch = random_ev_channel(np.random.default_rng(82), 3)
+    reports = (cp_check_paper(ch), cp_check_normalized(ch), cp_check_oracle(ch))
+    arrays = [v for r in reports for v in r.diagnostics.values() if isinstance(v, np.ndarray)]
+    arrays += [a for a in ch._blocks if isinstance(a, np.ndarray)]
+    kf = random_kf_ev_admissible(np.random.default_rng(82), 4)
+    arrays += [kf._tp_residuals, kf._gaps]
+    assert len(arrays) == 10
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+
+
+def test_constructors_compute_no_memo():
+    p = random_kf_ev_admissible(np.random.default_rng(83), 4).p
+    for ch in (KrausChannel(n=4, p=p), EigenChannel(n=4, lam=np.eye(4))):
+        assert not set(MEMOS) & set(vars(ch))
+    # the trace-preserving flag needs the residuals, and only them
+    flagged = KrausChannel(n=4, p=p, trace_preserving=True)
+    assert set(MEMOS) & set(vars(flagged)) == {"_tp_residuals", "_tp_worst"}
+    # the oracle is an independent route: it reads no memo and stores none
+    ev = EigenChannel(n=4, lam=np.eye(4))
+    cp_check_oracle(ev)
+    assert not set(MEMOS) & set(vars(ev))

@@ -214,3 +214,77 @@ def test_converters_reject_a_perturbed_closed_form(monkeypatch, name, entry):
     monkeypatch.setattr(module, "_verify_images", nudged)
     with pytest.raises(InvariantError, match=f"{name}: closed-form output fails"):
         convert(inputs[name])
+
+
+def test_kf_is_ev_at_two_tolerances_matches_fresh_objects():
+    # one weight channel, its column gaps computed once, thresholded per call
+    rng = np.random.default_rng(21)
+    seen = set()
+    for n in (3, 4, 6):
+        for _ in range(6):
+            try:
+                ch = complete_tp(_planted_columns(rng, n, 1e-3), 0.1)
+            except NegativeCoefficient:
+                continue
+            for tol in (1e-12, 1e-11, 1e-2, 1e-12):
+                got = kf_is_ev(ch, tol)
+                assert got == kf_is_ev(KrausChannel(n=n, p=ch.p), tol)
+                assert got[1] == _column_violations_by_loop(ch.p, tol)
+                seen.add((tol, got[0]))
+    assert {(1e-12, False), (1e-11, False), (1e-2, True)} <= seen
+
+
+def _ev_is_lf_by_loop(eta, tol=1e-12):
+    # ev_is_lf's three condition families, written out loop by loop
+    n = eta.shape[0]
+    ht = eta + eta.T
+    violations = [("tilde01", l) for l in range(2, n) if abs(ht[0, l] - ht[1, l]) > tol]
+    acc = eta[1, 1]
+    for k in range(2, n - 1):
+        j = k - 1
+        acc += (j + 1.0) / 2.0 * (
+            -(j + 2.0) / j * (ht[j, j + 2] - ht[j + 1, j + 2]) + ht[j - 1, j] - ht[j - 1, j + 1]
+        )
+        if abs(eta[k, k] - acc) > tol:
+            violations.append(("diag", k))
+    for k in range(1, n):
+        for l in range(k + 1, n):
+            for m in range(l + 1, n):
+                if abs((ht[k, l] - ht[k - 1, l]) - (ht[k, m] - ht[k - 1, m])) > tol:
+                    violations.append(("mixing", k, l, m))
+    return violations
+
+
+def _ev_is_kf_diag_by_loop(lam, tol=1e-12):
+    n = lam.shape[0]
+    lt = lam + lam.T
+    bad = []
+    for k in range(2, n):
+        target = lam[1, 1] + 0.5 * (lt[0, 1] + np.sum(lt[0, 1:k]) - k * lt[0, k])
+        if abs(lam[k, k] - target) > tol:
+            bad.append(("diag", k))
+    return bad
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_ev_conditions_match_loop_form(n):
+    rng = np.random.default_rng(300 + n)
+    seen = 0
+    for trial in range(8):
+        eta = generators.lf_to_ev(random_lf_ev_admissible(rng, n)).eta.copy()
+        lam = converters.kf_to_ev(random_kf_ev_admissible(rng, n)).lam.copy()
+        for table in (eta, lam):
+            # plant violations of every family: far past tol, just past it, within it
+            for size in (1e-3, 3e-12, 5e-13)[: trial % 4]:
+                table[rng.integers(1, n), rng.integers(0, n)] += size  # never (0, 0)
+        gen = generators.EigenGenerator(n=n, eta=eta)
+        got = generators.ev_is_lf(gen)[1]
+        assert got == _ev_is_lf_by_loop(gen.eta)
+        assert all(type(i) is int for v in got for i in v[1:])
+        assert generators.ev_is_lf(gen, -1.0)[1] == _ev_is_lf_by_loop(gen.eta, -1.0)
+        ch = EigenChannel(n=n, lam=lam)
+        got = [v for v in ev_is_kf(ch)[1] if v[0] == "diag"]
+        assert got == _ev_is_kf_diag_by_loop(ch.lam)
+        assert all(type(v[1]) is int for v in got)
+        seen += bool(_ev_is_lf_by_loop(gen.eta)) + bool(got)
+    assert seen >= (4 if n >= 4 else 0)

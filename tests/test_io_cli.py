@@ -260,26 +260,29 @@ def test_validate_kf_within_flag_tolerance_exit_ok(tmp_path, capsys):
     assert captured.err == ""
 
 
-def test_validate_kf_evaluates_trace_residuals_at_most_twice(tmp_path, monkeypatch, capsys):
-    import gmchan.cli
-    import gmchan.converters
-    from gmchan.channels import tp_residuals
+def test_validate_kf_evaluates_trace_residuals_once(tmp_path, monkeypatch, capsys):
+    # the TP system is solved once per channel object, however many checks read it
+    import gmchan.channels
 
     calls = []
 
-    def counted(ch):
-        calls.append(ch.n)
-        return tp_residuals(ch)
+    def counted(name):
+        original = getattr(gmchan.channels, name)
 
-    for module in (gmchan.cli, gmchan.converters):
-        monkeypatch.setattr(module, "tp_residuals", counted)
+        def call(p):
+            calls.append(name)
+            return original(p)
+        return call
+
+    for name in ("_tp_p00", "_tp_solve"):
+        monkeypatch.setattr(gmchan.channels, name, counted(name))
     p = np.zeros((3, 3))
     p[0, 0] = 1.0
     save(KrausChannel(n=3, p=p), tmp_path / "id.json")
     assert main(["validate", str(tmp_path / "id.json")]) == 0
     out = capsys.readouterr().out
     assert "cp paper       CP" in out and "cp normalized  CP" in out
-    assert 1 <= len(calls) <= 2
+    assert calls == ["_tp_p00", "_tp_solve"]
 
 
 def test_validate_lf_state_evgen_exit_ok(tmp_path, capsys):
