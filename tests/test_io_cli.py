@@ -260,8 +260,9 @@ def test_validate_kf_within_flag_tolerance_exit_ok(tmp_path, capsys):
     assert captured.err == ""
 
 
-def test_validate_kf_evaluates_trace_residuals_once(tmp_path, monkeypatch, capsys):
-    # the TP system is solved once per channel object, however many checks read it
+def test_validate_kf_evaluates_trace_residuals_at_most_twice(tmp_path, monkeypatch, capsys):
+    # the TP system is solved once per channel object, however many checks read it,
+    # so validate stays well inside the bound of two evaluations
     import gmchan.channels
 
     calls = []
