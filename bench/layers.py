@@ -5,10 +5,12 @@
                            [--previous FILE]
 
 Times `cp_check_oracle`, `cp_check_normalized`, `cp_check_paper`,
-`tp_residuals`, `kf_is_ev`, `kf_to_ev` and `lf_to_ev` per call at
-n in {2, 3, 4, 6, 8, 12, 16}. Channels keep per-object memos, so every timed
-call builds a fresh channel (or generator) from its stored table, and
-`construct_kf`/`construct_ev` time that construction alone. `validate_kf`
+`tp_residuals`, `kf_is_ev`, `kf_to_ev`, `lf_to_ev`, `apply_kf`, `apply_lf`
+and `apply_ev` per call at n in {2, 3, 4, 6, 8, 12, 16}. Channels keep
+per-object memos, so every timed call builds a fresh channel (or generator)
+from its stored table, and `construct_kf`/`construct_ev` time that
+construction alone; the `apply_*` layers read no memo and act on one random
+complex matrix with one object built beforehand. `validate_kf`
 and `validate_ev` replay the call sequence that perfbench's certify workload
 makes on one fresh object: for a weight table the TP check, the oracle,
 `kf_is_ev`, `kf_to_ev` and the three CP checks of the result; for an
@@ -43,7 +45,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (2, 3, 4, 6, 8, 12, 16)
 LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalized",
           "cp_check_paper", "tp_residuals", "kf_is_ev", "kf_to_ev", "lf_to_ev",
-          "validate_kf", "validate_ev")
+          "apply_kf", "apply_lf", "apply_ev", "validate_kf", "validate_ev")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -74,6 +76,9 @@ def _child(src: str, repeats: int) -> None:
         p = sampling.random_kf_ev_admissible(rng, n).p
         lam = gm.kf_to_ev(gm.KrausChannel(n=n, p=p)).lam
         gamma = sampling.random_lf_ev_admissible(rng, n).gamma
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        acting = (gm.KrausChannel(n=n, p=p), gm.LindbladGenerator(n=n, gamma=gamma),
+                  gm.EigenChannel(n=n, lam=lam))
 
         def kf(n=n, p=p):
             return gm.KrausChannel(n=n, p=p)
@@ -91,6 +96,9 @@ def _child(src: str, repeats: int) -> None:
             ("kf_is_ev", n): lambda kf=kf: gm.kf_is_ev(kf()),
             ("kf_to_ev", n): lambda kf=kf: gm.kf_to_ev(kf()),
             ("lf_to_ev", n): lambda n=n, g=gamma: gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=g)),
+            ("apply_kf", n): lambda a=acting, X=X: gm.apply_kf(a[0], X),
+            ("apply_lf", n): lambda a=acting, X=X: gm.apply_lf(a[1], X),
+            ("apply_ev", n): lambda a=acting, X=X: gm.apply_ev(a[2], X),
             ("validate_kf", n): lambda n=n, p=p: validate_kf(n, p),
             ("validate_ev", n): lambda ev=ev: ev_checks(ev()),
         })

@@ -67,14 +67,11 @@ class GellMannBasis:
 
     stack     -- shape (n², n, n), flat index alpha = i*n + j
     norms_sq  -- Tr(sigma_alpha²), used to normalize HS projections
-    squares   -- sigma_alpha², needed by the anticommutator part of rate-form
-                 generator application
     """
 
     n: int
     stack: np.ndarray
     norms_sq: np.ndarray
-    squares: np.ndarray
 
     def flat(self, i: int, j: int) -> int:
         if not (0 <= i < self.n and 0 <= j < self.n):
@@ -101,10 +98,9 @@ def _build_basis(n: int) -> GellMannBasis:
     stack[d, d, d, d], stack[0, 0, d, d] = -d * w, 1.0
     stack = stack.reshape(n * n, n, n)
     norms_sq = np.einsum("aij,aji->a", stack, stack).real
-    squares = stack @ stack + 0.0  # + 0.0 clears the signed zeros matmul leaves
-    for arr in (stack, norms_sq, squares):
+    for arr in (stack, norms_sq):
         arr.setflags(write=False)
-    return GellMannBasis(n=n, stack=stack, norms_sq=norms_sq, squares=squares)
+    return GellMannBasis(n=n, stack=stack, norms_sq=norms_sq)
 
 
 def full_basis(n: int) -> GellMannBasis:

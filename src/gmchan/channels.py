@@ -34,14 +34,12 @@ CP checking routes, in decreasing order of authority:
 by applying it to every matrix unit and diagonalizes the dense n²×n² result,
 O(n⁶). It is the independent route the closed forms are tested against.
 
-Every converter re-verifies its output with `_verify_images`: the map of the
-weight (or rate) table must send each sigma_b to lam_b sigma_b, entrywise
-within ORACLE_TOL. The superoperator M of a diagonal map (vec Phi(X) =
-M vec X) is J with its indices regrouped, so it has the same blocks; the
-check fills them from the same layout, adds -(s_i + s_j)/2 on M's diagonal
-for the rate form (S = sum_a g_a sigma_a² is diagonal), and applies them to
-each basis matrix's sector entries: O(n³), where applying the map to all n²
-basis matrices densely (`_sandwich` on the stack) is O(n⁷).
+A weight or rate table acts through its superoperator M (vec Phi(X) =
+M vec X), which is J with its indices regrouped and so has the same blocks,
+filled from the same layout (`_superoperator`). `apply_kf` and `apply_lf`
+send X's diagonal through the n×n block and each pair (X_ij, X_ji) through
+its 2×2 block; every converter checks that the blocks send each sigma_b to
+lam_b sigma_b within ORACLE_TOL (`_verify_images`). Both are O(n³).
 
 The private helpers below are the one core that the channel and generator
 converters and `dynamics` share. Every index array and weight they use that
@@ -122,6 +120,10 @@ class KrausChannel:
             raise InvariantError(
                 f"flagged trace-preserving but max residual is {self._tp_worst:.3e}")
 
+    def __reduce__(self):
+        # copies and unpickled objects go through the constructor: no stale memo
+        return type(self), (self.n, self.p, self.trace_preserving)
+
     @property
     def nonnegative(self) -> bool:
         return bool(np.all(self.p >= 0.0))
@@ -161,6 +163,9 @@ class EigenChannel:
             raise InvariantError(
                 f"flagged trace-preserving but lam_00 = {self.lam[0, 0]!r}"
             )
+
+    def __reduce__(self):  # as KrausChannel's
+        return type(self), (self.n, self.lam, self.trace_preserving)
 
     @cached_property
     def _blocks(self) -> tuple:
@@ -227,26 +232,6 @@ class CpReport:
 
 def _verdict(margin: float, tol: float) -> str:
     return CP if margin >= -tol else NOT_CP
-
-
-_SANDWICH = "a,aij,...jk,akl->...il"
-
-
-@lru_cache(maxsize=64)
-def _sandwich_path(n: int, shape: tuple) -> list:
-    # einsum's optimized order depends only on the shapes, and searching for
-    # it costs more than the contraction itself at small n
-    stack = full_basis(n).stack
-    X = np.ones(shape, dtype=complex)
-    return np.einsum_path(_SANDWICH, np.ones(n * n), stack, X, stack, optimize=True)[0]
-
-
-def _sandwich(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """sum_a w_a sigma_a X sigma_a for one matrix (n, n) or a stack (..., n, n)."""
-    n = w.shape[0]
-    b = full_basis(n)
-    path = _sandwich_path(n, X.shape)
-    return np.einsum(_SANDWICH, w.ravel(), b.stack, X, b.stack, optimize=path)
 
 
 @lru_cache(maxsize=None)
@@ -350,8 +335,8 @@ def _ev_diagonal(col: np.ndarray, c: float) -> np.ndarray:
 
 
 def apply_kf(ch: KrausChannel, X: np.ndarray) -> np.ndarray:
-    """sum_ij p_ij sigma_ij X sigma_ij."""
-    return _sandwich(ch.p, _check_square(X, ch.n))
+    """sum_ij p_ij sigma_ij X sigma_ij, through the blocks of its superoperator."""
+    return _apply_blocks(_superoperator(ch.p), _check_square(X, ch.n))
 
 
 def apply_ev(ch: EigenChannel, X: np.ndarray) -> np.ndarray:
@@ -493,14 +478,15 @@ class _ChoiLayout:
     `terms[form]` = (src, dest, coef) is the sparse sum that fills them:
     stored entry dest accumulates coef × table entry src.
 
-    The superoperator M of a diagonal map (vec Phi(X) = M vec X, row-major
-    vec) is J with its indices regrouped, so it has the same sectors and is
-    stored the same way: `terms["sandwich"]` fills M for X -> sum_a t_a
-    sigma_a X sigma_a, and `diagonal[r]` is the stored index of M[r, r].
-    Each basis matrix lives in one sector; `vectors` holds them as the
-    columns of a matrix V in the same block layout (stored entry e is
-    vec(sigma_a)[rows[e]] with a = `members[e]`), so Phi sends every sigma_a
-    to lam_a sigma_a exactly when M V = V diag(lam[members]).
+    The superoperator M of a weight table t (vec Phi(X) = M vec X, row-major
+    vec) is J with its indices regrouped. It is the transposed "ev" sum of
+    the table t_a Tr(sigma_a²), with symmetric blocks, stored the same way;
+    `diagonal[r]` is the stored index of M[r, r] and `order` lists the vec
+    indices sector by sector. Each basis matrix lives in one sector;
+    `vectors` holds them as the columns of a matrix V in the same block
+    layout (stored entry e is vec(sigma_a)[rows[e]] with a = `members[e]`),
+    so Phi sends every sigma_a to lam_a sigma_a exactly when
+    M V = V diag(lam[members]).
     """
 
     rows: np.ndarray
@@ -508,6 +494,7 @@ class _ChoiLayout:
     mirror: np.ndarray
     terms: dict
     diagonal: np.ndarray
+    order: np.ndarray
     vectors: np.ndarray
     members: np.ndarray
     squares: np.ndarray
@@ -520,11 +507,10 @@ def _choi_layout(n: int) -> _ChoiLayout:
     kf: J[r, c] = sum_a p_a conj(S[a, r]) S[a, c], with S[a, k*n + l] =
     sigma_a[k, l]. ev: J[k*n + i, l*n + j] = sum_a l_a conj(sigma_a[k, l])
     sigma_a[i, j] / Tr(sigma_a²), the same sum with its indices regrouped.
-    sandwich: M[i*n + j, k*n + l] = J_kf[k*n + i, l*n + j]. `squares` holds
-    the diagonals of sigma_a², which the rate form adds to M's diagonal.
-    Raises InvariantError if a term lands off the blocks or is not real, if
-    the basis matrices do not fill the sectors, or if a sigma_a² is not
-    diagonal.
+    `squares` holds the diagonals of sigma_a², the row sums of |sigma_a|²,
+    which the rate form adds to M's diagonal; as sigma_a lies in one sector,
+    sigma_a² is diagonal. Raises InvariantError if a term lands off the
+    blocks or is not real, or if the basis matrices do not fill the sectors.
     """
     nn = n * n
     k, l = np.divmod(np.arange(nn), n)
@@ -558,7 +544,6 @@ def _choi_layout(n: int) -> _ChoiLayout:
     terms = {
         "kf": (src, stored(r, c), coef),
         "ev": (src, stored(r // n * n + c // n, r % n * n + c % n), coef / b.norms_sq[src]),
-        "sandwich": (src, stored(r % n * n + c % n, r // n * n + c // n), coef),
     }
     diag = np.arange(n) * (n + 1)
     i, j = _kernel_table(n).pairs
@@ -573,16 +558,14 @@ def _choi_layout(n: int) -> _ChoiLayout:
     member_at = np.empty(nn, dtype=int)
     member_at[np.argsort(block, kind="stable")] = np.argsort(home, kind="stable")
     members = member_at[cols]
-    squares = np.diagonal(b.squares, axis1=1, axis2=2)
-    if np.count_nonzero(b.squares) != np.count_nonzero(squares):
-        raise InvariantError(f"a squared basis matrix of dimension {n} is not diagonal")
     layout = _ChoiLayout(
         rows=rows, cols=cols, mirror=mirror, terms=terms,
-        diagonal=stored(np.arange(nn), np.arange(nn)), vectors=S[members, rows],
-        members=members, squares=squares.real.copy(),
+        diagonal=stored(np.arange(nn), np.arange(nn)), order=np.append(diag, sector),
+        vectors=S[members, rows], members=members,
+        squares=np.sum(np.abs(b.stack) ** 2, axis=2),
     )
     for arr in (rows, cols, mirror, *(x for form in terms.values() for x in form),
-                layout.diagonal, layout.vectors, members, layout.squares):
+                layout.diagonal, layout.order, layout.vectors, members, layout.squares):
         arr.setflags(write=False)
     return layout
 
@@ -593,26 +576,53 @@ def _fill(layout: _ChoiLayout, form: str, table: np.ndarray) -> np.ndarray:
     return np.bincount(dest, weights=coef * table.ravel()[src], minlength=layout.rows.size)
 
 
-def _basis_images(table: np.ndarray, rate: bool = False) -> np.ndarray:
-    """Images M V of the basis matrices under the sandwich map of `table`.
+def _superoperator(table: np.ndarray, rate: bool = False) -> np.ndarray:
+    """Stored blocks of M for X -> sum_a t_a sigma_a X sigma_a (see `_ChoiLayout`).
 
-    With rate=True the map is the rate form, sandwich minus
-    (S X + X S)/2 with S = sum_a t_a sigma_a², which is diagonal, so it
-    subtracts (s_i + s_j)/2 from M's diagonal entry (i*n + j, i*n + j).
+    rate=True gives the rate form, that sum minus (S X + X S)/2 with the
+    diagonal S = sum_a t_a sigma_a²: (s_i + s_j)/2 comes off M[i*n + j, i*n + j].
+    """
+    n = table.shape[0]
+    layout = _choi_layout(n)
+    M = _fill(layout, "ev", table * full_basis(n).norms_sq.reshape(n, n))
+    if rate:
+        s = table.ravel() @ layout.squares
+        M[layout.diagonal] -= ((s[:, None] + s) / 2.0).ravel()
+    return M
+
+
+def _block_product(M: np.ndarray, head: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """M's n×n block times head (n, m), then each 2×2 block times its pairs[q] (2, m), flat."""
+    n = head.shape[0]
+    return np.concatenate([(M[:n * n].reshape(n, n) @ head).ravel(),
+                           (M[n * n:].reshape(-1, 2, 2) @ pairs).ravel()])
+
+
+def _apply_blocks(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Phi(X) for the map whose superoperator has the stored blocks M.
+
+    X's diagonal goes through the n×n block and each pair (X_ij, X_ji),
+    i < j, through its 2×2 block. O(n²) once M is filled.
+    """
+    n = X.shape[0]
+    order = _choi_layout(n).order
+    x = X.ravel()[order]
+    out = np.empty(n * n, dtype=complex)
+    out[order] = _block_product(M, x[:n, None], x[n:].reshape(-1, 2, 1))
+    return out.reshape(n, n)
+
+
+def _basis_images(table: np.ndarray, rate: bool = False) -> np.ndarray:
+    """Images M V of the basis matrices under the sandwich (or rate-form) map of `table`.
+
     Entries are stored as in `_ChoiLayout`: stored entry e is the image of
     basis matrix members[e] at vec index rows[e]; every other entry of the
     image is zero. O(n³).
     """
     n = table.shape[0]
-    nn = n * n
-    layout = _choi_layout(n)
-    M, V = _fill(layout, "sandwich", table), layout.vectors
-    if rate:
-        s = table.ravel() @ layout.squares
-        M[layout.diagonal] -= ((s[:, None] + s) / 2.0).ravel()
-    head = M[:nn].reshape(n, n) @ V[:nn].reshape(n, n)
-    pairs = M[nn:].reshape(-1, 2, 2) @ V[nn:].reshape(-1, 2, 2)
-    return np.concatenate([head.ravel(), pairs.ravel()])
+    V = _choi_layout(n).vectors
+    return _block_product(_superoperator(table, rate), V[:n * n].reshape(n, n),
+                          V[n * n:].reshape(-1, 2, 2))
 
 
 def _image_defect(table: np.ndarray, lam: np.ndarray, rate: bool = False) -> float:

@@ -7,9 +7,7 @@ the symmetrized eigenvalues satisfy the same column-equality and the diagonal
 eigenvalues follow a fixed linear recursion. Both converters re-verify their
 closed-form output before returning: the weight-table map must send every
 basis matrix sigma_b to lam_b sigma_b, entrywise. `channels._verify_images`
-checks that from the blocks of the map's superoperator applied to each basis
-matrix's sector entries, O(n³) where applying the map densely to all n²
-basis matrices is O(n⁷).
+checks that through the blocks of the map's superoperator, O(n³).
 
 The generator pair is the same algebra (a generator is the derivative of its
 channel at t = 0), so both pairs use one private core in `channels`.

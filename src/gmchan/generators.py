@@ -14,11 +14,11 @@ vanishes in the rate form and trace preservation forces the (0,0) eigenvalue
 to zero. Both constructors normalize the entry to 0 and warn if the input
 had it nonzero.
 
-The converters share one private core in `channels` with the channel
-converters, including the O(n³) check of their output: the rate-form map's
-superoperator blocks, the sandwich blocks minus (s_i + s_j)/2 on the
-diagonal, must send every sigma_b to eta_b sigma_b. An eigenvalue-form
-generator acts as `apply_ev` on its table.
+A rate table acts through the blocks of its superoperator, those of the
+sandwich minus (s_i + s_j)/2 on the diagonal (`apply_lf`). The converters
+share one private core in `channels` with the channel converters and check
+with those blocks that each sigma_b goes to eta_b sigma_b, in O(n³). An
+eigenvalue-form generator acts as `apply_ev` on its table.
 
 eta_from_lambda / lambda_from_eta translate between generator eigenvalues
 h(t) and channel eigenvalues l(t) per h = d/dt ln l and l = exp(integral h):
@@ -33,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import full_basis, _check_dimension, _check_square
+from .basis import _check_dimension, _check_square
 from .channels import (
-    COND_TOL, _coeff_table, _column_violations, _ev_diagonal, _exceeding, _kernel_table,
-    _offdiag_from_ev, _sandwich, _suffix_sums, _tail_terms, _tails, _verify_images,
+    COND_TOL, _apply_blocks, _coeff_table, _column_violations, _ev_diagonal, _exceeding,
+    _kernel_table, _offdiag_from_ev, _suffix_sums, _superoperator, _tail_terms, _tails,
+    _verify_images,
 )
 from .errors import (
     ConstraintViolated,
@@ -87,15 +88,9 @@ class EigenGenerator:
         object.__setattr__(self, "eta", _normalized_00(h, "eta"))
 
 
-def _lf_action(g: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Rate-form action of table g on one matrix (n, n) or a stack (..., n, n)."""
-    S = np.einsum("a,aij->ij", g.ravel(), full_basis(g.shape[0]).squares)
-    return _sandwich(g, X) - 0.5 * (S @ X + X @ S)
-
-
 def apply_lf(gen: LindbladGenerator, X: np.ndarray) -> np.ndarray:
-    """Rate-form action: sandwich sum minus the anticommutator half."""
-    return _lf_action(gen.gamma, _check_square(X, gen.n))
+    """Rate-form action: sandwich sum minus the anticommutator half, through M's blocks."""
+    return _apply_blocks(_superoperator(gen.gamma, rate=True), _check_square(X, gen.n))
 
 
 def lf_is_ev(gen: LindbladGenerator, tol: float = COND_TOL):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,6 @@ from gmchan.channels import (
     _choi_layout,
     _image_defect,
     _pair_dict,
-    _sandwich,
     _tp_solve,
 )
 from gmchan.errors import (
@@ -35,9 +37,11 @@ from gmchan.errors import (
     NonLinearMap,
 )
 from gmchan.crossval import _halved_self_term_spectrum
-from gmchan.generators import LindbladGenerator, _lf_action, apply_lf
+from gmchan.generators import LindbladGenerator, apply_lf
 from gmchan.converters import kf_to_ev
 from gmchan.sampling import random_density, random_ev_channel, random_kf_ev_admissible
+
+from dense_route import rate_action, sandwich
 
 
 def identity_kf(n):
@@ -122,8 +126,8 @@ def test_batched_basis_images_match_per_matrix_application():
         ch = KrausChannel(n=n, p=table)
         gen = LindbladGenerator(n=n, gamma=table)
         for batched, one in (
-            (_sandwich(ch.p, b.stack), lambda X: apply_kf(ch, X)),
-            (_lf_action(gen.gamma, b.stack), lambda X: apply_lf(gen, X)),
+            (sandwich(ch.p, b.stack), lambda X: apply_kf(ch, X)),
+            (rate_action(gen.gamma, b.stack), lambda X: apply_lf(gen, X)),
         ):
             want = np.stack([one(X) for X in b.stack])
             assert np.max(np.abs(batched - want)) <= 1e-13
@@ -324,7 +328,7 @@ def test_choi_probe_still_rejects_nonlinear_map_at_scale():
 def _channel(form, table):
     if form == "kf":
         ch = KrausChannel(n=table.shape[0], p=table)
-        return ch, choi(lambda X: apply_kf(ch, X), ch.n)
+        return ch, choi(lambda X: sandwich(ch.p, X), ch.n)
     ch = EigenChannel(n=table.shape[0], lam=table)
     return ch, choi(lambda X: apply_ev(ch, X), ch.n)
 
@@ -415,7 +419,6 @@ def _layout_by_loop(n):
     terms = {
         "kf": (src, stored(r, c), coef),
         "ev": (src, stored(r // n * n + c // n, r % n * n + c % n), coef / b.norms_sq[src]),
-        "sandwich": (src, stored(r % n * n + c % n, r // n * n + c // n), coef),
     }
     diag = np.arange(n) * (n + 1)
     i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
@@ -434,7 +437,12 @@ def test_choi_layout_matches_loop_form(n):
     ]:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    assert sorted(layout.terms) == sorted(terms)
+    assert sorted(layout.terms) == sorted(terms) == ["ev", "kf"]
+    # the diagonals of the squared basis matrices, which are diagonal, exactly
+    stack = full_basis(n).stack
+    squares = stack @ stack
+    assert np.count_nonzero(squares) == np.count_nonzero(np.diagonal(squares, axis1=1, axis2=2))
+    assert np.array_equal(layout.squares, np.diagonal(squares, axis1=1, axis2=2))
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -443,7 +451,7 @@ def test_basis_images_match_dense_route(n):
     rng = np.random.default_rng(100 + n)
     layout = _choi_layout(n)
     stack = full_basis(n).stack
-    for rate, dense_route in ((False, _sandwich), (True, _lf_action)):
+    for rate, dense_route in ((False, sandwich), (True, rate_action)):
         for scale in (1e-6, 1.0, 1e6):
             table = scale * rng.uniform(-1.0, 1.0, (n, n))
             lam = scale * rng.uniform(-1.0, 1.0, (n, n))
@@ -456,17 +464,35 @@ def test_basis_images_match_dense_route(n):
             assert abs(_image_defect(table, lam, rate) - want) <= bound
 
 
-def _edit_basis(monkeypatch, n, stack_edits=(), square_edits=()):
+@pytest.mark.parametrize("n", range(2, 17))
+def test_apply_matches_dense_route(n):
+    # every matrix unit and a few random complex matrices; arbitrary tables,
+    # so the maps are not diagonal and every block entry counts
+    rng = np.random.default_rng(300 + n)
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    X = np.concatenate([units, rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))])
+    for scale in (1e-6, 1.0, 1e6):
+        table = scale * rng.uniform(-1.0, 1.0, (n, n))
+        ch = KrausChannel(n=n, p=table)
+        gen = LindbladGenerator(n=n, gamma=np.where(np.arange(n * n).reshape(n, n) == 0, 0.0, table))
+        for one, dense in (
+            (lambda X: apply_kf(ch, X), sandwich(ch.p, X)),
+            (lambda X: apply_lf(gen, X), rate_action(gen.gamma, X)),
+        ):
+            got = np.stack([one(x) for x in X])
+            bound = 1e-12 * np.maximum(1.0, np.max(np.abs(dense), axis=(1, 2)))
+            assert np.all(np.max(np.abs(got - dense), axis=(1, 2)) <= bound)
+
+
+def _edit_basis(monkeypatch, n, edits):
     # the layout, uncached, sees a basis with (index, value) entries changed
     import gmchan.channels as channels
 
     b = full_basis(n)
-    stack, squares = b.stack.copy(), b.squares.copy()
-    for index, value in stack_edits:
+    stack = b.stack.copy()
+    for index, value in edits:
         stack[index] = value
-    for index, value in square_edits:
-        squares[index] = value
-    bad = type(b)(n=n, stack=stack, norms_sq=b.norms_sq, squares=squares)
+    bad = type(b)(n=n, stack=stack, norms_sq=b.norms_sq)
     monkeypatch.setattr(channels, "full_basis", lambda n: bad)
     monkeypatch.setattr(channels, "_choi_layout", _choi_layout.__wrapped__)
 
@@ -484,17 +510,10 @@ def test_choi_layout_rejects_a_basis_it_cannot_block(monkeypatch, index, value, 
         choi_of_channel(KrausChannel(n=3, p=np.ones((3, 3))))
 
 
-@pytest.mark.parametrize(
-    "stack_edits, square_edits, match",
-    [
-        # sigma_01 moved into the (0, 2) sector, which then holds three matrices
-        ([((1, 0, 1), 0), ((1, 1, 0), 0), ((1, 0, 2), 1), ((1, 2, 0), 1)], [], "do not fill"),
-        ([], [((1, 0, 1), 0.5)], "not diagonal"),  # sigma_01² gains an off-diagonal entry
-    ],
-)
-def test_choi_layout_rejects_a_basis_it_cannot_pair(monkeypatch, stack_edits, square_edits, match):
-    _edit_basis(monkeypatch, 3, stack_edits, square_edits)
-    with pytest.raises(InvariantError, match=match):
+def test_choi_layout_rejects_a_basis_it_cannot_pair(monkeypatch):
+    # sigma_01 moved into the (0, 2) sector, which then holds three matrices
+    _edit_basis(monkeypatch, 3, [((1, 0, 1), 0), ((1, 1, 0), 0), ((1, 0, 2), 1), ((1, 2, 0), 1)])
+    with pytest.raises(InvariantError, match="do not fill"):
         choi_of_channel(KrausChannel(n=3, p=np.ones((3, 3))))
 
 
@@ -714,3 +733,24 @@ def test_constructors_compute_no_memo():
     ev = EigenChannel(n=4, lam=np.eye(4))
     cp_check_oracle(ev)
     assert not set(MEMOS) & set(vars(ev))
+
+
+@pytest.mark.parametrize("copy_of", (copy.deepcopy, lambda ch: pickle.loads(pickle.dumps(ch))))
+def test_copies_are_rebuilt_without_memos(copy_of):
+    from gmchan.converters import kf_is_ev
+
+    rng = np.random.default_rng(84)
+    kf = KrausChannel(n=4, p=random_kf_ev_admissible(rng, 4).p)
+    ev = random_ev_channel(rng, 4)
+    for ch, result in (
+        (kf, lambda ch: (tp_residuals(ch).tobytes(), kf_is_ev(ch), cp_check_oracle(ch).margin)),
+        (ev, lambda ch: (cp_check_paper(ch).margin, cp_check_normalized(ch).margin)),
+    ):
+        want = result(ch)  # fills the memos
+        assert set(MEMOS) & set(vars(ch))
+        twin = copy_of(ch)
+        assert twin is not ch and type(twin) is type(ch)
+        table = twin.p if ch is kf else twin.lam
+        assert not table.flags.writeable
+        assert not set(MEMOS) & set(vars(twin))
+        assert result(twin) == want
