@@ -39,7 +39,8 @@ M vec X), which is J with its indices regrouped and so has the same blocks,
 filled from the same layout (`_superoperator`). `apply_kf` and `apply_lf`
 send X's diagonal through the n×n block and each pair (X_ij, X_ji) through
 its 2×2 block; every converter checks that the blocks send each sigma_b to
-lam_b sigma_b within ORACLE_TOL (`_verify_images`). Both are O(n³).
+lam_b sigma_b within ORACLE_TOL times the largest entry of either table, if
+above 1 (`_verify_images`). Both are O(n³).
 
 The private helpers below are the one core that the channel and generator
 converters and `dynamics` share. Every index array and weight they use that
@@ -71,8 +72,9 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
-# Column-equality and recursion conditions of the converters; defect allowed
-# when a converted table is re-checked by applying it to every basis matrix.
+# Column-equality and recursion conditions of the converters; defect allowed,
+# per unit of table scale, when a converted table is re-checked by applying it
+# to every basis matrix.
 COND_TOL = 1e-12
 ORACLE_TOL = 1e-11
 
@@ -253,10 +255,9 @@ def _kernel_table(n: int) -> SimpleNamespace:
     head = pos < step
     plus = np.where(head, pos * n + step, step * n + pos + 2)
     minus = np.where(head, plus + 1, plus + n)
-    lo, hi = np.minimum.outer(k, k), np.maximum.outer(k, k)
+    hi = np.maximum.outer(k, k)
     table = SimpleNamespace(
-        k=k, k1=k + 1.0, frac=k / (k + 1.0), tail_den=np.maximum(k * (k + 1.0), 1.0),
-        lo=lo, hi=hi, between=(lo[..., None] < k) & (k < hi[..., None]),
+        k=k, k1=k + 1.0, frac=k / (k + 1.0), tail_den=np.maximum(k * (k + 1.0), 1.0), hi=hi,
         pairs=(i, j), pair_keys=tuple(zip(i.tolist(), j.tolist())),
         triples=(l * n + a, l * n + b), triple_keys=tuple(zip(a.tolist(), b.tolist(), l.tolist())),
         mixing=(mk * n + ml, mk * n + mm),
@@ -264,7 +265,7 @@ def _kernel_table(n: int) -> SimpleNamespace:
         tp_terms=tuple(np.where([head, ~head], x, n * n) for x in (plus, minus)),
         tp_coef=(step[:, 0] + 1.0) / (2.0 * step[:, 0]),
     )
-    for arr in (k, table.k1, table.frac, table.tail_den, lo, hi, table.between,
+    for arr in (k, table.k1, table.frac, table.tail_den, hi,
                 i, j, *table.triples, *table.mixing, *table.tp_terms, table.tp_coef):
         arr.setflags(write=False)
     return table
@@ -327,6 +328,21 @@ def _offdiag_from_ev(table: np.ndarray, c: float) -> np.ndarray:
     out = 0.5 * col[t.hi] + 0.25 * (table - table.T)
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _offdiag_eigenvalues(table: np.ndarray, rate: bool = False) -> np.ndarray:
+    """Eigenvalues lam_kl, k != l, of the sandwich map of any table (formula in `kf_to_ev`).
+
+    rate=True gives the rate form's: the same minus (s_k + s_l)/2, s from
+    `_square_sums`. The diagonal is not read off here; callers overwrite it.
+    """
+    t = _kernel_table(table.shape[0])
+    diag = np.diagonal(table)
+    lam = table[0, 0] + (table - table.T) - (2.0 * diag / t.k1)[t.hi] + (2.0 * _tails(diag))[t.hi]
+    if rate:
+        s = _square_sums(table)
+        lam -= (s[:, None] + s) / 2.0
+    return lam
 
 
 def _ev_diagonal(col: np.ndarray, c: float) -> np.ndarray:
@@ -586,9 +602,14 @@ def _superoperator(table: np.ndarray, rate: bool = False) -> np.ndarray:
     layout = _choi_layout(n)
     M = _fill(layout, "ev", table * full_basis(n).norms_sq.reshape(n, n))
     if rate:
-        s = table.ravel() @ layout.squares
+        s = _square_sums(table)
         M[layout.diagonal] -= ((s[:, None] + s) / 2.0).ravel()
     return M
+
+
+def _square_sums(table: np.ndarray) -> np.ndarray:
+    """The diagonal s of S = sum_a t_a sigma_a², which is diagonal (see `_choi_layout`)."""
+    return table.ravel() @ _choi_layout(table.shape[0]).squares
 
 
 def _block_product(M: np.ndarray, head: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -637,9 +658,14 @@ def _image_defect(table: np.ndarray, lam: np.ndarray, rate: bool = False) -> flo
 
 
 def _verify_images(table: np.ndarray, lam: np.ndarray, what: str, rate: bool = False) -> None:
-    """Demand that the map of `table` sends every sigma_b to lam_b sigma_b (`_image_defect`)."""
+    """Demand that the map of `table` sends every sigma_b to lam_b sigma_b (`_image_defect`).
+
+    The defect is rounding, which grows with the entries: the bound is
+    ORACLE_TOL times max(1, the largest |entry| of table and lam).
+    """
+    scale = max(1.0, float(np.max(np.abs(table))), float(np.max(np.abs(lam))))
     defect = _image_defect(table, lam, rate)
-    if defect > ORACLE_TOL:
+    if defect > ORACLE_TOL * scale:
         raise InvariantError(
             f"{what}: closed-form output fails the application oracle "
             f"(defect {defect:.3e})"

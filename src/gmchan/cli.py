@@ -3,8 +3,6 @@
     gmchan validate FILE            trace + complete-positivity reports
     gmchan convert FILE --to FORM   apply the matching representation change
     gmchan choi FILE                Choi spectrum of a channel file
-    gmchan crossval --n N ...       CP-condition agreement experiment (JSON),
-                                    computed by gmchan.crossval
     gmchan evolve --generator FILE  trajectory table, optional state snapshots
     gmchan examples {paper-1,paper-2}  bundled regression examples
 
@@ -17,7 +15,6 @@ answered no; 3 a conversion precondition failed. The default tolerance is
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache
@@ -34,7 +31,6 @@ from .channels import (
     choi_of_channel,
 )
 from .converters import ev_to_kf, kf_to_ev
-from .crossval import crossval_report
 from .dynamics import RateProfile, evolve_semigroup, evolve_state, evolve_timedep, uniform_grid
 from .errors import (
     ConstraintViolated,
@@ -179,14 +175,6 @@ def cmd_choi(args) -> int:
     return EXIT_OK
 
 
-def cmd_crossval(args) -> int:
-    report = crossval_report(
-        args.n, args.samples, args.seed, tol=_tolerance(args)
-    )
-    print(json.dumps(report, indent=2))
-    return EXIT_OK
-
-
 def _parse_profile(spec: str):
     """Scalar time-shape: constant | exp:A | poly:c0,c1,... | tab:FILE.
 
@@ -317,12 +305,6 @@ def build_parser() -> _Parser:
     ch = sub.add_parser("choi", parents=[common], help="Choi spectrum of a channel")
     ch.add_argument("file")
     ch.set_defaults(func=cmd_choi)
-
-    cv = sub.add_parser("crossval", parents=[common], help="CP check agreement report")
-    cv.add_argument("--n", type=int, required=True)
-    cv.add_argument("--samples", type=int, default=1000)
-    cv.add_argument("--seed", type=int, default=0)
-    cv.set_defaults(func=cmd_crossval)
 
     e = sub.add_parser("evolve", parents=[common], help="trajectory from a generator")
     e.add_argument("--generator", required=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import (
     COND_TOL, DEFAULT_TOL, EigenChannel, KrausChannel, _column_violations, _ev_diagonal,
-    _exceeding, _kernel_table, _offdiag_from_ev, _tails, _verify_images,
+    _exceeding, _kernel_table, _offdiag_eigenvalues, _offdiag_from_ev, _verify_images,
 )
 from .errors import NotEV, NotKF, NotTracePreserving
 
@@ -41,9 +41,7 @@ def kf_is_ev(ch: KrausChannel, tol: float = COND_TOL):
     return (not violations), violations
 
 
-def kf_to_ev(
-    ch: KrausChannel, tol: float = COND_TOL, verify: bool = True
-) -> EigenChannel:
+def kf_to_ev(ch: KrausChannel, tol: float = COND_TOL) -> EigenChannel:
     """Read off the eigenvalue table of a basis-diagonal weight channel.
 
     Diagonal eigenvalues come from the column-common symmetrized weights;
@@ -61,14 +59,12 @@ def kf_to_ev(
         )
     n = ch.n
     p = ch.p
-    t = _kernel_table(n)
-    diag = np.diagonal(p)
-    lam = p[0, 0] + (p - p.T) - (2.0 * diag / t.k1)[t.hi] + (2.0 * _tails(diag))[t.hi]
+    k = _kernel_table(n).k
+    lam = _offdiag_eigenvalues(p)
     lam[0, 0] = 1.0
     # the column-common symmetrized weights p~_0l, l >= 1
-    lam[t.k[1:], t.k[1:]] = _ev_diagonal((p + p.T)[0], 1.0)
-    if verify:
-        _verify_images(p, lam, "kf_to_ev")
+    lam[k[1:], k[1:]] = _ev_diagonal((p + p.T)[0], 1.0)
+    _verify_images(p, lam, "kf_to_ev")
     return EigenChannel(n=n, lam=lam, trace_preserving=True)
 
 
@@ -92,9 +88,7 @@ def ev_is_kf(ch: EigenChannel, tol: float = COND_TOL):
     return (not violations), violations
 
 
-def ev_to_kf(
-    ch: EigenChannel, tol: float = COND_TOL, verify: bool = True
-) -> KrausChannel:
+def ev_to_kf(ch: EigenChannel, tol: float = COND_TOL) -> KrausChannel:
     """Solve for the weight table realizing an admissible eigenvalue table.
 
     p~_m = 1/n - lam_mm/(m+1) + sum_{m<j<n} lam_jj/(j(j+1)) gives the
@@ -117,6 +111,5 @@ def ev_to_kf(
     k = _kernel_table(n).k[1:]
     p[k, k] = (1.0 - lam[1, 1] + n * lam[k, k] - 0.5 * s_all) / (2.0 * n)
     p[0, 0] = (1.0 + 0.5 * (n - 1.0) * (2.0 * lam[1, 1] + s_all)) / (n * n)
-    if verify:
-        _verify_images(p, lam, "ev_to_kf")
+    _verify_images(p, lam, "ev_to_kf")
     return KrausChannel(n=n, p=p, trace_preserving=True)

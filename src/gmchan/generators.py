@@ -15,10 +15,11 @@ to zero. Both constructors normalize the entry to 0 and warn if the input
 had it nonzero.
 
 A rate table acts through the blocks of its superoperator, those of the
-sandwich minus (s_i + s_j)/2 on the diagonal (`apply_lf`). The converters
-share one private core in `channels` with the channel converters and check
-with those blocks that each sigma_b goes to eta_b sigma_b, in O(n³). An
-eigenvalue-form generator acts as `apply_ev` on its table.
+sandwich minus (s_i + s_j)/2 on the diagonal (`apply_lf`); `lf_to_ev` reads
+eta_kl, k != l, as the channel formula's lam_kl minus (s_k + s_l)/2. The
+converters share one private core in `channels` with the channel converters
+and check with those blocks that each sigma_b goes to eta_b sigma_b, in
+O(n³). An eigenvalue-form generator acts as `apply_ev` on its table.
 
 eta_from_lambda / lambda_from_eta translate between generator eigenvalues
 h(t) and channel eigenvalues l(t) per h = d/dt ln l and l = exp(integral h):
@@ -36,7 +37,7 @@ import numpy as np
 from .basis import _check_dimension, _check_square
 from .channels import (
     COND_TOL, _apply_blocks, _coeff_table, _column_violations, _ev_diagonal, _exceeding,
-    _kernel_table, _offdiag_from_ev, _suffix_sums, _superoperator, _tail_terms, _tails,
+    _kernel_table, _offdiag_eigenvalues, _offdiag_from_ev, _superoperator, _tail_terms, _tails,
     _verify_images,
 )
 from .errors import (
@@ -103,9 +104,7 @@ def lf_is_ev(gen: LindbladGenerator, tol: float = COND_TOL):
     return (not violations), violations
 
 
-def lf_to_ev(
-    gen: LindbladGenerator, tol: float = COND_TOL, verify: bool = True
-) -> EigenGenerator:
+def lf_to_ev(gen: LindbladGenerator, tol: float = COND_TOL) -> EigenGenerator:
     """Read off generator eigenvalues from an admissible rate table."""
     ok, violations = lf_is_ev(gen, tol)
     if not ok:
@@ -115,24 +114,13 @@ def lf_to_ev(
         )
     n = gen.n
     g = gen.gamma
-    gt = (g + g.T)[0]  # column-common symmetrized rate, index l >= 1
-    t = _kernel_table(n)
-    k, m, M = t.k, t.lo, t.hi
-    d = np.diagonal(g)
-    eta = -2.0 * g.T - 0.5 * (
-        m * gt[m]
-        + (M - 1.0) * gt[M]
-        + np.add.reduce(t.between * gt, axis=-1)
-        + 2.0 * _suffix_sums(gt)[M]
-    )
-    eta -= np.add.reduce(t.between * _tail_terms(d), axis=-1)
-    eta -= t.frac[m] * d[m]
-    eta -= (M + 1.0) / np.maximum(M, 1) * d[M]
-    eta[k, k] = 0.0
-    eta[k[1:], k[1:]] = _ev_diagonal(gt, -0.0)
+    k = _kernel_table(n).k
+    eta = _offdiag_eigenvalues(g, rate=True)
+    eta[0, 0] = 0.0
+    # the column-common symmetrized rates, index l >= 1
+    eta[k[1:], k[1:]] = _ev_diagonal((g + g.T)[0], -0.0)
     result = EigenGenerator(n=n, eta=eta)
-    if verify:
-        _verify_images(g, eta, "lf_to_ev", rate=True)
+    _verify_images(g, eta, "lf_to_ev", rate=True)
     return result
 
 
@@ -164,9 +152,7 @@ def ev_is_lf(gen: EigenGenerator, tol: float = COND_TOL):
     return (not violations), violations
 
 
-def ev_to_lf(
-    gen: EigenGenerator, tol: float = COND_TOL, verify: bool = True
-) -> LindbladGenerator:
+def ev_to_lf(gen: EigenGenerator, tol: float = COND_TOL) -> LindbladGenerator:
     """Solve for the rate table realizing an admissible eigenvalue table.
 
     Negative rates are legitimate output (time-local, non-Markovian); they
@@ -192,8 +178,7 @@ def ev_to_lf(
     g[k, k] += 0.25 * frac * (ht[0, k - 1] - ht[0, k] + 2.0 * d[k])
     g[k, k] += frac * d[k - 1] / (2.0 * k)
     result = LindbladGenerator(n=n, gamma=g)
-    if verify:
-        _verify_images(g, eta, "ev_to_lf", rate=True)
+    _verify_images(g, eta, "ev_to_lf", rate=True)
     return result
 
 

@@ -1,4 +1,4 @@
-"""Random channel and generator factories used by tests and the CLI.
+"""Random channel and generator factories for the tests, benchmarks and scripts.
 
 Everything takes an explicit numpy Generator so runs are reproducible from a
 seed. The trace-preserving samplers draw small off-diagonal weights and let

@@ -209,12 +209,12 @@ def test_criterion_6_round_trips():
     for n in range(2, 7):
         for _ in range(1000):
             kf = random_kf_ev_admissible(rng, n)
-            ev = kf_to_ev(kf)  # verify=True applies the eigenvector oracle
+            ev = kf_to_ev(kf)  # the converter applies the eigenvector oracle
             back = ev_to_kf(ev)
             worst_kf = max(worst_kf, float(np.max(np.abs(back.p - kf.p))))
         for _ in range(1000):
             lf = random_lf_ev_admissible(rng, n)
-            evg = lf_to_ev(lf)  # verify=True applies the eigenvector oracle
+            evg = lf_to_ev(lf)  # the converter applies the eigenvector oracle
             back = ev_to_lf(evg)
             worst_lf = max(worst_lf, float(np.max(np.abs(back.gamma - lf.gamma))))
 

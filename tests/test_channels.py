@@ -1,5 +1,7 @@
 import copy
+import pathlib
 import pickle
+import runpy
 
 import numpy as np
 import pytest
@@ -36,12 +38,14 @@ from gmchan.errors import (
     NegativeCoefficient,
     NonLinearMap,
 )
-from gmchan.crossval import _halved_self_term_spectrum
 from gmchan.generators import LindbladGenerator, apply_lf
 from gmchan.converters import kf_to_ev
 from gmchan.sampling import random_density, random_ev_channel, random_kf_ev_admissible
 
 from dense_route import rate_action, sandwich
+
+SWEEP = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "crossval_sweep.py"
+_halved_self_term_spectrum = runpy.run_path(str(SWEEP))["_halved_self_term_spectrum"]
 
 
 def identity_kf(n):

@@ -19,6 +19,8 @@ from gmchan.generators import (
 )
 from gmchan.sampling import random_lf_ev_admissible
 
+from dense_route import rate_action
+
 
 def test_lf_annihilates_identity():
     rng = np.random.default_rng(9)
@@ -95,6 +97,42 @@ def test_generator_eigenvector_oracle(n):
                 got = apply_lf(gen, b.matrix(i, j))
                 want = ev.eta[i, j] * b.matrix(i, j)
                 assert np.max(np.abs(got - want)) <= 1e-11
+
+
+def _dyadic_rates(rng, n, scale):
+    # basis-diagonal with dyadic entries: in each column l the symmetrized
+    # rates g_jl + g_lj are all exactly c_l; scale is a power of two
+    c = rng.integers(0, 64, n) / 16.0
+    a = rng.integers(-32, 33, (n, n)) / 32.0
+    g = np.triu(c / 2.0 + a, 1) + np.triu(c / 2.0 - a, 1).T
+    g[np.arange(1, n), np.arange(1, n)] = rng.integers(0, 64, n - 1) / 16.0
+    return scale * g
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_lf_to_ev_matches_dense_rate_action(n):
+    # eta_b = Tr(sigma_b L[sigma_b]) / Tr(sigma_b²), read off the dense reference action
+    rng = np.random.default_rng(500 + n)
+    b = full_basis(n)
+    for scale in (2.0**-20, 1.0, 2.0**20):
+        g = _dyadic_rates(rng, n, scale)
+        images = rate_action(g, b.stack)
+        want = (np.einsum("aij,aji->a", b.stack, images).real / b.norms_sq).reshape(n, n)
+        got = lf_to_ev(LindbladGenerator(n=n, gamma=g)).eta
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("scale", (2.0**12, 2.0**14))
+def test_lf_to_ev_accepts_large_tables(scale):
+    # exactly basis-diagonal, so the conversion is correct; the oracle's
+    # rounding grows with the entries and its bound must grow with them
+    rng = np.random.default_rng(7)
+    for n in range(2, 17):
+        for _ in range(10):
+            g = _dyadic_rates(rng, n, 1.0)
+            eta = lf_to_ev(LindbladGenerator(n=n, gamma=scale * g)).eta
+            # a power-of-two scale changes no rounding
+            assert np.array_equal(eta, scale * lf_to_ev(LindbladGenerator(n=n, gamma=g)).eta)
 
 
 def test_apply_ev_gen_scales():

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from gmchan.channels import DensityMatrix, EigenChannel, KrausChannel
 from gmchan.cli import main
-from gmchan.crossval import crossval_report
 from gmchan.errors import ConstraintViolated, InvariantError, ParseError, SchemaError
 from gmchan.fileio import document_text, load, load_document, save
-from gmchan.generators import EigenGenerator, LindbladGenerator
+from gmchan.generators import EigenGenerator, LindbladGenerator, lf_to_ev
+
+
+SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "crossval_sweep.py"
 
 
 def _write(path, text):
@@ -337,6 +339,20 @@ def test_convert_writes_out_file(tmp_path):
     assert load(out).lam[1, 1] == 0.5
 
 
+def test_convert_large_rate_table(tmp_path, capsys):
+    # exactly basis-diagonal (g_jl + g_lj = (l + 1)/2 in column l), scaled by
+    # 2^14, so its conversion is correct and must pass the oracle
+    k = np.arange(4)
+    a = np.subtract.outer(k, k) / 8.0
+    g = np.triu((k + 1) / 4.0 + a, 1) + np.triu((k + 1) / 4.0 - a, 1).T
+    g[k, k] = k / 4.0
+    save(LindbladGenerator(n=4, gamma=2.0**14 * g), tmp_path / "g.json")
+    argv = ["convert", str(tmp_path / "g.json"), "--to", "ev-gen", "--out", str(tmp_path / "e.json")]
+    assert main(argv) == 0, capsys.readouterr().err
+    eta = load(tmp_path / "e.json").eta
+    assert np.array_equal(eta, 2.0**14 * lf_to_ev(LindbladGenerator(n=4, gamma=g)).eta)
+
+
 def test_convert_precondition_exit_three(tmp_path, capsys):
     g = np.array([[0.0, 0.21, 0.13], [0.17, 0.31, 0.23], [0.29, 0.11, 0.37]])
     save(LindbladGenerator(n=3, gamma=g), tmp_path / "lf.json")
@@ -364,14 +380,38 @@ def test_choi_rejects_generator(tmp_path, capsys):
     assert main(["choi", str(tmp_path / "g.json")]) == 1
 
 
-def test_crossval_deterministic(capsys):
-    assert main(["crossval", "--n", "2", "--samples", "150", "--seed", "7"]) == 0
-    first = capsys.readouterr().out
-    assert main(["crossval", "--n", "2", "--samples", "150", "--seed", "7"]) == 0
-    assert capsys.readouterr().out == first
-    report = json.loads(first)
+def _sweep(monkeypatch, *argv):
+    monkeypatch.setattr(sys, "argv", ["crossval_sweep.py", *argv])
+    runpy.run_path(str(SWEEP), run_name="__main__")
+
+
+def test_crossval_deterministic(tmp_path, monkeypatch):
+    out = tmp_path / "sweep.json"
+    argv = ["--n", "2", "--samples", "150", "--seed", "7", "--out", str(out)]
+    _sweep(monkeypatch, *argv)
+    first = out.read_bytes()
+    _sweep(monkeypatch, *argv)
+    assert out.read_bytes() == first
+    report = json.loads(first)["reports"][0]
     assert report["three_way_agreement"] == 1.0
     assert report["seed"] == 7
+
+
+def test_cli_has_no_crossval():
+    # the experiment lives in scripts/ only: the CLI neither loads it nor offers it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import gmchan.cli\n"
+        "assert 'gmchan.crossval' not in sys.modules\n"
+        "assert 'gmchan.sampling' not in sys.modules\n"
+        "sys.exit(gmchan.cli.main(['crossval', '--n', '2']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "invalid choice: 'crossval'" in proc.stderr
 
 
 def test_examples_exit_ok(capsys):
@@ -569,20 +609,20 @@ def test_evolve_rejects_nonpositive_stride(tmp_path, capsys, stride):
     assert not (tmp_path / "t.tsv").exists()
 
 
-def test_crossval_rejects_zero_samples(capsys):
+def test_crossval_rejects_zero_samples(tmp_path, monkeypatch, capsys):
     with pytest.raises(ConstraintViolated):
-        crossval_report(2, 0, seed=1)
-    assert main(["crossval", "--n", "2", "--samples", "0"]) == 1
-    assert "at least 1 sample" in capsys.readouterr().err
+        runpy.run_path(str(SWEEP))["crossval_report"](2, 0, seed=1)
+    with pytest.raises(SystemExit) as exc:
+        _sweep(monkeypatch, "--n", "2", "--samples", "0", "--out", str(tmp_path / "sweep.json"))
+    assert exc.value.code == 2  # argparse's usage error
+    assert "--samples must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
 
 
 def test_crossval_sweep_prints_na_without_compared_samples(tmp_path, monkeypatch, capsys):
     # a margin filter wider than every margin leaves nothing to compare
-    script = Path(__file__).resolve().parents[1] / "scripts" / "crossval_sweep.py"
     out = tmp_path / "sweep.json"
-    argv = ["crossval_sweep.py", "--n", "2", "--samples", "5", "--margin-filter", "1e9"]
-    monkeypatch.setattr(sys, "argv", argv + ["--out", str(out)])
-    runpy.run_path(str(script), run_name="__main__")
+    _sweep(monkeypatch, "--n", "2", "--samples", "5", "--margin-filter", "1e9", "--out", str(out))
     line = capsys.readouterr().out.splitlines()[0]
     assert line == (
         "n=2: three-way agreement n/a on 0 filtered samples; "
