@@ -5,12 +5,15 @@
                            [--previous FILE]
 
 Times `cp_check_oracle`, `cp_check_normalized`, `cp_check_paper`,
-`tp_residuals`, `kf_is_ev`, `kf_to_ev`, `lf_to_ev`, `apply_kf`, `apply_lf`
-and `apply_ev` per call at n in {2, 3, 4, 6, 8, 12, 16}. Channels keep
-per-object memos, so every timed call builds a fresh channel (or generator)
-from its stored table, and `construct_kf`/`construct_ev` time that
-construction alone; the `apply_*` layers read no memo and act on one random
-complex matrix with one object built beforehand. `validate_kf`
+`tp_residuals`, `kf_is_ev`, `kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`,
+`apply_kf`, `apply_lf`, `apply_ev` and `evolve_state` per call at n in
+{2, 3, 4, 6, 8, 12, 16}. Channels keep per-object memos, so every timed call
+builds a fresh channel (or generator) from its stored table, and
+`construct_kf`/`construct_ev` time that construction alone; the `apply_*`
+layers read no memo and act on one random complex matrix with one object
+built beforehand. `evolve_state` applies the last frame of an 11-frame
+semigroup trajectory, built beforehand with its CP flags, to one random
+density matrix. `validate_kf`
 and `validate_ev` replay the call sequence that perfbench's certify workload
 makes on one fresh object: for a weight table the TP check, the oracle,
 `kf_is_ev`, `kf_to_ev` and the three CP checks of the result; for an
@@ -44,8 +47,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (2, 3, 4, 6, 8, 12, 16)
 LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalized",
-          "cp_check_paper", "tp_residuals", "kf_is_ev", "kf_to_ev", "lf_to_ev",
-          "apply_kf", "apply_lf", "apply_ev", "validate_kf", "validate_ev")
+          "cp_check_paper", "tp_residuals", "kf_is_ev", "kf_to_ev", "ev_to_kf", "lf_to_ev",
+          "ev_to_lf", "apply_kf", "apply_lf", "apply_ev", "evolve_state", "validate_kf",
+          "validate_ev")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -79,6 +83,10 @@ def _child(src: str, repeats: int) -> None:
         X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         acting = (gm.KrausChannel(n=n, p=p), gm.LindbladGenerator(n=n, gamma=gamma),
                   gm.EigenChannel(n=n, lam=lam))
+        eta = gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=gamma)).eta
+        markovian = gm.lf_to_ev(sampling.random_lf_ev_admissible(rng, n, nonnegative=True))
+        traj = gm.evolve_semigroup(markovian, gm.uniform_grid(1.0, 11))
+        rho0 = gm.DensityMatrix(n=n, entries=sampling.random_density(rng, n))
 
         def kf(n=n, p=p):
             return gm.KrausChannel(n=n, p=p)
@@ -95,10 +103,13 @@ def _child(src: str, repeats: int) -> None:
             ("tp_residuals", n): lambda kf=kf: gm.tp_residuals(kf()),
             ("kf_is_ev", n): lambda kf=kf: gm.kf_is_ev(kf()),
             ("kf_to_ev", n): lambda kf=kf: gm.kf_to_ev(kf()),
+            ("ev_to_kf", n): lambda ev=ev: gm.ev_to_kf(ev()),
             ("lf_to_ev", n): lambda n=n, g=gamma: gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=g)),
+            ("ev_to_lf", n): lambda n=n, h=eta: gm.ev_to_lf(gm.EigenGenerator(n=n, eta=h)),
             ("apply_kf", n): lambda a=acting, X=X: gm.apply_kf(a[0], X),
             ("apply_lf", n): lambda a=acting, X=X: gm.apply_lf(a[1], X),
             ("apply_ev", n): lambda a=acting, X=X: gm.apply_ev(a[2], X),
+            ("evolve_state", n): lambda tr=traj, r=rho0: gm.evolve_state(tr, r, 10),
             ("validate_kf", n): lambda n=n, p=p: validate_kf(n, p),
             ("validate_ev", n): lambda ev=ev: ev_checks(ev()),
         })

@@ -34,13 +34,14 @@ CP checking routes, in decreasing order of authority:
 by applying it to every matrix unit and diagonalizes the dense n²×n² result,
 O(n⁶). It is the independent route the closed forms are tested against.
 
-A weight or rate table acts through its superoperator M (vec Phi(X) =
-M vec X), which is J with its indices regrouped and so has the same blocks,
-filled from the same layout (`_superoperator`). `apply_kf` and `apply_lf`
-send X's diagonal through the n×n block and each pair (X_ij, X_ji) through
-its 2×2 block; every converter checks that the blocks send each sigma_b to
-lam_b sigma_b within ORACLE_TOL times the largest entry of either table, if
-above 1 (`_verify_images`). Both are O(n³).
+Every table acts through its superoperator M (vec Phi(X) = M vec X), which
+has J's blocks, filled from the same layout: `_superoperator` for a weight
+or rate table, `_eigen_superoperator` for an eigenvalue table. `apply_kf`,
+`apply_lf` and `apply_ev` send X's diagonal through the n×n block and each
+pair (X_ij, X_ji) through its 2×2 block (`_apply_blocks`). Two tables give
+the same map exactly when their M are equal, so every converter checks its
+output by comparing the two tables' blocks, within ORACLE_TOL times the
+largest entry of either table, if above 1 (`_verify_images`). Both are O(n³).
 
 The private helpers below are the one core that the channel and generator
 converters and `dynamics` share. Every index array and weight they use that
@@ -62,7 +63,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .basis import decompose, full_basis, recompose, _check_dimension, _check_square
+from .basis import full_basis, _check_dimension, _check_square
 from .errors import (
     ConstraintViolated,
     InvalidChannel,
@@ -356,9 +357,8 @@ def apply_kf(ch: KrausChannel, X: np.ndarray) -> np.ndarray:
 
 
 def apply_ev(ch: EigenChannel, X: np.ndarray) -> np.ndarray:
-    """Scale each basis coefficient of X by its eigenvalue and recompose."""
-    b = full_basis(ch.n)
-    return recompose(decompose(X, b) * ch.lam, b)
+    """Scale X's basis components by their eigenvalues, through its superoperator's blocks."""
+    return _apply_blocks(_eigen_superoperator(ch.lam), _check_square(X, ch.n))
 
 
 def _tp_solve(p: np.ndarray):
@@ -494,15 +494,14 @@ class _ChoiLayout:
     `terms[form]` = (src, dest, coef) is the sparse sum that fills them:
     stored entry dest accumulates coef × table entry src.
 
-    The superoperator M of a weight table t (vec Phi(X) = M vec X, row-major
-    vec) is J with its indices regrouped. It is the transposed "ev" sum of
-    the table t_a Tr(sigma_a²), with symmetric blocks, stored the same way;
-    `diagonal[r]` is the stored index of M[r, r] and `order` lists the vec
-    indices sector by sector. Each basis matrix lives in one sector;
-    `vectors` holds them as the columns of a matrix V in the same block
-    layout (stored entry e is vec(sigma_a)[rows[e]] with a = `members[e]`),
-    so Phi sends every sigma_a to lam_a sigma_a exactly when
-    M V = V diag(lam[members]).
+    The superoperator M of a map (vec Phi(X) = M vec X, row-major vec) has
+    the same blocks, stored the same way; `diagonal[r]` is the stored index
+    of M[r, r] and `order` lists the vec indices sector by sector. For a
+    weight table t, M is J with its indices regrouped: the transposed "ev"
+    sum of the table t_a Tr(sigma_a²), with symmetric blocks. For an
+    eigenvalue table lam, M = sum_a lam_a vec(sigma_a) vec(sigma_a)† /
+    Tr(sigma_a²), which is the "kf" fill of the table lam_a / Tr(sigma_a²).
+    Two tables describe the same map exactly when their M are equal.
     """
 
     rows: np.ndarray
@@ -511,8 +510,6 @@ class _ChoiLayout:
     terms: dict
     diagonal: np.ndarray
     order: np.ndarray
-    vectors: np.ndarray
-    members: np.ndarray
     squares: np.ndarray
 
 
@@ -567,21 +564,18 @@ def _choi_layout(n: int) -> _ChoiLayout:
     rows = np.concatenate([np.repeat(diag, n), np.repeat(sector, 2, axis=1).ravel()])
     cols = np.concatenate([np.tile(diag, n), np.tile(sector, 2).ravel()])
     mirror = stored(cols, rows)
-    # pair the basis matrices with the vec indices of their sector, in order
+    # the eigenvalue form's M is a "kf" fill only for an orthogonal, complete
+    # basis, so each sector must hold as many basis matrices as vec indices
     home = block[nz[first]]
     if not np.array_equal(np.bincount(home, minlength=block.max() + 1), np.bincount(block)):
         raise InvariantError(f"the basis matrices of dimension {n} do not fill the Choi blocks")
-    member_at = np.empty(nn, dtype=int)
-    member_at[np.argsort(block, kind="stable")] = np.argsort(home, kind="stable")
-    members = member_at[cols]
     layout = _ChoiLayout(
         rows=rows, cols=cols, mirror=mirror, terms=terms,
         diagonal=stored(np.arange(nn), np.arange(nn)), order=np.append(diag, sector),
-        vectors=S[members, rows], members=members,
         squares=np.sum(np.abs(b.stack) ** 2, axis=2),
     )
     for arr in (rows, cols, mirror, *(x for form in terms.values() for x in form),
-                layout.diagonal, layout.order, layout.vectors, members, layout.squares):
+                layout.diagonal, layout.order, layout.squares):
         arr.setflags(write=False)
     return layout
 
@@ -612,11 +606,10 @@ def _square_sums(table: np.ndarray) -> np.ndarray:
     return table.ravel() @ _choi_layout(table.shape[0]).squares
 
 
-def _block_product(M: np.ndarray, head: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """M's n×n block times head (n, m), then each 2×2 block times its pairs[q] (2, m), flat."""
-    n = head.shape[0]
-    return np.concatenate([(M[:n * n].reshape(n, n) @ head).ravel(),
-                           (M[n * n:].reshape(-1, 2, 2) @ pairs).ravel()])
+def _eigen_superoperator(lam: np.ndarray) -> np.ndarray:
+    """Stored blocks of M for sigma_a -> lam_a sigma_a: the "kf" fill of lam / Tr(sigma_a²)."""
+    n = lam.shape[0]
+    return _fill(_choi_layout(n), "kf", lam / full_basis(n).norms_sq.reshape(n, n))
 
 
 def _apply_blocks(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -629,43 +622,27 @@ def _apply_blocks(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     order = _choi_layout(n).order
     x = X.ravel()[order]
     out = np.empty(n * n, dtype=complex)
-    out[order] = _block_product(M, x[:n, None], x[n:].reshape(-1, 2, 1))
+    out[order] = np.concatenate([(M[:n * n].reshape(n, n) @ x[:n, None]).ravel(),
+                                 (M[n * n:].reshape(-1, 2, 2) @ x[n:].reshape(-1, 2, 1)).ravel()])
     return out.reshape(n, n)
 
 
-def _basis_images(table: np.ndarray, rate: bool = False) -> np.ndarray:
-    """Images M V of the basis matrices under the sandwich (or rate-form) map of `table`.
-
-    Entries are stored as in `_ChoiLayout`: stored entry e is the image of
-    basis matrix members[e] at vec index rows[e]; every other entry of the
-    image is zero. O(n³).
-    """
-    n = table.shape[0]
-    V = _choi_layout(n).vectors
-    return _block_product(_superoperator(table, rate), V[:n * n].reshape(n, n),
-                          V[n * n:].reshape(-1, 2, 2))
-
-
-def _image_defect(table: np.ndarray, lam: np.ndarray, rate: bool = False) -> float:
-    """Largest entrywise |Phi(sigma_b) - lam_b sigma_b| over all basis matrices.
-
-    Phi is the sandwich (or, with rate=True, the rate-form) map of `table`;
-    the images are read from their sector entries (`_basis_images`).
-    """
-    layout = _choi_layout(lam.shape[0])
-    expected = layout.vectors * lam.ravel()[layout.members]
-    return float(np.max(np.abs(_basis_images(table, rate) - expected)))
+def _table_scale(*tables: np.ndarray) -> float:
+    """max(1, the largest |entry| of the tables): the rounding of a check on them grows with it."""
+    return max(1.0, *(float(np.max(np.abs(t))) for t in tables))
 
 
 def _verify_images(table: np.ndarray, lam: np.ndarray, what: str, rate: bool = False) -> None:
-    """Demand that the map of `table` sends every sigma_b to lam_b sigma_b (`_image_defect`).
+    """Demand that the map of `table` equal the eigenvalue map of `lam`.
 
-    The defect is rounding, which grows with the entries: the bound is
-    ORACLE_TOL times max(1, the largest |entry| of table and lam).
+    Phi is the sandwich (or, with rate=True, the rate-form) map of `table`;
+    the two maps are equal iff their superoperators are. The defect is the
+    largest entrywise |M_table - M_lam|, the largest |Phi(e_kl) - lam(e_kl)|
+    over matrix units e_kl. It is rounding, which grows with the entries: the
+    bound is ORACLE_TOL times `_table_scale` of table and lam.
     """
-    scale = max(1.0, float(np.max(np.abs(table))), float(np.max(np.abs(lam))))
-    defect = _image_defect(table, lam, rate)
-    if defect > ORACLE_TOL * scale:
+    defect = float(np.max(np.abs(_superoperator(table, rate) - _eigen_superoperator(lam))))
+    if defect > ORACLE_TOL * _table_scale(table, lam):
         raise InvariantError(
             f"{what}: closed-form output fails the application oracle "
             f"(defect {defect:.3e})"

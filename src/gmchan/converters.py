@@ -5,9 +5,9 @@ column l >= 1, the symmetrized weights p~_jl := p_jl + p_lj agree for all
 rows j < l. An eigenvalue-table channel admits a weight-table realization iff
 the symmetrized eigenvalues satisfy the same column-equality and the diagonal
 eigenvalues follow a fixed linear recursion. Both converters re-verify their
-closed-form output before returning: the weight-table map must send every
-basis matrix sigma_b to lam_b sigma_b, entrywise. `channels._verify_images`
-checks that through the blocks of the map's superoperator, O(n³).
+closed-form output before returning: the two tables must describe the same
+map, so their superoperators must be equal. `channels._verify_images`
+compares the two superoperators' blocks entrywise, O(n³).
 
 The generator pair is the same algebra (a generator is the derivative of its
 channel at t = 0), so both pairs use one private core in `channels`.

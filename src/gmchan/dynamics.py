@@ -23,7 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import DEFAULT_TOL, DensityMatrix, EigenChannel, _block_margins, apply_ev
+from .basis import _check_square
+from .channels import (
+    DEFAULT_TOL, DensityMatrix, EigenChannel, _apply_blocks, _block_margins,
+    _eigen_superoperator,
+)
 from .errors import (
     ConstraintViolated,
     DimensionMismatch,
@@ -214,7 +218,8 @@ def evolve_state(
     """Apply the frame at t_index to an initial state.
 
     The frame must be CP: a stored False flag raises NotCPAtTime; a skipped
-    flag (None) is decided on demand by the normalized block criterion.
+    flag (None) is decided on demand by the normalized block criterion. The
+    frame's table acts as `apply_ev` does, through its superoperator's blocks.
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(n=traj.n, entries=rho0)
@@ -228,4 +233,5 @@ def evolve_state(
             f"map at grid index {t_index} (t={traj.grid[t_index]:g}) is not CP",
             time_index=t_index,
         )
-    return DensityMatrix(n=traj.n, entries=apply_ev(traj.frame(t_index), rho0.entries))
+    M = _eigen_superoperator(traj.lams[t_index])
+    return DensityMatrix(n=traj.n, entries=_apply_blocks(M, _check_square(rho0.entries, traj.n)))

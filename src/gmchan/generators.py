@@ -18,8 +18,9 @@ A rate table acts through the blocks of its superoperator, those of the
 sandwich minus (s_i + s_j)/2 on the diagonal (`apply_lf`); `lf_to_ev` reads
 eta_kl, k != l, as the channel formula's lam_kl minus (s_k + s_l)/2. The
 converters share one private core in `channels` with the channel converters
-and check with those blocks that each sigma_b goes to eta_b sigma_b, in
-O(n³). An eigenvalue-form generator acts as `apply_ev` on its table.
+and check that the rate table's superoperator equals the eigenvalue table's,
+block by block, in O(n³). An eigenvalue-form generator acts as `apply_ev` on
+its table. `ev_is_lf` scales its tolerance with the table, as the check does.
 
 eta_from_lambda / lambda_from_eta translate between generator eigenvalues
 h(t) and channel eigenvalues l(t) per h = d/dt ln l and l = exp(integral h):
@@ -37,8 +38,8 @@ import numpy as np
 from .basis import _check_dimension, _check_square
 from .channels import (
     COND_TOL, _apply_blocks, _coeff_table, _column_violations, _ev_diagonal, _exceeding,
-    _kernel_table, _offdiag_eigenvalues, _offdiag_from_ev, _superoperator, _tail_terms, _tails,
-    _verify_images,
+    _kernel_table, _offdiag_eigenvalues, _offdiag_from_ev, _superoperator, _table_scale,
+    _tail_terms, _tails, _verify_images,
 )
 from .errors import (
     ConstraintViolated,
@@ -132,9 +133,12 @@ def ev_is_lf(gen: EigenGenerator, tol: float = COND_TOL):
       ("diag", k)        eta_kk follows the fixed recursion   for 2 <= k <= n-2
       ("mixing", k,l,m)  ht_kl - ht_{k-1,l} = ht_km - ht_{k-1,m}
                                                       for 1 <= k < l < m <= n-1
+    Their rounding grows with the table, so a condition is violated when it
+    misses by more than tol times max(1, the largest |eta_kl|).
     """
     eta = gen.eta
     t = _kernel_table(gen.n)
+    tol = tol * _table_scale(eta)
     ht = eta + eta.T
     bad = np.flatnonzero(np.abs(ht[0, 2:] - ht[1, 2:]) > tol) + 2
     violations = [("tilde01", l) for l in bad.tolist()]
@@ -156,8 +160,8 @@ def ev_to_lf(gen: EigenGenerator, tol: float = COND_TOL) -> LindbladGenerator:
     """Solve for the rate table realizing an admissible eigenvalue table.
 
     Negative rates are legitimate output (time-local, non-Markovian); they
-    are returned as-is. The closed forms are re-checked on every basis
-    matrix before returning.
+    are returned as-is. The closed forms are re-checked before returning:
+    the rate table's superoperator must equal the eigenvalue table's.
     """
     ok, violations = ev_is_lf(gen, tol)
     if not ok:

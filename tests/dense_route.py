@@ -1,12 +1,12 @@
-"""Dense reference actions of the weight and rate forms, for the tests only.
+"""Dense reference actions of the weight, rate and eigenvalue forms, for the tests only.
 
-They sum over all n² basis matrices, O(n⁵) per matrix, independently of the
-superoperator blocks through which `apply_kf` and `apply_lf` act.
+They sum over all n² basis matrices, independently of the superoperator
+blocks through which `apply_kf`, `apply_lf` and `apply_ev` act.
 """
 
 import numpy as np
 
-from gmchan.basis import full_basis
+from gmchan.basis import decompose, full_basis, recompose
 
 
 def sandwich(w, X):
@@ -20,3 +20,11 @@ def rate_action(g, X):
     stack = full_basis(g.shape[0]).stack
     S = np.einsum("a,aij,ajk->ik", np.ravel(g), stack, stack)
     return sandwich(g, X) - 0.5 * (S @ X + X @ S)
+
+
+def eigen_action(lam, X):
+    """recompose(decompose(X) * lam) for one matrix (n, n) or a stack (..., n, n)."""
+    b = full_basis(lam.shape[0])
+    X = np.asarray(X, dtype=complex)
+    flat = X.reshape(-1, b.n, b.n)
+    return np.stack([recompose(decompose(x, b) * lam, b) for x in flat]).reshape(X.shape)

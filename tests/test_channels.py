@@ -24,13 +24,15 @@ from gmchan.channels import (
     cp_check_oracle,
     cp_check_paper,
     tp_residuals,
-    _basis_images,
     _block_margins,
     _choi_layout,
-    _image_defect,
+    _eigen_superoperator,
     _pair_dict,
+    _superoperator,
     _tp_solve,
+    _verify_images,
 )
+from gmchan.dynamics import evolve_semigroup, evolve_state, uniform_grid
 from gmchan.errors import (
     ConstraintViolated,
     InvalidChannel,
@@ -38,11 +40,13 @@ from gmchan.errors import (
     NegativeCoefficient,
     NonLinearMap,
 )
-from gmchan.generators import LindbladGenerator, apply_lf
+from gmchan.generators import LindbladGenerator, apply_lf, lf_to_ev
 from gmchan.converters import kf_to_ev
-from gmchan.sampling import random_density, random_ev_channel, random_kf_ev_admissible
+from gmchan.sampling import (
+    random_density, random_ev_channel, random_kf_ev_admissible, random_lf_ev_admissible,
+)
 
-from dense_route import rate_action, sandwich
+from dense_route import eigen_action, rate_action, sandwich
 
 SWEEP = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "crossval_sweep.py"
 _halved_self_term_spectrum = runpy.run_path(str(SWEEP))["_halved_self_term_spectrum"]
@@ -451,21 +455,24 @@ def test_choi_layout_matches_loop_form(n):
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_basis_images_match_dense_route(n):
-    # arbitrary tables, so the maps are not diagonal and every block entry counts
+    # the verification defect is the largest entrywise gap between the two
+    # maps' images of the matrix-unit basis; arbitrary tables, so the maps
+    # differ and every block entry counts
     rng = np.random.default_rng(100 + n)
-    layout = _choi_layout(n)
-    stack = full_basis(n).stack
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     for rate, dense_route in ((False, sandwich), (True, rate_action)):
         for scale in (1e-6, 1.0, 1e6):
             table = scale * rng.uniform(-1.0, 1.0, (n, n))
             lam = scale * rng.uniform(-1.0, 1.0, (n, n))
-            dense = dense_route(table, stack)
-            bound = 1e-12 * max(1.0, float(np.max(np.abs(dense))))
-            images = np.zeros((n * n, n * n), dtype=complex)
-            images[layout.members, layout.rows] = _basis_images(table, rate)
-            assert np.max(np.abs(images - dense.reshape(n * n, n * n))) <= bound
-            want = float(np.max(np.abs(dense - lam.reshape(-1, 1, 1) * stack)))
-            assert abs(_image_defect(table, lam, rate) - want) <= bound
+            dense, eigen = dense_route(table, units), eigen_action(lam, units)
+            want = float(np.max(np.abs(dense - eigen)))
+            defect = float(np.max(np.abs(_superoperator(table, rate) - _eigen_superoperator(lam))))
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(dense))), float(np.max(np.abs(eigen))))
+            assert abs(defect - want) <= bound
+            with pytest.raises(InvariantError, match="fails the application oracle") as exc:
+                _verify_images(table, lam, "arbitrary", rate)
+            reported = float(str(exc.value).rsplit("defect ", 1)[1].rstrip(")"))
+            assert abs(reported - defect) <= 5e-4 * defect
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -480,13 +487,22 @@ def test_apply_matches_dense_route(n):
         gamma = table.copy()
         gamma[0, 0] = 0.0  # inert in the rate form; the constructor would warn
         ch, gen = KrausChannel(n=n, p=table), LindbladGenerator(n=n, gamma=gamma)
+        ev = EigenChannel(n=n, lam=table)
         for one, dense in (
             (lambda X: apply_kf(ch, X), sandwich(ch.p, X)),
             (lambda X: apply_lf(gen, X), rate_action(gen.gamma, X)),
+            (lambda X: apply_ev(ev, X), eigen_action(ev.lam, X)),
         ):
             got = np.stack([one(x) for x in X])
             bound = 1e-12 * np.maximum(1.0, np.max(np.abs(dense), axis=(1, 2)))
             assert np.all(np.max(np.abs(got - dense), axis=(1, 2)) <= bound)
+    # a trajectory's frames act on a state as their tables do
+    traj = evolve_semigroup(lf_to_ev(random_lf_ev_admissible(rng, n, nonnegative=True)),
+                            uniform_grid(1.0, 11))
+    rho0 = DensityMatrix(n=n, entries=random_density(rng, n))
+    for idx in range(len(traj)):
+        got = evolve_state(traj, rho0, idx).entries
+        assert np.max(np.abs(got - eigen_action(traj.lams[idx], rho0.entries))) <= 1e-12
 
 
 def _edit_basis(monkeypatch, n, edits):

@@ -235,8 +235,10 @@ def test_kf_is_ev_at_two_tolerances_matches_fresh_objects():
 
 
 def _ev_is_lf_by_loop(eta, tol=1e-12):
-    # ev_is_lf's three condition families, written out loop by loop
+    # ev_is_lf's three condition families, written out loop by loop, each
+    # against tol times the table's scale
     n = eta.shape[0]
+    tol *= max(1.0, float(np.max(np.abs(eta))))
     ht = eta + eta.T
     violations = [("tilde01", l) for l in range(2, n) if abs(ht[0, l] - ht[1, l]) > tol]
     acc = eta[1, 1]
@@ -274,8 +276,10 @@ def test_ev_conditions_match_loop_form(n):
         eta = generators.lf_to_ev(random_lf_ev_admissible(rng, n)).eta.copy()
         lam = converters.kf_to_ev(random_kf_ev_admissible(rng, n)).lam.copy()
         for table in (eta, lam):
-            # plant violations of every family: far past tol, just past it, within it
+            # plant violations of every family: far past tol, just past it, within
+            # it, in units of the table's scale (which ev_is_lf's tol follows)
             for size in (1e-3, 3e-12, 5e-13)[: trial % 4]:
+                size *= max(1.0, float(np.max(np.abs(table))))
                 table[rng.integers(1, n), rng.integers(0, n)] += size  # never (0, 0)
         gen = generators.EigenGenerator(n=n, eta=eta)
         got = generators.ev_is_lf(gen)[1]

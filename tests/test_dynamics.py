@@ -12,6 +12,7 @@ from gmchan.dynamics import (
 )
 from gmchan.errors import (
     ConstraintViolated,
+    DimensionMismatch,
     InvariantError,
     NotCPAtTime,
     ZeroEigenvalue,
@@ -168,6 +169,14 @@ def test_evolve_state_rejects_noncp_frame():
     with pytest.raises(NotCPAtTime) as exc:
         evolve_state(traj, rho0, 10)
     assert exc.value.time_index == 10
+
+
+def test_evolve_state_rejects_a_state_of_another_dimension():
+    eta = np.array([[0.0, -1.0], [-1.0, -1.0]])
+    traj = evolve_semigroup(EigenGenerator(n=2, eta=eta), uniform_grid(1.0, 11))
+    rho0 = DensityMatrix(n=3, entries=np.eye(3, dtype=complex) / 3)
+    with pytest.raises(DimensionMismatch):
+        evolve_state(traj, rho0, 5)
 
 
 def test_evolve_state_computes_skipped_flags():

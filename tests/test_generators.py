@@ -135,6 +135,30 @@ def test_lf_to_ev_accepts_large_tables(scale):
             assert np.array_equal(eta, scale * lf_to_ev(LindbladGenerator(n=n, gamma=g)).eta)
 
 
+def test_ev_to_lf_inverts_lf_to_ev_on_large_tables():
+    # ev_is_lf's rounding grows with the table, so must its threshold
+    rng = np.random.default_rng(7)
+    for n in range(2, 17):
+        for _ in range(10):
+            g = _dyadic_rates(rng, n, 2.0**14)
+            back = ev_to_lf(lf_to_ev(LindbladGenerator(n=n, gamma=g))).gamma
+            assert np.max(np.abs(back - g)) <= 1e-11 * 2.0**14
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ev_is_lf_violations_do_not_depend_on_scale(n):
+    # an admissible table with entries above 1, plus violations far past
+    # tol and far within it; a power-of-two scale changes no rounding
+    rng = np.random.default_rng(40 + n)
+    eta = lf_to_ev(LindbladGenerator(n=n, gamma=_dyadic_rates(rng, n, 4.0))).eta.copy()
+    assert np.max(np.abs(eta)) > 1.0
+    eta[1, 2] += 1e-3  # breaks ht_02 = ht_12
+    eta[2, n - 1] += 1e-14
+    ok, violations = ev_is_lf(EigenGenerator(n=n, eta=eta))
+    assert not ok
+    assert ev_is_lf(EigenGenerator(n=n, eta=2.0**14 * eta)) == (ok, violations)
+
+
 def test_apply_ev_gen_scales():
     # an eigenvalue-form generator acts as apply_ev on its table
     eta = np.array([[0.0, -1.0], [-2.0, -3.0]])

@@ -351,6 +351,10 @@ def test_convert_large_rate_table(tmp_path, capsys):
     assert main(argv) == 0, capsys.readouterr().err
     eta = load(tmp_path / "e.json").eta
     assert np.array_equal(eta, 2.0**14 * lf_to_ev(LindbladGenerator(n=4, gamma=g)).eta)
+    # and the file it wrote converts back
+    argv = ["convert", str(tmp_path / "e.json"), "--to", "lf", "--out", str(tmp_path / "back.json")]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert np.max(np.abs(load(tmp_path / "back.json").gamma - 2.0**14 * g)) <= 1e-11 * 2.0**14
 
 
 def test_convert_precondition_exit_three(tmp_path, capsys):
