@@ -6,14 +6,20 @@
 
 Times `cp_check_oracle`, `cp_check_normalized`, `cp_check_paper`,
 `tp_residuals`, `kf_is_ev`, `kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`,
-`apply_kf`, `apply_lf`, `apply_ev` and `evolve_state` per call at n in
-{2, 3, 4, 6, 8, 12, 16}. Channels keep per-object memos, so every timed call
-builds a fresh channel (or generator) from its stored table, and
-`construct_kf`/`construct_ev` time that construction alone; the `apply_*`
-layers read no memo and act on one random complex matrix with one object
-built beforehand. `evolve_state` applies the last frame of an 11-frame
-semigroup trajectory, built beforehand with its CP flags, to one random
-density matrix. `validate_kf`
+`apply_kf`, `apply_lf`, `apply_ev`, `evolve_state`, `evolve_timedep` and
+`eta_from_lambda` per call at n in {2, 3, 4, 6, 8, 12, 16}. Channels keep
+per-object memos, so every timed call builds a fresh channel (or generator)
+from its stored table, and `construct_kf`/`construct_ev` time that
+construction alone; `construct_state` times a `DensityMatrix` built from a
+random density matrix. The `apply_*` layers read no memo and act on one
+random complex matrix with one object built beforehand. `evolve_state`
+applies the last frame of an 11-frame semigroup trajectory, built beforehand
+with its CP flags, to one random density matrix; `evolve_state_skipped`
+applies its middle frame from a copy built with a CP stride that skips it,
+so its verdict is decided on demand. One `evolve_timedep` call builds four
+201-point trajectories of a Markovian generator: with tabulated (9 knots)
+and with quadratic polynomial profiles, each at CP stride 1 and 50.
+`eta_from_lambda` differentiates the stride-1 tabulated one. `validate_kf`
 and `validate_ev` replay the call sequence that perfbench's certify workload
 makes on one fresh object: for a weight table the TP check, the oracle,
 `kf_is_ev`, `kf_to_ev` and the three CP checks of the result; for an
@@ -49,7 +55,8 @@ SIZES = (2, 3, 4, 6, 8, 12, 16)
 LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalized",
           "cp_check_paper", "tp_residuals", "kf_is_ev", "kf_to_ev", "ev_to_kf", "lf_to_ev",
           "ev_to_lf", "apply_kf", "apply_lf", "apply_ev", "evolve_state", "validate_kf",
-          "validate_ev")
+          "validate_ev", "construct_state", "evolve_state_skipped", "evolve_timedep",
+          "eta_from_lambda")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -86,7 +93,21 @@ def _child(src: str, repeats: int) -> None:
         eta = gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=gamma)).eta
         markovian = gm.lf_to_ev(sampling.random_lf_ev_admissible(rng, n, nonnegative=True))
         traj = gm.evolve_semigroup(markovian, gm.uniform_grid(1.0, 11))
-        rho0 = gm.DensityMatrix(n=n, entries=sampling.random_density(rng, n))
+        skipping = gm.evolve_semigroup(markovian, gm.uniform_grid(1.0, 11), cp_stride=100)
+        rho = sampling.random_density(rng, n)
+        rho0 = gm.DensityMatrix(n=n, entries=rho)
+        grid = gm.uniform_grid(1.0, 201)
+        knots, shape = np.linspace(0.0, 1.0, 9), 1.0 + 0.5 * np.sin(rng.uniform(2.0, 6.0, 9))
+        coeffs = (1.0, rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.5))
+        h = markovian.eta
+        tables = [[[None if (i, j) == (0, 0) else make(h[i, j]) for j in range(n)]
+                   for i in range(n)]
+                  for make in (lambda e: gm.RateProfile.tabulated(knots, e * shape),
+                               lambda e: gm.RateProfile.polynomial(*(e * c for c in coeffs)))]
+        tabulated = gm.evolve_timedep(tables[0], grid)
+
+        def timedep(tables=tables, grid=grid):
+            return [gm.evolve_timedep(t, grid, cp_stride=s) for t in tables for s in (1, 50)]
 
         def kf(n=n, p=p):
             return gm.KrausChannel(n=n, p=p)
@@ -112,6 +133,10 @@ def _child(src: str, repeats: int) -> None:
             ("evolve_state", n): lambda tr=traj, r=rho0: gm.evolve_state(tr, r, 10),
             ("validate_kf", n): lambda n=n, p=p: validate_kf(n, p),
             ("validate_ev", n): lambda ev=ev: ev_checks(ev()),
+            ("construct_state", n): lambda n=n, r=rho: gm.DensityMatrix(n=n, entries=r),
+            ("evolve_state_skipped", n): lambda tr=skipping, r=rho0: gm.evolve_state(tr, r, 5),
+            ("evolve_timedep", n): timedep,
+            ("eta_from_lambda", n): lambda tr=tabulated: gm.eta_from_lambda(tr.lams, tr.grid),
         })
     number = {}
     for key, call in calls.items():  # warm caches, then size each sample

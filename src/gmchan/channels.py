@@ -58,7 +58,7 @@ a copy. `cp_check_oracle` memoizes nothing, so it stays an independent route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,6 +101,20 @@ def _read_only(arr):
     return arr
 
 
+class _memo:
+    """A per-object memo like functools.cached_property, without its lock: a
+    non-data descriptor that stores the value in the instance's __dict__."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Weight-table channel X -> sum_ij p_ij sigma_ij X sigma_ij.
@@ -131,7 +145,7 @@ class KrausChannel:
     def nonnegative(self) -> bool:
         return bool(np.all(self.p >= 0.0))
 
-    @cached_property
+    @_memo
     def _tp_residuals(self) -> np.ndarray:
         """`tp_residuals` of this channel, read-only."""
         p = self.p
@@ -141,11 +155,11 @@ class KrausChannel:
             res += [gap, p[2, 2] - p22, *(np.diagonal(p)[3:] - (p[2, 2] + steps))]
         return _read_only(np.array(res))
 
-    @cached_property
+    @_memo
     def _tp_worst(self) -> float:
         return float(np.max(np.abs(self._tp_residuals)))
 
-    @cached_property
+    @_memo
     def _gaps(self) -> np.ndarray:
         """`_column_gaps` of the weight table, read-only."""
         return _read_only(_column_gaps(self.p))
@@ -170,7 +184,7 @@ class EigenChannel:
     def __reduce__(self):  # as KrausChannel's
         return type(self), (self.n, self.lam, self.trace_preserving)
 
-    @cached_property
+    @_memo
     def _blocks(self) -> tuple:
         """`_block_margins` of the eigenvalue table, its arrays read-only."""
         A, a_spectrum, pairs, margin = _block_margins(self.lam)
@@ -198,12 +212,11 @@ class DensityMatrix:
     def __post_init__(self):
         object.__setattr__(self, "n", _check_dimension(self.n))
         m = _check_square(self.entries, self.n).copy()
+        if not np.isfinite(m).all():
+            raise InvariantError("density matrix contains non-finite entries")
         mh = m.conj().T
-        with np.errstate(invalid="ignore"):  # inf - inf
-            herm = float(np.max(np.abs(m - mh)))
-        if not herm <= 1e-12:  # so does every NaN or inf entry
-            if not np.all(np.isfinite(m)):
-                raise InvariantError("density matrix contains non-finite entries")
+        herm = float(abs(m - mh).max())
+        if not herm <= 1e-12:
             raise InvariantError(f"not Hermitian: defect {herm:.3e}")
         tr = complex(m.trace())
         if not abs(tr - 1.0) <= 1e-12:
@@ -496,7 +509,8 @@ class _ChoiLayout:
 
     The superoperator M of a map (vec Phi(X) = M vec X, row-major vec) has
     the same blocks, stored the same way; `diagonal[r]` is the stored index
-    of M[r, r] and `order` lists the vec indices sector by sector. For a
+    of M[r, r], `order` lists the vec indices sector by sector and `norms`
+    holds Tr(sigma_a²) as an n×n table. For a
     weight table t, M is J with its indices regrouped: the transposed "ev"
     sum of the table t_a Tr(sigma_a²), with symmetric blocks. For an
     eigenvalue table lam, M = sum_a lam_a vec(sigma_a) vec(sigma_a)† /
@@ -510,6 +524,7 @@ class _ChoiLayout:
     terms: dict
     diagonal: np.ndarray
     order: np.ndarray
+    norms: np.ndarray
     squares: np.ndarray
 
 
@@ -572,7 +587,7 @@ def _choi_layout(n: int) -> _ChoiLayout:
     layout = _ChoiLayout(
         rows=rows, cols=cols, mirror=mirror, terms=terms,
         diagonal=stored(np.arange(nn), np.arange(nn)), order=np.append(diag, sector),
-        squares=np.sum(np.abs(b.stack) ** 2, axis=2),
+        norms=b.norms_sq.reshape(n, n), squares=np.sum(np.abs(b.stack) ** 2, axis=2),
     )
     for arr in (rows, cols, mirror, *(x for form in terms.values() for x in form),
                 layout.diagonal, layout.order, layout.squares):
@@ -592,9 +607,8 @@ def _superoperator(table: np.ndarray, rate: bool = False) -> np.ndarray:
     rate=True gives the rate form, that sum minus (S X + X S)/2 with the
     diagonal S = sum_a t_a sigma_a²: (s_i + s_j)/2 comes off M[i*n + j, i*n + j].
     """
-    n = table.shape[0]
-    layout = _choi_layout(n)
-    M = _fill(layout, "ev", table * full_basis(n).norms_sq.reshape(n, n))
+    layout = _choi_layout(table.shape[0])
+    M = _fill(layout, "ev", table * layout.norms)
     if rate:
         s = _square_sums(table)
         M[layout.diagonal] -= ((s[:, None] + s) / 2.0).ravel()
@@ -608,8 +622,8 @@ def _square_sums(table: np.ndarray) -> np.ndarray:
 
 def _eigen_superoperator(lam: np.ndarray) -> np.ndarray:
     """Stored blocks of M for sigma_a -> lam_a sigma_a: the "kf" fill of lam / Tr(sigma_a²)."""
-    n = lam.shape[0]
-    return _fill(_choi_layout(n), "kf", lam / full_basis(n).norms_sq.reshape(n, n))
+    layout = _choi_layout(lam.shape[0])
+    return _fill(layout, "kf", lam / layout.norms)
 
 
 def _apply_blocks(M: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -226,13 +226,9 @@ def cmd_evolve(args) -> int:
     else:
         shape = _parse_profile(args.profile)
         n = gen.n
-        profiles = [
-            [
-                None if (i, j) == (0, 0) or gen.eta[i, j] == 0.0 else shape(gen.eta[i, j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        with np.errstate(over="ignore"):  # the trajectory rejects an overflowed scale
+            profiles = [[None if (i, j) == (0, 0) or gen.eta[i, j] == 0.0 else shape(gen.eta[i, j])
+                         for j in range(n)] for i in range(n)]
         traj = evolve_timedep(profiles, grid, cp_stride=args.stride, tol=tol)
 
     n = traj.n

@@ -4,11 +4,13 @@ A Trajectory samples the channel eigenvalue table on a time grid starting at
 t = 0, where the map is the identity. Two builders:
 
   evolve_semigroup  constant generator eigenvalues, closed form exp(eta * t)
-  evolve_timedep    per-entry rate profiles, trapezoid quadrature of the
-                    integral the eigenvalues exponentiate
+  evolve_timedep    per-entry rate profiles, evaluated in groups (`_evaluate`),
+                    and trapezoid quadrature of the integral the eigenvalues
+                    exponentiate
 
-Each frame can carry a CP verdict (every frame by default; a stride skips
-frames on large grids, leaving their flag None). The checked frames are
+Each checks its grid and builds its Trajectory once, whose constructor alone
+validates the frames. A frame can carry a CP verdict (every frame by default;
+a stride skips frames, leaving their flag None). The checked frames are
 decided together in one batched pass of the normalized block criterion: a
 stacked eigensolve of the (T, n, n) diagonal-sector blocks plus the pair
 margins as arrays. The union of the block spectra is the Choi spectrum, so
@@ -19,7 +21,7 @@ the map is still fine, but no generator eigenvalue table exists there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,13 +31,9 @@ from .channels import (
     _eigen_superoperator,
 )
 from .errors import (
-    ConstraintViolated,
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvariantError,
-    NotCPAtTime,
+    ConstraintViolated, DimensionMismatch, IndexOutOfRange, InvariantError, NotCPAtTime,
 )
-from .generators import EigenGenerator, ZERO_TOL, _check_grid, lambda_from_eta
+from .generators import EigenGenerator, ZERO_TOL, _check_grid, _integrated
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ class RateProfile:
         v = np.asarray(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise DimensionMismatch("tabulated profile needs matching 1-d tables")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] <= t[:-1]).any():
             raise ConstraintViolated("tabulated times must be strictly increasing")
         t.setflags(write=False)
         v.setflags(write=False)
@@ -81,22 +79,39 @@ class RateProfile:
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(t, self.params[0])
-        if self.kind == "exponential":
-            c, a = self.params
-            return c * np.exp(-a * t)
-        if self.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(t, np.array(self.params))
-        if self.kind == "tabulated":
-            lo, hi = self.times[0], self.times[-1]
-            if np.any(t < lo) or np.any(t > hi):
-                raise ConstraintViolated(
-                    f"tabulated profile covers [{lo:g}, {hi:g}]; "
-                    "refusing to extrapolate"
-                )
-            return np.interp(t, self.times, self.values)
-        raise ConstraintViolated(f"unknown profile kind {self.kind!r}")
+        return _evaluate([self], t.ravel()).reshape(t.shape)
+
+
+def _evaluate(profiles: list, t: np.ndarray) -> np.ndarray:
+    """Each profile on the 1-d times t, as the columns of a (t.size, len(profiles)) array.
+
+    One broadcast pass per kind and polynomial degree, each column computed as
+    alone; one range check per tabulated time set, then np.interp per column.
+    Overflow is not reported: a trajectory rejects non-finite frames."""
+    groups = {}
+    for col, prof in enumerate(profiles):
+        key = (prof.kind, len(prof.params), None if prof.times is None else prof.times.tobytes())
+        groups.setdefault(key, []).append(col)
+    out = np.empty((t.size, len(profiles)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (kind, _, _), cols in groups.items():
+            c = np.array([profiles[k].params for k in cols]).T  # (len(params), len(cols))
+            if kind == "constant":
+                out[:, cols] = c[0]
+            elif kind == "exponential":
+                out[:, cols] = c[0] * np.exp(-c[1] * t[:, None])
+            elif kind == "polynomial":
+                out[:, cols] = np.polynomial.polynomial.polyval(t[:, None], c, tensor=False)
+            elif kind == "tabulated":
+                times = profiles[cols[0]].times
+                if np.any(t < times[0]) or np.any(t > times[-1]):
+                    raise ConstraintViolated(f"tabulated profile covers [{times[0]:g}, "
+                                             f"{times[-1]:g}]; refusing to extrapolate")
+                for k in cols:
+                    out[:, k] = np.interp(t, times, profiles[k].values)
+            else:
+                raise ConstraintViolated(f"unknown profile kind {kind!r}")
+    return out
 
 
 def uniform_grid(t_final: float, points: int = 1001) -> np.ndarray:
@@ -128,14 +143,13 @@ class Trajectory:
         lams = np.asarray(self.lams, dtype=float)
         if lams.shape != (grid.size, self.n, self.n):
             raise DimensionMismatch(
-                f"expected lams shape {(grid.size, self.n, self.n)}, got {lams.shape}"
-            )
+                f"expected lams shape {(grid.size, self.n, self.n)}, got {lams.shape}")
         # every frame must be finite, checked for CP or not
-        if not np.all(np.isfinite(lams)):
+        if not np.isfinite(lams).all():
             raise InvariantError("eigenvalue table contains non-finite entries")
-        if not float(np.max(np.abs(lams[0] - 1.0))) <= 1e-12:
+        if not abs(lams[0] - 1.0).max() <= 1e-12:
             raise InvariantError("first frame must be the identity map")
-        if not float(np.max(np.abs(lams[:, 0, 0] - 1.0))) <= 1e-12:
+        if not abs(lams[:, 0, 0] - 1.0).max() <= 1e-12:
             raise InvariantError("the (0,0) eigenvalue must stay 1 (trace)")
         grid.setflags(write=False)
         lams.setflags(write=False)
@@ -161,10 +175,10 @@ def _check_stride(cp_stride: int) -> None:
 
 
 def _flagged(traj: Trajectory, cp_stride: int, tol: float) -> Trajectory:
-    """`traj` with CP flags (None where the stride skips a frame) and singular flags.
+    """Set a new trajectory's CP flags (None where the stride skips a frame) and singular flags.
 
     Frames 0, cp_stride, 2*cp_stride, ... and the last frame are checked.
-    Trajectory has refused a non-finite frame, checked or not.
+    Trajectory's constructor has refused a non-finite frame, checked or not.
     """
     lams = traj.lams
     last = lams.shape[0] - 1
@@ -173,8 +187,10 @@ def _flagged(traj: Trajectory, cp_stride: int, tol: float) -> Trajectory:
     checked[last] = True
     cp = np.full(last + 1, None, dtype=object)
     cp[checked] = (_block_margins(lams[checked])[3] >= -tol).tolist()
-    singular = np.any(np.abs(lams) <= ZERO_TOL, axis=(1, 2))
-    return replace(traj, cp_flags=tuple(cp), singular_flags=tuple(singular.tolist()))
+    singular = (abs(lams) <= ZERO_TOL).any(axis=(1, 2))
+    object.__setattr__(traj, "cp_flags", tuple(cp))
+    object.__setattr__(traj, "singular_flags", tuple(singular.tolist()))
+    return traj
 
 
 def evolve_semigroup(
@@ -198,18 +214,17 @@ def evolve_timedep(
     """
     _check_stride(cp_stride)
     grid = _check_grid(grid)
-    rows = list(profiles)
+    rows = [list(row) for row in profiles]
     n = len(rows)
-    etas = np.zeros((grid.size, n, n))
     for i, row in enumerate(rows):
-        entries = list(row)
-        if len(entries) != n:
-            raise DimensionMismatch(f"profile row {i} has {len(entries)} entries")
-        for j, prof in enumerate(entries):
-            if prof is None or (i, j) == (0, 0):
-                continue
-            etas[:, i, j] = prof(grid)
-    return _flagged(Trajectory(n=n, grid=grid, lams=lambda_from_eta(etas, grid)), cp_stride, tol)
+        if len(row) != n:
+            raise DimensionMismatch(f"profile row {i} has {len(row)} entries")
+    given = {i * n + j: prof for i, row in enumerate(rows) for j, prof in enumerate(row)
+             if prof is not None and (i, j) != (0, 0)}
+    etas = np.zeros((grid.size, n * n))
+    etas[:, list(given)] = _evaluate(list(given.values()), grid)
+    lams = _integrated(etas.reshape(grid.size, n, n), grid)
+    return _flagged(Trajectory(n=n, grid=grid, lams=lams), cp_stride, tol)
 
 
 def evolve_state(

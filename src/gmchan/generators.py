@@ -24,8 +24,9 @@ its table. `ev_is_lf` scales its tolerance with the table, as the check does.
 
 eta_from_lambda / lambda_from_eta translate between generator eigenvalues
 h(t) and channel eigenvalues l(t) per h = d/dt ln l and l = exp(integral h):
-second-order finite differences in log space one way, trapezoid quadrature
-the other.
+one scan of the samples (finite, clear of zero, fixed sign), then np.gradient's
+second-order differences in log space, written out, one way; trapezoid
+quadrature the other, which `dynamics` runs on the grid it has checked.
 """
 
 from __future__ import annotations
@@ -42,11 +43,7 @@ from .channels import (
     _tail_terms, _tails, _verify_images,
 )
 from .errors import (
-    ConstraintViolated,
-    DimensionMismatch,
-    NotEV,
-    NotLF,
-    ZeroEigenvalue,
+    ConstraintViolated, DimensionMismatch, InvariantError, NotEV, NotLF, ZeroEigenvalue,
 )
 
 ZERO_TOL = 1e-13
@@ -191,46 +188,61 @@ def eta_from_lambda(lams: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
     First axis of `lams` is time. Uses second-order finite differences of
     ln|l| (log space is better conditioned than dl/dt / l near small l);
-    works for any fixed sign. A component that reaches zero or changes sign
-    on the grid makes the generator singular there: ZeroEigenvalue, carrying
-    the first offending grid index.
+    works for any fixed sign. A non-finite sample raises InvariantError. A
+    component that reaches zero or changes sign on the grid makes the
+    generator singular there: ZeroEigenvalue, carrying the first offending
+    grid index.
     """
     lams = np.asarray(lams, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise DimensionMismatch("need a 1-d time grid with at least 3 points")
-    if np.any(np.diff(grid) <= 0):
+    dx = np.diff(grid)
+    if np.any(dx <= 0):
         raise ConstraintViolated("time grid must be strictly increasing")
     if lams.shape[0] != grid.size:
         raise DimensionMismatch(
             f"trajectory has {lams.shape[0]} frames for {grid.size} grid points"
         )
     flat = lams.reshape(grid.size, -1)
+    size = np.abs(flat)
+    # one scan: every sample finite, clear of zero and of the first frame's sign
+    if not ((size > ZERO_TOL) & (size < np.inf) & ((flat > 0) == (flat[0] > 0))).all():
+        bad = next(b for b in (~np.isfinite(flat), size <= ZERO_TOL,
+                               np.sign(flat) != np.sign(flat[0])) if b.any())
+        t_idx, comp = (int(x) for x in np.argwhere(bad)[0])
+        where = tuple(int(x) for x in np.unravel_index(comp, lams.shape[1:]))
+        if not size[t_idx, comp] < np.inf:
+            raise InvariantError(f"eigenvalue table contains {int(bad.sum())} non-finite "
+                                 f"entries, the first at component {where}, grid index {t_idx}")
+        if size[t_idx, comp] <= ZERO_TOL:
+            message = f"eigenvalue component {where} vanishes at grid index {t_idx}"
+        else:
+            message = (f"eigenvalue component {where} changes sign by grid index {t_idx} "
+                       "(crossed zero between samples)")
+        raise ZeroEigenvalue(message, time_index=t_idx, component=where)
+    return _log_gradient(np.log(size), dx).reshape(lams.shape)
 
-    def _where(flat_index):
-        return tuple(int(x) for x in np.unravel_index(flat_index, lams.shape[1:]))
 
-    tiny = np.abs(flat) <= ZERO_TOL
-    if np.any(tiny):
-        t_idx, comp = np.argwhere(tiny)[0]
-        where = _where(comp)
-        raise ZeroEigenvalue(
-            f"eigenvalue component {where} vanishes at grid index {t_idx}",
-            time_index=int(t_idx),
-            component=where,
-        )
-    signs = np.sign(flat)
-    flipped = signs != signs[0]
-    if np.any(flipped):
-        t_idx, comp = np.argwhere(flipped)[0]
-        where = _where(comp)
-        raise ZeroEigenvalue(
-            f"eigenvalue component {where} changes sign by grid index {t_idx} "
-            "(crossed zero between samples)",
-            time_index=int(t_idx),
-            component=where,
-        )
-    return np.gradient(np.log(np.abs(lams)), grid, axis=0, edge_order=2)
+def _log_gradient(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """np.gradient(y, grid, axis=0, edge_order=2) for dx = np.diff(grid), bit for bit: its
+    uniform-spacing formulas when every step is exactly equal, else the non-uniform ones."""
+    out = np.empty_like(y)
+    if (dx == dx[0]).all():
+        h = dx[0]
+        out[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
+        first, last = (-1.5 / h, 2.0 / h, -0.5 / h), (0.5 / h, -2.0 / h, 1.5 / h)
+    else:
+        d1, d2 = dx[:-1, None], dx[1:, None]
+        out[1:-1] = (-d2 / (d1 * (d1 + d2)) * y[:-2] + (d2 - d1) / (d1 * d2) * y[1:-1]
+                     + d1 / (d2 * (d1 + d2)) * y[2:])
+        d1, d2 = dx[0], dx[1]
+        first = (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2), -d1 / (d2 * (d1 + d2)))
+        d1, d2 = dx[-2], dx[-1]
+        last = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2), (2.0 * d2 + d1) / (d2 * (d1 + d2)))
+    out[0] = first[0] * y[0] + first[1] * y[1] + first[2] * y[2]
+    out[-1] = last[0] * y[-3] + last[1] * y[-2] + last[2] * y[-1]
+    return out
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -249,19 +261,22 @@ def lambda_from_eta(etas: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Channel eigenvalues from sampled generator eigenvalues.
 
     Trapezoid cumulative integral on the user grid, exponentiated; the first
-    frame is exactly 1. The grid must start at t = 0. An eigenvalue that
-    overflows comes back as inf, silently; `dynamics` rejects such frames.
+    frame is exactly 1. The grid must start at t = 0. An integral or an
+    eigenvalue that overflows comes back as inf (or NaN), silently; `dynamics`
+    rejects such frames.
     """
     etas = np.asarray(etas, dtype=float)
     grid = _check_grid(grid)
     if etas.shape[0] != grid.size:
         raise DimensionMismatch(
-            f"trajectory has {etas.shape[0]} frames for {grid.size} grid points"
-        )
+            f"trajectory has {etas.shape[0]} frames for {grid.size} grid points")
+    return _integrated(etas, grid)
+
+
+def _integrated(etas: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """`lambda_from_eta` on a checked grid and a stack of etas that matches it."""
     dt = np.diff(grid).reshape((-1,) + (1,) * (etas.ndim - 1))
-    steps = 0.5 * (etas[1:] + etas[:-1]) * dt
-    integral = np.concatenate(
-        [np.zeros((1,) + etas.shape[1:]), np.cumsum(steps, axis=0)], axis=0
-    )
-    with np.errstate(over="ignore"):
+    integral = np.zeros(etas.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(0.5 * (etas[1:] + etas[:-1]) * dt, axis=0, out=integral[1:])
         return np.exp(integral)

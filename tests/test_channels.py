@@ -254,11 +254,11 @@ def test_apply_to_state_rejects_noncp():
 
 
 def test_density_matrix_validation():
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"^not Hermitian: defect 2\.000e-01$"):
         DensityMatrix(n=2, entries=np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"^trace is \(1\.2\+0j\), expected 1$"):
         DensityMatrix(n=2, entries=np.diag([0.9, 0.3]).astype(complex))
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"^negative eigenvalue -5\.000e-01$"):
         DensityMatrix(n=2, entries=np.diag([1.5, -0.5]).astype(complex))
 
 
@@ -741,6 +741,19 @@ def test_report_arrays_and_memos_are_read_only():
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
+
+
+def test_memos_are_lock_free_and_kept_on_the_instance():
+    import functools
+
+    for cls, name in ((KrausChannel, "_tp_residuals"), (KrausChannel, "_tp_worst"),
+                      (KrausChannel, "_gaps"), (EigenChannel, "_blocks")):
+        memo = vars(cls)[name]
+        assert not isinstance(memo, functools.cached_property)
+        assert hasattr(memo, "__get__") and not hasattr(memo, "__set__")  # non-data
+    ch = random_ev_channel(np.random.default_rng(85), 3)
+    blocks = ch._blocks
+    assert vars(ch)["_blocks"] is blocks and ch._blocks is blocks
 
 
 def test_constructors_compute_no_memo():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,13 @@ from gmchan.errors import (
     NotCPAtTime,
     ZeroEigenvalue,
 )
-from gmchan.generators import EigenGenerator, LindbladGenerator, eta_from_lambda, lf_to_ev
+from gmchan.generators import (
+    EigenGenerator,
+    LindbladGenerator,
+    eta_from_lambda,
+    lambda_from_eta,
+    lf_to_ev,
+)
 from gmchan.sampling import random_lf_ev_admissible
 
 
@@ -307,3 +315,142 @@ def test_skipped_noncp_frame_decided_on_demand():
             assert exc.value.time_index == idx
         else:
             evolve_state(traj, rho0, idx)
+
+
+# One trajectory is validated and constructed once, and its rate profiles are
+# evaluated in groups; none of that may change a bit of the output.
+
+
+def _profile_alone(prof, t):
+    """A profile's values as each kind's own formula gives them, one entry at a time."""
+    if prof.kind == "constant":
+        return np.full_like(t, prof.params[0])
+    if prof.kind == "exponential":
+        c, a = prof.params
+        return c * np.exp(-a * t)
+    if prof.kind == "polynomial":
+        return np.polynomial.polynomial.polyval(t, np.array(prof.params))
+    return np.interp(t, prof.times, prof.values)
+
+
+def _mixed_profiles(rng, n):
+    """An n×n table of every kind: mixed degrees, two tabulated time sets, None entries."""
+    knots_a, knots_b = np.linspace(0.0, 2.0, 9), np.array([0.0, 0.3, 0.35, 1.1, 2.0])
+    makers = (
+        lambda: RateProfile.constant(rng.normal()),
+        lambda: RateProfile.exponential(rng.normal(), rng.normal()),
+        lambda: RateProfile.polynomial(rng.normal()),
+        lambda: RateProfile.polynomial(*rng.normal(size=2)),
+        lambda: RateProfile.polynomial(*rng.normal(size=4)),
+        lambda: RateProfile.tabulated(knots_a, rng.normal(size=9)),
+        lambda: RateProfile.tabulated(knots_b, [0.0, -0.0, 1.0, 1.0, -2.0]),
+        lambda: RateProfile.tabulated(knots_b, rng.normal(size=5)),
+        lambda: None,
+    )
+    return [[makers[(i * n + j) % len(makers)]() for j in range(n)] for i in range(n)]
+
+
+GRIDS = (
+    uniform_grid(2.0, 201),
+    np.arange(17) * 0.125,  # hits every knot of the first time set
+    np.array([0.0, 0.3, 0.35, 0.5, 1.1, 2.0]),  # and of the second
+)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=("linspace", "exact", "knots"))
+def test_grouped_profiles_equal_each_profile_alone_bitwise(grid):
+    from gmchan.dynamics import _evaluate
+
+    n = 5
+    profiles = _mixed_profiles(np.random.default_rng(31), n)
+    assert profiles[0][0] is not None  # ignored, though given
+    entries = [p for row in profiles for p in row if p is not None]
+    together = _evaluate(entries, grid)
+    for col, prof in enumerate(entries):
+        assert together[:, col].tobytes() == prof(grid).tobytes()
+        assert prof(grid).tobytes() == _profile_alone(prof, grid).tobytes()
+    etas = np.zeros((grid.size, n, n))
+    for i in range(n):
+        for j in range(n):
+            if profiles[i][j] is not None and (i, j) != (0, 0):
+                etas[:, i, j] = _profile_alone(profiles[i][j], grid)
+    traj = evolve_timedep(profiles, grid, cp_stride=3)
+    assert traj.lams.tobytes() == lambda_from_eta(etas, grid).tobytes()
+
+
+def test_profile_overflow_reaches_the_trajectory_without_warnings():
+    grid = uniform_grid(10.0, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grow = RateProfile.exponential(-1.0, -1e3)  # -exp(1000 t) overflows to -inf
+        assert np.isneginf(grow(grid[1:])).all()
+        traj = evolve_timedep([[None, grow], [grow, grow]], grid, cp_stride=10)
+        assert traj.singular_flags[-1] is True  # the eigenvalues decayed to exactly 0
+        huge = RateProfile.polynomial(1e308, 1e308)
+        with pytest.raises(InvariantError, match="eigenvalue table contains non-finite entries"):
+            evolve_timedep([[None, huge], [huge, huge]], grid, cp_stride=10)
+        flat = RateProfile.constant(1e308)  # finite rates whose integral overflows
+        with pytest.raises(InvariantError, match="eigenvalue table contains non-finite entries"):
+            evolve_timedep([[None, flat], [flat, flat]], grid, cp_stride=10)
+
+
+def _build_counted(monkeypatch):
+    calls = []
+    original = Trajectory.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(Trajectory, "__post_init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("stride", (1, 50))
+def test_each_evolve_call_builds_its_trajectory_once(monkeypatch, stride):
+    calls = _build_counted(monkeypatch)
+    eta = np.array([[0.0, -1.0], [-1.0, -1.0]])
+    grid = uniform_grid(1.0, 201)
+    semigroup = evolve_semigroup(EigenGenerator(n=2, eta=eta), grid, cp_stride=stride)
+    assert calls == [semigroup]
+    profiles = [[None, RateProfile.exponential(-1.0, 0.5)], [RateProfile.constant(-1.0), None]]
+    timedep = evolve_timedep(profiles, grid, cp_stride=stride)
+    assert calls == [semigroup, timedep]
+
+
+def _seeded_trajectories(n, stride):
+    # a Markovian generator with one diagonal rate made negative, as a
+    # semigroup, and the Markovian one times a tabulated cos(3t), whose
+    # frames leave and re-enter CP
+    rng = np.random.default_rng(700 + n)
+    rates = random_lf_ev_admissible(rng, n, nonnegative=True).gamma
+    markovian = lf_to_ev(LindbladGenerator(n=n, gamma=rates)).eta
+    rates = rates.copy()
+    rates[1, 1] = -0.05
+    eta = lf_to_ev(LindbladGenerator(n=n, gamma=rates)).eta
+    grid = uniform_grid(4.0, 201)
+    cos = np.cos(3.0 * grid)
+    profiles = [[RateProfile.tabulated(grid, markovian[i, j] * cos) for j in range(n)]
+                for i in range(n)]
+    return (evolve_semigroup(EigenGenerator(n=n, eta=eta), grid, cp_stride=stride),
+            evolve_timedep(profiles, grid, cp_stride=stride))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_on_demand_verdicts_equal_stored_stride_one_flags(n):
+    rho0 = DensityMatrix(n=n, entries=np.eye(n, dtype=complex) / n)
+    seen = set()
+    for every, strided in zip(_seeded_trajectories(n, 1), _seeded_trajectories(n, 50)):
+        assert strided.lams.tobytes() == every.lams.tobytes()
+        for idx, (stored, flag) in enumerate(zip(every.cp_flags, strided.cp_flags)):
+            if flag is not None:
+                assert flag is stored
+                continue
+            seen.add(stored)
+            if stored:
+                got = evolve_state(strided, rho0, idx).entries
+                assert got.tobytes() == evolve_state(every, rho0, idx).entries.tobytes()
+            else:
+                with pytest.raises(NotCPAtTime):
+                    evolve_state(strided, rho0, idx)
+    assert seen == {True, False}

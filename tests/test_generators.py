@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gmchan.basis import full_basis
 from gmchan.channels import EigenChannel, apply_ev
-from gmchan.errors import ConstraintViolated, NotEV, NotLF, ZeroEigenvalue
+from gmchan.errors import ConstraintViolated, InvariantError, NotEV, NotLF, ZeroEigenvalue
 from gmchan.generators import (
     EigenGenerator,
     LindbladGenerator,
@@ -237,3 +237,36 @@ def test_lf_ev_round_trip_hypothesis(seed, n):
     gen = random_lf_ev_admissible(rng, n)
     back = ev_to_lf(lf_to_ev(gen))
     assert np.max(np.abs(back.gamma - gen.gamma)) <= 1e-11
+
+
+@pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+def test_eta_from_lambda_rejects_non_finite_samples(value):
+    # a NaN is no sign change and an infinity no rate: both are reported as
+    # non-finite entries, before the zero and sign scans
+    grid = np.linspace(0.0, 1.0, 11)
+    lams = np.exp(-np.outer(grid, [0.0, 0.5, 0.5, 1.0])).reshape(11, 2, 2)
+    lams[4, 1, 0] = value
+    lams[7, 1, 1] = 0.0
+    with pytest.raises(InvariantError, match=r"1 non-finite entries, the first at component "
+                                             r"\(1, 0\), grid index 4"):
+        eta_from_lambda(lams, grid)
+
+
+def _uneven(points):
+    steps = np.random.default_rng(points).uniform(0.5, 1.5, points - 1)
+    return np.concatenate([[0.0], np.cumsum(steps)]) / points
+
+
+@pytest.mark.parametrize("points", (3, 4, 201))
+@pytest.mark.parametrize("grid_of", (
+    lambda p: np.arange(p) * 0.125,  # every step exactly equal: numpy's uniform formulas
+    lambda p: np.linspace(0.0, 1.3, p),  # steps differ in the last bit
+    _uneven,
+), ids=("exact", "linspace", "uneven"))
+def test_eta_from_lambda_equals_numpy_gradient_bitwise(points, grid_of):
+    grid = grid_of(points)
+    rng = np.random.default_rng(points)
+    lams = np.exp(np.cumsum(rng.uniform(-1.0, 0.5, (points, 3, 3)), axis=0) * 0.1)
+    lams[:, 1, 2] *= -1.0  # a fixed negative sign is fine
+    want = np.gradient(np.log(np.abs(lams)), grid, axis=0, edge_order=2)
+    assert eta_from_lambda(lams, grid).tobytes() == want.tobytes()

@@ -680,3 +680,21 @@ def test_nonmarkovian_demo_smoke(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0].split("\t")[0] == "t"
     assert len(rows) == 1 + 51
+
+
+@pytest.mark.parametrize("profile, code, err", [
+    ("exp:-1e3", 0, ""),  # overflows to -inf: the eigenvalues decay to 0
+    ("poly:1e308,1e308", 1, "error: eigenvalue table contains non-finite entries\n"),
+])
+def test_evolve_profile_overflow_prints_no_numpy_warning(tmp_path, profile, code, err):
+    save(LindbladGenerator(n=2, gamma=np.array([[0.0, 0.5], [0.5, 0.5]])), tmp_path / "g.json")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["evolve", "--generator", str(tmp_path / "g.json"), "--profile", profile,
+            "--t", "10", "--steps", "10", "--stride", "10", "--out", str(tmp_path / "t.tsv")]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gmchan.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
