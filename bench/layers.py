@@ -6,17 +6,19 @@
 
 Times `cp_check_oracle`, `cp_check_normalized`, `cp_check_paper`,
 `tp_residuals`, `kf_is_ev`, `kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`,
-`apply_kf`, `apply_lf`, `apply_ev`, `evolve_state`, `evolve_timedep` and
-`eta_from_lambda` per call at n in {2, 3, 4, 6, 8, 12, 16}. Channels keep
-per-object memos, so every timed call builds a fresh channel (or generator)
-from its stored table, and `construct_kf`/`construct_ev` time that
-construction alone; `construct_state` times a `DensityMatrix` built from a
-random density matrix. The `apply_*` layers read no memo and act on one
-random complex matrix with one object built beforehand. `evolve_state`
-applies the last frame of an 11-frame semigroup trajectory, built beforehand
-with its CP flags, to one random density matrix; `evolve_state_skipped`
-applies its middle frame from a copy built with a CP stride that skips it,
-so its verdict is decided on demand. One `evolve_timedep` call builds four
+`apply_kf`, `apply_lf`, `apply_ev`, `choi_of_channel`, `evolve_state`,
+`evolve_timedep` and `eta_from_lambda` per call at n in {2, 3, 4, 6, 8, 12,
+16}. Channels keep per-object memos, so every timed call builds a fresh
+channel (or generator) from its stored table, and `construct_kf`/
+`construct_ev` time that construction alone; `construct_state` times a
+`DensityMatrix` built from a random density matrix. The `apply_*` layers
+read no memo and act on one random complex matrix with one object built
+beforehand; `choi_of_channel_kf`/`_ev` assemble the Choi matrix (blocks,
+spectrum and the dense n²×n² entries) of those same weight and eigenvalue
+channels. `evolve_state` applies the last frame of an 11-frame semigroup
+trajectory, built beforehand with its CP flags, to one random density
+matrix; `evolve_state_skipped` applies its middle frame from a copy built
+with a CP stride that skips it, so its verdict is decided on demand. One `evolve_timedep` call builds four
 201-point trajectories of a Markovian generator: with tabulated (9 knots)
 and with quadratic polynomial profiles, each at CP stride 1 and 50.
 `eta_from_lambda` differentiates the stride-1 tabulated one. `validate_kf`
@@ -56,7 +58,7 @@ LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalize
           "cp_check_paper", "tp_residuals", "kf_is_ev", "kf_to_ev", "ev_to_kf", "lf_to_ev",
           "ev_to_lf", "apply_kf", "apply_lf", "apply_ev", "evolve_state", "validate_kf",
           "validate_ev", "construct_state", "evolve_state_skipped", "evolve_timedep",
-          "eta_from_lambda")
+          "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -137,6 +139,8 @@ def _child(src: str, repeats: int) -> None:
             ("evolve_state_skipped", n): lambda tr=skipping, r=rho0: gm.evolve_state(tr, r, 5),
             ("evolve_timedep", n): timedep,
             ("eta_from_lambda", n): lambda tr=tabulated: gm.eta_from_lambda(tr.lams, tr.grid),
+            ("choi_of_channel_kf", n): lambda a=acting: gm.choi_of_channel(a[0]),
+            ("choi_of_channel_ev", n): lambda a=acting: gm.choi_of_channel(a[2]),
         })
     number = {}
     for key, call in calls.items():  # warm caches, then size each sample

@@ -11,15 +11,9 @@ routes), and to act on density matrices.
 
 CP checking routes, in decreasing order of authority:
 
-  cp_check_oracle      eigen-spectrum of the Choi matrix, summed from the
-                       table's terms
-                         kf  J = sum_a p_a vec(sigma_a) vec(sigma_a)†
-                         ev  J = sum_a l_a conj(sigma_a) (x) sigma_a / Tr(sigma_a²)
-                       (the ev sum with its tensor factors regrouped). Every
-                       term lies in the diagonal sector {(k, k)} or in one
-                       pair sector {(i, j), (j, i)}, so J is one n×n block
-                       plus n(n-1)/2 2×2 blocks, and its spectrum is theirs:
-                       O(n³) time and memory, not O(n⁶). Ground truth.
+  cp_check_oracle      eigen-spectrum of the Choi matrix J, the union of
+                       its blocks' spectra (below): O(n³) time and memory,
+                       not O(n⁶). Ground truth.
   cp_check_normalized  closed-form block criterion for eigenvalue-form maps:
                        the same blocks of the ev Choi matrix, written with
                        the paper's d_j/tail formulas. Exactly equivalent to
@@ -34,9 +28,15 @@ CP checking routes, in decreasing order of authority:
 by applying it to every matrix unit and diagonalizes the dense n²×n² result,
 O(n⁶). It is the independent route the closed forms are tested against.
 
-Every table acts through its superoperator M (vec Phi(X) = M vec X), which
-has J's blocks, filled from the same layout: `_superoperator` for a weight
-or rate table, `_eigen_superoperator` for an eigenvalue table. `apply_kf`,
+J and the superoperator M (vec Phi(X) = M vec X, row-major vec) are one
+array read two ways: J[k*n + i, l*n + j] = M[k*n + l, i*n + j] (M is
+symmetric here). One sparse sum (`_fill`) gives J of a weight table p,
+sum_a p_a vec(sigma_a) vec(sigma_a)†, and M of an eigenvalue table lam, the
+sum of lam_a / Tr(sigma_a²); that realignment gives the other two. Each
+sigma_a lies in the diagonal sector {(k, k)} or in one pair sector
+{(i, j), (j, i)}, so both are one n×n block plus n(n-1)/2 2×2 blocks, stored
+flat, and the realignment permutes the stored entries (`_ChoiLayout`).
+Tables act through M (`_superoperator`, `_eigen_superoperator`): `apply_kf`,
 `apply_lf` and `apply_ev` send X's diagonal through the n×n block and each
 pair (X_ij, X_ji) through its 2×2 block (`_apply_blocks`). Two tables give
 the same map exactly when their M are equal, so every converter checks its
@@ -344,11 +344,13 @@ def _offdiag_from_ev(table: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-def _offdiag_eigenvalues(table: np.ndarray, rate: bool = False) -> np.ndarray:
-    """Eigenvalues lam_kl, k != l, of the sandwich map of any table (formula in `kf_to_ev`).
+def _eigenvalue_table(table: np.ndarray, what: str, rate: bool = False) -> np.ndarray:
+    """Eigenvalue table of the sandwich map of a basis-diagonal table, verified.
 
-    rate=True gives the rate form's: the same minus (s_k + s_l)/2, s from
-    `_square_sums`. The diagonal is not read off here; callers overwrite it.
+    Off the diagonal, `kf_to_ev`'s formula, which holds for any table; rate=True
+    subtracts (s_k + s_l)/2, s from `_square_sums`. Entry (k, k), k >= 1, is
+    c - (k+1) col_k - sum_{k<j<n} col_j with col_l = t_0l + t_l0 and c as in
+    `_offdiag_from_ev`; lam_00 is 1 for a channel, +0.0 for a generator.
     """
     t = _kernel_table(table.shape[0])
     diag = np.diagonal(table)
@@ -356,12 +358,11 @@ def _offdiag_eigenvalues(table: np.ndarray, rate: bool = False) -> np.ndarray:
     if rate:
         s = _square_sums(table)
         lam -= (s[:, None] + s) / 2.0
+    lam[0, 0], c = (0.0, -0.0) if rate else (1.0, 1.0)
+    col = (table + table.T)[0]
+    lam[t.k[1:], t.k[1:]] = c - t.k1[1:] * col[1:] - _suffix_sums(col)[1:]
+    _verify_images(table, lam, what, rate)
     return lam
-
-
-def _ev_diagonal(col: np.ndarray, c: float) -> np.ndarray:
-    """c - (k+1) col_k - sum_{k<j<n} col_j for k >= 1; c as in _offdiag_from_ev."""
-    return c - _kernel_table(col.shape[0]).k1[1:] * col[1:] - _suffix_sums(col)[1:]
 
 
 def apply_kf(ch: KrausChannel, X: np.ndarray) -> np.ndarray:
@@ -461,10 +462,13 @@ def choi(apply, n: int) -> ChoiMatrix:
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     c = 0.7 - 0.3j
-    out_a, out_b, out_sum, out_scaled = (apply(X) for X in (A, B, A + B, c * A))
+    out_a, out_b, out_sum, out_scaled = outs = [apply(X) for X in (A, B, A + B, c * A)]
+    if not all(np.isfinite(out).all() for out in outs):
+        # NaN fails every comparison below, so it would pass them
+        raise InvariantError("linearity probe: the map returned non-finite entries")
     add_defect = np.max(np.abs(out_sum - out_a - out_b))
     scale_defect = np.max(np.abs(out_scaled - c * out_a))
-    size = max(float(np.max(np.abs(out))) for out in (out_a, out_b, out_sum, out_scaled))
+    size = max(float(np.max(np.abs(out))) for out in outs)
     if max(add_defect, scale_defect) > max(PROBE_ABS, PROBE_REL * size):
         raise NonLinearMap(
             f"linearity probe failed: additivity {add_defect:.3e}, "
@@ -503,26 +507,21 @@ class _ChoiLayout:
     each pair sector {(i, j), (j, i)}, i < j, and is zero elsewhere. Its block
     entries are stored flat: the n×n block row-major, then four entries per
     pair block in row-major (i, j) order. `rows`/`cols` give each stored
-    entry's position in J and `mirror` the index of its transpose.
-    `terms[form]` = (src, dest, coef) is the sparse sum that fills them:
-    stored entry dest accumulates coef × table entry src.
+    entry's position in J and `mirror` the index of its transpose. `terms` =
+    (src, dest, coef) is the sparse sum of `_fill`: stored entry dest
+    accumulates coef × table entry src. `realign[s]` is the stored index of
+    entry s's realigned position (see the module docstring), an involution.
 
-    The superoperator M of a map (vec Phi(X) = M vec X, row-major vec) has
-    the same blocks, stored the same way; `diagonal[r]` is the stored index
-    of M[r, r], `order` lists the vec indices sector by sector and `norms`
-    holds Tr(sigma_a²) as an n×n table. For a
-    weight table t, M is J with its indices regrouped: the transposed "ev"
-    sum of the table t_a Tr(sigma_a²), with symmetric blocks. For an
-    eigenvalue table lam, M = sum_a lam_a vec(sigma_a) vec(sigma_a)† /
-    Tr(sigma_a²), which is the "kf" fill of the table lam_a / Tr(sigma_a²).
-    Two tables describe the same map exactly when their M are equal.
+    M is stored the same way; `order` lists its vec indices sector by sector
+    and `norms` holds Tr(sigma_a²) as an n×n table. Two tables describe the
+    same map exactly when their M are equal.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     mirror: np.ndarray
-    terms: dict
-    diagonal: np.ndarray
+    terms: tuple
+    realign: np.ndarray
     order: np.ndarray
     norms: np.ndarray
     squares: np.ndarray
@@ -532,13 +531,12 @@ class _ChoiLayout:
 def _choi_layout(n: int) -> _ChoiLayout:
     """Block layout of J and M, built from the nonzeros of every basis matrix.
 
-    kf: J[r, c] = sum_a p_a conj(S[a, r]) S[a, c], with S[a, k*n + l] =
-    sigma_a[k, l]. ev: J[k*n + i, l*n + j] = sum_a l_a conj(sigma_a[k, l])
-    sigma_a[i, j] / Tr(sigma_a²), the same sum with its indices regrouped.
-    `squares` holds the diagonals of sigma_a², the row sums of |sigma_a|²,
-    which the rate form adds to M's diagonal; as sigma_a lies in one sector,
-    sigma_a² is diagonal. Raises InvariantError if a term lands off the
-    blocks or is not real, or if the basis matrices do not fill the sectors.
+    The sum fills entry [r, c] with sum_a t_a conj(S[a, r]) S[a, c], where
+    S[a, k*n + l] = sigma_a[k, l]. `squares` holds the diagonals of sigma_a²,
+    the row sums of |sigma_a|², which the rate form adds to M's diagonal; as
+    sigma_a lies in one sector, sigma_a² is diagonal. Raises InvariantError
+    if a term lands off the blocks or is not real, or if the basis matrices
+    do not fill the sectors.
     """
     nn = n * n
     k, l = np.divmod(np.arange(nn), n)
@@ -568,36 +566,32 @@ def _choi_layout(n: int) -> _ChoiLayout:
     coef = np.conj(S[src, r]) * S[src, c]
     if np.any(coef.imag != 0.0):
         raise InvariantError(f"the Choi matrix of a dimension-{n} table is not real")
-    coef = coef.real
-    terms = {
-        "kf": (src, stored(r, c), coef),
-        "ev": (src, stored(r // n * n + c // n, r % n * n + c % n), coef / b.norms_sq[src]),
-    }
+    terms = (src, stored(r, c), coef.real)
     diag = np.arange(n) * (n + 1)
     i, j = _kernel_table(n).pairs
     sector = np.stack([i * n + j, j * n + i], axis=1)
     rows = np.concatenate([np.repeat(diag, n), np.repeat(sector, 2, axis=1).ravel()])
     cols = np.concatenate([np.tile(diag, n), np.tile(sector, 2).ravel()])
     mirror = stored(cols, rows)
-    # the eigenvalue form's M is a "kf" fill only for an orthogonal, complete
+    # the eigenvalue form's M is this sum only for an orthogonal, complete
     # basis, so each sector must hold as many basis matrices as vec indices
     home = block[nz[first]]
     if not np.array_equal(np.bincount(home, minlength=block.max() + 1), np.bincount(block)):
         raise InvariantError(f"the basis matrices of dimension {n} do not fill the Choi blocks")
     layout = _ChoiLayout(
         rows=rows, cols=cols, mirror=mirror, terms=terms,
-        diagonal=stored(np.arange(nn), np.arange(nn)), order=np.append(diag, sector),
+        realign=stored(rows // n * n + cols // n, rows % n * n + cols % n),
+        order=np.append(diag, sector),
         norms=b.norms_sq.reshape(n, n), squares=np.sum(np.abs(b.stack) ** 2, axis=2),
     )
-    for arr in (rows, cols, mirror, *(x for form in terms.values() for x in form),
-                layout.diagonal, layout.order, layout.squares):
+    for arr in (rows, cols, mirror, *terms, layout.realign, layout.order, layout.squares):
         arr.setflags(write=False)
     return layout
 
 
-def _fill(layout: _ChoiLayout, form: str, table: np.ndarray) -> np.ndarray:
-    """Stored block entries of `form`'s sparse sum for one table."""
-    src, dest, coef = layout.terms[form]
+def _fill(layout: _ChoiLayout, table: np.ndarray) -> np.ndarray:
+    """Stored block entries of the layout's sparse sum for one table."""
+    src, dest, coef = layout.terms
     return np.bincount(dest, weights=coef * table.ravel()[src], minlength=layout.rows.size)
 
 
@@ -605,14 +599,15 @@ def _superoperator(table: np.ndarray, rate: bool = False) -> np.ndarray:
     """Stored blocks of M for X -> sum_a t_a sigma_a X sigma_a (see `_ChoiLayout`).
 
     rate=True gives the rate form, that sum minus (S X + X S)/2 with the
-    diagonal S = sum_a t_a sigma_a²: (s_i + s_j)/2 comes off M[i*n + j, i*n + j].
+    diagonal S = sum_a t_a sigma_a²: (s_i + s_j)/2 comes off M[i*n + j, i*n + j],
+    which is J's n×n-block entry (i, j), stored at i*n + j.
     """
     layout = _choi_layout(table.shape[0])
-    M = _fill(layout, "ev", table * layout.norms)
+    J = _fill(layout, table)
     if rate:
         s = _square_sums(table)
-        M[layout.diagonal] -= ((s[:, None] + s) / 2.0).ravel()
-    return M
+        J[:table.size] -= ((s[:, None] + s) / 2.0).ravel()
+    return J[layout.realign]
 
 
 def _square_sums(table: np.ndarray) -> np.ndarray:
@@ -621,9 +616,9 @@ def _square_sums(table: np.ndarray) -> np.ndarray:
 
 
 def _eigen_superoperator(lam: np.ndarray) -> np.ndarray:
-    """Stored blocks of M for sigma_a -> lam_a sigma_a: the "kf" fill of lam / Tr(sigma_a²)."""
+    """Stored blocks of M for sigma_a -> lam_a sigma_a: the sum of lam / Tr(sigma_a²)."""
     layout = _choi_layout(lam.shape[0])
-    return _fill(layout, "kf", lam / layout.norms)
+    return _fill(layout, lam / layout.norms)
 
 
 def _apply_blocks(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -672,15 +667,13 @@ def _choi_blocks(ch):
     off the blocks are exactly zero).
     """
     if isinstance(ch, KrausChannel):
-        form, table = "kf", ch.p
+        vals = _fill(_choi_layout(ch.n), ch.p)
     elif isinstance(ch, EigenChannel):
-        form, table = "ev", ch.lam
+        vals = _eigen_superoperator(ch.lam)[_choi_layout(ch.n).realign]
     else:
         raise TypeError(f"expected a channel, got {type(ch).__name__}")
     n = ch.n
-    layout = _choi_layout(n)
-    vals = _fill(layout, form, table)
-    mirrored = vals[layout.mirror]
+    mirrored = vals[_choi_layout(n).mirror]
     defect = float(np.abs(vals - mirrored).max())
     vals = (vals + mirrored) / 2.0
     pair = vals[n * n:].reshape(-1, 4)
@@ -695,6 +688,9 @@ def choi_of_channel(ch) -> ChoiMatrix:
 
     The blocks come from `_choi_blocks` and are scattered into the dense
     n²×n² `entries`; the spectrum is the union of the block spectra.
+    `entries` is built eagerly (1 MB at n = 16): only `gmchan choi` and the
+    tests call this, and the CP checks read the blocks alone, so a lazy
+    field would add a code path and save nothing measured.
     """
     vals, spectrum, defect = _choi_blocks(ch)
     layout = _choi_layout(ch.n)

@@ -61,15 +61,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(args, default: float = DEFAULT_TOL) -> float:
+    """The flag's tolerance, else the environment's, else `default`; a NaN,
+    infinite or negative one decides nothing and is refused, naming its source."""
     if getattr(args, "tolerance", None) is not None:
-        return args.tolerance
-    env = os.environ.get("GMCHAN_TOLERANCE")
-    if env:
+        tol, source = args.tolerance, "--tolerance"
+    else:
+        env = os.environ.get("GMCHAN_TOLERANCE")
+        if not env:
+            return default
         try:
-            return float(env)
+            tol, source = float(env), "GMCHAN_TOLERANCE"
         except ValueError:
             raise ConstraintViolated(f"GMCHAN_TOLERANCE is not a number: {env!r}")
-    return default
+    if not 0.0 <= tol < np.inf:
+        raise ConstraintViolated(f"{source} must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def _print_report(label: str, rep) -> None:

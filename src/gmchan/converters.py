@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import (
-    COND_TOL, DEFAULT_TOL, EigenChannel, KrausChannel, _column_violations, _ev_diagonal,
-    _exceeding, _kernel_table, _offdiag_eigenvalues, _offdiag_from_ev, _verify_images,
+    COND_TOL, DEFAULT_TOL, EigenChannel, KrausChannel, _column_violations, _eigenvalue_table,
+    _exceeding, _kernel_table, _offdiag_from_ev, _verify_images,
 )
 from .errors import NotEV, NotKF, NotTracePreserving
 
@@ -57,15 +57,7 @@ def kf_to_ev(ch: KrausChannel, tol: float = COND_TOL) -> EigenChannel:
             f"weight table is not basis-diagonal ({len(violations)} violations)",
             violations,
         )
-    n = ch.n
-    p = ch.p
-    k = _kernel_table(n).k
-    lam = _offdiag_eigenvalues(p)
-    lam[0, 0] = 1.0
-    # the column-common symmetrized weights p~_0l, l >= 1
-    lam[k[1:], k[1:]] = _ev_diagonal((p + p.T)[0], 1.0)
-    _verify_images(p, lam, "kf_to_ev")
-    return EigenChannel(n=n, lam=lam, trace_preserving=True)
+    return EigenChannel(n=ch.n, lam=_eigenvalue_table(ch.p, "kf_to_ev"), trace_preserving=True)
 
 
 def ev_is_kf(ch: EigenChannel, tol: float = COND_TOL):

@@ -67,8 +67,8 @@ class RateProfile:
 
     @classmethod
     def tabulated(cls, times, values) -> "RateProfile":
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
+        t = np.array(times, dtype=float)  # copies: the caller's arrays stay writable
+        v = np.array(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise DimensionMismatch("tabulated profile needs matching 1-d tables")
         if (t[1:] <= t[:-1]).any():
@@ -118,6 +118,8 @@ def uniform_grid(t_final: float, points: int = 1001) -> np.ndarray:
     """Uniform grid on [0, t_final]."""
     if t_final <= 0:
         raise ConstraintViolated(f"final time must be positive, got {t_final!r}")
+    if not t_final < np.inf:
+        raise ConstraintViolated(f"final time must be finite, got {t_final!r}")
     if points < 2:
         raise ConstraintViolated("grid needs at least 2 points")
     return np.linspace(0.0, float(t_final), int(points))

@@ -38,9 +38,9 @@ import numpy as np
 
 from .basis import _check_dimension, _check_square
 from .channels import (
-    COND_TOL, _apply_blocks, _coeff_table, _column_violations, _ev_diagonal, _exceeding,
-    _kernel_table, _offdiag_eigenvalues, _offdiag_from_ev, _superoperator, _table_scale,
-    _tail_terms, _tails, _verify_images,
+    COND_TOL, _apply_blocks, _coeff_table, _column_violations, _eigenvalue_table, _exceeding,
+    _kernel_table, _offdiag_from_ev, _superoperator, _table_scale, _tail_terms, _tails,
+    _verify_images,
 )
 from .errors import (
     ConstraintViolated, DimensionMismatch, InvariantError, NotEV, NotLF, ZeroEigenvalue,
@@ -110,16 +110,7 @@ def lf_to_ev(gen: LindbladGenerator, tol: float = COND_TOL) -> EigenGenerator:
             f"rate table is not basis-diagonal ({len(violations)} violations)",
             violations,
         )
-    n = gen.n
-    g = gen.gamma
-    k = _kernel_table(n).k
-    eta = _offdiag_eigenvalues(g, rate=True)
-    eta[0, 0] = 0.0
-    # the column-common symmetrized rates, index l >= 1
-    eta[k[1:], k[1:]] = _ev_diagonal((g + g.T)[0], -0.0)
-    result = EigenGenerator(n=n, eta=eta)
-    _verify_images(g, eta, "lf_to_ev", rate=True)
-    return result
+    return EigenGenerator(n=gen.n, eta=_eigenvalue_table(gen.gamma, "lf_to_ev", rate=True))
 
 
 def ev_is_lf(gen: EigenGenerator, tol: float = COND_TOL):
@@ -197,9 +188,7 @@ def eta_from_lambda(lams: np.ndarray, grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise DimensionMismatch("need a 1-d time grid with at least 3 points")
-    dx = np.diff(grid)
-    if np.any(dx <= 0):
-        raise ConstraintViolated("time grid must be strictly increasing")
+    dx = _steps(grid)
     if lams.shape[0] != grid.size:
         raise DimensionMismatch(
             f"trajectory has {lams.shape[0]} frames for {grid.size} grid points"
@@ -245,15 +234,25 @@ def _log_gradient(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _steps(grid: np.ndarray) -> np.ndarray:
+    """The steps of a 1-d time grid whose points must be finite and strictly increasing."""
+    if not np.isfinite(grid).all():
+        first = int(np.argmin(np.isfinite(grid)))
+        raise ConstraintViolated(f"time grid point {first} is not finite: {float(grid[first])!r}")
+    dx = np.diff(grid)
+    if np.any(dx <= 0):
+        raise ConstraintViolated("time grid must be strictly increasing")
+    return dx
+
+
 def _check_grid(grid) -> np.ndarray:
-    """A time grid as a float array: 1-d, at least 2 points, from t = 0, increasing."""
+    """A time grid as a float array: 1-d, at least 2 points, finite, from t = 0, increasing."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise DimensionMismatch("need a 1-d time grid with at least 2 points")
     if grid[0] != 0.0:
-        raise ConstraintViolated(f"grid must start at t=0, got {grid[0]!r}")
-    if np.any(np.diff(grid) <= 0):
-        raise ConstraintViolated("time grid must be strictly increasing")
+        raise ConstraintViolated(f"grid must start at t=0, got {float(grid[0])!r}")
+    _steps(grid)
     return grid
 
 

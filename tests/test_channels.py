@@ -27,6 +27,7 @@ from gmchan.channels import (
     _block_margins,
     _choi_layout,
     _eigen_superoperator,
+    _fill,
     _pair_dict,
     _superoperator,
     _tp_solve,
@@ -177,6 +178,13 @@ def test_choi_boundary_channel():
 def test_choi_rejects_nonlinear_map():
     with pytest.raises(NonLinearMap):
         choi(lambda x: x @ x, 2)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_choi_refuses_non_finite_probe_outputs(bad):
+    # NaN fails every comparison of the linearity probe, so it must be named
+    with pytest.raises(InvariantError, match="linearity probe: the map returned non-finite"):
+        choi(lambda X: X * bad, 2)
 
 
 def test_cp_checks_identity_margin():
@@ -398,13 +406,15 @@ def test_choi_layout_covers_the_blocks(n):
     assert layout.rows.size == n * n + 2 * n * (n - 1)
     assert len(set(zip(layout.rows.tolist(), layout.cols.tolist()))) == layout.rows.size
     assert np.array_equal(layout.rows[layout.mirror], layout.cols)
-    for src, dest, coef in layout.terms.values():
-        assert src.shape == dest.shape == coef.shape
-        assert np.array_equal(np.unique(dest), np.arange(layout.rows.size))
+    src, dest, coef = layout.terms
+    assert src.shape == dest.shape == coef.shape
+    assert np.array_equal(np.unique(dest), np.arange(layout.rows.size))
+    # the realignment J <-> M permutes the stored entries and is its own inverse
+    assert np.array_equal(layout.realign[layout.realign], np.arange(layout.rows.size))
 
 
 def _layout_by_loop(n):
-    # the layout's index arrays and term lists, one basis matrix at a time
+    # the layout's index arrays and term list, one basis matrix at a time
     nn = n * n
     k, l = np.divmod(np.arange(nn), n)
     lo, hi = np.minimum(k, l), np.maximum(k, l)
@@ -423,34 +433,57 @@ def _layout_by_loop(n):
         c.append(np.tile(nz, nz.size))
         coef.append(np.conj(v[r[-1]]) * v[c[-1]])
     src, r, c, coef = (np.concatenate(x) for x in (src, r, c, coef))
-    coef = coef.real
-    terms = {
-        "kf": (src, stored(r, c), coef),
-        "ev": (src, stored(r // n * n + c // n, r % n * n + c % n), coef / b.norms_sq[src]),
-    }
+    terms = (src, stored(r, c), coef.real)
     diag = np.arange(n) * (n + 1)
     i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     sector = np.stack([i * n + j, j * n + i], axis=1)
     rows = np.concatenate([np.repeat(diag, n), np.repeat(sector, 2, axis=1).ravel()])
     cols = np.concatenate([np.tile(diag, n), np.tile(sector, 2).ravel()])
-    return rows, cols, stored(cols, rows), terms
+    # entry (k*n + i, l*n + j) realigns to (k*n + l, i*n + j), looked up by position
+    where = {rc: s for s, rc in enumerate(zip(rows.tolist(), cols.tolist()))}
+    realign = []
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        (k, i), (l, j) = divmod(row, n), divmod(col, n)
+        realign.append(where[k * n + l, i * n + j])
+    return rows, cols, stored(cols, rows), terms, np.array(realign)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_choi_layout_matches_loop_form(n):
     layout = _choi_layout(n)
-    rows, cols, mirror, terms = _layout_by_loop(n)
-    for got, want in [(layout.rows, rows), (layout.cols, cols), (layout.mirror, mirror)] + [
-        (got, want) for form in terms for got, want in zip(layout.terms[form], terms[form])
-    ]:
+    rows, cols, mirror, terms, realign = _layout_by_loop(n)
+    assert len(layout.terms) == len(terms) == 3
+    for got, want in [(layout.rows, rows), (layout.cols, cols), (layout.mirror, mirror),
+                      (layout.realign, realign), *zip(layout.terms, terms)]:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    assert sorted(layout.terms) == sorted(terms) == ["ev", "kf"]
     # the diagonals of the squared basis matrices, which are diagonal, exactly
     stack = full_basis(n).stack
     squares = stack @ stack
     assert np.count_nonzero(squares) == np.count_nonzero(np.diagonal(squares, axis1=1, axis2=2))
     assert np.array_equal(layout.squares, np.diagonal(squares, axis1=1, axis2=2))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_blocks_are_the_dense_choi_matrix_and_its_realignment(n):
+    # J from the generic route on the dense actions; M is J realigned,
+    # J[k*n + i, l*n + j] = M[k*n + l, i*n + j], in the layout's row-major vec
+    layout = _choi_layout(n)
+    table = np.random.default_rng(500 + n).uniform(-1.0, 1.0, (n, n))
+
+    def dense(stored):
+        out = np.zeros((n * n, n * n))
+        out[layout.rows, layout.cols] = stored
+        return out
+
+    for J_blocks, M_blocks, action in (
+        (_fill(layout, table), _superoperator(table), sandwich),
+        (_eigen_superoperator(table)[layout.realign], _eigen_superoperator(table), eigen_action),
+    ):
+        J = choi(lambda X: action(table, X), n).entries
+        M = J.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        assert np.max(np.abs(dense(J_blocks) - J)) <= 1e-13
+        assert np.max(np.abs(dense(M_blocks) - M)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 17))

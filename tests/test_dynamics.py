@@ -49,6 +49,34 @@ def test_uniform_grid():
     assert np.allclose(g, [0, 0.5, 1.0, 1.5, 2.0])
     with pytest.raises(ConstraintViolated):
         uniform_grid(-1.0)
+    for t_final in (np.nan, np.inf):
+        with pytest.raises(ConstraintViolated, match="final time must be finite"):
+            uniform_grid(t_final)
+
+
+@pytest.mark.parametrize("grid, where", [([0.0, np.nan, 1.0], 1), ([0.0, 1.0, np.inf], 2),
+                                         ([0.0, 1.0, -np.inf], 2)])
+def test_grids_refuse_non_finite_points(grid, where):
+    # NaN compares false with every step, and inf - inf warns before any check
+    gen = EigenGenerator(n=2, eta=np.array([[0.0, -1.0], [-1.0, -1.0]]))
+    match = f"time grid point {where} is not finite"
+    with pytest.raises(ConstraintViolated, match=match):
+        evolve_semigroup(gen, grid)
+    with pytest.raises(ConstraintViolated, match=match):
+        lambda_from_eta(np.zeros((3, 2, 2)), grid)
+    with pytest.raises(ConstraintViolated, match=match):
+        eta_from_lambda(np.ones((3, 2, 2)), grid)
+    with pytest.raises(ConstraintViolated, match="point 0 is not finite"):
+        eta_from_lambda(np.ones((3, 2, 2)), [np.nan, 1.0, 2.0])
+
+
+def test_tabulated_profile_copies_its_inputs():
+    t, v = np.linspace(0.0, 1.0, 5), np.linspace(1.0, 2.0, 5)
+    prof = RateProfile.tabulated(t, v)
+    assert t.flags.writeable and v.flags.writeable
+    t[0], v[0] = -1.0, 7.0
+    assert prof.times[0] == 0.0 and prof.values[0] == 1.0
+    assert not prof.times.flags.writeable and not prof.values.flags.writeable
 
 
 def test_trajectory_must_start_at_identity():

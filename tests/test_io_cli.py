@@ -588,6 +588,43 @@ def test_main_calls_share_no_state(borderline_ev, monkeypatch, capsys):
     assert _parser() is _parser()
 
 
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf", "-1"))
+def test_tolerance_that_decides_nothing_is_refused(identity_kf, tmp_path, monkeypatch, capsys,
+                                                    value):
+    # a NaN tolerance passes every check it reaches (comparisons with NaN are
+    # false), a negative one fails every check; both names where it came from
+    save(EigenGenerator(n=2, eta=np.array([[0.0, -1.0], [-1.0, -1.0]])), tmp_path / "g.json")
+    commands = (["validate", identity_kf], ["convert", identity_kf, "--to", "ev"],
+                ["evolve", "--generator", str(tmp_path / "g.json"), "--t", "1", "--steps", "4"])
+    monkeypatch.delenv("GMCHAN_TOLERANCE", raising=False)
+    for argv in commands:
+        assert main(argv + [f"--tolerance={value}"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --tolerance must be finite and nonnegative, got {float(value)!r}\n")
+    monkeypatch.setenv("GMCHAN_TOLERANCE", value)
+    for argv in commands:
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: GMCHAN_TOLERANCE must be finite and nonnegative, got {float(value)!r}\n")
+    # the flag still wins over the environment
+    assert main(commands[0] + ["--tolerance", "1e-10"]) == 0
+
+
+@pytest.mark.parametrize("t_final", ("nan", "inf"))
+def test_evolve_refuses_a_non_finite_final_time(tmp_path, t_final):
+    save(EigenGenerator(n=2, eta=np.array([[0.0, -1.0], [-1.0, -1.0]])), tmp_path / "g.json")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gmchan.cli", "evolve",
+         "--generator", str(tmp_path / "g.json"), "--t", t_final],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: final time must be finite, got {t_final}\n"
+
+
 def test_usage_error_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convert", "whatever.json"])  # missing required --to
