@@ -25,7 +25,10 @@ and with quadratic polynomial profiles, each at CP stride 1 and 50.
 and `validate_ev` replay the call sequence that perfbench's certify workload
 makes on one fresh object: for a weight table the TP check, the oracle,
 `kf_is_ev`, `kf_to_ev` and the three CP checks of the result; for an
-eigenvalue table the three CP checks. Each tree is a source checkout
+eigenvalue table the three CP checks. `document_text` renders the eigenvalue
+channel as channel-file text and `parse_document` parses that text back
+(`fileio._parse_document`: JSON, schema and the coefficient table, no file
+I/O and no object built). Each tree is a source checkout
 (default: this one, labelled "change"); its `src/` is imported in a child
 process started
 with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1. The
@@ -58,7 +61,8 @@ LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalize
           "cp_check_paper", "tp_residuals", "kf_is_ev", "kf_to_ev", "ev_to_kf", "lf_to_ev",
           "ev_to_lf", "apply_kf", "apply_lf", "apply_ev", "evolve_state", "validate_kf",
           "validate_ev", "construct_state", "evolve_state_skipped", "evolve_timedep",
-          "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev")
+          "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev", "document_text",
+          "parse_document")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -69,7 +73,7 @@ def _child(src: str, repeats: int) -> None:
     """Print {layer: {n: [seconds per call, ...]}} for the gmchan under `src`."""
     sys.path.insert(0, src)
     import gmchan as gm
-    from gmchan import sampling
+    from gmchan import fileio, sampling
 
     def ev_checks(ch):
         return [check(ch, VERDICT_TOL)
@@ -107,6 +111,7 @@ def _child(src: str, repeats: int) -> None:
                   for make in (lambda e: gm.RateProfile.tabulated(knots, e * shape),
                                lambda e: gm.RateProfile.polynomial(*(e * c for c in coeffs)))]
         tabulated = gm.evolve_timedep(tables[0], grid)
+        text = fileio.document_text(acting[2])
 
         def timedep(tables=tables, grid=grid):
             return [gm.evolve_timedep(t, grid, cp_stride=s) for t in tables for s in (1, 50)]
@@ -141,6 +146,8 @@ def _child(src: str, repeats: int) -> None:
             ("eta_from_lambda", n): lambda tr=tabulated: gm.eta_from_lambda(tr.lams, tr.grid),
             ("choi_of_channel_kf", n): lambda a=acting: gm.choi_of_channel(a[0]),
             ("choi_of_channel_ev", n): lambda a=acting: gm.choi_of_channel(a[2]),
+            ("document_text", n): lambda a=acting: fileio.document_text(a[2]),
+            ("parse_document", n): lambda text=text: fileio._parse_document(text),
         })
     number = {}
     for key, call in calls.items():  # warm caches, then size each sample

@@ -651,7 +651,7 @@ def _verify_images(table: np.ndarray, lam: np.ndarray, what: str, rate: bool = F
     bound is ORACLE_TOL times `_table_scale` of table and lam.
     """
     defect = float(np.max(np.abs(_superoperator(table, rate) - _eigen_superoperator(lam))))
-    if defect > ORACLE_TOL * _table_scale(table, lam):
+    if not defect <= ORACLE_TOL * _table_scale(table, lam):  # a NaN defect fails too
         raise InvariantError(
             f"{what}: closed-form output fails the application oracle "
             f"(defect {defect:.3e})"
@@ -673,12 +673,13 @@ def _choi_blocks(ch):
     else:
         raise TypeError(f"expected a channel, got {type(ch).__name__}")
     n = ch.n
+    vals = vals / 2.0  # halves, then sums: the sum of two huge entries overflows
     mirrored = vals[_choi_layout(n).mirror]
-    defect = float(np.abs(vals - mirrored).max())
-    vals = (vals + mirrored) / 2.0
+    defect = 2.0 * float(np.abs(vals - mirrored).max())
+    vals = vals + mirrored
     pair = vals[n * n:].reshape(-1, 4)
-    mid = (pair[:, 0] + pair[:, 3]) / 2.0
-    radius = np.hypot((pair[:, 0] - pair[:, 3]) / 2.0, pair[:, 1])
+    h0, h3 = pair[:, 0] / 2.0, pair[:, 3] / 2.0
+    mid, radius = h0 + h3, np.hypot(h0 - h3, pair[:, 1])
     block = np.linalg.eigvalsh(vals[:n * n].reshape(n, n))
     return vals, np.sort(np.concatenate([block, mid - radius, mid + radius])), defect
 
@@ -730,7 +731,8 @@ def _block_margins(lams: np.ndarray):
     diag = lams.diagonal(0, -2, -1)
     l00 = diag[..., :1] / n
     tail = _tails(diag)
-    A = (lams + lams.swapaxes(-1, -2)) / 2.0
+    A = lams / 2.0  # halves, then sums, as in _choi_blocks
+    A = A + A.swapaxes(-1, -2)
     A[..., t.k, t.k] = l00 + t.frac * diag + tail
     a_spectrum = np.linalg.eigvalsh(A)
     d = l00 - diag / t.k1 + tail

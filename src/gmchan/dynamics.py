@@ -71,6 +71,8 @@ class RateProfile:
         v = np.array(values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise DimensionMismatch("tabulated profile needs matching 1-d tables")
+        if not np.isfinite(t).all():
+            raise ConstraintViolated("tabulated times must be finite")
         if (t[1:] <= t[:-1]).any():
             raise ConstraintViolated("tabulated times must be strictly increasing")
         t.setflags(write=False)

@@ -30,6 +30,8 @@ FORMAT_VERSION = "1"
 
 FORMS = ("kf", "ev", "lf", "ev-gen", "state")
 
+_INT_OVERFLOW = 2 ** 1024 - 2 ** 970  # the least int that float() rounds past the largest float
+
 _FORM_OF_TYPE = {
     KrausChannel: "kf",
     EigenChannel: "ev",
@@ -67,6 +69,10 @@ def _fmt(value, indent: int) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.dtype == float and len(value) and np.isfinite(value).all():
+            # one "%.17g" template per row; the scalar route below names a non-finite value
+            row = pad + "  [" + ", ".join(["%.17g"] * value.shape[1]) + "]"
+            return "[\n" + ",\n".join(row % tuple(r) for r in value.tolist()) + "\n" + pad + "]"
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         items = list(value)
@@ -164,16 +170,21 @@ def _parse_document(text: str) -> ChannelFile:
     rows = doc["coefficients"]
     if not isinstance(rows, list) or len(rows) != n:
         raise SchemaError(f"coefficients must be a list of {n} rows")
-    table = np.empty((n, n))
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"coefficient row {i} must hold {n} numbers")
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise SchemaError(f"coefficient ({i},{j}) is not a number: {x!r}")
-            if not np.isfinite(x):
-                raise InvariantError(f"coefficient ({i},{j}) is not finite")
-            table[i, j] = x
+    try:  # whole rows of JSON ints and floats (a bool is neither), one finiteness test
+        table = np.array(rows, dtype=float) if all(
+            type(row) is list and len(row) == n and {int, float}.issuperset(map(type, row))
+            for row in rows) else None
+    except OverflowError:  # an int beyond the float range
+        table = None
+    if table is None or not np.isfinite(table).all():  # name the first bad row or entry
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n:
+                raise SchemaError(f"coefficient row {i} must hold {n} numbers")
+            for j, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    raise SchemaError(f"coefficient ({i},{j}) is not a number: {x!r}")
+                if isinstance(x, int) and abs(x) >= _INT_OVERFLOW or not np.isfinite(float(x)):
+                    raise InvariantError(f"coefficient ({i},{j}) is not finite")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata must be a JSON object")

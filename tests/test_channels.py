@@ -2,6 +2,7 @@ import copy
 import pathlib
 import pickle
 import runpy
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,18 @@ def test_cp_check_flags_notcp():
     assert not cp_check_oracle(bad).is_cp
     assert not cp_check_paper(bad).is_cp
     assert not cp_check_normalized(bad).is_cp
+
+
+def test_cp_checks_agree_on_a_huge_eigenvalue_table():
+    # symmetrizing as (a + b) / 2 overflowed here, and the oracle read CP
+    huge = EigenChannel(n=2, lam=np.array([[1.0, 1e308], [1e308, -1e308]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle, normalized = cp_check_oracle(huge), cp_check_normalized(huge)
+    assert not oracle.is_cp and not normalized.is_cp
+    assert oracle.margin == normalized.margin == -1.5e308
+    with np.errstate(over="ignore"):  # the unnormalized sum doubles the blocks
+        assert not cp_check_paper(huge).is_cp
 
 
 def test_cp_check_paper_needs_ev_form():

@@ -44,6 +44,13 @@ def test_tabulated_profile_rejects_extrapolation():
         tab(np.array([0.5, 1.5]))
 
 
+@pytest.mark.parametrize("times", ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]))
+def test_tabulated_profile_refuses_non_finite_times(times):
+    # NaN fails every comparison of the increasing-times test
+    with pytest.raises(ConstraintViolated, match="tabulated times must be finite"):
+        RateProfile.tabulated(times, [1.0, 2.0, 3.0])
+
+
 def test_uniform_grid():
     g = uniform_grid(2.0, 5)
     assert np.allclose(g, [0, 0.5, 1.0, 1.5, 2.0])

@@ -135,6 +135,14 @@ def test_lf_to_ev_accepts_large_tables(scale):
             assert np.array_equal(eta, scale * lf_to_ev(LindbladGenerator(n=n, gamma=g)).eta)
 
 
+def test_lf_to_ev_refuses_an_overflowed_verification():
+    # both superoperators overflow, so the defect is NaN, which no bound admits
+    g = 1e308 * random_lf_ev_admissible(np.random.default_rng(0), 3).gamma
+    want = "lf_to_ev: closed-form output fails the application oracle"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvariantError, match=want):
+        lf_to_ev(LindbladGenerator(n=3, gamma=g))
+
+
 def test_ev_to_lf_inverts_lf_to_ev_on_large_tables():
     # ev_is_lf's rounding grows with the table, so must its threshold
     rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gmchan.channels import DensityMatrix, EigenChannel, KrausChannel
 from gmchan.cli import main
 from gmchan.errors import ConstraintViolated, InvariantError, ParseError, SchemaError
-from gmchan.fileio import document_text, load, load_document, save
+from gmchan.fileio import _fmt, _parse_document, document_text, load, load_document, save
 from gmchan.generators import EigenGenerator, LindbladGenerator, lf_to_ev
 
 
@@ -163,6 +165,133 @@ def test_identity_kf_file_loads(tmp_path):
     assert isinstance(ch, KrausChannel)
     assert ch.n == 3
     assert ch.p[0, 0] == 1.0
+
+
+def test_huge_integer_coefficient_is_refused(tmp_path, capsys):
+    # JSON ints have no size limit: one beyond the float range is not finite,
+    # and one beyond int64 but within the range loads as its nearest float
+    path = _write(tmp_path / "big.json", _doc(2, "ev", [[1, 10**400], [0, 0]]))
+    for argv in (["validate", path], ["convert", path, "--to", "kf"]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: coefficient (0,1) is not finite\n")
+    wide = _write(tmp_path / "wide.json", _doc(2, "ev", [[1, 2**70], [0, 0]]))
+    assert load(wide).lam[0, 1] == 2.0**70
+
+
+# the scalar parse and render that the row-wise ones replaced, kept as references
+
+
+def _scalar_table(rows, n):
+    table = np.empty((n, n))
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"coefficient row {i} must hold {n} numbers")
+        for j, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise SchemaError(f"coefficient ({i},{j}) is not a number: {x!r}")
+            try:
+                finite = math.isfinite(x)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                raise InvariantError(f"coefficient ({i},{j}) is not finite")
+            table[i, j] = x
+    return table
+
+
+def _scalar_fmt(value, indent):
+    pad = "  " * indent
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if not np.isfinite(v):
+            raise InvariantError(f"cannot serialize non-finite value {v!r}")
+        return format(v, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+        if all(not isinstance(x, (list, tuple, dict, np.ndarray)) for x in items):
+            return "[" + ", ".join(_scalar_fmt(x, 0) for x in items) + "]"
+        inner = ",\n".join(pad + "  " + _scalar_fmt(x, indent + 1) for x in items)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = ",\n".join(
+            pad + "  " + json.dumps(str(k)) + ": " + _scalar_fmt(v, indent + 1)
+            for k, v in value.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    raise InvariantError(f"cannot serialize {type(value).__name__}")
+
+
+def _raised(call, *args):
+    with pytest.raises((SchemaError, InvariantError)) as exc:
+        call(*args)
+    return type(exc.value), str(exc.value)
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1.0, -7.0, 2.0**53, 1e300, 1e-300)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.integers(-10**6, 10**6).map(float),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_table_rendering_matches_the_scalar_route(data):
+    n = data.draw(st.integers(2, 16))
+    table = data.draw(arrays(np.float64, (n, n), elements=_FLOATS))
+    metadata = {"note": "x", "values": [1.5, -0.0, 3], "nested": {"t": table[0]}}
+    doc = {"format_version": "1", "n": n, "form": "ev", "coefficients": table,
+           "metadata": metadata}
+    assert document_text(EigenChannel(n=n, lam=table), metadata) == _scalar_fmt(doc, 0) + "\n"
+    for _ in range(data.draw(st.integers(1, 2))):  # the first non-finite value is named
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[i, j] = data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    assert _raised(_fmt, table, 1) == _raised(_scalar_fmt, table, 1)
+
+
+_BAD_ENTRIES = (True, "x", None, [1.0], math.nan, math.inf, -math.inf, 10**400, "short", "long")
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_bad_entries_are_named_as_by_the_scalar_scan(data):
+    n = data.draw(st.integers(2, 6))
+    number = st.one_of(_FLOATS, st.integers(-2**70, 2**70))
+    rows = data.draw(st.lists(st.lists(number, min_size=n, max_size=n), min_size=n, max_size=n))
+    for _ in range(data.draw(st.integers(1, 2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 2))
+        bad = data.draw(st.sampled_from(_BAD_ENTRIES))
+        if bad == "short":
+            rows[i] = rows[i][:-1]
+        elif bad == "long":  # two more entries: a short row made long stays bad
+            rows[i] = rows[i] + [0.0, 0.0]
+        else:
+            rows[i][j] = bad
+    text = _doc(n, "ev", rows)
+    want = _raised(_scalar_table, json.loads(text)["coefficients"], n)
+    assert _raised(_parse_document, text) == want
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([[1.0, "x"], [0.0]], (SchemaError, "coefficient (0,1) is not a number: 'x'")),
+    ([[0.0], [1.0, "x"]], (SchemaError, "coefficient row 0 must hold 2 numbers")),
+    ([[math.nan, "x"], [0.0, 0.0]], (InvariantError, "coefficient (0,0) is not finite")),
+    ([[1.0, 0.0], [10**400, None]], (InvariantError, "coefficient (1,0) is not finite")),
+])
+def test_bad_entries_are_named_in_row_order(rows, error):
+    assert _raised(_parse_document, _doc(2, "ev", rows)) == error
+    assert _raised(_scalar_table, rows, 2) == error
 
 
 @settings(deadline=None, max_examples=40)
@@ -623,6 +752,15 @@ def test_evolve_refuses_a_non_finite_final_time(tmp_path, t_final):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: final time must be finite, got {t_final}\n"
+
+
+def test_evolve_refuses_a_tabulated_profile_with_a_nan_time(tmp_path, capsys):
+    save(EigenGenerator(n=2, eta=np.array([[0.0, -1.0], [-1.0, -1.0]])), tmp_path / "g.json")
+    table = _write(tmp_path / "tab.txt", "0 1\nnan 2\n1 3\n")
+    argv = ["evolve", "--generator", str(tmp_path / "g.json"), "--profile", f"tab:{table}",
+            "--t", "1", "--steps", "10", "--out", str(tmp_path / "t.tsv")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: tabulated times must be finite\n")
 
 
 def test_usage_error_exit_one(capsys):
