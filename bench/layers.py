@@ -28,8 +28,12 @@ makes on one fresh object: for a weight table the TP check, the oracle,
 eigenvalue table the three CP checks. `document_text` renders the eigenvalue
 channel as channel-file text and `parse_document` parses that text back
 (`fileio._parse_document`: JSON, schema and the coefficient table, no file
-I/O and no object built). Each tree is a source checkout
-(default: this one, labelled "change"); its `src/` is imported in a child
+I/O and no object built). `maps_build` times one cold build of the per-n
+affine maps (`channels._affine_maps`, through its uncached `__wrapped__`
+function, so the maps the other layers read stay cached): the one-off cost
+a process pays per size on its first conversion. A tree without a layer's
+function (an older checkout) gets no samples for it. Each tree is a source
+checkout (default: this one, labelled "change"); its `src/` is imported in a child
 process started
 with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1. The
 rounds run the trees in turn, first tree first in odd rounds and last in
@@ -62,7 +66,7 @@ LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalize
           "ev_to_lf", "apply_kf", "apply_lf", "apply_ev", "evolve_state", "validate_kf",
           "validate_ev", "construct_state", "evolve_state_skipped", "evolve_timedep",
           "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev", "document_text",
-          "parse_document")
+          "parse_document", "maps_build")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -73,7 +77,7 @@ def _child(src: str, repeats: int) -> None:
     """Print {layer: {n: [seconds per call, ...]}} for the gmchan under `src`."""
     sys.path.insert(0, src)
     import gmchan as gm
-    from gmchan import fileio, sampling
+    from gmchan import channels, fileio, sampling
 
     def ev_checks(ch):
         return [check(ch, VERDICT_TOL)
@@ -149,6 +153,8 @@ def _child(src: str, repeats: int) -> None:
             ("document_text", n): lambda a=acting: fileio.document_text(a[2]),
             ("parse_document", n): lambda text=text: fileio._parse_document(text),
         })
+        if hasattr(channels, "_affine_maps"):
+            calls["maps_build", n] = lambda n=n: channels._affine_maps.__wrapped__(n)
     number = {}
     for key, call in calls.items():  # warm caches, then size each sample
         start, count = time.perf_counter(), 0
@@ -163,7 +169,8 @@ def _child(src: str, repeats: int) -> None:
             for _ in range(number[key]):
                 call()
             samples[key].append((time.perf_counter() - start) / number[key])
-    out = {layer: {str(n): samples[layer, n] for n in SIZES} for layer in LAYERS}
+    out = {layer: {str(n): samples[layer, n] for n in SIZES}
+           for layer in LAYERS if (layer, SIZES[0]) in samples}
     print(json.dumps(out))
 
 
@@ -235,13 +242,15 @@ def main() -> None:
         "settings": {"trees": list(trees), "rounds": args.rounds, "repeats": args.repeats,
                      "sample_s": SAMPLE_S, "seed": SEED, "sizes": list(SIZES)},
         "layers": {label: {layer: {n: _quantiles(xs) for n, xs in cells.items()}
-                           for layer, cells in per.items()} for label, per in samples.items()},
+                           for layer, cells in per.items() if any(cells.values())}
+                   for label, per in samples.items()},
     }
     first = next(iter(trees))
     base = result["layers"][first]
     result["ratio_to_" + first] = {
         label: {layer: {n: round(cell["median_us"] / base[layer][n]["median_us"], 3)
-                        for n, cell in cells.items()} for layer, cells in per.items()}
+                        for n, cell in cells.items()} for layer, cells in per.items()
+                if layer in base}
         for label, per in result["layers"].items() if label != first
     }
     if args.tier1:

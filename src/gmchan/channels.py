@@ -44,9 +44,12 @@ output by comparing the two tables' blocks, within ORACLE_TOL times the
 largest entry of either table, if above 1 (`_verify_images`). Both are O(n³).
 
 The private helpers below are the one core that the channel and generator
-converters and `dynamics` share. Every index array and weight they use that
-depends on n alone is built once per n, in `_kernel_table`: at small n a
-call's cost is numpy call overhead, not arithmetic.
+converters and `dynamics` share. At small n a call's cost is numpy call
+overhead, not arithmetic, so what depends on n alone is built once per n:
+index arrays and weights (`_kernel_table`) and, up to AFFINE_MAX_N = 8, the TP
+residuals and both eigenvalue readers as affine maps, one matvec per read
+(`_affine_maps`). Above 8 the closed forms run; their maps would add 1.9 MB per
+reader. The block check `_verify_images` shares nothing with the maps.
 
 What depends on a channel's table but not on a tolerance is computed once per
 object, on first use, and kept read-only on it: a KrausChannel's TP residuals,
@@ -58,7 +61,7 @@ a copy. `cp_check_oracle` memoizes nothing, so it stays an independent route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,6 +81,7 @@ DEFAULT_TOL = 1e-10
 # to every basis matrix.
 COND_TOL = 1e-12
 ORACLE_TOL = 1e-11
+AFFINE_MAX_N = 8  # largest n read through `_affine_maps` (see the module docstring)
 
 CP = "CP"
 NOT_CP = "NotCP"
@@ -148,12 +152,7 @@ class KrausChannel:
     @_memo
     def _tp_residuals(self) -> np.ndarray:
         """`tp_residuals` of this channel, read-only."""
-        p = self.p
-        res = [p[0, 0] - _tp_p00(p)]
-        if self.n > 2:
-            gap, p22, steps = _tp_solve(p)
-            res += [gap, p[2, 2] - p22, *(np.diagonal(p)[3:] - (p[2, 2] + steps))]
-        return _read_only(np.array(res))
+        return _read_only(_affine("tp", self.p))
 
     @_memo
     def _tp_worst(self) -> float:
@@ -344,23 +343,30 @@ def _offdiag_from_ev(table: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-def _eigenvalue_table(table: np.ndarray, what: str, rate: bool = False) -> np.ndarray:
-    """Eigenvalue table of the sandwich map of a basis-diagonal table, verified.
+def _eigenvalue_formula(table: np.ndarray, c: float, rate: bool = False) -> np.ndarray:
+    """Eigenvalue table of the sandwich map of a basis-diagonal table or stack, in closed form.
 
     Off the diagonal, `kf_to_ev`'s formula, which holds for any table; rate=True
     subtracts (s_k + s_l)/2, s from `_square_sums`. Entry (k, k), k >= 1, is
     c - (k+1) col_k - sum_{k<j<n} col_j with col_l = t_0l + t_l0 and c as in
-    `_offdiag_from_ev`; lam_00 is 1 for a channel, +0.0 for a generator.
+    `_offdiag_from_ev`, or 0 for the linear part; lam_00 is c, +0.0 if c is -0.0.
     """
-    t = _kernel_table(table.shape[0])
-    diag = np.diagonal(table)
-    lam = table[0, 0] + (table - table.T) - (2.0 * diag / t.k1)[t.hi] + (2.0 * _tails(diag))[t.hi]
+    t = _kernel_table(table.shape[-1])
+    diag, tr = table.diagonal(0, -2, -1), table.swapaxes(-1, -2)
+    lam = table[..., :1, :1] + (table - tr) - (2.0 * diag / t.k1)[..., t.hi]
+    lam += (2.0 * _tails(diag))[..., t.hi]
     if rate:
         s = _square_sums(table)
-        lam -= (s[:, None] + s) / 2.0
-    lam[0, 0], c = (0.0, -0.0) if rate else (1.0, 1.0)
-    col = (table + table.T)[0]
-    lam[t.k[1:], t.k[1:]] = c - t.k1[1:] * col[1:] - _suffix_sums(col)[1:]
+        lam -= (s[..., :, None] + s[..., None, :]) / 2.0
+    lam[..., 0, 0] = c + 0.0  # -0.0 + 0.0 is +0.0
+    col = (table + tr)[..., 0, :]
+    lam[..., t.k[1:], t.k[1:]] = c - t.k1[1:] * col[..., 1:] - _suffix_sums(col)[..., 1:]
+    return lam
+
+
+def _eigenvalue_table(table: np.ndarray, what: str, rate: bool = False) -> np.ndarray:
+    """`_eigenvalue_formula` of a channel (or, with rate=True, a generator), verified."""
+    lam = _affine("rate" if rate else "ev", table).reshape(table.shape)
     _verify_images(table, lam, what, rate)
     return lam
 
@@ -395,10 +401,45 @@ def _tp_solve(p: np.ndarray):
     return gap, p22, np.add.accumulate(t.tp_coef * (head + rest))
 
 
-def _tp_p00(p: np.ndarray) -> float:
-    """The value trace preservation demands of p_00, given every other weight."""
+def _tp_p00(p: np.ndarray, one: float = 1.0) -> float:
+    """The value preserving a trace of `one` demands of p_00, given every other weight."""
     tail = np.add.reduce(_tail_terms(p.diagonal())[1:])  # _tails(diagonal)[0] alone
-    return 1.0 - np.add.reduce(p[0, 1:] + p[1:, 0]) - 2.0 * tail
+    return one - np.add.reduce(p[0, 1:] + p[1:, 0]) - 2.0 * tail
+
+
+def _tp_formula(p: np.ndarray, one: float) -> np.ndarray:
+    """Closed-form `tp_residuals` of a weight table or of each of a stack; one = 0: linear part."""
+    if p.ndim > 2:
+        return np.array([_tp_formula(q, one) for q in p])
+    res = [p[0, 0] - _tp_p00(p, one)]
+    if p.shape[0] > 2:
+        gap, p22, steps = _tp_solve(p)
+        res += [gap, p[2, 2] - p22, *(np.diagonal(p)[3:] - (p[2, 2] + steps))]
+    return np.array(res)
+
+
+_FORMULAS = {"tp": (_tp_formula, 1.0), "ev": (_eigenvalue_formula, 1.0),
+             "rate": (partial(_eigenvalue_formula, rate=True), -0.0)}
+
+
+@lru_cache(maxsize=None)
+def _affine_maps(n: int) -> dict:
+    """Each f of `_FORMULAS` on dimension-n tables as read-only (-linear, const): f(e, 0)
+    on the stack of n² unit tables e and f(0, c); no coefficient carries f(e) - f(0)'s rounding."""
+    units = np.eye(n * n).reshape(n * n, n, n)
+    return {key: (_read_only(-f(units, 0.0).reshape(n * n, -1).T.copy()),
+                  _read_only(f(np.zeros((n, n)), c).ravel()))
+            for key, (f, c) in _FORMULAS.items()}
+
+
+def _affine(key, table: np.ndarray) -> np.ndarray:
+    """Closed form `key` of a table, flat: "tp" its TP residuals, "ev"/"rate" its
+    eigenvalue table as a channel/generator; one matvec up to AFFINE_MAX_N."""
+    formula, c = _FORMULAS[key]
+    if table.shape[0] > AFFINE_MAX_N:
+        return formula(table, c).ravel()
+    minus, const = _affine_maps(table.shape[0])[key]
+    return const - minus @ table.ravel()  # as c - ...: a zero keeps the sign of c = -0.0
 
 
 def tp_residuals(ch: KrausChannel) -> np.ndarray:
@@ -611,8 +652,8 @@ def _superoperator(table: np.ndarray, rate: bool = False) -> np.ndarray:
 
 
 def _square_sums(table: np.ndarray) -> np.ndarray:
-    """The diagonal s of S = sum_a t_a sigma_a², which is diagonal (see `_choi_layout`)."""
-    return table.ravel() @ _choi_layout(table.shape[0]).squares
+    """Diagonal s of S = sum_a t_a sigma_a² (diagonal: see `_choi_layout`), table or stack."""
+    return table.reshape(table.shape[:-2] + (-1,)) @ _choi_layout(table.shape[-1]).squares
 
 
 def _eigen_superoperator(lam: np.ndarray) -> np.ndarray:
@@ -754,7 +795,8 @@ def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     2J + s I with s = ((n-2)/n) l_00, so each block is twice the normalized
     block shifted by s: exact for n=2, necessary but not sufficient for CP
     for n>=3. Diagnostics: `pair_margins` (dict (i, j) -> margin), the
-    n×n matrix `a_matrix` and its spectrum `a_spectrum`.
+    n×n matrix `a_matrix` and its spectrum `a_spectrum`. Doubling saturates
+    silently: on a huge table the margin reads -inf where -3e308 cannot be held.
     """
     if not isinstance(ch, EigenChannel):
         raise TypeError("closed-form CP conditions need the eigenvalue form")
@@ -762,10 +804,11 @@ def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     block, spectrum, pairs, _ = ch._blocks
     shift = (n - 2.0) / n * ch.lam[0, 0]
     k = _kernel_table(n).k
-    A = 2.0 * block
-    A[k, k] += shift
-    a_spectrum = 2.0 * spectrum + shift
-    pairs = 2.0 * pairs + shift
+    with np.errstate(over="ignore"):  # a doubled entry beyond 1.8e308 saturates to ±inf
+        A = 2.0 * block
+        A[k, k] += shift
+        a_spectrum = 2.0 * spectrum + shift
+        pairs = 2.0 * pairs + shift
     margin = min(float(pairs.min()), float(a_spectrum[0]))
     return CpReport(
         verdict=_verdict(margin, tol),

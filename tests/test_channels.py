@@ -25,12 +25,17 @@ from gmchan.channels import (
     cp_check_oracle,
     cp_check_paper,
     tp_residuals,
+    AFFINE_MAX_N,
+    _affine_maps,
     _block_margins,
     _choi_layout,
     _eigen_superoperator,
+    _eigenvalue_formula,
     _fill,
     _pair_dict,
     _superoperator,
+    _table_scale,
+    _tp_formula,
     _tp_solve,
     _verify_images,
 )
@@ -211,8 +216,10 @@ def test_cp_checks_agree_on_a_huge_eigenvalue_table():
         oracle, normalized = cp_check_oracle(huge), cp_check_normalized(huge)
     assert not oracle.is_cp and not normalized.is_cp
     assert oracle.margin == normalized.margin == -1.5e308
-    with np.errstate(over="ignore"):  # the unnormalized sum doubles the blocks
-        assert not cp_check_paper(huge).is_cp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paper = cp_check_paper(huge)  # doubles the blocks: -3e308 saturates to -inf
+    assert not paper.is_cp and paper.margin == -np.inf
 
 
 def test_cp_check_paper_needs_ev_form():
@@ -701,6 +708,74 @@ def test_tp_solve_matches_per_step_sums(n):
             assert np.max(np.abs(steps - want)) <= 4e-14 * scale
 
 
+# Affine maps: up to AFFINE_MAX_N, the TP residuals and both eigenvalue readers
+# of a table are one matvec with a per-n map built from their closed forms.
+
+CLOSED_FORMS = {
+    "tp": lambda t: _tp_formula(t, 1.0),
+    "ev": lambda t: _eigenvalue_formula(t, 1.0).ravel(),
+    "rate": lambda t: _eigenvalue_formula(t, -0.0, rate=True).ravel(),
+}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_affine_maps_match_the_closed_forms(n):
+    rng = np.random.default_rng(90 + n)
+    scales = 10.0 ** rng.integers(-3, 4, (30, 1, 1))
+    tables = [*np.eye(n * n).reshape(n * n, n, n), *(scales * rng.uniform(-1, 1, (30, n, n)))]
+    for key, formula in CLOSED_FORMS.items():
+        minus, const = _affine_maps(n)[key]
+        for table in tables:
+            got, want = const - minus @ table.ravel(), formula(table)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * _table_scale(table, want)
+        for arr in (minus, const):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+
+@pytest.mark.parametrize("n", (3, AFFINE_MAX_N, AFFINE_MAX_N + 1))
+def test_rate_reader_keeps_the_sign_of_a_zero(n):
+    # diagonal rates alone leave every diagonal eigenvalue at c = -0.0, by either route
+    gamma = np.diag(np.r_[0.0, np.linspace(0.1, 0.5, n - 1)])
+    eta = lf_to_ev(LindbladGenerator(n=n, gamma=gamma)).eta
+    want = _eigenvalue_formula(gamma, -0.0, rate=True)
+    assert np.signbit(np.diagonal(eta)[1:]).all() and not np.signbit(eta[0, 0])
+    assert np.array_equal(np.signbit(eta), np.signbit(want))
+    assert np.max(np.abs(eta - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", (AFFINE_MAX_N, AFFINE_MAX_N + 1))
+def test_readers_verify_what_they_return_on_both_sides_of_the_cutoff(monkeypatch, n):
+    import gmchan.channels
+
+    verified, mapped = [], []
+    verify, maps = gmchan.channels._verify_images, gmchan.channels._affine_maps
+
+    def spy_verify(table, lam, what, rate=False):
+        verified.append(lam.copy())
+        verify(table, lam, what, rate)
+
+    def spy_maps(size):
+        mapped.append(size)
+        return maps(size)
+
+    rng = np.random.default_rng(95 + n)
+    p = random_kf_ev_admissible(rng, n).p
+    gamma = random_lf_ev_admissible(rng, n).gamma
+    monkeypatch.setattr(gmchan.channels, "_verify_images", spy_verify)
+    monkeypatch.setattr(gmchan.channels, "_affine_maps", spy_maps)
+    readers = ((p, False, lambda: kf_to_ev(KrausChannel(n=n, p=p)).lam),
+               (gamma, True, lambda: lf_to_ev(LindbladGenerator(n=n, gamma=gamma)).eta))
+    for table, rate, read in readers:
+        got = read()
+        assert verified.pop().tobytes() == got.tobytes()
+        want = _eigenvalue_formula(table, -0.0 if rate else 1.0, rate)
+        assert np.max(np.abs(got - want)) <= 1e-15 * _table_scale(table, want)
+    # kf_to_ev reads the TP residuals and the channel reader, lf_to_ev the rate reader
+    assert mapped == ([n] * 3 if n <= AFFINE_MAX_N else [])
+
+
 # Per-object memos: what depends on a channel's table but not on a tolerance
 # is computed once per object, on first use, and kept read-only.
 
@@ -719,6 +794,20 @@ def _counting(monkeypatch, *names):
     return calls
 
 
+def _counting_affine(monkeypatch):
+    """Record the key of every `_affine` call: the one evaluation of a table's
+    TP residuals ("tp"), by cached map or, above AFFINE_MAX_N, closed form."""
+    import gmchan.channels
+
+    calls, original = [], gmchan.channels._affine
+
+    def call(key, table):
+        calls.append(key)
+        return original(key, table)
+    monkeypatch.setattr(gmchan.channels, "_affine", call)
+    return calls
+
+
 @pytest.mark.parametrize("first", (cp_check_paper, cp_check_normalized))
 def test_block_margins_run_once_per_eigen_channel(monkeypatch, first):
     calls = _counting(monkeypatch, "_block_margins")
@@ -730,19 +819,19 @@ def test_block_margins_run_once_per_eigen_channel(monkeypatch, first):
     assert reports[0].margin == first(fresh).margin == reports[2].margin
 
 
-@pytest.mark.parametrize("n", (2, 3, 5))
+@pytest.mark.parametrize("n", (2, 3, 5, 9))
 def test_trace_preservation_evaluated_once_per_kraus_channel(monkeypatch, n):
     from gmchan.converters import kf_is_ev
 
     p = random_kf_ev_admissible(np.random.default_rng(81), n).p
-    calls = _counting(monkeypatch, "_tp_p00", "_tp_solve")
+    calls = _counting_affine(monkeypatch)
     ch = KrausChannel(n=n, p=p)
     tp_residuals(ch)
     kf_is_ev(ch)
     kf_is_ev(ch, 1e-9)
     kf_to_ev(ch)
     tp_residuals(ch)
-    assert calls == ["_tp_p00"] + ["_tp_solve"] * (n > 2)
+    assert [key for key in calls if key == "tp"] == ["tp"]
 
 
 def test_cp_checks_at_two_tolerances_match_fresh_objects():

@@ -397,24 +397,20 @@ def test_validate_kf_evaluates_trace_residuals_at_most_twice(tmp_path, monkeypat
     import gmchan.channels
 
     calls = []
+    original = gmchan.channels._affine
 
-    def counted(name):
-        original = getattr(gmchan.channels, name)
+    def counted(key, table):  # "tp": the one evaluation of a table's TP residuals
+        calls.append(key)
+        return original(key, table)
 
-        def call(p):
-            calls.append(name)
-            return original(p)
-        return call
-
-    for name in ("_tp_p00", "_tp_solve"):
-        monkeypatch.setattr(gmchan.channels, name, counted(name))
+    monkeypatch.setattr(gmchan.channels, "_affine", counted)
     p = np.zeros((3, 3))
     p[0, 0] = 1.0
     save(KrausChannel(n=3, p=p), tmp_path / "id.json")
     assert main(["validate", str(tmp_path / "id.json")]) == 0
     out = capsys.readouterr().out
     assert "cp paper       CP" in out and "cp normalized  CP" in out
-    assert calls == ["_tp_p00", "_tp_solve"]
+    assert [key for key in calls if key == "tp"] == ["tp"]
 
 
 def test_validate_lf_state_evgen_exit_ok(tmp_path, capsys):
