@@ -46,10 +46,9 @@ largest entry of either table, if above 1 (`_verify_images`). Both are O(n³).
 The private helpers below are the one core that the channel and generator
 converters and `dynamics` share. At small n a call's cost is numpy call
 overhead, not arithmetic, so what depends on n alone is built once per n:
-index arrays and weights (`_kernel_table`) and, up to AFFINE_MAX_N = 8, the TP
-residuals and both eigenvalue readers as affine maps, one matvec per read
-(`_affine_maps`). Above 8 the closed forms run; their maps would add 1.9 MB per
-reader. The block check `_verify_images` shares nothing with the maps.
+index arrays and weights (`_kernel_table`) and the TP residuals and both
+eigenvalue readers as affine maps, one matvec per read (`_affine_maps`). The
+block check `_verify_images` shares nothing with the maps.
 
 What depends on a channel's table but not on a tolerance is computed once per
 object, on first use, and kept read-only on it: a KrausChannel's TP residuals,
@@ -81,7 +80,6 @@ DEFAULT_TOL = 1e-10
 # to every basis matrix.
 COND_TOL = 1e-12
 ORACLE_TOL = 1e-11
-AFFINE_MAX_N = 8  # largest n read through `_affine_maps` (see the module docstring)
 
 CP = "CP"
 NOT_CP = "NotCP"
@@ -418,26 +416,20 @@ def _tp_formula(p: np.ndarray, one: float) -> np.ndarray:
     return np.array(res)
 
 
-_FORMULAS = {"tp": (_tp_formula, 1.0), "ev": (_eigenvalue_formula, 1.0),
-             "rate": (partial(_eigenvalue_formula, rate=True), -0.0)}
-
-
 @lru_cache(maxsize=None)
 def _affine_maps(n: int) -> dict:
-    """Each f of `_FORMULAS` on dimension-n tables as read-only (-linear, const): f(e, 0)
+    """Each closed form f(table, c) on dimension-n tables as read-only (-linear, const): f(e, 0)
     on the stack of n² unit tables e and f(0, c); no coefficient carries f(e) - f(0)'s rounding."""
     units = np.eye(n * n).reshape(n * n, n, n)
+    formulas = {"tp": (_tp_formula, 1.0), "ev": (_eigenvalue_formula, 1.0),
+                "rate": (partial(_eigenvalue_formula, rate=True), -0.0)}
     return {key: (_read_only(-f(units, 0.0).reshape(n * n, -1).T.copy()),
                   _read_only(f(np.zeros((n, n)), c).ravel()))
-            for key, (f, c) in _FORMULAS.items()}
+            for key, (f, c) in formulas.items()}
 
 
 def _affine(key, table: np.ndarray) -> np.ndarray:
-    """Closed form `key` of a table, flat: "tp" its TP residuals, "ev"/"rate" its
-    eigenvalue table as a channel/generator; one matvec up to AFFINE_MAX_N."""
-    formula, c = _FORMULAS[key]
-    if table.shape[0] > AFFINE_MAX_N:
-        return formula(table, c).ravel()
+    """Closed form `key` of a table as one matvec, flat: "tp", "ev" or "rate" (a generator's)."""
     minus, const = _affine_maps(table.shape[0])[key]
     return const - minus @ table.ravel()  # as c - ...: a zero keeps the sign of c = -0.0
 

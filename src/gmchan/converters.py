@@ -7,9 +7,8 @@ the symmetrized eigenvalues satisfy the same column-equality and the diagonal
 eigenvalues follow a fixed linear recursion. Both converters re-verify their
 closed-form output before returning: the two tables must describe the same
 map, so their superoperators must be equal. `channels._verify_images`
-compares the two superoperators' blocks entrywise, O(n³). Up to n = 8,
-`kf_to_ev` reads its output and the TP residuals through per-n affine maps
-(`channels._affine_maps`); the check shares nothing with them.
+compares the two superoperators' blocks entrywise, O(n³), and shares nothing
+with the per-n affine maps (`channels._affine_maps`) that `kf_to_ev` reads.
 
 The generator pair is the same algebra (a generator is the derivative of its
 channel at t = 0), so both pairs use one private core in `channels`.

@@ -25,7 +25,6 @@ from gmchan.channels import (
     cp_check_oracle,
     cp_check_paper,
     tp_residuals,
-    AFFINE_MAX_N,
     _affine_maps,
     _block_margins,
     _choi_layout,
@@ -708,8 +707,8 @@ def test_tp_solve_matches_per_step_sums(n):
             assert np.max(np.abs(steps - want)) <= 4e-14 * scale
 
 
-# Affine maps: up to AFFINE_MAX_N, the TP residuals and both eigenvalue readers
-# of a table are one matvec with a per-n map built from their closed forms.
+# Affine maps: the TP residuals and both eigenvalue readers of a table are one
+# matvec with a per-n map built from their closed forms.
 
 CLOSED_FORMS = {
     "tp": lambda t: _tp_formula(t, 1.0),
@@ -718,7 +717,7 @@ CLOSED_FORMS = {
 }
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_affine_maps_match_the_closed_forms(n):
     rng = np.random.default_rng(90 + n)
     scales = 10.0 ** rng.integers(-3, 4, (30, 1, 1))
@@ -734,7 +733,7 @@ def test_affine_maps_match_the_closed_forms(n):
                 arr[...] = 0.0
 
 
-@pytest.mark.parametrize("n", (3, AFFINE_MAX_N, AFFINE_MAX_N + 1))
+@pytest.mark.parametrize("n", (3, 8, 16))
 def test_rate_reader_keeps_the_sign_of_a_zero(n):
     # diagonal rates alone leave every diagonal eigenvalue at c = -0.0, by either route
     gamma = np.diag(np.r_[0.0, np.linspace(0.1, 0.5, n - 1)])
@@ -745,8 +744,8 @@ def test_rate_reader_keeps_the_sign_of_a_zero(n):
     assert np.max(np.abs(eta - want)) <= 1e-15
 
 
-@pytest.mark.parametrize("n", (AFFINE_MAX_N, AFFINE_MAX_N + 1))
-def test_readers_verify_what_they_return_on_both_sides_of_the_cutoff(monkeypatch, n):
+@pytest.mark.parametrize("n", (2, 9, 16))
+def test_readers_verify_what_they_return(monkeypatch, n):
     import gmchan.channels
 
     verified, mapped = [], []
@@ -773,7 +772,7 @@ def test_readers_verify_what_they_return_on_both_sides_of_the_cutoff(monkeypatch
         want = _eigenvalue_formula(table, -0.0 if rate else 1.0, rate)
         assert np.max(np.abs(got - want)) <= 1e-15 * _table_scale(table, want)
     # kf_to_ev reads the TP residuals and the channel reader, lf_to_ev the rate reader
-    assert mapped == ([n] * 3 if n <= AFFINE_MAX_N else [])
+    assert mapped == [n] * 3
 
 
 # Per-object memos: what depends on a channel's table but not on a tolerance
@@ -796,7 +795,7 @@ def _counting(monkeypatch, *names):
 
 def _counting_affine(monkeypatch):
     """Record the key of every `_affine` call: the one evaluation of a table's
-    TP residuals ("tp"), by cached map or, above AFFINE_MAX_N, closed form."""
+    TP residuals ("tp"), by its cached map."""
     import gmchan.channels
 
     calls, original = [], gmchan.channels._affine
