@@ -744,7 +744,7 @@ def test_rate_reader_keeps_the_sign_of_a_zero(n):
     assert np.max(np.abs(eta - want)) <= 1e-15
 
 
-@pytest.mark.parametrize("n", (2, 9, 16))
+@pytest.mark.parametrize("n", (8, 16))
 def test_readers_verify_what_they_return(monkeypatch, n):
     import gmchan.channels
 
@@ -818,7 +818,7 @@ def test_block_margins_run_once_per_eigen_channel(monkeypatch, first):
     assert reports[0].margin == first(fresh).margin == reports[2].margin
 
 
-@pytest.mark.parametrize("n", (2, 3, 5, 9))
+@pytest.mark.parametrize("n", (2, 3, 5))
 def test_trace_preservation_evaluated_once_per_kraus_channel(monkeypatch, n):
     from gmchan.converters import kf_is_ev
 
