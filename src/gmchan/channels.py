@@ -17,8 +17,8 @@ CP checking routes, in decreasing order of authority:
   cp_check_normalized  closed-form block criterion for eigenvalue-form maps:
                        the same blocks of the ev Choi matrix, written with
                        the paper's d_j/tail formulas. Exactly equivalent to
-                       the oracle, O(n³). `_block_margins` evaluates it for
-                       one table or for a whole trajectory of tables at once.
+                       the oracle, O(n³), for a table or a stack of tables.
+                       `_is_cp` keeps the verdict alone (see dynamics).
   cp_check_paper       closed-form block criterion from the unnormalized sum
                        sum_a l_a conj(sigma_a) (x) sigma_a, which equals
                        2J + ((n-2)/n) l_00 I. Exact for n = 2, strictly
@@ -750,6 +750,21 @@ def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
     )
 
 
+def _sector_blocks(lams: np.ndarray):
+    """The diagonal-sector block A and the pair margins of `_block_margins`, table or stack."""
+    n = lams.shape[-1]
+    t = _kernel_table(n)
+    diag = lams.diagonal(0, -2, -1)
+    l00 = diag[..., :1] / n
+    tail = _tails(diag)
+    half = lams / 2.0  # halves, then sums or differences, as in _choi_blocks: no overflow
+    A = half + half.swapaxes(-1, -2)
+    A[..., t.k, t.k] = l00 + t.frac * diag + tail
+    d = l00 - diag / t.k1 + tail
+    i, j = t.pairs
+    return A, d[..., j] - np.abs(half[..., i, j] - half[..., j, i])
+
+
 def _block_margins(lams: np.ndarray):
     """Normalized block criterion for one table (n, n) or a stack (..., n, n).
 
@@ -759,20 +774,29 @@ def _block_margins(lams: np.ndarray):
     row-major (i, j) order, and the smallest of them all, each carrying the
     leading axes of `lams`.
     """
-    n = lams.shape[-1]
-    t = _kernel_table(n)
-    diag = lams.diagonal(0, -2, -1)
-    l00 = diag[..., :1] / n
-    tail = _tails(diag)
-    A = lams / 2.0  # halves, then sums, as in _choi_blocks
-    A = A + A.swapaxes(-1, -2)
-    A[..., t.k, t.k] = l00 + t.frac * diag + tail
+    A, pairs = _sector_blocks(lams)
     a_spectrum = np.linalg.eigvalsh(A)
-    d = l00 - diag / t.k1 + tail
-    i, j = t.pairs
-    pairs = d[..., j] - np.abs(lams[..., i, j] - lams[..., j, i]) / 2.0
     margin = np.minimum(a_spectrum[..., 0], pairs.min(axis=-1))
     return A, a_spectrum, pairs, margin
+
+
+def _is_cp(lams: np.ndarray, tol: float):
+    """`_block_margins(lams)[3] >= -tol` up to rounding: pair margins, then A + tol I PSD.
+
+    One table takes A's one eigensolve, skipped if a pair fails. A stack takes
+    the Cholesky pivots of every frame per step: all but the last must be > 0,
+    the last (no row left; the n = 2 identity's is 0) >= 0. A PSD block never
+    overflows; one that does is not PSD, and its -inf or NaN reads not CP."""
+    A, pairs = _sector_blocks(lams)
+    ok = pairs.min(axis=-1) >= -tol
+    if lams.ndim == 2:
+        return bool(ok) and bool(np.linalg.eigvalsh(A)[0] >= -tol)
+    S = A + tol * np.eye(lams.shape[-1])
+    with np.errstate(all="ignore"):
+        for _ in range(lams.shape[-1] - 1):
+            ok &= S[..., 0, 0] > 0
+            S = S[..., 1:, 1:] - S[..., 1:, :1] * (S[..., :1, 1:] / S[..., :1, :1])
+        return ok & (S[..., 0, 0] >= 0)
 
 
 def _pair_dict(n: int, pairs: np.ndarray) -> dict:

@@ -37,7 +37,7 @@ def kf_is_ev(ch: KrausChannel, tol: float = COND_TOL):
     rows j < k whose symmetrized weights disagree in column l.
     """
     if ch._tp_worst > DEFAULT_TOL:
-        raise NotTracePreserving(f"max trace residual {ch._tp_worst:.3e} exceeds 1e-10")
+        raise NotTracePreserving(f"max trace residual {ch._tp_worst:.3e} exceeds {DEFAULT_TOL:g}")
     violations = _exceeding(_kernel_table(ch.n).triple_keys, ch._gaps, tol)
     return (not violations), violations
 

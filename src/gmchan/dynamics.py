@@ -10,11 +10,11 @@ t = 0, where the map is the identity. Two builders:
 
 Each checks its grid and builds its Trajectory once, whose constructor alone
 validates the frames. A frame can carry a CP verdict (every frame by default;
-a stride skips frames, leaving their flag None). The checked frames are
-decided together in one batched pass of the normalized block criterion: a
-stacked eigensolve of the (T, n, n) diagonal-sector blocks plus the pair
-margins as arrays. The union of the block spectra is the Choi spectrum, so
-each verdict is the Choi oracle's, without building any n²×n² matrix.
+a stride skips frames, leaving their flag None), the normalized block
+criterion's, which keeps no margin (`_is_cp`): the checked frames together,
+by pair margins and Cholesky pivots of the (T, n, n) diagonal-sector blocks,
+no eigensolve; a skipped one on demand, by pair margins, then one eigensolve.
+The block spectra make up the Choi spectrum: each verdict is the oracle's.
 Frames where some eigenvalue sits within 1e-13 of zero are flagged singular:
 the map is still fine, but no generator eigenvalue table exists there.
 """
@@ -27,8 +27,7 @@ import numpy as np
 
 from .basis import _check_square
 from .channels import (
-    DEFAULT_TOL, DensityMatrix, EigenChannel, _apply_blocks, _block_margins,
-    _eigen_superoperator,
+    DEFAULT_TOL, DensityMatrix, EigenChannel, _apply_blocks, _eigen_superoperator, _is_cp,
 )
 from .errors import (
     ConstraintViolated, DimensionMismatch, IndexOutOfRange, InvariantError, NotCPAtTime,
@@ -190,7 +189,7 @@ def _flagged(traj: Trajectory, cp_stride: int, tol: float) -> Trajectory:
     checked[::cp_stride] = True
     checked[last] = True
     cp = np.full(last + 1, None, dtype=object)
-    cp[checked] = (_block_margins(lams[checked])[3] >= -tol).tolist()
+    cp[checked] = _is_cp(lams[checked], tol).tolist()
     singular = (abs(lams) <= ZERO_TOL).any(axis=(1, 2))
     object.__setattr__(traj, "cp_flags", tuple(cp))
     object.__setattr__(traj, "singular_flags", tuple(singular.tolist()))
@@ -246,7 +245,7 @@ def evolve_state(
         raise IndexOutOfRange(f"frame {t_index} outside 0..{len(traj) - 1}")
     flag = traj.cp_flags[t_index] if traj.cp_flags else None
     if flag is None:
-        flag = bool(_block_margins(traj.lams[t_index])[3] >= -tol)
+        flag = _is_cp(traj.lams[t_index], tol)
     if not flag:
         raise NotCPAtTime(
             f"map at grid index {t_index} (t={traj.grid[t_index]:g}) is not CP",

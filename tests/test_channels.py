@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gmchan.basis import full_basis
 from gmchan.channels import (
+    DEFAULT_TOL,
     ChoiMatrix,
     DensityMatrix,
     EigenChannel,
@@ -31,6 +32,7 @@ from gmchan.channels import (
     _eigen_superoperator,
     _eigenvalue_formula,
     _fill,
+    _is_cp,
     _pair_dict,
     _superoperator,
     _table_scale,
@@ -678,6 +680,90 @@ def test_block_margins_pairs_match_loop_form(n):
         got = _pair_dict(n, row)
         assert list(got) == [(i, j) for i in range(n) for j in range(i + 1, n)]
         assert got == want
+
+
+# `_is_cp` keeps only the verdict of `_block_margins`: pair margins first,
+# then a PSD test of the diagonal-sector block, by eigensolve on one table
+# and by Cholesky pivots on a stack.
+
+
+def _verdict_frames(seed, n, frames, scale):
+    # semigroup frames of a rate table whose rate (1, 1) may be negative, half
+    # of them given a symmetric push (it moves A, and the pairs only through
+    # the diagonal), all times scale: CP frames, and frames failing on a pair
+    # margin or on A alone
+    rng = np.random.default_rng(seed)
+    gamma = random_lf_ev_admissible(rng, n, nonnegative=True).gamma.copy()
+    gamma[1, 1] = rng.uniform(-0.3, 0.3)
+    eta = lf_to_ev(LindbladGenerator(n=n, gamma=gamma)).eta
+    lams = np.exp(rng.uniform(0.0, 3.0, (frames, 1, 1)) * eta)
+    push = rng.normal(0.0, 0.1, (frames, n, n)) * (rng.random((frames, 1, 1)) < 0.5)
+    return scale * (lams + push + push.swapaxes(-1, -2))
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**31), n=st.integers(2, 8), frames=st.integers(1, 40),
+       exponent=st.floats(-3.0, 3.0), tol=st.sampled_from((0.0, 1e-10, 1e-6)))
+def test_is_cp_matches_block_margins_away_from_the_boundary(seed, n, frames, exponent, tol):
+    scale = 10.0 ** exponent
+    lams = _verdict_frames(seed, n, frames, scale)
+    margins = _block_margins(lams)[3]
+    far = np.abs(margins + tol) > 1e-9 * max(1.0, scale)
+    stacked = _is_cp(lams, tol)
+    assert stacked.dtype == bool and stacked.shape == (frames,)
+    assert (stacked == (margins >= -tol))[far].all()
+    for lam, flag, sure in zip(lams, stacked, far):
+        if sure:
+            assert _is_cp(lam, tol) is bool(flag) is bool(_is_cp(lam[None], tol)[0])
+
+
+def test_verdict_frames_reach_every_branch():
+    # the frames above are CP, fail on a pair margin, or fail on A alone
+    kinds = set()
+    for seed in range(20):
+        A, spectrum, pairs, _ = _block_margins(_verdict_frames(seed, 4, 40, 1.0))
+        for low, pair in zip(spectrum[:, 0], pairs.min(axis=1)):
+            kinds.add("pair" if pair < -1e-6 else "A" if low < -1e-6 else "CP")
+    assert kinds == {"CP", "pair", "A"}
+
+
+def test_is_cp_keeps_the_identity_cp_at_tolerance_zero():
+    # the n = 2 identity's block A is all ones: its last pivot is exactly 0
+    assert _block_margins(np.ones((2, 2)))[3] == 0.0
+    assert _is_cp(np.ones((2, 2)), 0.0) is True
+    assert _is_cp(np.ones((3, 2, 2)), 0.0).tolist() == [True] * 3
+
+
+def test_huge_frames_decided_without_warnings():
+    # a symmetric pair of 1e200 leaves every pair margin alone but makes A
+    # indefinite; its pivots overflow to -inf, which reads not CP
+    lam = np.ones((3, 3))
+    lam[1, 2] = lam[2, 1] = 1e200
+    other = np.ones((3, 3))
+    other[0, 1] = other[1, 0] = -1e160
+    depolarizing = np.zeros((3, 3))
+    depolarizing[0, 0] = 1e200  # A = 1e200 I / 3: CP
+    stack = np.stack([lam, depolarizing, other])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _is_cp(stack, DEFAULT_TOL).tolist() == [False, True, False]
+        assert [_is_cp(frame, DEFAULT_TOL) for frame in stack] == [False, True, False]
+        assert (_block_margins(stack)[3] >= -DEFAULT_TOL).tolist() == [False, True, False]
+
+
+def test_pair_margins_halve_before_they_subtract():
+    # l_01 - l_10 = 2e308 overflows; halves first, the margin is -1e308 as in the oracle
+    ch = EigenChannel(n=2, lam=[[1.0, 1e308], [-1e308, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        normalized = cp_check_normalized(ch)
+        oracle = cp_check_oracle(ch)
+        paper = cp_check_paper(ch)
+    assert normalized.margin == -1e308
+    assert abs(oracle.margin - normalized.margin) <= 1e-15 * 1e308
+    assert paper.margin == -np.inf  # doubled, it saturates (see cp_check_paper)
+    assert {normalized.verdict, oracle.verdict, paper.verdict} == {"NotCP"}
+    assert _is_cp(ch.lam, DEFAULT_TOL) is False
 
 
 def _tp_steps_by_loop(p):

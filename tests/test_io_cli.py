@@ -582,6 +582,18 @@ def test_evolve_table(tmp_path, capsys):
     assert lines[2].split("\t")[5] == "-"  # stride skips frame 1
 
 
+def test_evolve_keeps_the_identity_frame_cp_at_tolerance_zero(tmp_path):
+    # frame 0 is the identity: at n = 2 its diagonal-sector Choi block is all
+    # ones, its margin exactly 0, and its last Cholesky pivot exactly 0
+    eta = np.array([[0.0, -1.0], [-1.0, -1.0]])
+    save(EigenGenerator(n=2, eta=eta), tmp_path / "g.json")
+    out = tmp_path / "traj.tsv"
+    argv = ["evolve", "--generator", str(tmp_path / "g.json"), "--t", "1.0", "--steps", "10",
+            "--tolerance", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert [line.split("\t")[-1] for line in out.read_text().splitlines()[1:3]] == ["1", "1"]
+
+
 def test_evolve_deterministic(tmp_path):
     save(LindbladGenerator(n=2, gamma=np.diag([0.0, 0.4])), tmp_path / "lf.json")
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
