@@ -18,7 +18,10 @@ spectrum and the dense n²×n² entries) of those same weight and eigenvalue
 channels. `evolve_state` applies the last frame of an 11-frame semigroup
 trajectory, built beforehand with its CP flags, to one random density
 matrix; `evolve_state_skipped` applies its middle frame from a copy built
-with a CP stride that skips it, so its verdict is decided on demand. One `evolve_timedep` call builds four
+with a CP stride that skips it, so its verdict is decided on demand.
+`trajectory_flags` sets the stride-1 CP flags (`dynamics._flagged`) of a
+201-frame semigroup trajectory, built beforehand, of a rate table with one
+negative diagonal rate, so its verdicts flip. One `evolve_timedep` call builds four
 201-point trajectories of a Markovian generator: with tabulated (9 knots)
 and with quadratic polynomial profiles, each at CP stride 1 and 50.
 `eta_from_lambda` differentiates the stride-1 tabulated one. `validate_kf`
@@ -64,9 +67,9 @@ SIZES = (2, 3, 4, 6, 8, 12, 16)
 LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalized",
           "cp_check_paper", "tp_residuals", "kf_is_ev", "kf_to_ev", "ev_to_kf", "lf_to_ev",
           "ev_to_lf", "apply_kf", "apply_lf", "apply_ev", "evolve_state", "validate_kf",
-          "validate_ev", "construct_state", "evolve_state_skipped", "evolve_timedep",
-          "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev", "document_text",
-          "parse_document", "maps_build")
+          "validate_ev", "construct_state", "evolve_state_skipped", "trajectory_flags",
+          "evolve_timedep", "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev",
+          "document_text", "parse_document", "maps_build")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -77,7 +80,7 @@ def _child(src: str, repeats: int) -> None:
     """Print {layer: {n: [seconds per call, ...]}} for the gmchan under `src`."""
     sys.path.insert(0, src)
     import gmchan as gm
-    from gmchan import channels, fileio, sampling
+    from gmchan import channels, dynamics, fileio, sampling
 
     def ev_checks(ch):
         return [check(ch, VERDICT_TOL)
@@ -115,6 +118,11 @@ def _child(src: str, repeats: int) -> None:
                   for make in (lambda e: gm.RateProfile.tabulated(knots, e * shape),
                                lambda e: gm.RateProfile.polynomial(*(e * c for c in coeffs)))]
         tabulated = gm.evolve_timedep(tables[0], grid)
+        rates = sampling.random_lf_ev_admissible(np.random.default_rng([SEED, n, 1]), n,
+                                                 nonnegative=True).gamma.copy()
+        rates[1, 1] = -0.05  # frames leave CP, then re-enter it
+        flipping = gm.evolve_semigroup(gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=rates)),
+                                       gm.uniform_grid(4.0, 201))
         text = fileio.document_text(acting[2])
 
         def timedep(tables=tables, grid=grid):
@@ -146,6 +154,7 @@ def _child(src: str, repeats: int) -> None:
             ("validate_ev", n): lambda ev=ev: ev_checks(ev()),
             ("construct_state", n): lambda n=n, r=rho: gm.DensityMatrix(n=n, entries=r),
             ("evolve_state_skipped", n): lambda tr=skipping, r=rho0: gm.evolve_state(tr, r, 5),
+            ("trajectory_flags", n): lambda tr=flipping: dynamics._flagged(tr, 1, VERDICT_TOL),
             ("evolve_timedep", n): timedep,
             ("eta_from_lambda", n): lambda tr=tabulated: gm.eta_from_lambda(tr.lams, tr.grid),
             ("choi_of_channel_kf", n): lambda a=acting: gm.choi_of_channel(a[0]),
