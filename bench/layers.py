@@ -34,11 +34,15 @@ channel as channel-file text and `parse_document` parses that text back
 I/O and no object built). `maps_build` times one cold build of the per-n
 affine maps (`channels._affine_maps`, through its uncached `__wrapped__`
 function, so the maps the other layers read stay cached): the one-off cost
-a process pays per size on its first conversion. A tree without a layer's
-function (an older checkout) gets no samples for it. Each tree is a source
-checkout (default: this one, labelled "change"); its `src/` is imported in a child
-process started
-with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1. The
+a process pays per size on its first conversion. `evolve_table` writes the
+`gmchan evolve` table of a 501-frame semigroup trajectory, built beforehand
+with CP stride 500 as perfbench's files workload runs it, to an in-memory
+text stream (`fileio._write_trajectory_table`; on a tree without it, the
+one-`%`-template-per-row writer that `cmd_evolve` held before). A tree
+without a layer's function (an older checkout) gets no samples for it. Each
+tree is a source checkout (default: this one, labelled "change"); its `src/`
+is imported in a child process started with OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS set to 1. The
 rounds run the trees in turn, first tree first in odd rounds and last in
 even ones, so slow spells of a shared host fall on every tree alike. Each
 round takes K samples per (layer, n); a sample is the mean of as many calls
@@ -52,6 +56,7 @@ change of each median against an earlier file with the same tree labels.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -69,11 +74,22 @@ LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalize
           "ev_to_lf", "apply_kf", "apply_lf", "apply_ev", "evolve_state", "validate_kf",
           "validate_ev", "construct_state", "evolve_state_skipped", "trajectory_flags",
           "evolve_timedep", "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev",
-          "document_text", "parse_document", "maps_build")
+          "document_text", "parse_document", "maps_build", "evolve_table")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
 SEED = 6
+
+
+def _rows_table(out, traj) -> None:
+    # the trajectory table as `cmd_evolve` wrote it before the fileio kernel
+    n = traj.n
+    names = [f"lambda_{i}_{j}" for i in range(n) for j in range(n)]
+    out.write("\t".join(["t"] + names + ["cp"]) + "\n")
+    row_format = "%.17g\t" * (1 + n * n) + "%s\n"
+    cells = ["-" if flag is None else ("1" if flag else "0") for flag in traj.cp_flags]
+    rows = np.column_stack([traj.grid, traj.lams.reshape(len(traj), -1)]).tolist()
+    out.writelines(row_format % (*row, cell) for row, cell in zip(rows, cells, strict=True))
 
 
 def _child(src: str, repeats: int) -> None:
@@ -124,6 +140,8 @@ def _child(src: str, repeats: int) -> None:
         flipping = gm.evolve_semigroup(gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=rates)),
                                        gm.uniform_grid(4.0, 201))
         text = fileio.document_text(acting[2])
+        table = gm.evolve_semigroup(markovian, gm.uniform_grid(4.0, 501), cp_stride=500)
+        write_table = getattr(fileio, "_write_trajectory_table", _rows_table)
 
         def timedep(tables=tables, grid=grid):
             return [gm.evolve_timedep(t, grid, cp_stride=s) for t in tables for s in (1, 50)]
@@ -161,6 +179,7 @@ def _child(src: str, repeats: int) -> None:
             ("choi_of_channel_ev", n): lambda a=acting: gm.choi_of_channel(a[2]),
             ("document_text", n): lambda a=acting: fileio.document_text(a[2]),
             ("parse_document", n): lambda text=text: fileio._parse_document(text),
+            ("evolve_table", n): lambda tr=table: write_table(io.StringIO(), tr),
         })
         if hasattr(channels, "_affine_maps"):
             calls["maps_build", n] = lambda n=n: channels._affine_maps.__wrapped__(n)

@@ -43,7 +43,7 @@ from .errors import (
     NotTracePreserving,
 )
 from .examples import RUNNERS
-from .fileio import document_text, load_document, save
+from .fileio import _write_trajectory_table, document_text, load_document, save
 from .generators import ev_is_lf, ev_to_lf, lf_is_ev, lf_to_ev
 
 EXIT_OK = 0
@@ -237,17 +237,9 @@ def cmd_evolve(args) -> int:
                          for j in range(n)] for i in range(n)]
         traj = evolve_timedep(profiles, grid, cp_stride=args.stride, tol=tol)
 
-    n = traj.n
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        names = [f"lambda_{i}_{j}" for i in range(n) for j in range(n)]
-        out.write("\t".join(["t"] + names + ["cp"]) + "\n")
-        # one printf-style format per row: the same %.17g conversion as
-        # format(x, ".17g"), without a call per cell
-        row_format = "%.17g\t" * (1 + n * n) + "%s\n"
-        cells = ["-" if flag is None else ("1" if flag else "0") for flag in traj.cp_flags]
-        rows = np.column_stack([traj.grid, traj.lams.reshape(len(traj), -1)]).tolist()
-        out.writelines(row_format % (*row, cell) for row, cell in zip(rows, cells, strict=True))
+        _write_trajectory_table(out, traj)
     finally:
         if args.out:
             out.close()

@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,15 @@ from hypothesis.extra.numpy import arrays
 from gmchan.channels import DensityMatrix, EigenChannel, KrausChannel
 from gmchan.cli import main
 from gmchan.errors import ConstraintViolated, InvariantError, ParseError, SchemaError
-from gmchan.fileio import _fmt, _parse_document, document_text, load, load_document, save
+from gmchan.fileio import (
+    _fmt,
+    _g17_records,
+    _parse_document,
+    document_text,
+    load,
+    load_document,
+    save,
+)
 from gmchan.generators import EigenGenerator, LindbladGenerator, lf_to_ev
 
 
@@ -665,9 +674,12 @@ def _table_by_cell(traj):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n", (2, 3))
-@pytest.mark.parametrize("profile", ("constant", "poly:1,-0.4"))
+@pytest.mark.parametrize("n", (2, 3, 5, 8))
+@pytest.mark.parametrize("profile", ("constant", "poly:1,-0.4", "exp:0.5"))
 def test_evolve_table_bytes_match_per_cell_writer(tmp_path, monkeypatch, n, profile):
+    # 501 rows are several chunks of the writer at n >= 5; the fast decay
+    # (and, under poly:1,-0.4, growth) takes cells to e-163 and e+244, and
+    # the time column passes 10
     import gmchan.cli
 
     trajectories = []
@@ -680,17 +692,84 @@ def test_evolve_table_bytes_match_per_cell_writer(tmp_path, monkeypatch, n, prof
 
     for name in ("evolve_semigroup", "evolve_timedep"):
         monkeypatch.setattr(gmchan.cli, name, recording(getattr(gmchan.cli, name)))
-    eta = -np.random.default_rng(n).uniform(0.2, 1.0, (n, n))
+    eta = -30.0 * np.random.default_rng(n).uniform(0.2, 1.0, (n, n))
     eta[0, 0] = 0.0
     eta[1, 1] = 0.3  # a growing eigenvalue: later frames are not CP
     save(EigenGenerator(n=n, eta=eta), tmp_path / "g.json")
     out = tmp_path / "traj.tsv"
     argv = ["evolve", "--generator", str(tmp_path / "g.json"), "--profile", profile,
-            "--t", "2.5", "--steps", "40", "--stride", "3", "--out", str(out)]
+            "--t", "12.5", "--steps", "500", "--stride", "3", "--out", str(out)]
     assert main(argv) == 0
     (traj,) = trajectories
     assert out.read_bytes() == _table_by_cell(traj).encode("utf-8")
     assert {line.rsplit("\t", 1)[1] for line in out.read_text().splitlines()[1:]} == {"-", "0", "1"}
+
+
+def _kernel_text(values) -> str:
+    # the "%.17g\t" records of the trajectory-table kernel, NUL padding dropped
+    x = np.asarray(values, dtype=float).reshape(1, -1)
+    rec = np.empty(x.shape + (4,), dtype="<u8")
+    _g17_records(x, rec)
+    return rec.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _percent_text(values) -> str:
+    return "".join("%.17g\t" % v for v in np.asarray(values, dtype=float).tolist())
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1,
+                max_size=40)
+       | st.lists(st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
+                  min_size=1, max_size=40))
+def test_g17_kernel_matches_percent_format(values):
+    assert _kernel_text(values) == _percent_text(values)
+
+
+def _g17_edge_values() -> list:
+    values = []
+    for k in range(-323, 309):  # each power of ten's double and both neighbours
+        x = float(f"1e{k}")
+        values += [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+    values += [2.0 ** k for k in range(-1074, 1024)]
+    values += [float(2 ** 53 + d) for d in range(-40, 41)]
+    values += [sys.float_info.max, sys.float_info.min, 5e-324, 0.0]
+    for e in range(2, 23):  # exact halves: odd / 2^e with 18 significant digits
+        first = -(-10 ** 17 // 5 ** e) | 1
+        values += [(first + 2 * i) / 2 ** e for i in range(4)]
+    return values + [-v for v in values]
+
+
+def test_g17_kernel_matches_percent_format_on_edges():
+    values = _g17_edge_values()
+    assert _kernel_text(values) == _percent_text(values)
+    texts = _percent_text(values).split("\t")
+    # the list reaches the cases a kernel can get wrong: 17-digit rounding
+    # that carries to the next power of ten, and exact ties
+    assert sum(t.startswith(("1e", "-1e")) and abs(Decimal(v)) < abs(Decimal(t))
+               for t, v in zip(texts, values)) >= 8
+    assert sum(Decimal(v).as_tuple().digits[17:] == (5,) for v in values) >= 80
+
+
+def test_import_builds_no_g17_table():
+    # the kernel's tables are built on first use: importing the package and
+    # its CLI builds none and loads no module beyond this fixed set
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import gmchan, gmchan.cli\n"
+        "new = sorted(m for m in set(sys.modules) - before if not m.startswith('gmchan'))\n"
+        "print(new, gmchan.fileio._g17_tables.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    expected = ["__future__", "_json", "argparse", "copy", "dataclasses", "gettext", "json",
+                "json.decoder", "json.encoder", "json.scanner"]
+    assert proc.stdout == f"{expected} 0\n"
 
 
 def test_tolerance_env_flips_borderline_verdict(borderline_ev, monkeypatch, capsys):
