@@ -5,7 +5,7 @@
                            [--previous FILE]
 
 Times `cp_check_oracle`, `cp_check_normalized`, `cp_check_paper`,
-`tp_residuals`, `kf_is_ev`, `kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`,
+`tp_residuals`, `complete_tp`, `kf_is_ev`, `kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`,
 `apply_kf`, `apply_lf`, `apply_ev`, `choi_of_channel`, `evolve_state`,
 `evolve_timedep` and `eta_from_lambda` per call at n in {2, 3, 4, 6, 8, 12,
 16}. Channels keep per-object memos, so every timed call builds a fresh
@@ -31,10 +31,12 @@ makes on one fresh object: for a weight table the TP check, the oracle,
 eigenvalue table the three CP checks. `document_text` renders the eigenvalue
 channel as channel-file text and `parse_document` parses that text back
 (`fileio._parse_document`: JSON, schema and the coefficient table, no file
-I/O and no object built). `maps_build` times one cold build of the per-n
-affine maps (`channels._affine_maps`, through its uncached `__wrapped__`
-function, so the maps the other layers read stay cached): the one-off cost
-a process pays per size on its first conversion. `evolve_table` writes the
+I/O and no object built). `complete_tp` completes the admissible weight
+table's off-diagonals and p_11. `maps_build` times one cold build of the
+per-n affine maps and, where the tree has them, the reverse converters' data
+(`channels._affine_maps` and `channels._reverse_maps`, through their
+uncached `__wrapped__` functions, so the maps the other layers read stay
+cached): the one-off cost a process pays per size on its first conversions. `evolve_table` writes the
 `gmchan evolve` table of a 501-frame semigroup trajectory, built beforehand
 with CP stride 500 as perfbench's files workload runs it, to an in-memory
 text stream (`fileio._write_trajectory_table`; on a tree without it, the
@@ -70,7 +72,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (2, 3, 4, 6, 8, 12, 16)
 LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalized",
-          "cp_check_paper", "tp_residuals", "kf_is_ev", "kf_to_ev", "ev_to_kf", "lf_to_ev",
+          "cp_check_paper", "tp_residuals", "complete_tp", "kf_is_ev", "kf_to_ev", "ev_to_kf", "lf_to_ev",
           "ev_to_lf", "apply_kf", "apply_lf", "apply_ev", "evolve_state", "validate_kf",
           "validate_ev", "construct_state", "evolve_state_skipped", "trajectory_flags",
           "evolve_timedep", "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev",
@@ -159,6 +161,7 @@ def _child(src: str, repeats: int) -> None:
             ("cp_check_normalized", n): lambda ev=ev: gm.cp_check_normalized(ev()),
             ("cp_check_paper", n): lambda ev=ev: gm.cp_check_paper(ev()),
             ("tp_residuals", n): lambda kf=kf: gm.tp_residuals(kf()),
+            ("complete_tp", n): lambda p=p: gm.complete_tp(p, p[1, 1]),
             ("kf_is_ev", n): lambda kf=kf: gm.kf_is_ev(kf()),
             ("kf_to_ev", n): lambda kf=kf: gm.kf_to_ev(kf()),
             ("ev_to_kf", n): lambda ev=ev: gm.ev_to_kf(ev()),
@@ -182,7 +185,9 @@ def _child(src: str, repeats: int) -> None:
             ("evolve_table", n): lambda tr=table: write_table(io.StringIO(), tr),
         })
         if hasattr(channels, "_affine_maps"):
-            calls["maps_build", n] = lambda n=n: channels._affine_maps.__wrapped__(n)
+            builds = [getattr(channels, name).__wrapped__
+                      for name in ("_affine_maps", "_reverse_maps") if hasattr(channels, name)]
+            calls["maps_build", n] = lambda n=n, builds=builds: [build(n) for build in builds]
     number = {}
     for key, call in calls.items():  # warm caches, then size each sample
         start, count = time.perf_counter(), 0

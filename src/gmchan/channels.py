@@ -5,9 +5,9 @@ Two representations of the same family of maps on n×n operators:
   KrausChannel  -- weight table p:      X -> sum_ij p_ij sigma_ij X sigma_ij
   EigenChannel  -- eigenvalue table l:  sigma_ij -> l_ij sigma_ij
 
-plus the machinery to test trace preservation (a linear system in the p table
-with one free diagonal weight), complete positivity (three independent
-routes), and to act on density matrices.
+plus the machinery to test trace preservation (sum_a p_a sigma_a² = I, one
+equation per diagonal entry, as every sigma_a² is diagonal), complete
+positivity (three independent routes), and to act on density matrices.
 
 CP checking routes, in decreasing order of authority:
 
@@ -46,8 +46,9 @@ largest entry of either table, if above 1 (`_verify_images`). Both are O(n³).
 The private helpers below are the one core that the channel and generator
 converters and `dynamics` share. At small n a call's cost is numpy call
 overhead, not arithmetic, so what depends on n alone is built once per n:
-index arrays and weights (`_kernel_table`) and the TP residuals and both
-eigenvalue readers as affine maps, one matvec per read (`_affine_maps`). The
+index arrays and weights (`_kernel_table`), both eigenvalue readers as affine
+maps, one matvec per read (`_affine_maps`), and their inverses on the
+admissible tables, which the reverse converters read (`_reverse_maps`). The
 block check `_verify_images` shares nothing with the maps.
 
 What depends on a channel's table but not on a tolerance is computed once per
@@ -150,7 +151,7 @@ class KrausChannel:
     @_memo
     def _tp_residuals(self) -> np.ndarray:
         """`tp_residuals` of this channel, read-only."""
-        return _read_only(_affine("tp", self.p))
+        return _read_only(_square_sums(self.p) - 1.0)
 
     @_memo
     def _tp_worst(self) -> float:
@@ -254,18 +255,12 @@ def _kernel_table(n: int) -> SimpleNamespace:
     Pairs i < j are row-major; the triples j < k < l of `_column_violations` run
     by l, j, k, as flat indices (l*n + j, l*n + k). `ev_is_lf`'s mixing triples
     1 <= k < l < m run by k, l, m, as flat indices of its (n-1, n) rise table.
-    `tp_terms` indexes p + p.T for the two sums of each TP recursion step
-    (`_tp_solve`), padded with n*n, an appended zero. `tail_den` floors j(j+1)
-    at 1 for j = 0, which no tail uses.
+    `tail_den` floors j(j+1) at 1 for j = 0, which no tail uses.
     """
     k = np.arange(n)
     i, j = np.nonzero(k[:, None] < k)
     l, a, b = np.nonzero((k[:, None] < k) & (k[:, None, None] > k))  # [l, j, k]: j < k < l
     mk, ml, mm = np.nonzero((k[1:, None, None] < k[:, None]) & (k[:, None] < k))  # [k-1, l, m]
-    step, pos = np.arange(2, n - 1)[:, None], np.arange(n - 2)
-    head = pos < step
-    plus = np.where(head, pos * n + step, step * n + pos + 2)
-    minus = np.where(head, plus + 1, plus + n)
     hi = np.maximum.outer(k, k)
     table = SimpleNamespace(
         k=k, k1=k + 1.0, frac=k / (k + 1.0), tail_den=np.maximum(k * (k + 1.0), 1.0), hi=hi,
@@ -273,11 +268,8 @@ def _kernel_table(n: int) -> SimpleNamespace:
         triples=(l * n + a, l * n + b), triple_keys=tuple(zip(a.tolist(), b.tolist(), l.tolist())),
         mixing=(mk * n + ml, mk * n + mm),
         mixing_keys=tuple(("mixing", *v) for v in zip((mk + 1).tolist(), ml.tolist(), mm.tolist())),
-        tp_terms=tuple(np.where([head, ~head], x, n * n) for x in (plus, minus)),
-        tp_coef=(step[:, 0] + 1.0) / (2.0 * step[:, 0]),
     )
-    for arr in (k, table.k1, table.frac, table.tail_den, hi,
-                i, j, *table.triples, *table.mixing, *table.tp_terms, table.tp_coef):
+    for arr in (k, table.k1, table.frac, table.tail_den, hi, i, j, *table.triples, *table.mixing):
         arr.setflags(write=False)
     return table
 
@@ -316,29 +308,9 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail_terms(diag: np.ndarray) -> np.ndarray:
-    """d_j / (j(j+1)) for diagonal entries d, over the last axis."""
-    return diag / _kernel_table(diag.shape[-1]).tail_den
-
-
 def _tails(diag: np.ndarray) -> np.ndarray:
     """tail_m = sum_{m<j<n} d_j / (j(j+1)) of diagonal entries d, over the last axis."""
-    return _suffix_sums(_tail_terms(diag))
-
-
-def _offdiag_from_ev(table: np.ndarray, c: float) -> np.ndarray:
-    """Off-diagonal weights (or rates) realizing an eigenvalue table.
-
-    Column m's symmetrized entry is c - t_mm/(m+1) + tail_m, with c = 1/n for
-    a channel and c = -0.0 (which keeps the sign of a zero) for a generator;
-    entry (k, l) adds (t_kl - t_lk)/4. The diagonal is left zero.
-    """
-    t = _kernel_table(table.shape[0])
-    diag = np.diagonal(table)
-    col = c - diag / t.k1 + _tails(diag)
-    out = 0.5 * col[t.hi] + 0.25 * (table - table.T)
-    np.fill_diagonal(out, 0.0)
-    return out
+    return _suffix_sums(diag / _kernel_table(diag.shape[-1]).tail_den)
 
 
 def _eigenvalue_formula(table: np.ndarray, c: float, rate: bool = False) -> np.ndarray:
@@ -346,8 +318,9 @@ def _eigenvalue_formula(table: np.ndarray, c: float, rate: bool = False) -> np.n
 
     Off the diagonal, `kf_to_ev`'s formula, which holds for any table; rate=True
     subtracts (s_k + s_l)/2, s from `_square_sums`. Entry (k, k), k >= 1, is
-    c - (k+1) col_k - sum_{k<j<n} col_j with col_l = t_0l + t_l0 and c as in
-    `_offdiag_from_ev`, or 0 for the linear part; lam_00 is c, +0.0 if c is -0.0.
+    c - (k+1) col_k - sum_{k<j<n} col_j with col_l = t_0l + t_l0 and c = 1 for a
+    channel, -0.0 for a generator (which keeps the sign of a zero) or 0 for the
+    linear part; lam_00 is c, +0.0 if c is -0.0.
     """
     t = _kernel_table(table.shape[-1])
     diag, tr = table.diagonal(0, -2, -1), table.swapaxes(-1, -2)
@@ -364,7 +337,8 @@ def _eigenvalue_formula(table: np.ndarray, c: float, rate: bool = False) -> np.n
 
 def _eigenvalue_table(table: np.ndarray, what: str, rate: bool = False) -> np.ndarray:
     """`_eigenvalue_formula` of a channel (or, with rate=True, a generator), verified."""
-    lam = _affine("rate" if rate else "ev", table).reshape(table.shape)
+    minus, const = _affine_maps(table.shape[0])["rate" if rate else "ev"]
+    lam = (const - minus @ table.ravel()).reshape(table.shape)  # a zero keeps the sign of c = -0.0
     _verify_images(table, lam, what, rate)
     return lam
 
@@ -379,67 +353,66 @@ def apply_ev(ch: EigenChannel, X: np.ndarray) -> np.ndarray:
     return _apply_blocks(_eigen_superoperator(ch.lam), _check_square(X, ch.n))
 
 
-def _tp_solve(p: np.ndarray):
-    """Trace-preservation recursion of a weight table, n >= 3.
-
-    Trace preservation pins every diagonal weight except p_11: one equation
-    fixes p_00 (_tp_p00), one constrains the off-diagonals alone, and the rest
-    determine p_22.. Returns (gap, p22, steps): that constraint's left-hand
-    side, the value of p_22, and p_kk - p_22 for k >= 3. Step j = 2..n-2 adds
-    (j + 1)/(2j) times the sum over i < j of pt_ij - pt_i,j+1 plus the sum
-    over m > j + 1 of pt_jm - pt_j+1,m, with pt = p + p.T.
-    """
-    t = _kernel_table(p.shape[0])
-    pt = p + p.T
-    gap = float(np.add.reduce(pt[1, 2:] - pt[0, 2:]))
-    p22 = p[1, 1] + pt[0, 1] - pt[1, 2] + np.add.reduce(pt[0, 3:] - pt[2, 3:])
-    plus, minus = t.tp_terms
-    flat = np.append(pt, 0.0)
-    head, rest = np.add.reduce(flat[plus] - flat[minus], axis=-1)
-    return gap, p22, np.add.accumulate(t.tp_coef * (head + rest))
-
-
-def _tp_p00(p: np.ndarray, one: float = 1.0) -> float:
-    """The value preserving a trace of `one` demands of p_00, given every other weight."""
-    tail = np.add.reduce(_tail_terms(p.diagonal())[1:])  # _tails(diagonal)[0] alone
-    return one - np.add.reduce(p[0, 1:] + p[1:, 0]) - 2.0 * tail
-
-
-def _tp_formula(p: np.ndarray, one: float) -> np.ndarray:
-    """Closed-form `tp_residuals` of a weight table or of each of a stack; one = 0: linear part."""
-    if p.ndim > 2:
-        return np.array([_tp_formula(q, one) for q in p])
-    res = [p[0, 0] - _tp_p00(p, one)]
-    if p.shape[0] > 2:
-        gap, p22, steps = _tp_solve(p)
-        res += [gap, p[2, 2] - p22, *(np.diagonal(p)[3:] - (p[2, 2] + steps))]
-    return np.array(res)
-
-
 @lru_cache(maxsize=None)
 def _affine_maps(n: int) -> dict:
-    """Each closed form f(table, c) on dimension-n tables as read-only (-linear, const): f(e, 0)
-    on the stack of n² unit tables e and f(0, c); no coefficient carries f(e) - f(0)'s rounding."""
+    """Both eigenvalue readers of dimension-n tables, "ev" (a channel's) and "rate" (a generator's),
+    as read-only (-linear, const): `_eigenvalue_formula` f(e, 0) on the stack of n² unit tables e and
+    f(0, c); no coefficient carries f(e) - f(0)'s rounding."""
     units = np.eye(n * n).reshape(n * n, n, n)
-    formulas = {"tp": (_tp_formula, 1.0), "ev": (_eigenvalue_formula, 1.0),
+    formulas = {"ev": (_eigenvalue_formula, 1.0),
                 "rate": (partial(_eigenvalue_formula, rate=True), -0.0)}
     return {key: (_read_only(-f(units, 0.0).reshape(n * n, -1).T.copy()),
                   _read_only(f(np.zeros((n, n)), c).ravel()))
             for key, (f, c) in formulas.items()}
 
 
-def _affine(key, table: np.ndarray) -> np.ndarray:
-    """Closed form `key` of a table as one matvec, flat: "tp", "ev" or "rate" (a generator's)."""
-    minus, const = _affine_maps(table.shape[0])[key]
-    return const - minus @ table.ravel()  # as c - ...: a zero keeps the sign of c = -0.0
+@lru_cache(maxsize=None)
+def _reverse_maps(n: int) -> dict:
+    """Each reader of `_affine_maps` inverted on its admissible tables, read-only (rows, const).
+
+    An admissible table t is fixed by its column values v_l, the t_kl + t_lk
+    common to the rows k < l of column l, its diagonal and its antisymmetric
+    part, which a reader passes on doubled: lam_kl - lam_lk = 2 (t_kl - t_lk).
+    u = (v_0, .., v_n-1, t_00, .., t_n-1,n-1) = const + rows @ vec(lam) is the
+    pseudo-inverse of the reader's linear part on u, with a channel's trace
+    preservation, sum_a p_a sigma_a² = I, stacked below it. The antisymmetric
+    part of lam is orthogonal to that part's range, so it drops out. An unknown
+    that no equation reads, v_0 or a generator's inert (0, 0) rate, is 0.
+    """
+    t = _kernel_table(n)
+    units = np.zeros((2 * n, n, n))
+    units[:n] = 0.5 * ((t.hi == t.k[:, None, None]) & (t.k[:, None] != t.k))
+    units[n + t.k, t.k, t.k] = 1.0
+    units = units.reshape(2 * n, -1)
+    maps = {}
+    for key, (minus, const) in _affine_maps(n).items():
+        A, b = -minus @ units.T, -const
+        if key == "ev":
+            A, b = np.vstack([A, (units @ _choi_layout(n).squares).T]), np.append(b, np.ones(n))
+        seen = np.flatnonzero(A.any(axis=0))
+        R = np.zeros((2 * n, A.shape[0]))
+        R[seen] = np.linalg.pinv(A[:, seen])
+        maps[key] = _read_only(R[:, :n * n]), _read_only(R @ b)
+    return maps
+
+
+def _reverse(key, lam: np.ndarray) -> np.ndarray:
+    """The table that reader `key` of `_affine_maps` maps to the admissible table lam."""
+    n = lam.shape[0]
+    rows, const = _reverse_maps(n)[key]
+    u = const + rows @ lam.ravel()
+    t = _kernel_table(n)
+    out = 0.5 * u[t.hi] + 0.25 * (lam - lam.T)
+    out[t.k, t.k] = u[n:]
+    return out
 
 
 def tp_residuals(ch: KrausChannel) -> np.ndarray:
-    """Trace-preservation residuals: one entry for n=2, n entries for n>=3.
+    """Trace-preservation residuals: the diagonal of sum_a p_a sigma_a² - I.
 
-    Residual = stored weight minus the value the system demands (the
-    constraint row is returned as its left-hand side); p_kk for k >= 3 is
-    measured against the stored p_22. Each call returns a copy of the memo.
+    The map is trace-preserving iff sum_a p_a sigma_a² = I, and each sigma_a²
+    is diagonal, so there is one residual per row, n in all; at n = 2 every
+    sigma_a² is I and both read sum p - 1. Each call returns a copy of the memo.
     """
     return ch._tp_residuals.copy()
 
@@ -448,28 +421,27 @@ def complete_tp(offdiag: np.ndarray, p_11: float) -> KrausChannel:
     """Fill in the diagonal weights forced by trace preservation.
 
     Takes the off-diagonal weights (diagonal entries of the argument are
-    ignored) and the one free diagonal weight p_11; computes p_22.. and p_00.
-    Raises ConstraintViolated when the off-diagonals break the one equation
-    that no diagonal can absorb, NegativeCoefficient when a completed weight
-    comes out negative.
+    ignored) and the one free diagonal weight p_11, and solves rows 1..n-1 of
+    sum_a p_a sigma_a² = I for p_00, p_22, ... Every diagonal sigma_kk² has
+    equal entries in rows 0 and 1, so no diagonal weight can absorb a gap
+    between those rows' square sums. Raises ConstraintViolated when the
+    off-diagonals leave such a gap, NegativeCoefficient when a completed weight
+    comes out negative, InvariantError when the argument is not a square table.
     """
     off = np.array(offdiag, dtype=float)
-    n = _check_dimension(off.shape[0])
-    if off.shape != (n, n):
+    if off.ndim != 2 or off.shape[0] != off.shape[1]:
         raise InvariantError(f"off-diagonal table must be square, got {off.shape}")
+    n = _check_dimension(off.shape[0])
     p = off.copy()
     np.fill_diagonal(p, 0.0)
     p[1, 1] = float(p_11)
-    if n >= 3:
-        gap, p22, steps = _tp_solve(p)
-        if abs(gap) > 1e-12:
-            raise ConstraintViolated(
-                f"off-diagonal weights violate the row-1/row-0 balance by {gap:.3e}"
-            )
-        p[2, 2] = p22
-        k = np.arange(3, n)
-        p[k, k] = p[2, 2] + steps
-    p[0, 0] = _tp_p00(p)
+    s = _square_sums(p)
+    if abs(s[1] - s[0]) > 1e-12:
+        raise ConstraintViolated(
+            f"off-diagonal weights violate the row-1/row-0 balance by {s[1] - s[0]:.3e}"
+        )
+    k = np.delete(_kernel_table(n).k, 1)
+    p[k, k] = np.linalg.solve(_choi_layout(n).squares[k * (n + 1), 1:].T, 1.0 - s[1:])
     for k in [*range(2, n), 0]:
         if p[k, k] < 0:
             raise NegativeCoefficient(f"completed p_{k}{k} = {p[k, k]:.6g} < 0", index=(k, k))

@@ -4,11 +4,12 @@ A weight-table channel is diagonal in the Gell-Mann basis iff, within every
 column l >= 1, the symmetrized weights p~_jl := p_jl + p_lj agree for all
 rows j < l. An eigenvalue-table channel admits a weight-table realization iff
 the symmetrized eigenvalues satisfy the same column-equality and the diagonal
-eigenvalues follow a fixed linear recursion. Both converters re-verify their
-closed-form output before returning: the two tables must describe the same
-map, so their superoperators must be equal. `channels._verify_images`
-compares the two superoperators' blocks entrywise, O(n³), and shares nothing
-with the per-n affine maps (`channels._affine_maps`) that `kf_to_ev` reads.
+eigenvalues follow a fixed linear recursion. `kf_to_ev` reads the eigenvalues
+through a per-n affine map (`channels._affine_maps`), and `ev_to_kf` inverts
+that map on the admissible tables (`channels._reverse_maps`). Both re-verify
+their output before returning: the two tables must describe the same map, so
+their superoperators must be equal. `channels._verify_images` compares the
+two superoperators' blocks entrywise, O(n³), and shares nothing with the maps.
 
 The generator pair is the same algebra (a generator is the derivative of its
 channel at t = 0), so both pairs use one private core in `channels`.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .channels import (
     COND_TOL, DEFAULT_TOL, EigenChannel, KrausChannel, _column_violations, _eigenvalue_table,
-    _exceeding, _kernel_table, _offdiag_from_ev, _verify_images,
+    _exceeding, _kernel_table, _reverse, _table_scale, _verify_images,
 )
 from .errors import NotEV, NotKF, NotTracePreserving
 
@@ -84,10 +85,12 @@ def ev_is_kf(ch: EigenChannel, tol: float = COND_TOL):
 def ev_to_kf(ch: EigenChannel, tol: float = COND_TOL) -> KrausChannel:
     """Solve for the weight table realizing an admissible eigenvalue table.
 
-    p~_m = 1/n - lam_mm/(m+1) + sum_{m<j<n} lam_jj/(j(j+1)) gives the
-    symmetrized off-diagonal weights; the antisymmetric split is fixed by
-    p_kl - p_lk = (lam_kl - lam_lk)/2. Negative weights are possible and are
-    returned as-is.
+    The inverse of `kf_to_ev`'s reader on the admissible tables
+    (`channels._reverse`): the off-diagonal weights follow from the column
+    values and p_kl - p_lk = (lam_kl - lam_lk)/2, and the diagonal is the one
+    that trace preservation forces. A weight within COND_TOL times the table's
+    scale of zero, which the check cannot tell from zero, is returned as +0.0.
+    Negative weights are possible and are returned as-is.
     """
     ok, violations = ev_is_kf(ch, tol)
     if not ok:
@@ -96,13 +99,7 @@ def ev_to_kf(ch: EigenChannel, tol: float = COND_TOL) -> KrausChannel:
             f"({len(violations)} violations)",
             violations,
         )
-    n = ch.n
-    lam = ch.lam
-    lt = lam + lam.T
-    p = _offdiag_from_ev(lam, 1.0 / n)
-    s_all = lt[0, 1] + float(np.sum(lt[0, 1:]))
-    k = _kernel_table(n).k[1:]
-    p[k, k] = (1.0 - lam[1, 1] + n * lam[k, k] - 0.5 * s_all) / (2.0 * n)
-    p[0, 0] = (1.0 + 0.5 * (n - 1.0) * (2.0 * lam[1, 1] + s_all)) / (n * n)
-    _verify_images(p, lam, "ev_to_kf")
-    return KrausChannel(n=n, p=p, trace_preserving=True)
+    p = _reverse("ev", ch.lam)
+    p[np.abs(p) <= COND_TOL * _table_scale(ch.lam)] = 0.0
+    _verify_images(p, ch.lam, "ev_to_kf")
+    return KrausChannel(n=ch.n, p=p, trace_preserving=True)

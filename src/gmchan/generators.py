@@ -16,11 +16,12 @@ had it nonzero.
 
 A rate table acts through the blocks of its superoperator, those of the
 sandwich minus (s_i + s_j)/2 on the diagonal (`apply_lf`); `lf_to_ev` reads
-eta_kl, k != l, as the channel formula's lam_kl minus (s_k + s_l)/2. The
-converters share one private core in `channels` with the channel converters
-and check that the rate table's superoperator equals the eigenvalue table's,
-block by block, in O(n³). An eigenvalue-form generator acts as `apply_ev` on
-its table. `ev_is_lf` scales its tolerance with the table, as the check does.
+eta_kl, k != l, as the channel formula's lam_kl minus (s_k + s_l)/2, and
+`ev_to_lf` inverts that reader on the admissible tables. The converters share
+one private core in `channels` with the channel converters and check that
+the rate table's superoperator equals the eigenvalue table's, block by block,
+in O(n³). An eigenvalue-form generator acts as `apply_ev` on its table.
+`ev_is_lf` scales its tolerance with the table, as the check does.
 
 eta_from_lambda / lambda_from_eta translate between generator eigenvalues
 h(t) and channel eigenvalues l(t) per h = d/dt ln l and l = exp(integral h):
@@ -39,8 +40,7 @@ import numpy as np
 from .basis import _check_dimension, _check_square
 from .channels import (
     COND_TOL, _apply_blocks, _coeff_table, _column_violations, _eigenvalue_table, _exceeding,
-    _kernel_table, _offdiag_from_ev, _superoperator, _table_scale, _tail_terms, _tails,
-    _verify_images,
+    _kernel_table, _reverse, _superoperator, _table_scale, _verify_images,
 )
 from .errors import (
     ConstraintViolated, DimensionMismatch, InvariantError, NotEV, NotLF, ZeroEigenvalue,
@@ -147,9 +147,10 @@ def ev_is_lf(gen: EigenGenerator, tol: float = COND_TOL):
 def ev_to_lf(gen: EigenGenerator, tol: float = COND_TOL) -> LindbladGenerator:
     """Solve for the rate table realizing an admissible eigenvalue table.
 
-    Negative rates are legitimate output (time-local, non-Markovian); they
-    are returned as-is. The closed forms are re-checked before returning:
-    the rate table's superoperator must equal the eigenvalue table's.
+    The inverse of `lf_to_ev`'s reader on the admissible tables
+    (`channels._reverse`). Negative rates are legitimate output (time-local,
+    non-Markovian); they are returned as-is. The output is re-checked before
+    returning: the rate table's superoperator must equal the eigenvalue table's.
     """
     ok, violations = ev_is_lf(gen, tol)
     if not ok:
@@ -158,19 +159,8 @@ def ev_to_lf(gen: EigenGenerator, tol: float = COND_TOL) -> LindbladGenerator:
             f"({len(violations)} violations)",
             violations,
         )
-    n = gen.n
-    eta = gen.eta
-    ht = eta + eta.T
-    g = _offdiag_from_ev(eta, -0.0)
-    d = np.diagonal(eta)
-    k = _kernel_table(n).k[1:]
-    g[k, k] = -0.25 * (ht[k - 1, k] - 2.0 * _tails(d)[k] - 2.0 * _tail_terms(d)[k])
-    k = k[1:]
-    frac = (k - 1.0) / (k + 1.0)
-    g[k, k] += 0.25 * frac * (ht[0, k - 1] - ht[0, k] + 2.0 * d[k])
-    g[k, k] += frac * d[k - 1] / (2.0 * k)
-    result = LindbladGenerator(n=n, gamma=g)
-    _verify_images(g, eta, "ev_to_lf", rate=True)
+    result = LindbladGenerator(n=gen.n, gamma=_reverse("rate", gen.eta))
+    _verify_images(result.gamma, gen.eta, "ev_to_lf", rate=True)
     return result
 
 

@@ -2,15 +2,15 @@
 
 Everything takes an explicit numpy Generator so runs are reproducible from a
 seed. The trace-preserving samplers draw small off-diagonal weights and let
-complete_tp fill the diagonal; a fixup nudges one weight so the linear
-constraint on the off-diagonal block holds before completion.
+complete_tp fill the diagonal; a fixup nudges one weight so that rows 0 and 1
+of sum_a p_a sigma_a², which no diagonal weight can balance, agree first.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import EigenChannel, KrausChannel, _tails, _tp_solve, complete_tp
+from .channels import EigenChannel, KrausChannel, _square_sums, _tails, complete_tp
 from .errors import NegativeCoefficient
 from .generators import EigenGenerator, LindbladGenerator
 
@@ -28,16 +28,11 @@ def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _tp_fixup(off: np.ndarray, n: int) -> None:
-    # Completion requires sum_l (p~_1l - p~_0l) over l >= 2 to vanish,
-    # where p~ is the symmetrized table.
-    if n < 3:
-        return
-    s = _tp_solve(off)[0]
-    if s >= 0:
-        off[0, n - 1] += s
-    else:
-        off[1, n - 1] -= s
+def _tp_fixup(off: np.ndarray) -> None:
+    # Completion requires rows 0 and 1 of sum_a p_a sigma_a² to agree (see
+    # complete_tp): raise the lower row's last weight; at n = 2 they agree.
+    s = _square_sums(off)
+    off[int(s[1] < s[0]), -1] += abs(s[1] - s[0])
 
 
 def random_tp_kraus(
@@ -50,7 +45,7 @@ def random_tp_kraus(
     for _ in range(_MAX_TRIES):
         off = rng.uniform(0.0, off_scale, size=(n, n))
         np.fill_diagonal(off, 0.0)
-        _tp_fixup(off, n)
+        _tp_fixup(off)
         p11 = rng.uniform(*p11_range)
         try:
             ch = complete_tp(off, p11)

@@ -1,0 +1,91 @@
+"""The paper's closed forms for trace preservation and the reverse converters, for the tests only.
+
+The library states trace preservation as sum_a p_a sigma_a² = I and inverts
+the forward eigenvalue readers numerically (`channels._reverse`). These are
+the recursions and formulas written out entry by entry, the independent route
+those are tested against.
+"""
+
+import numpy as np
+
+
+def tails(diag):
+    """tail_m = sum_{m<j<n} d_j / (j(j+1)) of diagonal entries d."""
+    n = diag.shape[0]
+    terms = diag / np.maximum(np.arange(n) * (np.arange(n) + 1.0), 1.0)
+    return np.array([np.sum(terms[m + 1:]) for m in range(n)])
+
+
+def tp_solve(p):
+    """Trace-preservation recursion of a weight table, n >= 3.
+
+    Trace preservation pins every diagonal weight except p_11: one equation
+    fixes p_00 (`tp_p00`), one constrains the off-diagonals alone, and the rest
+    determine p_22.. Returns (gap, p22, steps): that constraint's left-hand
+    side, the value of p_22, and p_kk - p_22 for k >= 3. Step j = 2..n-2 adds
+    (j + 1)/(2j) times the sum over i < j of pt_ij - pt_i,j+1 plus the sum
+    over m > j + 1 of pt_jm - pt_j+1,m, with pt = p + p.T.
+    """
+    n = p.shape[0]
+    pt = p + p.T
+    gap = float(np.sum(pt[1, 2:] - pt[0, 2:]))
+    p22 = p[1, 1] + pt[0, 1] - pt[1, 2] + np.sum(pt[0, 3:] - pt[2, 3:])
+    steps = [(j + 1.0) / (2.0 * j)
+             * (np.sum(pt[:j, j] - pt[:j, j + 1]) + np.sum(pt[j, j + 2:] - pt[j + 1, j + 2:]))
+             for j in range(2, n - 1)]
+    return gap, p22, np.cumsum(steps)
+
+
+def tp_p00(p, one=1.0):
+    """The value preserving a trace of `one` demands of p_00, given every other weight."""
+    return one - np.sum(p[0, 1:] + p[1:, 0]) - 2.0 * tails(p.diagonal())[0]
+
+
+def tp_formula(p, one=1.0):
+    """The recursion's TP residuals: one entry at n = 2, n above; one = 0 gives the linear part."""
+    res = [p[0, 0] - tp_p00(p, one)]
+    if p.shape[0] > 2:
+        gap, p22, steps = tp_solve(p)
+        res += [gap, p[2, 2] - p22, *(np.diagonal(p)[3:] - (p[2, 2] + steps))]
+    return np.array(res)
+
+
+def offdiag_from_ev(table, c):
+    """Off-diagonal weights (or rates) realizing an eigenvalue table; the diagonal is zero.
+
+    Column m's symmetrized entry is c - t_mm/(m+1) + tail_m, with c = 1/n for
+    a channel and c = 0 for a generator; entry (k, l) adds (t_kl - t_lk)/4.
+    """
+    n = table.shape[0]
+    diag = np.diagonal(table)
+    col = c - diag / (np.arange(n) + 1.0) + tails(diag)
+    out = 0.5 * col[np.maximum.outer(np.arange(n), np.arange(n))] + 0.25 * (table - table.T)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def ev_to_kf(lam):
+    """The weight table of an admissible eigenvalue table, by the paper's closed forms."""
+    n = lam.shape[0]
+    lt = lam + lam.T
+    p = offdiag_from_ev(lam, 1.0 / n)
+    s_all = lt[0, 1] + np.sum(lt[0, 1:])
+    k = np.arange(1, n)
+    p[k, k] = (1.0 - lam[1, 1] + n * lam[k, k] - 0.5 * s_all) / (2.0 * n)
+    p[0, 0] = (1.0 + 0.5 * (n - 1.0) * (2.0 * lam[1, 1] + s_all)) / (n * n)
+    return p
+
+
+def ev_to_lf(eta):
+    """The rate table of an admissible generator eigenvalue table, by the paper's closed forms."""
+    n = eta.shape[0]
+    ht = eta + eta.T
+    g = offdiag_from_ev(eta, 0.0)
+    d = np.diagonal(eta)
+    k = np.arange(1, n)
+    g[k, k] = -0.25 * (ht[k - 1, k] - 2.0 * tails(d)[k] - 2.0 * d[k] / (k * (k + 1.0)))
+    k = k[1:]
+    frac = (k - 1.0) / (k + 1.0)
+    g[k, k] += 0.25 * frac * (ht[0, k - 1] - ht[0, k] + 2.0 * d[k])
+    g[k, k] += frac * d[k - 1] / (2.0 * k)
+    return g

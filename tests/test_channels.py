@@ -35,9 +35,8 @@ from gmchan.channels import (
     _is_cp,
     _pair_dict,
     _superoperator,
+    _square_sums,
     _table_scale,
-    _tp_formula,
-    _tp_solve,
     _verify_images,
 )
 from gmchan.dynamics import evolve_semigroup, evolve_state, uniform_grid
@@ -55,6 +54,7 @@ from gmchan.sampling import (
 )
 
 from dense_route import eigen_action, rate_action, sandwich
+from paper_forms import tp_formula, tp_p00, tp_solve
 
 SWEEP = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "crossval_sweep.py"
 _halved_self_term_spectrum = runpy.run_path(str(SWEEP))["_halved_self_term_spectrum"]
@@ -105,6 +105,12 @@ def test_complete_tp_rejects_unbalanced_offdiag():
     off[0, 2], off[1, 2] = 0.01, 0.03  # p~_02 != p~_12 sum balance broken
     with pytest.raises(ConstraintViolated):
         complete_tp(off, 0.05)
+
+
+@pytest.mark.parametrize("offdiag", (5.0, [0.1, 0.2], np.zeros((2, 3)), np.zeros((2, 2, 2))))
+def test_complete_tp_refuses_what_is_not_a_square_table(offdiag):
+    with pytest.raises(InvariantError, match="must be square"):
+        complete_tp(offdiag, 0.1)
 
 
 def test_complete_tp_reports_negative_diagonal():
@@ -766,38 +772,37 @@ def test_pair_margins_halve_before_they_subtract():
     assert _is_cp(ch.lam, DEFAULT_TOL) is False
 
 
-def _tp_steps_by_loop(p):
-    # step j = 2..n-2 of the TP recursion, as the two sums that define it
-    n = p.shape[0]
-    pt = p + p.T
-    return [
-        (j + 1.0) / (2.0 * j)
-        * (np.sum(pt[:j, j] - pt[:j, j + 1]) + np.sum(pt[j, j + 2:] - pt[j + 1, j + 2:]))
-        for j in range(2, n - 1)
-    ]
-
-
 @pytest.mark.parametrize("n", (3, 4, 9, 16))
 def test_tp_solve_matches_per_step_sums(n):
+    # the paper's recursion, step by step, completes tables that sum_a p_a sigma_a² = I accepts
     rng = np.random.default_rng(60 + n)
     for scale in (1e-3, 1.0, 1e3):
         p = scale * rng.uniform(-1.0, 1.0, (n, n))
-        steps = _tp_solve(p)[2]
-        want = np.cumsum(_tp_steps_by_loop(p))
-        assert steps.shape == want.shape == (n - 3,)
-        if n <= 9:
-            # no sum has more than 7 terms, even padded to n - 2 with zeros,
-            # and numpy adds that few in order: the result is the loop's
-            assert steps.tobytes() == want.tobytes()
-        else:
-            assert np.max(np.abs(steps - want)) <= 4e-14 * scale
+        p[1, 2] -= tp_solve(p)[0]  # balance rows 1 and 0, which no diagonal weight can
+        _, p22, steps = tp_solve(p)
+        assert steps.shape == (n - 3,)
+        p[2, 2] = p22
+        p[3:, 3:][np.diag_indices(n - 3)] = p22 + steps
+        p[0, 0] = tp_p00(p)
+        assert np.max(np.abs(_square_sums(p) - 1.0)) <= 1e-14 * n * _table_scale(p)
+        assert np.max(np.abs(tp_formula(p))) <= 1e-14 * n * _table_scale(p)
 
 
-# Affine maps: the TP residuals and both eigenvalue readers of a table are one
-# matvec with a per-n map built from their closed forms.
+@pytest.mark.parametrize("n", range(2, 17))
+def test_tp_recursion_spans_the_rows_of_the_square_sums(n):
+    # two bases of one constraint set: the recursion's linear part and sum_a p_a sigma_a²
+    units = np.eye(n * n).reshape(n * n, n, n)
+    paper = np.array([tp_formula(e, 0.0) for e in units]).T
+    squares = _choi_layout(n).squares.T
+    rank = np.linalg.matrix_rank
+    assert paper.shape == (1 if n == 2 else n, n * n) and squares.shape == (n, n * n)
+    assert rank(paper) == rank(squares) == rank(np.vstack([paper, squares])) == (1 if n == 2 else n)
+
+
+# Affine maps: both eigenvalue readers of a table are one matvec with a per-n
+# map built from their closed forms.
 
 CLOSED_FORMS = {
-    "tp": lambda t: _tp_formula(t, 1.0),
     "ev": lambda t: _eigenvalue_formula(t, 1.0).ravel(),
     "rate": lambda t: _eigenvalue_formula(t, -0.0, rate=True).ravel(),
 }
@@ -857,8 +862,8 @@ def test_readers_verify_what_they_return(monkeypatch, n):
         assert verified.pop().tobytes() == got.tobytes()
         want = _eigenvalue_formula(table, -0.0 if rate else 1.0, rate)
         assert np.max(np.abs(got - want)) <= 1e-15 * _table_scale(table, want)
-    # kf_to_ev reads the TP residuals and the channel reader, lf_to_ev the rate reader
-    assert mapped == [n] * 3
+    # kf_to_ev reads the channel reader, lf_to_ev the rate reader
+    assert mapped == [n] * 2
 
 
 # Per-object memos: what depends on a channel's table but not on a tolerance
@@ -879,20 +884,6 @@ def _counting(monkeypatch, *names):
     return calls
 
 
-def _counting_affine(monkeypatch):
-    """Record the key of every `_affine` call: the one evaluation of a table's
-    TP residuals ("tp"), by its cached map."""
-    import gmchan.channels
-
-    calls, original = [], gmchan.channels._affine
-
-    def call(key, table):
-        calls.append(key)
-        return original(key, table)
-    monkeypatch.setattr(gmchan.channels, "_affine", call)
-    return calls
-
-
 @pytest.mark.parametrize("first", (cp_check_paper, cp_check_normalized))
 def test_block_margins_run_once_per_eigen_channel(monkeypatch, first):
     calls = _counting(monkeypatch, "_block_margins")
@@ -909,14 +900,15 @@ def test_trace_preservation_evaluated_once_per_kraus_channel(monkeypatch, n):
     from gmchan.converters import kf_is_ev
 
     p = random_kf_ev_admissible(np.random.default_rng(81), n).p
-    calls = _counting_affine(monkeypatch)
+    _affine_maps(n)  # built once per n, the rate reader through _square_sums
+    calls = _counting(monkeypatch, "_square_sums")
     ch = KrausChannel(n=n, p=p)
     tp_residuals(ch)
     kf_is_ev(ch)
     kf_is_ev(ch, 1e-9)
     kf_to_ev(ch)
     tp_residuals(ch)
-    assert [key for key in calls if key == "tp"] == ["tp"]
+    assert calls == ["_square_sums"]
 
 
 def test_cp_checks_at_two_tolerances_match_fresh_objects():

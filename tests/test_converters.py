@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +8,15 @@ from hypothesis import strategies as st
 
 from gmchan import channels, converters, generators
 from gmchan.basis import full_basis
-from gmchan.channels import EigenChannel, KrausChannel, _column_violations, apply_kf, complete_tp
+from gmchan.channels import (
+    EigenChannel, KrausChannel, _choi_layout, _column_violations, _table_scale, apply_kf, complete_tp,
+)
 from gmchan.converters import ev_is_kf, ev_to_kf, kf_is_ev, kf_to_ev
 from gmchan.errors import InvariantError, NegativeCoefficient, NotEV, NotKF, NotTracePreserving
-from gmchan.generators import LindbladGenerator, lf_is_ev, lf_to_ev
+from gmchan.generators import EigenGenerator, LindbladGenerator, ev_to_lf, lf_is_ev, lf_to_ev
 from gmchan.sampling import random_kf_ev_admissible, random_lf_ev_admissible
+
+import paper_forms
 
 
 def test_kf_to_ev_frozen_qubit():
@@ -294,3 +301,68 @@ def test_ev_conditions_match_loop_form(n):
         assert all(type(v[1]) is int for v in got)
         seen += bool(_ev_is_lf_by_loop(gen.eta)) + bool(got)
     assert seen >= (4 if n >= 4 else 0)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_reverse_converters_match_the_paper_closed_forms(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(20):
+        lam = kf_to_ev(random_kf_ev_admissible(rng, n)).lam
+        p, want = ev_to_kf(EigenChannel(n=n, lam=lam)).p, paper_forms.ev_to_kf(lam)
+        assert np.max(np.abs(p - want)) <= 1e-14 * _table_scale(lam, want)
+        eta = lf_to_ev(random_lf_ev_admissible(rng, n)).eta
+        g, want = ev_to_lf(EigenGenerator(n=n, eta=eta)).gamma, paper_forms.ev_to_lf(eta)
+        assert np.max(np.abs(g - want)) <= 1e-14 * _table_scale(eta, want)
+
+
+# Dimension counts of the admissible tables: exact rank over the rationals up
+# to n = 6, SVD rank above.
+
+def _exact_rank(rows):
+    """Rank of a list of rows of Fractions, by Gaussian elimination."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _svd_rank(rows):
+    """Rank as the singular values above 1e-9 of the largest; the rest must sit below 1e-12 of it."""
+    s = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
+    kept = s > 1e-9 * s[0]
+    assert not np.any((s > 1e-12 * s[0]) & ~kept)
+    return int(kept.sum())
+
+
+def _column_rows(n):
+    """t_jl + t_lj = t_kl + t_lk for every j < k < l, as rows over the flat table."""
+    rows = []
+    for j, k, l in itertools.combinations(range(n), 3):
+        row = [0] * (n * n)
+        row[j * n + l] = row[l * n + j] = 1
+        row[k * n + l] = row[l * n + k] = -1
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_admissible_subspaces_have_the_paper_dimensions(n):
+    squares = _choi_layout(n).squares.T  # sum_a p_a sigma_a² = I, one row per diagonal entry
+    if n <= 6:
+        # the entries are 1, 2/(j(j+1)) and 2j/(j+1): rationals with small denominators
+        tp = [[Fraction(x).limit_denominator(1000) for x in row] for row in squares]
+        assert all(abs(float(f) - x) <= 1e-15 for row, fs in zip(squares, tp) for x, f in zip(row, fs))
+        rank = _exact_rank
+    else:
+        tp, rank = squares.tolist(), _svd_rank
+    pin = [[1] + [0] * (n * n - 1)]  # a generator's inert (0, 0) rate
+    assert rank(tp) == (1 if n == 2 else n)
+    assert n * n - rank(tp + _column_rows(n)) == n * (n + 1) // 2
+    assert n * n - rank(pin + _column_rows(n)) == (n + 4) * (n - 1) // 2

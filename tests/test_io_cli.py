@@ -401,25 +401,26 @@ def test_validate_kf_within_flag_tolerance_exit_ok(tmp_path, capsys):
 
 
 def test_validate_kf_evaluates_trace_residuals_at_most_twice(tmp_path, monkeypatch, capsys):
-    # the TP system is solved once per channel object, however many checks read it,
-    # so validate stays well inside the bound of two evaluations
+    # the TP residuals are evaluated once per channel object, however many checks
+    # read them, so validate stays well inside the bound of two evaluations
     import gmchan.channels
 
     calls = []
-    original = gmchan.channels._affine
+    original = gmchan.channels._square_sums
 
-    def counted(key, table):  # "tp": the one evaluation of a table's TP residuals
-        calls.append(key)
-        return original(key, table)
+    def counted(table):  # the one evaluation of a table's TP residuals
+        calls.append(table.shape)
+        return original(table)
 
-    monkeypatch.setattr(gmchan.channels, "_affine", counted)
+    gmchan.channels._affine_maps(3)  # built once per n, the rate reader through _square_sums
+    monkeypatch.setattr(gmchan.channels, "_square_sums", counted)
     p = np.zeros((3, 3))
     p[0, 0] = 1.0
     save(KrausChannel(n=3, p=p), tmp_path / "id.json")
     assert main(["validate", str(tmp_path / "id.json")]) == 0
     out = capsys.readouterr().out
     assert "cp paper       CP" in out and "cp normalized  CP" in out
-    assert [key for key in calls if key == "tp"] == ["tp"]
+    assert calls == [(3, 3)]
 
 
 def test_validate_lf_state_evgen_exit_ok(tmp_path, capsys):
@@ -489,6 +490,18 @@ def test_convert_large_rate_table(tmp_path, capsys):
     argv = ["convert", str(tmp_path / "e.json"), "--to", "lf", "--out", str(tmp_path / "back.json")]
     assert main(argv) == 0, capsys.readouterr().err
     assert np.max(np.abs(load(tmp_path / "back.json").gamma - 2.0**14 * g)) <= 1e-11 * 2.0**14
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_convert_identity_channel_to_kf_and_back(tmp_path, capsys, n):
+    # the identity's weights are p_00 = 1 and zeros, which rounding must not make negative
+    save(EigenChannel(n=n, lam=np.ones((n, n))), tmp_path / "id.json")
+    argv = ["convert", str(tmp_path / "id.json"), "--to", "kf", "--out", str(tmp_path / "kf.json")]
+    assert main(argv) == 0, capsys.readouterr().err
+    p = load(tmp_path / "kf.json").p
+    assert not np.signbit(p).any()
+    assert main(["convert", str(tmp_path / "kf.json"), "--to", "ev", "--out", str(tmp_path / "ev.json")]) == 0
+    assert np.max(np.abs(load(tmp_path / "ev.json").lam - 1.0)) <= 1e-12
 
 
 def test_convert_precondition_exit_three(tmp_path, capsys):
