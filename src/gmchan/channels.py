@@ -373,38 +373,39 @@ def _reverse_maps(n: int) -> dict:
     An admissible table t is fixed by its column values v_l, the t_kl + t_lk
     common to the rows k < l of column l, its diagonal and its antisymmetric
     part, which a reader passes on doubled: lam_kl - lam_lk = 2 (t_kl - t_lk).
-    u = (v_0, .., v_n-1, t_00, .., t_n-1,n-1) = const + rows @ vec(lam) is the
-    pseudo-inverse of the reader's linear part on u, with a channel's trace
+    `rows` is the pseudo-inverse of the reader's linear part on the unknowns
+    u = (v_0, .., v_n-1, t_00, .., t_n-1,n-1), with a channel's trace
     preservation, sum_a p_a sigma_a² = I, stacked below it. The antisymmetric
-    part of lam is orthogonal to that part's range, so it drops out. An unknown
-    that no equation reads, v_0 or a generator's inert (0, 0) rate, is 0.
+    part of lam is orthogonal to that part's range, so it drops out, and an
+    unknown that no equation reads, v_0 or a generator's inert (0, 0) rate, is
+    0. u = u0 + rows @ vec(lam - lam0), with u0 the identity channel's or the
+    zero generator's: const = u0 - rows @ vec(lam0), exact when lam = lam0.
     """
-    t = _kernel_table(n)
-    units = np.zeros((2 * n, n, n))
-    units[:n] = 0.5 * ((t.hi == t.k[:, None, None]) & (t.k[:, None] != t.k))
-    units[n + t.k, t.k, t.k] = 1.0
-    units = units.reshape(2 * n, -1)
+    units = _from_unknowns(np.eye(2 * n)).reshape(2 * n, -1)
     maps = {}
     for key, (minus, const) in _affine_maps(n).items():
-        A, b = -minus @ units.T, -const
+        A, u0 = -minus @ units.T, np.zeros(2 * n)
         if key == "ev":
-            A, b = np.vstack([A, (units @ _choi_layout(n).squares).T]), np.append(b, np.ones(n))
+            A, u0[n] = np.vstack([A, (units @ _choi_layout(n).squares).T]), 1.0
         seen = np.flatnonzero(A.any(axis=0))
-        R = np.zeros((2 * n, A.shape[0]))
-        R[seen] = np.linalg.pinv(A[:, seen])
-        maps[key] = _read_only(R[:, :n * n]), _read_only(R @ b)
+        rows = np.zeros((2 * n, n * n))
+        rows[seen] = np.linalg.pinv(A[:, seen])[:, :n * n]
+        maps[key] = _read_only(rows), _read_only(u0 - rows @ (const - minus @ (u0 @ units)))
     return maps
+
+
+def _from_unknowns(u: np.ndarray, anti=0.0) -> np.ndarray:
+    """The table (or stack) with column values u[:n], diagonal u[n:] and antisymmetric part anti."""
+    t = _kernel_table(u.shape[-1] // 2)
+    out = 0.5 * u[..., t.hi] + anti
+    out[..., t.k, t.k] = u[..., t.k.size:]
+    return out
 
 
 def _reverse(key, lam: np.ndarray) -> np.ndarray:
     """The table that reader `key` of `_affine_maps` maps to the admissible table lam."""
-    n = lam.shape[0]
-    rows, const = _reverse_maps(n)[key]
-    u = const + rows @ lam.ravel()
-    t = _kernel_table(n)
-    out = 0.5 * u[t.hi] + 0.25 * (lam - lam.T)
-    out[t.k, t.k] = u[n:]
-    return out
+    rows, const = _reverse_maps(lam.shape[0])[key]
+    return _from_unknowns(const + rows @ lam.ravel(), 0.25 * (lam - lam.T))
 
 
 def tp_residuals(ch: KrausChannel) -> np.ndarray:
