@@ -34,8 +34,8 @@ from gmchan.channels import (
     _fill,
     _is_cp,
     _pair_dict,
-    _superoperator,
     _square_sums,
+    _superoperator,
     _table_scale,
     _verify_images,
 )
@@ -786,6 +786,22 @@ def test_tp_solve_matches_per_step_sums(n):
         p[0, 0] = tp_p00(p)
         assert np.max(np.abs(_square_sums(p) - 1.0)) <= 1e-14 * n * _table_scale(p)
         assert np.max(np.abs(tp_formula(p))) <= 1e-14 * n * _table_scale(p)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 16))
+def test_tp_residuals_are_the_diagonal_of_the_dense_square_sum(n):
+    # sum_a p_a sigma_a² - I from the dense basis stack: off its diagonal it is zero
+    rng = np.random.default_rng(65 + n)
+    stack = full_basis(n).stack
+    squares = np.einsum("aij,ajk->aik", stack, stack)
+    for scale in (1e-3, 1.0, 1e3):
+        p = scale * rng.uniform(-1.0, 1.0, (n, n))
+        dense = np.einsum("a,aik->ik", p.ravel(), squares) - np.eye(n)
+        size = np.einsum("a,aik->ik", np.abs(p.ravel()), np.abs(squares))
+        assert np.max(np.abs(dense - np.diag(np.diagonal(dense)))) == 0.0
+        got = tp_residuals(KrausChannel(n=n, p=p))
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - np.diagonal(dense).real)) <= 1e-15 * max(1.0, np.max(size))
 
 
 @pytest.mark.parametrize("n", range(2, 17))
