@@ -19,6 +19,10 @@ channels. `evolve_state` applies the last frame of an 11-frame semigroup
 trajectory, built beforehand with its CP flags, to one random density
 matrix; `evolve_state_skipped` applies its middle frame from a copy built
 with a CP stride that skips it, so its verdict is decided on demand.
+`block_margins` reads the block criterion of the (CP) eigenvalue table,
+`channels._block_margins`, which keeps no memo, so each call starts afresh;
+`is_cp_frame` decides that table's verdict alone (`channels._is_cp` on one
+frame, as `evolve_state` does for a frame the stride skipped).
 `trajectory_flags` sets the stride-1 CP flags (`dynamics._flagged`) of a
 201-frame semigroup trajectory, built beforehand, of a rate table with one
 negative diagonal rate, so its verdicts flip. One `evolve_timedep` call builds four
@@ -76,7 +80,8 @@ LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalize
           "ev_to_lf", "apply_kf", "apply_lf", "apply_ev", "evolve_state", "validate_kf",
           "validate_ev", "construct_state", "evolve_state_skipped", "trajectory_flags",
           "evolve_timedep", "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev",
-          "document_text", "parse_document", "maps_build", "evolve_table")
+          "document_text", "parse_document", "maps_build", "evolve_table", "block_margins",
+          "is_cp_frame")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -183,6 +188,8 @@ def _child(src: str, repeats: int) -> None:
             ("document_text", n): lambda a=acting: fileio.document_text(a[2]),
             ("parse_document", n): lambda text=text: fileio._parse_document(text),
             ("evolve_table", n): lambda tr=table: write_table(io.StringIO(), tr),
+            ("block_margins", n): lambda lam=lam: channels._block_margins(lam),
+            ("is_cp_frame", n): lambda lam=lam: channels._is_cp(lam, VERDICT_TOL),
         })
         if hasattr(channels, "_affine_maps"):
             builds = [getattr(channels, name).__wrapped__

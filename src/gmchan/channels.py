@@ -46,10 +46,11 @@ largest entry of either table, if above 1 (`_verify_images`). Both are O(n³).
 The private helpers below are the one core that the channel and generator
 converters and `dynamics` share. At small n a call's cost is numpy call
 overhead, not arithmetic, so what depends on n alone is built once per n:
-index arrays and weights (`_kernel_table`), both eigenvalue readers as affine
-maps, one matvec per read (`_affine_maps`), and their inverses on the
-admissible tables, which the reverse converters read (`_reverse_maps`). The
-block check `_verify_images` shares nothing with the maps.
+index arrays and weights, among them the block criterion's rows, one matvec
+from diag(lam) to A's diagonal and every d_j (`_kernel_table`), both
+eigenvalue readers as affine maps, one matvec per read (`_affine_maps`), and
+their inverses on the admissible tables, which the reverse converters read
+(`_reverse_maps`). `_verify_images` and the oracle share nothing with them.
 
 What depends on a channel's table but not on a tolerance is computed once per
 object, on first use, and kept read-only on it: a KrausChannel's TP residuals,
@@ -255,21 +256,30 @@ def _kernel_table(n: int) -> SimpleNamespace:
     Pairs i < j are row-major; the triples j < k < l of `_column_violations` run
     by l, j, k, as flat indices (l*n + j, l*n + k). `ev_is_lf`'s mixing triples
     1 <= k < l < m run by k, l, m, as flat indices of its (n-1, n) rise table.
-    `tail_den` floors j(j+1) at 1 for j = 0, which no tail uses.
+    `tail_den` floors j(j+1) at 1 for j = 0, which no tail uses. diag(lam) @
+    `block_rows` is the block criterion's A_kk = lam_00/n + k/(k+1) lam_kk + tail_k,
+    then d_j = lam_00/n - lam_jj/(j+1) + tail_j, tail_m = sum_{m<j<n} lam_jj/(j(j+1));
+    `block_diag`, `pair_flat` (rows (i, j), (j, i)) and `pair_d` index them flat.
     """
     k = np.arange(n)
     i, j = np.nonzero(k[:, None] < k)
     l, a, b = np.nonzero((k[:, None] < k) & (k[:, None, None] > k))  # [l, j, k]: j < k < l
     mk, ml, mm = np.nonzero((k[1:, None, None] < k[:, None]) & (k[:, None] < k))  # [k-1, l, m]
     hi = np.maximum.outer(k, k)
+    k1 = k + 1.0
+    tail_den = np.maximum(k * k1, 1.0)
+    tail = np.where(k[:, None] > k, 1.0 / tail_den[:, None], 0.0)  # [j, m]: lam_jj in tail_m
+    rows = np.hstack([tail + np.diag(k / k1), tail - np.diag(1.0 / k1)]) + (k[:, None] == 0) / n
     table = SimpleNamespace(
-        k=k, k1=k + 1.0, frac=k / (k + 1.0), tail_den=np.maximum(k * (k + 1.0), 1.0), hi=hi,
-        pairs=(i, j), pair_keys=tuple(zip(i.tolist(), j.tolist())),
+        k=k, k1=k1, tail_den=tail_den, hi=hi, block_rows=rows, block_diag=k * (n + 1),
+        pairs=(i, j), pair_flat=np.stack([i * n + j, j * n + i]), pair_d=n + j,
+        pair_keys=tuple(zip(i.tolist(), j.tolist())),
         triples=(l * n + a, l * n + b), triple_keys=tuple(zip(a.tolist(), b.tolist(), l.tolist())),
         mixing=(mk * n + ml, mk * n + mm),
         mixing_keys=tuple(("mixing", *v) for v in zip((mk + 1).tolist(), ml.tolist(), mm.tolist())),
     )
-    for arr in (k, table.k1, table.frac, table.tail_den, hi, i, j, *table.triples, *table.mixing):
+    for arr in (k, k1, tail_den, hi, rows, table.block_diag, i, j, table.pair_flat, table.pair_d,
+                *table.triples, *table.mixing):
         arr.setflags(write=False)
     return table
 
@@ -308,11 +318,6 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tails(diag: np.ndarray) -> np.ndarray:
-    """tail_m = sum_{m<j<n} d_j / (j(j+1)) of diagonal entries d, over the last axis."""
-    return _suffix_sums(diag / _kernel_table(diag.shape[-1]).tail_den)
-
-
 def _eigenvalue_formula(table: np.ndarray, c: float, rate: bool = False) -> np.ndarray:
     """Eigenvalue table of the sandwich map of a basis-diagonal table or stack, in closed form.
 
@@ -325,7 +330,7 @@ def _eigenvalue_formula(table: np.ndarray, c: float, rate: bool = False) -> np.n
     t = _kernel_table(table.shape[-1])
     diag, tr = table.diagonal(0, -2, -1), table.swapaxes(-1, -2)
     lam = table[..., :1, :1] + (table - tr) - (2.0 * diag / t.k1)[..., t.hi]
-    lam += (2.0 * _tails(diag))[..., t.hi]
+    lam += (2.0 * _suffix_sums(diag / t.tail_den))[..., t.hi]  # tail_m = sum_{m<j<n} d_j / (j(j+1))
     if rate:
         s = _square_sums(table)
         lam -= (s[..., :, None] + s[..., None, :]) / 2.0
@@ -724,18 +729,16 @@ def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
 
 
 def _sector_blocks(lams: np.ndarray):
-    """The diagonal-sector block A and the pair margins of `_block_margins`, table or stack."""
+    """The diagonal-sector block A and the pair margins of `_block_margins`, table or stack:
+    A's diagonal and every d_j are one matvec through `_kernel_table(n).block_rows`."""
     n = lams.shape[-1]
     t = _kernel_table(n)
-    diag = lams.diagonal(0, -2, -1)
-    l00 = diag[..., :1] / n
-    tail = _tails(diag)
+    ad = lams.diagonal(0, -2, -1) @ t.block_rows
     half = lams / 2.0  # halves, then sums or differences, as in _choi_blocks: no overflow
     A = half + half.swapaxes(-1, -2)
-    A[..., t.k, t.k] = l00 + t.frac * diag + tail
-    d = l00 - diag / t.k1 + tail
-    i, j = t.pairs
-    return A, d[..., j] - np.abs(half[..., i, j] - half[..., j, i])
+    A.reshape(A.shape[:-2] + (n * n,))[..., t.block_diag] = ad[..., :n]  # a view: A is new
+    h = half.reshape(A.shape[:-2] + (n * n,))[..., t.pair_flat]  # (..., 2, pairs)
+    return A, ad[..., t.pair_d] - np.abs(h[..., 0, :] - h[..., 1, :])
 
 
 def _block_margins(lams: np.ndarray):
@@ -743,9 +746,9 @@ def _block_margins(lams: np.ndarray):
 
     The ev Choi matrix splits into one n×n diagonal-sector block A and one
     2×2 block per index pair i < j, with eigenvalues d_j ± |l_ij - l_ji|/2.
-    Returns A, its spectrum, the pair margins d_j - |l_ij - l_ji|/2 in
-    row-major (i, j) order, and the smallest of them all, each carrying the
-    leading axes of `lams`.
+    Returns A, its spectrum (one eigensolve per table), the pair margins
+    d_j - |l_ij - l_ji|/2 in row-major (i, j) order (`_sector_blocks`), and the
+    smallest of them all, each carrying the leading axes of `lams`.
     """
     A, pairs = _sector_blocks(lams)
     a_spectrum = np.linalg.eigvalsh(A)
@@ -757,19 +760,21 @@ def _is_cp(lams: np.ndarray, tol: float):
     """`_block_margins(lams)[3] >= -tol` up to rounding: pair margins, then A + tol I PSD.
 
     One table takes A's one eigensolve, skipped if a pair fails. A stack takes
-    the Cholesky pivots of every frame per step: all but the last must be > 0,
-    the last (no row left; the n = 2 identity's is 0) >= 0. A PSD block never
-    overflows; one that does is not PSD, and its -inf or NaN reads not CP."""
+    the Cholesky pivots of every frame's A + tol I per step (tol on the diagonal
+    alone, so tol = inf reads CP): all but the last must be > 0, the last (the
+    n = 2 identity's is 0) >= 0. A PSD block never overflows; one that does is
+    not PSD, and its -inf or NaN reads not CP."""
     A, pairs = _sector_blocks(lams)
     ok = pairs.min(axis=-1) >= -tol
     if lams.ndim == 2:
         return bool(ok) and bool(np.linalg.eigvalsh(A)[0] >= -tol)
-    S = A + tol * np.eye(lams.shape[-1])
+    k = _kernel_table(lams.shape[-1]).k
+    A[..., k, k] += tol  # the diagonal alone: tol = inf times an off-diagonal 0 is NaN
     with np.errstate(all="ignore"):
-        for _ in range(lams.shape[-1] - 1):
-            ok &= S[..., 0, 0] > 0
-            S = S[..., 1:, 1:] - S[..., 1:, :1] * (S[..., :1, 1:] / S[..., :1, :1])
-        return ok & (S[..., 0, 0] >= 0)
+        for _ in range(k.size - 1):
+            ok &= A[..., 0, 0] > 0
+            A = A[..., 1:, 1:] - A[..., 1:, :1] * (A[..., :1, 1:] / A[..., :1, :1])
+        return ok & (A[..., 0, 0] >= 0)
 
 
 def _pair_dict(n: int, pairs: np.ndarray) -> dict:

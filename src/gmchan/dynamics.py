@@ -21,6 +21,7 @@ the map is still fine, but no generator eigenvalue table exists there.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,10 +163,18 @@ class Trajectory:
     def __len__(self) -> int:
         return self.grid.size
 
+    def _index(self, t_index) -> int:
+        """t_index as a frame number; IndexOutOfRange unless a Python or numpy integer in range."""
+        try:
+            k = operator.index(t_index)
+        except TypeError:
+            raise IndexOutOfRange(f"frame index must be an integer, got {t_index!r}") from None
+        if not 0 <= k < len(self):
+            raise IndexOutOfRange(f"frame {k} outside 0..{len(self) - 1}")
+        return k
+
     def frame(self, t_index: int) -> EigenChannel:
-        if not 0 <= t_index < len(self):
-            raise IndexOutOfRange(f"frame {t_index} outside 0..{len(self) - 1}")
-        return EigenChannel(n=self.n, lam=self.lams[t_index], trace_preserving=True)
+        return EigenChannel(n=self.n, lam=self.lams[self._index(t_index)], trace_preserving=True)
 
     @property
     def frames(self) -> list:
@@ -241,8 +250,7 @@ def evolve_state(
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(n=traj.n, entries=rho0)
-    if not 0 <= t_index < len(traj):
-        raise IndexOutOfRange(f"frame {t_index} outside 0..{len(traj) - 1}")
+    t_index = traj._index(t_index)
     flag = traj.cp_flags[t_index] if traj.cp_flags else None
     if flag is None:
         flag = _is_cp(traj.lams[t_index], tol)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import EigenChannel, KrausChannel, _square_sums, _tails, complete_tp
+from .channels import EigenChannel, KrausChannel, _kernel_table, _square_sums, complete_tp
 from .errors import NegativeCoefficient
 from .generators import EigenGenerator, LindbladGenerator
 
@@ -101,7 +101,7 @@ def random_noncp_ev(rng: np.random.Generator, n: int) -> EigenChannel:
     lam[0, 0] = 1.0
     i = int(rng.integers(0, n - 1))
     j = int(rng.integers(i + 1, n))
-    d = lam[0, 0] / n - lam[j, j] / (j + 1) + _tails(np.diagonal(lam))[j]
+    d = np.diagonal(lam) @ _kernel_table(n).block_rows[:, n + j]  # d_j of `_sector_blocks`
     v = max(d, 0.0) + 0.1 + rng.uniform(0.0, 0.5)
     lam[i, j] = v
     lam[j, i] = -v

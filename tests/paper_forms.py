@@ -1,9 +1,10 @@
-"""The paper's closed forms for trace preservation and the reverse converters, for the tests only.
+"""The paper's closed forms for TP, the reverse converters and the block criterion, for the tests only.
 
-The library states trace preservation as sum_a p_a sigma_a² = I and inverts
-the forward eigenvalue readers numerically (`channels._reverse`). These are
-the recursions and formulas written out entry by entry, the independent route
-those are tested against.
+The library states trace preservation as sum_a p_a sigma_a² = I, inverts
+the forward eigenvalue readers numerically (`channels._reverse`) and reads the
+block criterion through one per-n matrix (`channels._sector_blocks`). These
+are the recursions and formulas written out entry by entry, the independent
+route those are tested against.
 """
 
 import numpy as np
@@ -14,6 +15,30 @@ def tails(diag):
     n = diag.shape[0]
     terms = diag / np.maximum(np.arange(n) * (np.arange(n) + 1.0), 1.0)
     return np.array([np.sum(terms[m + 1:]) for m in range(n)])
+
+
+def sector_blocks(lam):
+    """The block criterion of an eigenvalue table, entry by entry: A and the pair margins.
+
+    A_kl = lam_kl/2 + lam_lk/2 off the diagonal and A_kk = lam_00/n + k/(k+1) lam_kk
+    + tail_k on it. Pair (i, j), i < j, has margin d_j - |lam_ij/2 - lam_ji/2| with
+    d_j = lam_00/n - lam_jj/(j+1) + tail_j. Entries are halved before they are
+    summed or differenced, so no finite table overflows. Returns A and a dict of
+    the margins in row-major (i, j) order.
+    """
+    n = lam.shape[0]
+    tail = tails(np.diagonal(lam))
+    A = np.empty((n, n))
+    for k in range(n):
+        for l in range(n):
+            A[k, l] = lam[k, l] / 2.0 + lam[l, k] / 2.0
+        A[k, k] = lam[0, 0] / n + k / (k + 1.0) * lam[k, k] + tail[k]
+    margins = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = lam[0, 0] / n - lam[j, j] / (j + 1.0) + tail[j]
+            margins[(i, j)] = d - abs(lam[i, j] / 2.0 - lam[j, i] / 2.0)
+    return A, margins
 
 
 def tp_solve(p):

@@ -15,6 +15,7 @@ from gmchan.dynamics import (
 from gmchan.errors import (
     ConstraintViolated,
     DimensionMismatch,
+    IndexOutOfRange,
     InvariantError,
     NotCPAtTime,
     ZeroEigenvalue,
@@ -220,6 +221,42 @@ def test_evolve_state_rejects_a_state_of_another_dimension():
     rho0 = DensityMatrix(n=3, entries=np.eye(3, dtype=complex) / 3)
     with pytest.raises(DimensionMismatch):
         evolve_state(traj, rho0, 5)
+
+
+@pytest.mark.parametrize("index", (1.5, np.float64(2.0), "1", None, -1, 11, 2**70))
+def test_frame_indices_that_are_not_integers_in_range_are_refused(index):
+    eta = np.array([[0.0, -1.0], [-1.0, -1.0]])
+    traj = evolve_semigroup(EigenGenerator(n=2, eta=eta), uniform_grid(1.0, 11))
+    rho0 = DensityMatrix(n=2, entries=np.eye(2, dtype=complex) / 2)
+    with pytest.raises(IndexOutOfRange):
+        traj.frame(index)
+    with pytest.raises(IndexOutOfRange):
+        evolve_state(traj, rho0, index)
+
+
+def test_numpy_integer_frame_indices_are_accepted():
+    eta = np.array([[0.0, -1.0], [-1.0, -1.0]])
+    traj = evolve_semigroup(EigenGenerator(n=2, eta=eta), uniform_grid(1.0, 11))
+    rho0 = DensityMatrix(n=2, entries=np.eye(2, dtype=complex) / 2)
+    for index in (np.int64(3), np.uint8(3)):
+        assert traj.frame(index).lam.tobytes() == traj.frame(3).lam.tobytes()
+        got = evolve_state(traj, rho0, index).entries
+        assert got.tobytes() == evolve_state(traj, rho0, 3).entries.tobytes()
+
+
+def test_an_infinite_tolerance_reads_every_frame_cp():
+    # the stacked flags read the single-frame verdict, without a warning
+    rates = random_lf_ev_admissible(np.random.default_rng(8), 3, nonnegative=True).gamma.copy()
+    rates[1, 1] = -0.3
+    gen = lf_to_ev(LindbladGenerator(n=3, gamma=rates))
+    rho0 = DensityMatrix(n=3, entries=np.eye(3, dtype=complex) / 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = evolve_semigroup(gen, uniform_grid(4.0, 41))
+        traj = evolve_semigroup(gen, uniform_grid(4.0, 41), tol=np.inf)
+        evolve_state(traj, rho0, 40)
+    assert False in strict.cp_flags
+    assert traj.cp_flags == (True,) * 41
 
 
 def test_evolve_state_computes_skipped_flags():
