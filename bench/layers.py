@@ -7,20 +7,25 @@
 Times `cp_check_oracle`, `cp_check_normalized`, `cp_check_paper`,
 `tp_residuals`, `complete_tp`, `kf_is_ev`, `kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`,
 `apply_kf`, `apply_lf`, `apply_ev`, `choi_of_channel`, `evolve_state`,
-`evolve_timedep` and `eta_from_lambda` per call at n in {2, 3, 4, 6, 8, 12,
-16}. Channels keep per-object memos, so every timed call builds a fresh
-channel (or generator) from its stored table, and `construct_kf`/
-`construct_ev` time that construction alone; `construct_state` times a
-`DensityMatrix` built from a random density matrix. The `apply_*` layers
+`evolve_timedep`, `eta_from_lambda`, `decompose` and `recompose` per call
+at n in {2, 3, 4, 6, 8, 12, 16}. Channels keep per-object memos, so every
+timed call builds a fresh channel (or generator) from its stored table, and
+`construct_kf`/`construct_ev` time that construction alone; `construct_state`
+times a `DensityMatrix` built from a random density matrix. `decompose` and
+`recompose` take one random complex matrix (its coefficient table) and the
+basis from `full_basis(n)`, looked up in the call. The `apply_*` layers
 read no memo and act on one random complex matrix with one object built
 beforehand; `choi_of_channel_kf`/`_ev` assemble the Choi matrix (blocks,
 spectrum and the dense n²×n² entries) of those same weight and eigenvalue
 channels. `evolve_state` applies the last frame of an 11-frame semigroup
-trajectory, built beforehand with its CP flags, to one random density
-matrix; `evolve_state_skipped` applies its middle frame from a copy built
-with a CP stride that skips it, so its verdict is decided on demand.
-`block_margins` reads the block criterion of the (CP) eigenvalue table,
-`channels._block_margins`, which keeps no memo, so each call starts afresh;
+trajectory, built beforehand with its CP flags, to one random
+`DensityMatrix`, built beforehand too: on a tree where a state keeps its
+basis coefficients, every call after the first reads them from that memo,
+as the 11 frames of one perfbench evolve op do; `evolve_state_skipped`
+applies its middle frame from a copy built with a CP stride that skips it,
+so its verdict is decided on demand. `block_margins` reads the block
+criterion of the (CP) eigenvalue table, `channels._block_margins`, which
+keeps no memo, so each call starts afresh;
 `is_cp_frame` decides that table's verdict alone (`channels._is_cp` on one
 frame, as `evolve_state` does for a frame the stride skipped).
 `trajectory_flags` sets the stride-1 CP flags (`dynamics._flagged`) of a
@@ -81,7 +86,7 @@ LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalize
           "validate_ev", "construct_state", "evolve_state_skipped", "trajectory_flags",
           "evolve_timedep", "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev",
           "document_text", "parse_document", "maps_build", "evolve_table", "block_margins",
-          "is_cp_frame")
+          "is_cp_frame", "decompose", "recompose")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -190,6 +195,8 @@ def _child(src: str, repeats: int) -> None:
             ("evolve_table", n): lambda tr=table: write_table(io.StringIO(), tr),
             ("block_margins", n): lambda lam=lam: channels._block_margins(lam),
             ("is_cp_frame", n): lambda lam=lam: channels._is_cp(lam, VERDICT_TOL),
+            ("decompose", n): lambda n=n, X=X: gm.decompose(X, gm.full_basis(n)),
+            ("recompose", n): lambda n=n, X=X: gm.recompose(X, gm.full_basis(n)),
         })
         if hasattr(channels, "_affine_maps"):
             builds = [getattr(channels, name).__wrapped__

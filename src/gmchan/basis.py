@@ -128,18 +128,18 @@ def decompose(X: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     """Coefficients c with X = sum_ij c_ij sigma_ij, as an n×n complex table.
 
     c_ij = Tr(sigma_ij X) / Tr(sigma_ij²); the conjugate in the HS pairing
-    drops because every basis matrix is Hermitian.
+    drops because every basis matrix is Hermitian. One matvec of the stack
+    read as an n²×n² matrix S, S[a, i*n + j] = sigma_a[i, j], with vec(X^T).
     """
     X = _check_square(X, basis.n)
-    coeffs = np.einsum("aij,ji->a", basis.stack, X) / basis.norms_sq
-    return coeffs.reshape(basis.n, basis.n)
+    return (basis.stack.reshape(X.size, X.size) @ X.T.ravel() / basis.norms_sq).reshape(X.shape)
 
 
 def recompose(coeffs: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """Inverse of decompose: sum_ij c_ij sigma_ij."""
+    """Inverse of decompose: sum_ij c_ij sigma_ij, one vector-matrix product vec(c) @ S."""
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (basis.n, basis.n):
         raise DimensionMismatch(
             f"coefficient table shape {c.shape} does not match n={basis.n}"
         )
-    return np.einsum("a,aij->ij", c.ravel(), basis.stack)
+    return (c.ravel() @ basis.stack.reshape(c.size, c.size)).reshape(c.shape)

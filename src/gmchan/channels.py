@@ -36,12 +36,14 @@ sum of lam_a / Tr(sigma_a²); that realignment gives the other two. Each
 sigma_a lies in the diagonal sector {(k, k)} or in one pair sector
 {(i, j), (j, i)}, so both are one n×n block plus n(n-1)/2 2×2 blocks, stored
 flat, and the realignment permutes the stored entries (`_ChoiLayout`).
-Tables act through M (`_superoperator`, `_eigen_superoperator`): `apply_kf`,
-`apply_lf` and `apply_ev` send X's diagonal through the n×n block and each
-pair (X_ij, X_ji) through its 2×2 block (`_apply_blocks`). Two tables give
-the same map exactly when their M are equal, so every converter checks its
-output by comparing the two tables' blocks, within ORACLE_TOL times the
-largest entry of either table, if above 1 (`_verify_images`). Both are O(n³).
+`apply_kf` and `apply_lf` send X's diagonal through M's n×n block and each
+pair (X_ij, X_ji) through its 2×2 block (`_superoperator`, `_apply_blocks`),
+O(n³); `apply_ev`, `apply_to_state` and `evolve_state` scale X's basis
+coefficients c, recompose(lam ∘ c) (`_eigen_action`), two n²×n² matvecs.
+Two tables give the same map exactly when their M are equal, so every
+converter checks its output by comparing the two tables' blocks
+(`_eigen_superoperator` for lam), within ORACLE_TOL times the largest entry
+of either table, if above 1 (`_verify_images`), O(n³).
 
 The private helpers below are the one core that the channel and generator
 converters and `dynamics` share. At small n a call's cost is numpy call
@@ -52,11 +54,13 @@ eigenvalue readers as affine maps, one matvec per read (`_affine_maps`), and
 their inverses on the admissible tables, which the reverse converters read
 (`_reverse_maps`). `_verify_images` and the oracle share nothing with them.
 
-What depends on a channel's table but not on a tolerance is computed once per
-object, on first use, and kept read-only on it: a KrausChannel's TP residuals,
-their max and `kf_is_ev`'s column gaps; an EigenChannel's `_block_margins`,
-shared by `cp_check_paper` and `cp_check_normalized`. `tp_residuals` returns
-a copy. `cp_check_oracle` memoizes nothing, so it stays an independent route.
+What depends on an object's table or entries but not on a tolerance is
+computed once per object, on first use, and kept read-only on it: a
+KrausChannel's TP residuals, their max and `kf_is_ev`'s column gaps; an
+EigenChannel's `_block_margins`, shared by `cp_check_paper` and
+`cp_check_normalized`; a DensityMatrix's basis coefficients (`_coefficients`).
+`tp_residuals` returns a copy. `cp_check_oracle` memoizes nothing, so it
+stays an independent route.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .basis import full_basis, _check_dimension, _check_square
+from .basis import decompose, full_basis, recompose, _check_dimension, _check_square
 from .errors import (
     ConstraintViolated,
     InvalidChannel,
@@ -225,6 +229,14 @@ class DensityMatrix:
             raise InvariantError(f"negative eigenvalue {low:.3e}")
         object.__setattr__(self, "entries", _read_only(m))
 
+    def __reduce__(self):  # as KrausChannel's
+        return type(self), (self.n, self.entries)
+
+    @_memo
+    def _coefficients(self) -> np.ndarray:
+        """`decompose` of the entries, read-only."""
+        return _read_only(decompose(self.entries, full_basis(self.n)))
+
 
 @dataclass(frozen=True)
 class CpReport:
@@ -354,8 +366,13 @@ def apply_kf(ch: KrausChannel, X: np.ndarray) -> np.ndarray:
 
 
 def apply_ev(ch: EigenChannel, X: np.ndarray) -> np.ndarray:
-    """Scale X's basis components by their eigenvalues, through its superoperator's blocks."""
-    return _apply_blocks(_eigen_superoperator(ch.lam), _check_square(X, ch.n))
+    """Scale X's basis coefficients by their eigenvalues (`_eigen_action`)."""
+    return _eigen_action(ch.lam, decompose(X, full_basis(ch.n)))
+
+
+def _eigen_action(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """recompose(lam ∘ c): lam's eigenvalue map on the matrix with basis coefficients c."""
+    return recompose(lam * _check_square(coeffs, lam.shape[0]), full_basis(lam.shape[0]))
 
 
 @lru_cache(maxsize=None)
@@ -851,7 +868,7 @@ def apply_to_state(ch, rho, tol: float = DEFAULT_TOL) -> DensityMatrix:
     elif isinstance(ch, EigenChannel):
         if abs(ch.lam[0, 0] - 1.0) > tol:
             raise InvalidChannel(f"not trace-preserving: lam_00 = {ch.lam[0, 0]!r}")
-        out = apply_ev(ch, rho.entries)
+        out = _eigen_action(ch.lam, rho._coefficients)
     else:
         raise TypeError(f"expected a channel, got {type(ch).__name__}")
     report = cp_check_oracle(ch, tol)

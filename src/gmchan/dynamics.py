@@ -26,10 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import _check_square
-from .channels import (
-    DEFAULT_TOL, DensityMatrix, EigenChannel, _apply_blocks, _eigen_superoperator, _is_cp,
-)
+from .channels import DEFAULT_TOL, DensityMatrix, EigenChannel, _eigen_action, _is_cp
 from .errors import (
     ConstraintViolated, DimensionMismatch, IndexOutOfRange, InvariantError, NotCPAtTime,
 )
@@ -194,11 +191,9 @@ def _flagged(traj: Trajectory, cp_stride: int, tol: float) -> Trajectory:
     """
     lams = traj.lams
     last = lams.shape[0] - 1
-    checked = np.zeros(last + 1, dtype=bool)
-    checked[::cp_stride] = True
-    checked[last] = True
-    cp = np.full(last + 1, None, dtype=object)
-    cp[checked] = _is_cp(lams[checked], tol).tolist()
+    flags = _is_cp(np.concatenate([lams[:last:cp_stride], lams[last:]]), tol).tolist()
+    cp = [None] * (last + 1)
+    cp[:last:cp_stride], cp[last] = flags[:-1], flags[-1]
     singular = (abs(lams) <= ZERO_TOL).any(axis=(1, 2))
     object.__setattr__(traj, "cp_flags", tuple(cp))
     object.__setattr__(traj, "singular_flags", tuple(singular.tolist()))
@@ -246,7 +241,7 @@ def evolve_state(
 
     The frame must be CP: a stored False flag raises NotCPAtTime; a skipped
     flag (None) is decided on demand by the normalized block criterion. The
-    frame's table acts as `apply_ev` does, through its superoperator's blocks.
+    frame scales rho0's basis coefficients, decomposed once per state object.
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(n=traj.n, entries=rho0)
@@ -259,5 +254,4 @@ def evolve_state(
             f"map at grid index {t_index} (t={traj.grid[t_index]:g}) is not CP",
             time_index=t_index,
         )
-    M = _eigen_superoperator(traj.lams[t_index])
-    return DensityMatrix(n=traj.n, entries=_apply_blocks(M, _check_square(rho0.entries, traj.n)))
+    return DensityMatrix(n=traj.n, entries=_eigen_action(traj.lams[t_index], rho0._coefficients))

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .basis import decompose, full_basis, recompose
+from .basis import full_basis, recompose
 from .channels import DensityMatrix, EigenChannel, KrausChannel
 from .errors import InvariantError, ParseError, SchemaError
 from .generators import EigenGenerator, LindbladGenerator
@@ -292,7 +292,7 @@ def _coefficients_of(obj) -> np.ndarray:
     if isinstance(obj, EigenGenerator):
         return obj.eta
     if isinstance(obj, DensityMatrix):
-        c = decompose(obj.entries, full_basis(obj.n))
+        c = obj._coefficients
         if float(np.max(np.abs(c.imag))) > 1e-12:
             raise InvariantError("state has non-real basis coefficients")
         return c.real

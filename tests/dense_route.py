@@ -1,12 +1,13 @@
 """Dense reference actions of the weight, rate and eigenvalue forms, for the tests only.
 
 They sum over all n² basis matrices, independently of the superoperator
-blocks through which `apply_kf`, `apply_lf` and `apply_ev` act.
+blocks through which `apply_kf` and `apply_lf` act and of the coefficient
+route (`decompose`, then `recompose`) through which `apply_ev` acts.
 """
 
 import numpy as np
 
-from gmchan.basis import decompose, full_basis, recompose
+from gmchan.basis import full_basis
 
 
 def sandwich(w, X):
@@ -23,8 +24,7 @@ def rate_action(g, X):
 
 
 def eigen_action(lam, X):
-    """recompose(decompose(X) * lam) for one matrix (n, n) or a stack (..., n, n)."""
+    """sum_a lam_a Tr(sigma_a X) / Tr(sigma_a²) sigma_a, for a matrix (n, n) or stack (..., n, n)."""
     b = full_basis(lam.shape[0])
-    X = np.asarray(X, dtype=complex)
-    flat = X.reshape(-1, b.n, b.n)
-    return np.stack([recompose(decompose(x, b) * lam, b) for x in flat]).reshape(X.shape)
+    return np.einsum("a,aij,...ji,akl->...kl", np.ravel(lam) / b.norms_sq, b.stack,
+                     np.asarray(X, dtype=complex), b.stack, optimize=True)

@@ -27,6 +27,7 @@ from gmchan.channels import (
     cp_check_paper,
     tp_residuals,
     _affine_maps,
+    _apply_blocks,
     _block_margins,
     _choi_layout,
     _eigen_superoperator,
@@ -566,6 +567,29 @@ def test_apply_matches_dense_route(n):
         assert np.max(np.abs(got - eigen_action(traj.lams[idx], rho0.entries))) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_eigen_action_matches_the_block_route(n):
+    # apply_ev and evolve_state act through basis coefficients; the
+    # superoperator blocks the converters verify through must agree
+    rng = np.random.default_rng(700 + n)
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    X = np.concatenate([units, rng.normal(size=(4, n, n)) + 1j * rng.normal(size=(4, n, n))])
+    for scale in (1e-6, 1.0, 1e6):
+        ev = EigenChannel(n=n, lam=scale * rng.uniform(-1.0, 1.0, (n, n)))
+        M = _eigen_superoperator(ev.lam)
+        for x in X:
+            blocks = _apply_blocks(M, x)
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(blocks))))
+            assert np.max(np.abs(apply_ev(ev, x) - blocks)) <= bound
+    traj = evolve_semigroup(lf_to_ev(random_lf_ev_admissible(rng, n, nonnegative=True)),
+                            uniform_grid(1.0, 11))
+    rho0 = DensityMatrix(n=n, entries=random_density(rng, n))
+    for idx in range(len(traj)):
+        blocks = _apply_blocks(_eigen_superoperator(traj.lams[idx]), rho0.entries)
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(blocks))))
+        assert np.max(np.abs(evolve_state(traj, rho0, idx).entries - blocks)) <= bound
+
+
 def _edit_basis(monkeypatch, n, edits):
     # the layout, uncached, sees a basis with (index, value) entries changed
     import gmchan.channels as channels
@@ -916,10 +940,10 @@ def test_readers_verify_what_they_return(monkeypatch, n):
     assert mapped == [n] * 2
 
 
-# Per-object memos: what depends on a channel's table but not on a tolerance
+# Per-object memos: what depends on an object's table or entries but not on a tolerance
 # is computed once per object, on first use, and kept read-only.
 
-MEMOS = ("_tp_residuals", "_tp_worst", "_gaps", "_blocks")
+MEMOS = ("_tp_residuals", "_tp_worst", "_gaps", "_blocks", "_coefficients")
 
 
 def _counting(monkeypatch, *names):
@@ -999,7 +1023,9 @@ def test_report_arrays_and_memos_are_read_only():
     arrays += [a for a in ch._blocks if isinstance(a, np.ndarray)]
     kf = random_kf_ev_admissible(np.random.default_rng(82), 4)
     arrays += [kf._tp_residuals, kf._gaps]
-    assert len(arrays) == 10
+    rho = DensityMatrix(n=3, entries=random_density(np.random.default_rng(82), 3))
+    arrays += [rho._coefficients]
+    assert len(arrays) == 11
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
@@ -1009,7 +1035,8 @@ def test_memos_are_lock_free_and_kept_on_the_instance():
     import functools
 
     for cls, name in ((KrausChannel, "_tp_residuals"), (KrausChannel, "_tp_worst"),
-                      (KrausChannel, "_gaps"), (EigenChannel, "_blocks")):
+                      (KrausChannel, "_gaps"), (EigenChannel, "_blocks"),
+                      (DensityMatrix, "_coefficients")):
         memo = vars(cls)[name]
         assert not isinstance(memo, functools.cached_property)
         assert hasattr(memo, "__get__") and not hasattr(memo, "__set__")  # non-data
@@ -1020,7 +1047,8 @@ def test_memos_are_lock_free_and_kept_on_the_instance():
 
 def test_constructors_compute_no_memo():
     p = random_kf_ev_admissible(np.random.default_rng(83), 4).p
-    for ch in (KrausChannel(n=4, p=p), EigenChannel(n=4, lam=np.eye(4))):
+    rho = DensityMatrix(n=4, entries=np.eye(4) / 4)
+    for ch in (KrausChannel(n=4, p=p), EigenChannel(n=4, lam=np.eye(4)), rho):
         assert not set(MEMOS) & set(vars(ch))
     # the trace-preserving flag needs the residuals, and only them
     flagged = KrausChannel(n=4, p=p, trace_preserving=True)
@@ -1050,3 +1078,19 @@ def test_copies_are_rebuilt_without_memos(copy_of):
         assert not table.flags.writeable
         assert not set(MEMOS) & set(vars(twin))
         assert result(twin) == want
+
+
+@pytest.mark.parametrize("copy_of", (copy.copy, lambda rho: pickle.loads(pickle.dumps(rho)),
+                                     lambda rho: np.array(rho.entries)))
+def test_state_copies_evolve_alike_without_a_stale_memo(copy_of):
+    rng = np.random.default_rng(86)
+    traj = evolve_semigroup(lf_to_ev(random_lf_ev_admissible(rng, 4, nonnegative=True)),
+                            uniform_grid(1.0, 11))
+    rho0 = DensityMatrix(n=4, entries=random_density(rng, 4))
+    want = [evolve_state(traj, rho0, idx).entries.tobytes() for idx in range(len(traj))]
+    assert "_coefficients" in vars(rho0)  # the frames share one decomposition
+    twin = copy_of(rho0)
+    if isinstance(twin, DensityMatrix):
+        assert twin is not rho0 and "_coefficients" not in vars(twin)
+        assert not twin.entries.flags.writeable
+    assert [evolve_state(traj, twin, idx).entries.tobytes() for idx in range(len(traj))] == want
