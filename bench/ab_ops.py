@@ -20,7 +20,9 @@ Printed per tree: the summed op time, its ratio to the first tree's (above
 1 is faster), the median over ops of the first tree's time over this tree's
 time for the same op (one stall moves the sum, not this median), the p50
 and p90 op latency in ms and the number of ops whose check failed or that
-raised. The times are plain wall time, not perfbench's host-calibrated
+raised; then, per tree after the first, that paired median ratio for each
+(op kind, n), with its op count, so the ops of each kind show where a saving
+lands. The times are plain wall time, not perfbench's host-calibrated
 time: both trees run each op within milliseconds of each other, so their
 ratio needs no calibration. --out writes the same figures and the per-op
 times as JSON.
@@ -83,6 +85,7 @@ def main() -> None:
                     for step in W.chained([op]):
                         workload.run(gm, step)
         times = {label: [] for label in trees}
+        keys = []  # (kind, n) of each timed step, in the order of every tree's times
         failed = dict.fromkeys(trees, 0)
         checkers = {label: W.Checker() for label in trees}
         shuffle = random.Random(args.seed)
@@ -93,6 +96,7 @@ def main() -> None:
             for op in ops:
                 order = list(trees)[:: 1 if turn % 2 == 0 else -1]
                 turn += 1
+                keys += [(step.kind, step.n) for step in W.chained([op])]
                 for label in order:
                     for step in W.chained([op]):
                         c = checkers[label]
@@ -121,6 +125,16 @@ def main() -> None:
                                   "failed": failed[label], "op_s": xs}
         print(f"  {label:10s} total {sum(xs):8.3f} s  ops ratio {ratio:.3f}  paired {paired:.3f}  "
               f"p50 {p50:.3f} ms  p90 {p90:.3f} ms  failed {failed[label]}")
+    for label, xs in list(times.items())[1:]:
+        ratios = {}
+        for key, base, x in zip(keys, times[first], xs, strict=True):
+            ratios.setdefault(key, []).append(base / x)
+        cells = {f"{kind} n={n}": (float(np.median(r)), len(r)) for (kind, n), r in sorted(ratios.items())}
+        result["trees"][label]["paired_median_ratio_by_kind_n"] = {
+            key: {"ratio": ratio, "ops": count} for key, (ratio, count) in cells.items()}
+        print(f"  {label} paired median ratio to {first} by op kind and n:")
+        for key, (ratio, count) in cells.items():
+            print(f"    {key:16s} {ratio:.3f}  ({count} ops)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(result, fh)

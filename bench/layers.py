@@ -33,7 +33,15 @@ frame, as `evolve_state` does for a frame the stride skipped).
 negative diagonal rate, so its verdicts flip. One `evolve_timedep` call builds four
 201-point trajectories of a Markovian generator: with tabulated (9 knots)
 and with quadratic polynomial profiles, each at CP stride 1 and 50.
-`eta_from_lambda` differentiates the stride-1 tabulated one. `validate_kf`
+`eta_from_lambda` differentiates the stride-1 tabulated one. `report_diagnostics` runs the three checks on a fresh channel of the
+eigenvalue table, as `validate_ev` does, and then reads every value of each
+report's `diagnostics` (the path of `scripts/crossval_sweep.py`, which reads
+the paper diagnostics). `basis_build` times one cold build of the Gell-Mann
+basis through its cache's uncached `__wrapped__` function (`full_basis`, or
+`basis._build_basis` where `full_basis` checks n first and looks it up), and
+`eigvalsh_block` one n×n Hermitian eigensolve alone, of that table's
+diagonal-sector block (`channels._block_margins`), the one the oracle and
+the block criterion each run per table. `validate_kf`
 and `validate_ev` replay the call sequence that perfbench's certify workload
 makes on one fresh object: for a weight table the TP check, the oracle,
 `kf_is_ev`, `kf_to_ev` and the three CP checks of the result; for an
@@ -86,7 +94,8 @@ LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalize
           "validate_ev", "construct_state", "evolve_state_skipped", "trajectory_flags",
           "evolve_timedep", "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev",
           "document_text", "parse_document", "maps_build", "evolve_table", "block_margins",
-          "is_cp_frame", "decompose", "recompose")
+          "is_cp_frame", "decompose", "recompose", "report_diagnostics", "basis_build",
+          "eigvalsh_block")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -108,11 +117,17 @@ def _child(src: str, repeats: int) -> None:
     """Print {layer: {n: [seconds per call, ...]}} for the gmchan under `src`."""
     sys.path.insert(0, src)
     import gmchan as gm
-    from gmchan import channels, dynamics, fileio, sampling
+    from gmchan import basis, channels, dynamics, fileio, sampling
 
     def ev_checks(ch):
         return [check(ch, VERDICT_TOL)
                 for check in (gm.cp_check_oracle, gm.cp_check_paper, gm.cp_check_normalized)]
+
+    def diagnostics(ch):  # every diagnostics value, read after the checks
+        return [tuple(rep.diagnostics.values()) for rep in ev_checks(ch)]
+
+    build_basis = next(f.__wrapped__ for f in (basis.full_basis, getattr(basis, "_build_basis", None))
+                       if hasattr(f, "__wrapped__"))
 
     def validate_kf(n, p):  # perfbench/workloads.py, Certify.run on a kf op
         ch = gm.KrausChannel(n=n, p=p)
@@ -154,6 +169,7 @@ def _child(src: str, repeats: int) -> None:
         text = fileio.document_text(acting[2])
         table = gm.evolve_semigroup(markovian, gm.uniform_grid(4.0, 501), cp_stride=500)
         write_table = getattr(fileio, "_write_trajectory_table", _rows_table)
+        block = channels._block_margins(lam)[0]
 
         def timedep(tables=tables, grid=grid):
             return [gm.evolve_timedep(t, grid, cp_stride=s) for t in tables for s in (1, 50)]
@@ -197,6 +213,9 @@ def _child(src: str, repeats: int) -> None:
             ("is_cp_frame", n): lambda lam=lam: channels._is_cp(lam, VERDICT_TOL),
             ("decompose", n): lambda n=n, X=X: gm.decompose(X, gm.full_basis(n)),
             ("recompose", n): lambda n=n, X=X: gm.recompose(X, gm.full_basis(n)),
+            ("report_diagnostics", n): lambda ev=ev: diagnostics(ev()),
+            ("basis_build", n): lambda n=n: build_basis(n),
+            ("eigvalsh_block", n): lambda block=block: np.linalg.eigvalsh(block),
         })
         if hasattr(channels, "_affine_maps"):
             builds = [getattr(channels, name).__wrapped__

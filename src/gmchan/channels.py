@@ -58,9 +58,10 @@ What depends on an object's table or entries but not on a tolerance is
 computed once per object, on first use, and kept read-only on it: a
 KrausChannel's TP residuals, their max and `kf_is_ev`'s column gaps; an
 EigenChannel's `_block_margins`, shared by `cp_check_paper` and
-`cp_check_normalized`; a DensityMatrix's basis coefficients (`_coefficients`).
-`tp_residuals` returns a copy. `cp_check_oracle` memoizes nothing, so it
-stays an independent route.
+`cp_check_normalized`; a DensityMatrix's basis coefficients (`_coefficients`);
+a CpReport's `diagnostics`, which the three checks, deciding from scalars,
+leave to a builder they pass in. `tp_residuals` returns a copy.
+`cp_check_oracle` keeps no memo on the channel, so it stays an independent route.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ NOT_CP = "NotCP"
 METHOD_ORACLE = "choi_oracle"
 METHOD_PAPER = "paper_conditions"
 METHOD_NORMALIZED = "normalized_conditions"
+_OVERFLOW = "the Choi blocks of this table overflow the float range"
 
 
 def _coeff_table(n: int, table, what: str) -> np.ndarray:
@@ -240,17 +242,25 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class CpReport:
-    """Outcome of one complete-positivity check.
+    """Outcome of one complete-positivity check, compared and hashed by (verdict, method, margin).
 
     verdict is "CP" or "NotCP"; margin is the smallest slack among the
-    conditions the method evaluates (negative = violated); diagnostics holds
-    method-specific arrays (per-pair margins, block spectra, Choi spectrum).
+    conditions the method evaluates (negative = violated). `diagnostics` holds
+    method-specific values (per-pair margins, block spectra, Choi spectrum),
+    arrays read-only: `build()` makes them on first read, kept on the report.
     """
 
     verdict: str
     method: str
     margin: float
-    diagnostics: dict = field(default_factory=dict)
+    build: object = field(default=dict, compare=False, repr=False)
+
+    def __reduce__(self):  # as KrausChannel's
+        return type(self), (self.verdict, self.method, self.margin, self.build)
+
+    @_memo
+    def diagnostics(self) -> dict:
+        return self.build()
 
     @property
     def is_cp(self) -> bool:
@@ -511,20 +521,8 @@ def choi(apply, n: int) -> ChoiMatrix:
             unit[k, l] = 0.0
     defect = float(np.max(np.abs(J - J.conj().T)))
     J = (J + J.conj().T) / 2.0
-    return _choi_matrix(n, J, np.linalg.eigvalsh(J), defect)
-
-
-def _choi_matrix(n: int, J: np.ndarray, spectrum: np.ndarray, defect: float) -> ChoiMatrix:
-    """Freeze a symmetrized Choi matrix and its spectrum into a ChoiMatrix."""
-    J.setflags(write=False)
-    spectrum.setflags(write=False)
-    return ChoiMatrix(
-        n=n,
-        entries=J,
-        spectrum=spectrum,
-        min_eigenvalue=float(spectrum[0]),
-        hermiticity_defect=defect,
-    )
+    spectrum = _read_only(np.linalg.eigvalsh(J))
+    return ChoiMatrix(n, _read_only(J), spectrum, float(spectrum[0]), defect)
 
 
 @dataclass(frozen=True)
@@ -687,13 +685,9 @@ def _verify_images(table: np.ndarray, lam: np.ndarray, what: str, rate: bool = F
 
 
 def _choi_blocks(ch):
-    """Blocks of a channel's Choi matrix, their spectrum and Hermiticity defect.
-
-    Returns the symmetrized block entries (stored as in `_ChoiLayout`), the
-    sorted union of the n×n block's spectrum and the 2×2 blocks' closed-form
-    eigenvalues, and the largest entrywise |J - J†| over the blocks (entries
-    off the blocks are exactly zero).
-    """
+    """Blocks of a channel's Choi matrix: the halved entries and their symmetrization (stored
+    as in `_ChoiLayout`), the n×n block's spectrum and the 2×2 blocks' centres and radii
+    (eigenvalues centre ± radius). InvariantError if the blocks overflow the eigensolve."""
     if isinstance(ch, KrausChannel):
         vals = _fill(_choi_layout(ch.n), ch.p)
     elif isinstance(ch, EigenChannel):
@@ -701,48 +695,57 @@ def _choi_blocks(ch):
     else:
         raise TypeError(f"expected a channel, got {type(ch).__name__}")
     n = ch.n
-    vals = vals / 2.0  # halves, then sums: the sum of two huge entries overflows
-    mirrored = vals[_choi_layout(n).mirror]
-    defect = 2.0 * float(np.abs(vals - mirrored).max())
-    vals = vals + mirrored
+    half = vals / 2.0  # halves, then sums: the sum of two huge entries overflows
+    vals = half + half[_choi_layout(n).mirror]
     pair = vals[n * n:].reshape(-1, 4)
     h0, h3 = pair[:, 0] / 2.0, pair[:, 3] / 2.0
     mid, radius = h0 + h3, np.hypot(h0 - h3, pair[:, 1])
-    block = np.linalg.eigvalsh(vals[:n * n].reshape(n, n))
-    return vals, np.sort(np.concatenate([block, mid - radius, mid + radius])), defect
+    try:
+        block = np.linalg.eigvalsh(vals[:n * n].reshape(n, n))
+    except np.linalg.LinAlgError:
+        raise InvariantError(_OVERFLOW) from None
+    return half, vals, block, mid, radius
+
+
+def _choi_spectrum(half, block, mid, radius) -> dict:
+    """The Choi `spectrum`, the sorted union of the block spectra, read-only, its
+    `min_eigenvalue` and the `hermiticity_defect`, the largest entrywise |J - J†|
+    over the blocks (entries off them are exactly zero)."""
+    spectrum = _read_only(np.sort(np.concatenate([block, mid - radius, mid + radius])))
+    defect = 2.0 * float(np.abs(half - half[_choi_layout(block.size).mirror]).max())
+    return {"spectrum": spectrum, "min_eigenvalue": float(spectrum[0]),
+            "hermiticity_defect": defect}
 
 
 def choi_of_channel(ch) -> ChoiMatrix:
     """Choi matrix of either channel representation, from its table in closed form.
 
     The blocks come from `_choi_blocks` and are scattered into the dense
-    n²×n² `entries`; the spectrum is the union of the block spectra.
-    `entries` is built eagerly (1 MB at n = 16): only `gmchan choi` and the
-    tests call this, and the CP checks read the blocks alone, so a lazy
-    field would add a code path and save nothing measured.
+    n²×n² `entries`; the spectrum is the union of the block spectra
+    (`_choi_spectrum`). `entries` is built eagerly (1 MB at n = 16): only
+    `gmchan choi` and the tests call this, and the CP checks read the blocks
+    alone, so a lazy field would add a code path and save nothing measured.
     """
-    vals, spectrum, defect = _choi_blocks(ch)
+    half, vals, *spectra = _choi_blocks(ch)
     layout = _choi_layout(ch.n)
     J = np.zeros((ch.n ** 2, ch.n ** 2), dtype=complex)
     J[layout.rows, layout.cols] = vals
-    return _choi_matrix(ch.n, J, spectrum, defect)
+    return ChoiMatrix(ch.n, _read_only(J), **_choi_spectrum(half, *spectra))
 
 
 def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
-    """Ground-truth CP check: smallest Choi eigenvalue, read off J's blocks."""
-    _, spectrum, defect = _choi_blocks(ch)
-    spectrum.setflags(write=False)
-    low = float(spectrum[0])
-    return CpReport(
-        verdict=_verdict(low, tol),
-        method=METHOD_ORACLE,
-        margin=low,
-        diagnostics={
-            "spectrum": spectrum,
-            "min_eigenvalue": low,
-            "hermiticity_defect": defect,
-        },
-    )
+    """Ground-truth CP check: smallest Choi eigenvalue, read off J's blocks.
+
+    Diagnostics: those of `_choi_spectrum`. Raises InvariantError if the
+    blocks overflow.
+    """
+    half, _, block, mid, radius = _choi_blocks(ch)
+    edge, low = float((mid - radius).min()), float(block[0])
+    low = min(low, edge) + 0.0  # +0.0 for a zero of either sign
+    if not low + edge < np.inf:  # a NaN or +inf bound overflowed; -inf is below the range
+        raise InvariantError(_OVERFLOW)
+    return CpReport(_verdict(low, tol), METHOD_ORACLE, low,
+                    partial(_choi_spectrum, half, block, mid, radius))
 
 
 def _sector_blocks(lams: np.ndarray):
@@ -798,6 +801,18 @@ def _pair_dict(n: int, pairs: np.ndarray) -> dict:
     return dict(zip(_kernel_table(n).pair_keys, pairs.tolist()))
 
 
+def _paper_diagnostics(ch: EigenChannel, shift: float) -> dict:
+    block, spectrum, pairs, _ = ch._blocks
+    k = _kernel_table(ch.n).k
+    with np.errstate(over="ignore"):  # a doubled entry beyond 1.8e308 saturates to ±inf
+        A = 2.0 * block
+        A[k, k] += shift
+        a_spectrum = 2.0 * spectrum + shift
+        pairs = 2.0 * pairs + shift
+    return {"pair_margins": _pair_dict(ch.n, pairs), "a_matrix": _read_only(A),
+            "a_spectrum": _read_only(a_spectrum)}
+
+
 def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     """Closed-form block conditions from the unnormalized eigenvector sum.
 
@@ -805,32 +820,23 @@ def cp_check_paper(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     and of one n×n diagonal-sector matrix A. The underlying sum is
     2J + s I with s = ((n-2)/n) l_00, so each block is twice the normalized
     block shifted by s: exact for n=2, necessary but not sufficient for CP
-    for n>=3. Diagnostics: `pair_margins` (dict (i, j) -> margin), the
-    n×n matrix `a_matrix` and its spectrum `a_spectrum`. Doubling saturates
-    silently: on a huge table the margin reads -inf where -3e308 cannot be held.
+    for n>=3. The margin is 2m + s, m the normalized margin: rounding keeps
+    x -> 2x + s monotone, so it is the least doubled condition. Diagnostics:
+    `pair_margins` (dict (i, j) -> margin), the n×n matrix `a_matrix` and its
+    spectrum `a_spectrum`. Doubling saturates silently: on a huge table the
+    margin reads -inf where -3e308 cannot be held.
     """
     if not isinstance(ch, EigenChannel):
         raise TypeError("closed-form CP conditions need the eigenvalue form")
-    n = ch.n
-    block, spectrum, pairs, _ = ch._blocks
-    shift = (n - 2.0) / n * ch.lam[0, 0]
-    k = _kernel_table(n).k
-    with np.errstate(over="ignore"):  # a doubled entry beyond 1.8e308 saturates to ±inf
-        A = 2.0 * block
-        A[k, k] += shift
-        a_spectrum = 2.0 * spectrum + shift
-        pairs = 2.0 * pairs + shift
-    margin = min(float(pairs.min()), float(a_spectrum[0]))
-    return CpReport(
-        verdict=_verdict(margin, tol),
-        method=METHOD_PAPER,
-        margin=margin,
-        diagnostics={
-            "pair_margins": _pair_dict(n, pairs),
-            "a_matrix": _read_only(A),
-            "a_spectrum": _read_only(a_spectrum),
-        },
-    )
+    shift = float((ch.n - 2.0) / ch.n * ch.lam[0, 0])
+    margin = 2.0 * float(ch._blocks[3]) + shift
+    return CpReport(_verdict(margin, tol), METHOD_PAPER, margin,
+                    partial(_paper_diagnostics, ch, shift))
+
+
+def _normalized_diagnostics(ch: EigenChannel) -> dict:
+    A, a_spectrum, pairs, _ = ch._blocks
+    return {"pair_margins": _pair_dict(ch.n, pairs), "a_block": A, "a_spectrum": a_spectrum}
 
 
 def cp_check_normalized(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
@@ -839,22 +845,14 @@ def cp_check_normalized(ch: EigenChannel, tol: float = DEFAULT_TOL) -> CpReport:
     Blocks of sum_a l_a conj(sigma_a)(x)sigma_a / Tr(sigma_a²), i.e. of the
     Choi matrix itself: one n×n diagonal-sector block and one 2×2 block per
     index pair. The union of the block spectra is the Choi spectrum, so the
-    verdict must match cp_check_oracle up to eigensolver noise.
+    verdict must match cp_check_oracle up to eigensolver noise. Diagnostics:
+    `pair_margins`, the block `a_block` and its spectrum `a_spectrum`.
     """
     if not isinstance(ch, EigenChannel):
         raise TypeError("closed-form CP conditions need the eigenvalue form")
-    A, a_spectrum, pairs, margin = ch._blocks
-    margin = float(margin)
-    return CpReport(
-        verdict=_verdict(margin, tol),
-        method=METHOD_NORMALIZED,
-        margin=margin,
-        diagnostics={
-            "pair_margins": _pair_dict(ch.n, pairs),
-            "a_block": A,
-            "a_spectrum": a_spectrum,
-        },
-    )
+    margin = float(ch._blocks[3])
+    return CpReport(_verdict(margin, tol), METHOD_NORMALIZED, margin,
+                    partial(_normalized_diagnostics, ch))
 
 
 def apply_to_state(ch, rho, tol: float = DEFAULT_TOL) -> DensityMatrix:

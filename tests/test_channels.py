@@ -1094,3 +1094,113 @@ def test_state_copies_evolve_alike_without_a_stale_memo(copy_of):
         assert twin is not rho0 and "_coefficients" not in vars(twin)
         assert not twin.entries.flags.writeable
     assert [evolve_state(traj, twin, idx).entries.tobytes() for idx in range(len(traj))] == want
+
+
+# A report decides from scalars and builds its diagnostics on first read; the
+# eager forms in `eager_reports` are the reference, bit for bit.
+
+REFERENCE_SCALES = (1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300, 1e307)
+
+
+def _same(got, want) -> bool:
+    """Equal bit for bit: arrays by dtype, shape, write flag and bytes, dicts entrywise, floats by bytes."""
+    if isinstance(want, np.ndarray):
+        return type(got) is np.ndarray and (
+            (got.dtype, got.shape, got.flags.writeable, got.tobytes())
+            == (want.dtype, want.shape, want.flags.writeable, want.tobytes()))
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_same(got[k], want[k]) for k in want)
+    return type(got) is type(want) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _reference_tables(rng, n):
+    corner = np.zeros((n, n))
+    corner[0, 0] = 1.0
+    return (rng.uniform(-1.0, 1.0, (n, n)), np.ones((n, n)), -np.ones((n, n)), corner)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_reports_match_the_eager_reference(n):
+    import eager_reports as eager
+
+    rng = np.random.default_rng(90 + n)
+    checks = ((cp_check_oracle, eager.oracle), (cp_check_paper, eager.paper),
+              (cp_check_normalized, eager.normalized))
+    for table in _reference_tables(rng, n):
+        for scale in REFERENCE_SCALES:
+            for form in ("kf", "ev"):
+                t = scale * table
+                ch = KrausChannel(n=n, p=t) if form == "kf" else EigenChannel(n=n, lam=t)
+                for check, reference in checks[:1] if form == "kf" else checks:
+                    for tol in (1e-10, 0.0):
+                        got = check(ch, tol)
+                        verdict, margin, diagnostics = reference(ch, tol)
+                        assert got.verdict == verdict
+                        assert _same(got.margin, margin), (check.__name__, form, scale, got.margin, margin)
+                        assert _same(got.diagnostics, diagnostics), (check.__name__, form, scale)
+                cm, want = choi_of_channel(ch), eager.choi_of_channel(ch)
+                got = (cm.entries, cm.spectrum, cm.min_eigenvalue, cm.hermiticity_defect)
+                assert all(_same(a, b) for a, b in zip(got, want, strict=True)), (form, scale)
+
+
+def test_reports_compare_and_hash_by_verdict_method_and_margin():
+    ch = random_ev_channel(np.random.default_rng(87), 4)
+    twin = EigenChannel(n=4, lam=ch.lam)
+    reports = [check(c) for check in (cp_check_oracle, cp_check_paper, cp_check_normalized)
+               for c in (ch, twin)]
+    for a, b in zip(reports[::2], reports[1::2]):
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"CpReport(verdict={a.verdict!r}, method={a.method!r}, margin={a.margin!r})"
+    assert len(set(reports)) == 3
+
+
+@pytest.mark.parametrize("check, builder", ((cp_check_oracle, "_choi_spectrum"),
+                                            (cp_check_paper, "_paper_diagnostics"),
+                                            (cp_check_normalized, "_normalized_diagnostics")))
+def test_diagnostics_are_built_once_on_first_read(monkeypatch, check, builder):
+    import dataclasses
+
+    calls = _counting(monkeypatch, builder)
+    rep = check(random_ev_channel(np.random.default_rng(88), 5))
+    assert calls == [] and "diagnostics" not in vars(rep)
+    first = rep.diagnostics
+    assert rep.diagnostics is first and calls == [builder]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.diagnostics = {}
+
+
+@pytest.mark.parametrize("copy_of", (copy.copy, copy.deepcopy,
+                                     lambda rep: pickle.loads(pickle.dumps(rep))))
+def test_report_copies_have_the_same_diagnostics(copy_of):
+    ch = random_ev_channel(np.random.default_rng(89), 4)
+    kf = KrausChannel(n=3, p=random_kf_ev_admissible(np.random.default_rng(89), 3).p)
+    for check, c in ((cp_check_oracle, ch), (cp_check_oracle, kf), (cp_check_paper, ch),
+                     (cp_check_normalized, ch)):
+        for read_first in (False, True):
+            rep = check(c)
+            want = check(EigenChannel(n=4, lam=ch.lam) if c is ch else c).diagnostics
+            if read_first:
+                assert _same(rep.diagnostics, want)
+            twin = copy_of(rep)
+            assert twin == rep and "diagnostics" not in vars(twin)
+            assert _same(twin.diagnostics, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 16))
+def test_oracle_refuses_choi_blocks_that_overflow(n):
+    import eager_reports as eager
+
+    rng = np.random.default_rng(91)
+    for table in (np.ones((n, n)), -np.ones((n, n)), rng.uniform(-1.0, 1.0, (n, n))):
+        huge = KrausChannel(n=n, p=1.7e308 * table)
+        with pytest.raises(InvariantError, match="overflow"):
+            cp_check_oracle(huge)
+        if n > 2 and table[0, 1] ** 2 == 1.0:  # the n×n eigensolve fails, not just a 2×2 block
+            with pytest.raises(InvariantError, match="overflow"):
+                choi_of_channel(huge)
+        # these overflow nothing, or only to an eigenvalue below the float range: decided
+        for ch in (KrausChannel(n=n, p=1e307 * table), EigenChannel(n=n, lam=1e307 * table),
+                   EigenChannel(n=n, lam=1.7e308 * table)):
+            rep = cp_check_oracle(ch)
+            assert (rep.verdict, rep.margin) == eager.oracle(ch, DEFAULT_TOL)[:2]

@@ -447,6 +447,16 @@ def test_validate_bad_json_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validate_kf_whose_choi_blocks_overflow_exit_one(tmp_path, capsys):
+    # finite weights whose Choi blocks overflow: an error, not "NotCP margin nan"
+    path = _write(tmp_path / "huge.json", _doc(2, "kf", [[1.7e308, 1.7e308]] * 2))
+    assert main(["validate", path]) == 1
+    out, err = capsys.readouterr()
+    assert "cp oracle" not in out
+    assert err == "error: the Choi blocks of this table overflow the float range\n"
+
+
 def test_validate_negative_kf_exit_one(tmp_path, capsys):
     rows = [[0.9, -0.05], [0.1, 0.05]]
     path = _write(tmp_path / "neg.json", _doc(2, "kf", rows))
