@@ -803,10 +803,9 @@ def _pair_dict(n: int, pairs: np.ndarray) -> dict:
 
 def _paper_diagnostics(ch: EigenChannel, shift: float) -> dict:
     block, spectrum, pairs, _ = ch._blocks
-    k = _kernel_table(ch.n).k
     with np.errstate(over="ignore"):  # a doubled entry beyond 1.8e308 saturates to ±inf
         A = 2.0 * block
-        A[k, k] += shift
+        A.reshape(-1)[:: ch.n + 1] += shift  # the diagonal, through a view of the new A
         a_spectrum = 2.0 * spectrum + shift
         pairs = 2.0 * pairs + shift
     return {"pair_margins": _pair_dict(ch.n, pairs), "a_matrix": _read_only(A),

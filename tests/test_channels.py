@@ -13,6 +13,7 @@ from gmchan.basis import full_basis
 from gmchan.channels import (
     DEFAULT_TOL,
     ChoiMatrix,
+    CpReport,
     DensityMatrix,
     EigenChannel,
     KrausChannel,
@@ -1036,7 +1037,7 @@ def test_memos_are_lock_free_and_kept_on_the_instance():
 
     for cls, name in ((KrausChannel, "_tp_residuals"), (KrausChannel, "_tp_worst"),
                       (KrausChannel, "_gaps"), (EigenChannel, "_blocks"),
-                      (DensityMatrix, "_coefficients")):
+                      (DensityMatrix, "_coefficients"), (CpReport, "diagnostics")):
         memo = vars(cls)[name]
         assert not isinstance(memo, functools.cached_property)
         assert hasattr(memo, "__get__") and not hasattr(memo, "__set__")  # non-data
