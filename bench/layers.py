@@ -33,7 +33,8 @@ frame, as `evolve_state` does for a frame the stride skipped).
 negative diagonal rate, so its verdicts flip. One `evolve_timedep` call builds four
 201-point trajectories of a Markovian generator: with tabulated (9 knots)
 and with quadratic polynomial profiles, each at CP stride 1 and 50.
-`eta_from_lambda` differentiates the stride-1 tabulated one. `report_diagnostics` runs the three checks on a fresh channel of the
+`eta_from_lambda` differentiates the stride-1 tabulated one.
+`report_diagnostics` runs the three checks on a fresh channel of the
 eigenvalue table, as `validate_ev` does, and then reads every value of each
 report's `diagnostics` (the path of `scripts/crossval_sweep.py`, which reads
 the paper diagnostics). `basis_build` times one cold build of the Gell-Mann
@@ -41,9 +42,9 @@ basis through its cache's uncached `__wrapped__` function (`full_basis`, or
 `basis._build_basis` where `full_basis` checks n first and looks it up), and
 `eigvalsh_block` one n×n Hermitian eigensolve alone, of that table's
 diagonal-sector block (`channels._block_margins`), the one the oracle and
-the block criterion each run per table. `validate_kf`
-and `validate_ev` replay the call sequence that perfbench's certify workload
-makes on one fresh object: for a weight table the TP check, the oracle,
+the block criterion each run per table. `validate_kf` and `validate_ev`
+replay the call sequence that perfbench's certify workload makes on one
+fresh object: for a weight table the TP check, the oracle,
 `kf_is_ev`, `kf_to_ev` and the three CP checks of the result; for an
 eigenvalue table the three CP checks. `document_text` renders the eigenvalue
 channel as channel-file text and `parse_document` parses that text back

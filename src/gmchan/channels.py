@@ -742,7 +742,7 @@ def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
     half, _, block, mid, radius = _choi_blocks(ch)
     edge, low = float((mid - radius).min()), float(block[0])
     low = min(low, edge) + 0.0  # +0.0 for a zero of either sign
-    if not low + edge < np.inf:  # a NaN or +inf bound overflowed; -inf is below the range
+    if not low + edge < np.inf:  # NaN or +inf: overflowed blocks; -inf: below the range, NotCP
         raise InvariantError(_OVERFLOW)
     return CpReport(_verdict(low, tol), METHOD_ORACLE, low,
                     partial(_choi_spectrum, half, block, mid, radius))

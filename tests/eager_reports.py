@@ -11,24 +11,15 @@ reports to match them bit for bit.
 import numpy as np
 
 from gmchan.channels import (
-    CP,
-    NOT_CP,
     KrausChannel,
     _block_margins,
     _choi_layout,
     _eigen_superoperator,
     _fill,
     _kernel_table,
+    _read_only,
+    _verdict,
 )
-
-
-def _read_only(arr):
-    arr.setflags(write=False)
-    return arr
-
-
-def _verdict(margin, tol):
-    return CP if margin >= -tol else NOT_CP
 
 
 def choi_blocks(ch):
