@@ -51,10 +51,11 @@ channel as channel-file text and `parse_document` parses that text back
 (`fileio._parse_document`: JSON, schema and the coefficient table, no file
 I/O and no object built). `complete_tp` completes the admissible weight
 table's off-diagonals and p_11. `maps_build` times one cold build of the
-per-n affine maps and, where the tree has them, the reverse converters' data
-(`channels._affine_maps` and `channels._reverse_maps`, through their
-uncached `__wrapped__` functions, so the maps the other layers read stay
-cached): the one-off cost a process pays per size on its first conversions. `evolve_table` writes the
+reverse converters' data and, on a tree that has them, of the per-n dense
+eigenvalue readers (`channels._reverse_maps` and `channels._affine_maps`,
+through their uncached `__wrapped__` functions, so the data the other layers
+read stay cached): the one-off cost a process pays per size on its first
+conversions. `evolve_table` writes the
 `gmchan evolve` table of a 501-frame semigroup trajectory, built beforehand
 with CP stride 500 as perfbench's files workload runs it, to an in-memory
 text stream (`fileio._write_trajectory_table`; on a tree without it, the
@@ -71,6 +72,10 @@ quartiles of the R * K samples in microseconds, the ratio of each tree's
 medians to the first tree's, and, on request, the Tier-1 wall time of each
 tree and a perfbench summary read from a JSON file. --previous prints the
 change of each median against an earlier file with the same tree labels.
+Each round also starts one fresh process per tree that runs the four
+converters (`kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`) once at every
+n = 2..16 and reports its peak RSS (`ru_maxrss`) before and after; the file
+holds their quartiles per tree under "convert_rss".
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -218,10 +224,9 @@ def _child(src: str, repeats: int) -> None:
             ("basis_build", n): lambda n=n: build_basis(n),
             ("eigvalsh_block", n): lambda block=block: np.linalg.eigvalsh(block),
         })
-        if hasattr(channels, "_affine_maps"):
-            builds = [getattr(channels, name).__wrapped__
-                      for name in ("_affine_maps", "_reverse_maps") if hasattr(channels, name)]
-            calls["maps_build", n] = lambda n=n, builds=builds: [build(n) for build in builds]
+        builds = [getattr(channels, name).__wrapped__
+                  for name in ("_affine_maps", "_reverse_maps") if hasattr(channels, name)]
+        calls["maps_build", n] = lambda n=n, builds=builds: [build(n) for build in builds]
     number = {}
     for key, call in calls.items():  # warm caches, then size each sample
         start, count = time.perf_counter(), 0
@@ -239,6 +244,25 @@ def _child(src: str, repeats: int) -> None:
     out = {layer: {str(n): samples[layer, n] for n in SIZES}
            for layer in LAYERS if (layer, SIZES[0]) in samples}
     print(json.dumps(out))
+
+
+def _convert_rss(src: str) -> None:
+    """Print the peak RSS in MB of this fresh process before and after converting at every n."""
+    sys.path.insert(0, src)
+    import gmchan as gm
+    from gmchan import sampling
+
+    def peak_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    before = peak_mb()
+    for n in range(2, 17):
+        rng = np.random.default_rng([SEED, n])
+        lam = gm.kf_to_ev(sampling.random_kf_ev_admissible(rng, n)).lam
+        gm.ev_to_kf(gm.EigenChannel(n=n, lam=lam))
+        eta = gm.lf_to_ev(sampling.random_lf_ev_admissible(rng, n)).eta
+        gm.ev_to_lf(gm.EigenGenerator(n=n, eta=eta))
+    print(json.dumps({"before_mb": before, "after_mb": peak_mb()}))
 
 
 def _quantiles(xs: list) -> dict:
@@ -283,9 +307,13 @@ def main() -> None:
     ap.add_argument("--perfbench", help="JSON summary of perfbench runs to include")
     ap.add_argument("--previous", help="earlier output to print the change against")
     ap.add_argument("--child", help=argparse.SUPPRESS)
+    ap.add_argument("--rss-child", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
         _child(args.child, args.repeats)
+        return
+    if args.rss_child:
+        _convert_rss(args.rss_child)
         return
     if not args.out:
         ap.error("--out is required")
@@ -293,6 +321,7 @@ def main() -> None:
         ap.error("need at least 15 samples per cell (--rounds x --repeats)")
     trees = dict(t.split("=", 1) for t in args.tree) or {"change": ROOT}
     samples = {label: {layer: {str(n): [] for n in SIZES} for layer in LAYERS} for label in trees}
+    rss = {label: {"before_mb": [], "after_mb": []} for label in trees}
     env = {**os.environ, **PINNED}
     for r in range(args.rounds):
         for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
@@ -304,6 +333,12 @@ def main() -> None:
             for layer, cells in json.loads(proc.stdout).items():
                 for n, xs in cells.items():
                     samples[label][layer][n] += xs
+            proc = subprocess.run(
+                [sys.executable, __file__, "--rss-child", os.path.join(trees[label], "src")],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            for key, mb in json.loads(proc.stdout).items():
+                rss[label][key].append(mb)
     result = {
         "environment": _environment(),
         "settings": {"trees": list(trees), "rounds": args.rounds, "repeats": args.repeats,
@@ -311,6 +346,9 @@ def main() -> None:
         "layers": {label: {layer: {n: _quantiles(xs) for n, xs in cells.items()}
                            for layer, cells in per.items() if any(cells.values())}
                    for label, per in samples.items()},
+        "convert_rss": {label: {key: dict(zip(("q1", "median", "q3"), np.percentile(xs, [25, 50, 75])))
+                                for key, xs in per.items() if xs}
+                        for label, per in rss.items()},
     }
     first = next(iter(trees))
     base = result["layers"][first]
@@ -345,6 +383,9 @@ def main() -> None:
                     text += f" {cell['median_us'] / old['median_us'] - 1:+.0%}"
                 row += f"{text:>18s}"
             print(f"{layer:20s}{row}")
+    for label, per in result["convert_rss"].items():
+        print(f"[{label}] peak RSS converting at n = 2..16, MB:",
+              ", ".join(f"{key} {q['median']:.2f} ({q['q1']:.2f}-{q['q3']:.2f})" for key, q in per.items()))
     if "tier1" in result:
         print("tier-1:", json.dumps(result["tier1"]))
 

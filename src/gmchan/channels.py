@@ -43,16 +43,16 @@ coefficients c, recompose(lam ∘ c) (`_eigen_action`), two n²×n² matvecs.
 Two tables give the same map exactly when their M are equal, so every
 converter checks its output by comparing the two tables' blocks
 (`_eigen_superoperator` for lam), within ORACLE_TOL times the largest entry
-of either table, if above 1 (`_verify_images`), O(n³).
+of either table, if above 1 (`_verify_images`), O(n³). `kf_to_ev` and
+`lf_to_ev` read lam off the M they check, as its Gell-Mann diagonal
+Tr(sigma_a Phi(sigma_a)) / Tr(sigma_a²), one sparse sum (`_gell_mann_diagonal`).
 
 The private helpers below are the one core that the channel and generator
 converters and `dynamics` share. At small n a call's cost is numpy call
 overhead, not arithmetic, so what depends on n alone is built once per n:
 index arrays and weights, among them the block criterion's rows, one matvec
-from diag(lam) to A's diagonal and every d_j (`_kernel_table`), both
-eigenvalue readers as affine maps, one matvec per read (`_affine_maps`), and
-their inverses on the admissible tables, which the reverse converters read
-(`_reverse_maps`). `_verify_images` and the oracle share nothing with them.
+from diag(lam) to A's diagonal and every d_j (`_kernel_table`), and the
+readers' inverses on the admissible tables (`_reverse_maps`, 2n × n² each).
 
 What depends on an object's table or entries but not on a tolerance is
 computed once per object, on first use, and kept read-only on it: a
@@ -231,8 +231,15 @@ class DensityMatrix:
             raise InvariantError(f"negative eigenvalue {low:.3e}")
         object.__setattr__(self, "entries", _read_only(m))
 
-    def __reduce__(self):  # as KrausChannel's
-        return type(self), (self.n, self.entries)
+    def __reduce__(self):  # as KrausChannel's, keeping the coefficients: a loaded state's own
+        return type(self)._of, (self.n, self.entries, self._coefficients)
+
+    @classmethod
+    def _of(cls, n, entries, coefficients):
+        """The state with these entries, keeping a copy of `coefficients` as its `_coefficients`."""
+        rho = cls(n=n, entries=entries)
+        rho.__dict__["_coefficients"] = _read_only(np.array(coefficients, dtype=complex))
+        return rho
 
     @_memo
     def _coefficients(self) -> np.ndarray:
@@ -278,8 +285,7 @@ def _kernel_table(n: int) -> SimpleNamespace:
     Pairs i < j are row-major; the triples j < k < l of `_column_violations` run
     by l, j, k, as flat indices (l*n + j, l*n + k). `ev_is_lf`'s mixing triples
     1 <= k < l < m run by k, l, m, as flat indices of its (n-1, n) rise table.
-    `tail_den` floors j(j+1) at 1 for j = 0, which no tail uses. diag(lam) @
-    `block_rows` is the block criterion's A_kk = lam_00/n + k/(k+1) lam_kk + tail_k,
+    diag(lam) @ `block_rows` is the block criterion's A_kk = lam_00/n + k/(k+1) lam_kk + tail_k,
     then d_j = lam_00/n - lam_jj/(j+1) + tail_j, tail_m = sum_{m<j<n} lam_jj/(j(j+1));
     `block_diag`, `pair_flat` (rows (i, j), (j, i)) and `pair_d` index them flat.
     """
@@ -289,18 +295,17 @@ def _kernel_table(n: int) -> SimpleNamespace:
     mk, ml, mm = np.nonzero((k[1:, None, None] < k[:, None]) & (k[:, None] < k))  # [k-1, l, m]
     hi = np.maximum.outer(k, k)
     k1 = k + 1.0
-    tail_den = np.maximum(k * k1, 1.0)
-    tail = np.where(k[:, None] > k, 1.0 / tail_den[:, None], 0.0)  # [j, m]: lam_jj in tail_m
+    tail = np.where(k[:, None] > k, 1.0 / np.maximum(k * k1, 1.0)[:, None], 0.0)  # lam_jj in tail_m
     rows = np.hstack([tail + np.diag(k / k1), tail - np.diag(1.0 / k1)]) + (k[:, None] == 0) / n
     table = SimpleNamespace(
-        k=k, k1=k1, tail_den=tail_den, hi=hi, block_rows=rows, block_diag=k * (n + 1),
+        k=k, hi=hi, block_rows=rows, block_diag=k * (n + 1),
         pairs=(i, j), pair_flat=np.stack([i * n + j, j * n + i]), pair_d=n + j,
         pair_keys=tuple(zip(i.tolist(), j.tolist())),
         triples=(l * n + a, l * n + b), triple_keys=tuple(zip(a.tolist(), b.tolist(), l.tolist())),
         mixing=(mk * n + ml, mk * n + mm),
         mixing_keys=tuple(("mixing", *v) for v in zip((mk + 1).tolist(), ml.tolist(), mm.tolist())),
     )
-    for arr in (k, k1, tail_den, hi, rows, table.block_diag, i, j, table.pair_flat, table.pair_d,
+    for arr in (k, hi, rows, table.block_diag, i, j, table.pair_flat, table.pair_d,
                 *table.triples, *table.mixing):
         arr.setflags(write=False)
     return table
@@ -328,45 +333,12 @@ def _column_violations(table: np.ndarray, tol: float) -> list:
     return _exceeding(_kernel_table(table.shape[0]).triple_keys, _column_gaps(table), tol)
 
 
-def _suffix_sums(x: np.ndarray) -> np.ndarray:
-    """s_m = sum_{m<j<n} x_j over the last axis; s_{n-1} = 0.
-
-    Each s_m is one reduction over ascending j (np.sum's own), so it rounds
-    exactly like np.sum(x[m + 1:]) written inline.
-    """
-    out = np.zeros(x.shape)
-    for m in range(x.shape[-1] - 1):
-        out[..., m] = np.add.reduce(x[..., m + 1:], axis=-1)
-    return out
-
-
-def _eigenvalue_formula(table: np.ndarray, c: float, rate: bool = False) -> np.ndarray:
-    """Eigenvalue table of the sandwich map of a basis-diagonal table or stack, in closed form.
-
-    Off the diagonal, `kf_to_ev`'s formula, which holds for any table; rate=True
-    subtracts (s_k + s_l)/2, s from `_square_sums`. Entry (k, k), k >= 1, is
-    c - (k+1) col_k - sum_{k<j<n} col_j with col_l = t_0l + t_l0 and c = 1 for a
-    channel, -0.0 for a generator (which keeps the sign of a zero) or 0 for the
-    linear part; lam_00 is c, +0.0 if c is -0.0.
-    """
-    t = _kernel_table(table.shape[-1])
-    diag, tr = table.diagonal(0, -2, -1), table.swapaxes(-1, -2)
-    lam = table[..., :1, :1] + (table - tr) - (2.0 * diag / t.k1)[..., t.hi]
-    lam += (2.0 * _suffix_sums(diag / t.tail_den))[..., t.hi]  # tail_m = sum_{m<j<n} d_j / (j(j+1))
-    if rate:
-        s = _square_sums(table)
-        lam -= (s[..., :, None] + s[..., None, :]) / 2.0
-    lam[..., 0, 0] = c + 0.0  # -0.0 + 0.0 is +0.0
-    col = (table + tr)[..., 0, :]
-    lam[..., t.k[1:], t.k[1:]] = c - t.k1[1:] * col[..., 1:] - _suffix_sums(col)[..., 1:]
-    return lam
-
-
 def _eigenvalue_table(table: np.ndarray, what: str, rate: bool = False) -> np.ndarray:
-    """`_eigenvalue_formula` of a channel (or, with rate=True, a generator), verified."""
-    minus, const = _affine_maps(table.shape[0])["rate" if rate else "ev"]
-    lam = (const - minus @ table.ravel()).reshape(table.shape)  # a zero keeps the sign of c = -0.0
-    _verify_images(table, lam, what, rate)
+    """The eigenvalue table of a weight table's channel (or, with rate=True, a rate table's
+    generator), read off its superoperator M (`_gell_mann_diagonal`) and verified on that M."""
+    M = _superoperator(table, rate)
+    lam = _gell_mann_diagonal(M, table.shape[0], 0.0 if rate else 1.0)
+    _verify_images(table, lam, what, rate, M)
     return lam
 
 
@@ -386,43 +358,33 @@ def _eigen_action(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _affine_maps(n: int) -> dict:
-    """Both eigenvalue readers of dimension-n tables, "ev" (a channel's) and "rate" (a generator's),
-    as read-only (-linear, const): `_eigenvalue_formula` f(e, 0) on the stack of n² unit tables e and
-    f(0, c); no coefficient carries f(e) - f(0)'s rounding."""
-    units = np.eye(n * n).reshape(n * n, n, n)
-    formulas = {"ev": (_eigenvalue_formula, 1.0),
-                "rate": (partial(_eigenvalue_formula, rate=True), -0.0)}
-    return {key: (_read_only(-f(units, 0.0).reshape(n * n, -1).T.copy()),
-                  _read_only(f(np.zeros((n, n)), c).ravel()))
-            for key, (f, c) in formulas.items()}
-
-
-@lru_cache(maxsize=None)
 def _reverse_maps(n: int) -> dict:
-    """Each reader of `_affine_maps` inverted on its admissible tables, read-only (rows, const).
+    """Each eigenvalue reader, "ev" (`kf_to_ev`'s) and "rate" (`lf_to_ev`'s), inverted on its
+    admissible tables, read-only (rows, const).
 
     An admissible table t is fixed by its column values v_l, the t_kl + t_lk
     common to the rows k < l of column l, its diagonal and its antisymmetric
     part, which a reader passes on doubled: lam_kl - lam_lk = 2 (t_kl - t_lk).
     `rows` is the pseudo-inverse of the reader's linear part on the unknowns
-    u = (v_0, .., v_n-1, t_00, .., t_n-1,n-1), with a channel's trace
-    preservation, sum_a p_a sigma_a² = I, stacked below it. The antisymmetric
-    part of lam is orthogonal to that part's range, so it drops out, and an
-    unknown that no equation reads, v_0 or a generator's inert (0, 0) rate, is
-    0. u = u0 + rows @ vec(lam - lam0), with u0 the identity channel's or the
-    zero generator's: const = u0 - rows @ vec(lam0), exact when lam = lam0.
+    u = (v_0, .., v_n-1, t_00, .., t_n-1,n-1), read off the 2n unit tables of u,
+    with a channel's trace preservation, sum_a p_a sigma_a² = I, stacked below
+    it. The antisymmetric part of lam is orthogonal to that part's range, so
+    it drops out, and an unknown that no equation reads, v_0 or a generator's
+    inert (0, 0) rate, is 0. u = u0 + rows @ vec(lam - lam0), with u0 the identity
+    channel's or the zero generator's: const = u0 - rows @ vec(lam0), exact when lam = lam0.
     """
-    units = _from_unknowns(np.eye(2 * n)).reshape(2 * n, -1)
+    units = _from_unknowns(np.eye(2 * n))
     maps = {}
-    for key, (minus, const) in _affine_maps(n).items():
-        A, u0 = -minus @ units.T, np.zeros(2 * n)
-        if key == "ev":
-            A, u0[n] = np.vstack([A, (units @ _choi_layout(n).squares).T]), 1.0
+    for key, rate, c in (("ev", False, 1.0), ("rate", True, 0.0)):
+        def read(u, lam_00):  # the reader on the table of unknowns u, flat
+            return _gell_mann_diagonal(_superoperator(_from_unknowns(u), rate), n, lam_00).ravel()
+        A, u0 = np.stack([read(u, 0.0) for u in np.eye(2 * n)], axis=1), np.zeros(2 * n)
+        if not rate:
+            A, u0[n] = np.vstack([A, (units.reshape(2 * n, -1) @ _choi_layout(n).squares).T]), 1.0
         seen = np.flatnonzero(A.any(axis=0))
         rows = np.zeros((2 * n, n * n))
         rows[seen] = np.linalg.pinv(A[:, seen])[:, :n * n]
-        maps[key] = _read_only(rows), _read_only(u0 - rows @ (const - minus @ (u0 @ units)))
+        maps[key] = _read_only(rows), _read_only(u0 - rows @ read(u0, c))
     return maps
 
 
@@ -435,7 +397,7 @@ def _from_unknowns(u: np.ndarray, anti=0.0) -> np.ndarray:
 
 
 def _reverse(key, lam: np.ndarray) -> np.ndarray:
-    """The table that reader `key` of `_affine_maps` maps to the admissible table lam."""
+    """The table that reader `key` of `_reverse_maps` maps to the admissible table lam."""
     rows, const = _reverse_maps(lam.shape[0])[key]
     return _from_unknowns(const + rows @ lam.ravel(), 0.25 * (lam - lam.T))
 
@@ -647,6 +609,17 @@ def _eigen_superoperator(lam: np.ndarray) -> np.ndarray:
     return _fill(layout, lam / layout.norms)
 
 
+def _gell_mann_diagonal(M: np.ndarray, n: int, c: float) -> np.ndarray:
+    """lam_a = Tr(sigma_a Phi(sigma_a)) / Tr(sigma_a²) of the map with stored blocks M: each
+    vec(sigma_a)† M vec(sigma_a) sums coef × M[dest] over sigma_a's `_ChoiLayout.terms`. lam_00
+    is pinned to its TP value c, 1 for a channel and 0 for a generator; a zero reads +0.0."""
+    layout = _choi_layout(n)
+    src, dest, coef = layout.terms
+    lam = np.bincount(src, weights=coef * M[dest], minlength=n * n).reshape(n, n) / layout.norms
+    lam[0, 0] = c
+    return lam
+
+
 def _apply_blocks(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Phi(X) for the map whose superoperator has the stored blocks M.
 
@@ -667,16 +640,17 @@ def _table_scale(*tables: np.ndarray) -> float:
     return max(1.0, *(float(np.max(np.abs(t))) for t in tables))
 
 
-def _verify_images(table: np.ndarray, lam: np.ndarray, what: str, rate: bool = False) -> None:
+def _verify_images(table: np.ndarray, lam: np.ndarray, what: str, rate=False, M=None) -> None:
     """Demand that the map of `table` equal the eigenvalue map of `lam`.
 
-    Phi is the sandwich (or, with rate=True, the rate-form) map of `table`;
-    the two maps are equal iff their superoperators are. The defect is the
-    largest entrywise |M_table - M_lam|, the largest |Phi(e_kl) - lam(e_kl)|
-    over matrix units e_kl. It is rounding, which grows with the entries: the
-    bound is ORACLE_TOL times `_table_scale` of table and lam.
+    Phi is the sandwich (or, with rate=True, the rate-form) map of `table`, M
+    its superoperator if filled; the maps are equal iff their superoperators
+    are. The defect is the largest entrywise |M - M_lam|, the largest |Phi(e_kl)
+    - lam(e_kl)| over matrix units e_kl. It is rounding, which grows with the
+    entries: the bound is ORACLE_TOL times `_table_scale` of table and lam.
     """
-    defect = float(np.max(np.abs(_superoperator(table, rate) - _eigen_superoperator(lam))))
+    M = _superoperator(table, rate) if M is None else M
+    defect = float(np.max(np.abs(M - _eigen_superoperator(lam))))
     if not defect <= ORACLE_TOL * _table_scale(table, lam):  # a NaN defect fails too
         raise InvariantError(
             f"{what}: closed-form output fails the application oracle "
@@ -725,12 +699,16 @@ def choi_of_channel(ch) -> ChoiMatrix:
     (`_choi_spectrum`). `entries` is built eagerly (1 MB at n = 16): only
     `gmchan choi` and the tests call this, and the CP checks read the blocks
     alone, so a lazy field would add a code path and save nothing measured.
+    Raises InvariantError, as `cp_check_oracle` does, on a NaN or +inf eigenvalue.
     """
     half, vals, *spectra = _choi_blocks(ch)
+    spectrum = _choi_spectrum(half, *spectra)
+    if not spectrum["spectrum"][-1] < np.inf:  # NaN sorts last
+        raise InvariantError(_OVERFLOW)
     layout = _choi_layout(ch.n)
     J = np.zeros((ch.n ** 2, ch.n ** 2), dtype=complex)
     J[layout.rows, layout.cols] = vals
-    return ChoiMatrix(ch.n, _read_only(J), **_choi_spectrum(half, *spectra))
+    return ChoiMatrix(ch.n, _read_only(J), **spectrum)
 
 
 def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:

@@ -82,6 +82,7 @@ def _print_report(label: str, rep) -> None:
     print(f"cp {label:11s} {rep.verdict:6s} margin {rep.margin:+.6e}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported once, as an error
 def cmd_validate(args) -> int:
     tol = _tolerance(args)
     doc = load_document(args.file)
@@ -169,6 +170,7 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as cmd_validate's
 def cmd_choi(args) -> int:
     doc = load_document(args.file)
     if doc.form not in ("kf", "ev"):

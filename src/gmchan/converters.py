@@ -5,11 +5,11 @@ column l >= 1, the symmetrized weights p~_jl := p_jl + p_lj agree for all
 rows j < l. An eigenvalue-table channel admits a weight-table realization iff
 the symmetrized eigenvalues satisfy the same column-equality and the diagonal
 eigenvalues follow a fixed linear recursion. `kf_to_ev` reads the eigenvalues
-through a per-n affine map (`channels._affine_maps`), and `ev_to_kf` inverts
-that map on the admissible tables (`channels._reverse_maps`). Both re-verify
-their output before returning: the two tables must describe the same map, so
-their superoperators must be equal. `channels._verify_images` compares the
-two superoperators' blocks entrywise, O(n³), and shares nothing with the maps.
+off the channel's superoperator M, lam_a = Tr(sigma_a Phi(sigma_a)) / Tr(sigma_a²),
+and `ev_to_kf` inverts that reader on the admissible tables
+(`channels._reverse_maps`). Both re-verify their output before returning: the
+two tables must describe the same map, so their superoperators must be equal.
+`channels._verify_images` compares the two superoperators' blocks entrywise, O(n³).
 
 The generator pair is the same algebra (a generator is the derivative of its
 channel at t = 0), so both pairs use one private core in `channels`.
@@ -46,9 +46,9 @@ def kf_is_ev(ch: KrausChannel, tol: float = COND_TOL):
 def kf_to_ev(ch: KrausChannel, tol: float = COND_TOL) -> EigenChannel:
     """Read off the eigenvalue table of a basis-diagonal weight channel.
 
-    Diagonal eigenvalues come from the column-common symmetrized weights;
-    off-diagonal ones from trace-orthogonality of the sandwich terms, which
-    holds unconditionally: with M = max(k, l),
+    In the paper's closed form, diagonal eigenvalues come from the column-common
+    symmetrized weights, off-diagonal ones from trace-orthogonality of the
+    sandwich terms, which holds unconditionally: with M = max(k, l),
 
         lam_kl = p_00 + (p_kl - p_lk) - 2 p_MM/(M+1)
                  + sum_{M<j<n} 2 p_jj/(j(j+1)).

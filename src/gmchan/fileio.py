@@ -388,8 +388,9 @@ def _build(cf: ChannelFile):
         return LindbladGenerator(n=cf.n, gamma=cf.coefficients)
     if cf.form == "ev-gen":
         return EigenGenerator(n=cf.n, eta=cf.coefficients)
+    # the file's coefficients stay the state's own, so saving it writes them back unchanged
     rho = recompose(cf.coefficients.astype(complex), full_basis(cf.n))
-    return DensityMatrix(n=cf.n, entries=rho)
+    return DensityMatrix._of(cf.n, rho, cf.coefficients)
 
 
 def load_document(path) -> ChannelFile:

@@ -16,12 +16,13 @@ had it nonzero.
 
 A rate table acts through the blocks of its superoperator, those of the
 sandwich minus (s_i + s_j)/2 on the diagonal (`apply_lf`); `lf_to_ev` reads
-eta_kl, k != l, as the channel formula's lam_kl minus (s_k + s_l)/2, and
-`ev_to_lf` inverts that reader on the admissible tables. The converters share
-one private core in `channels` with the channel converters and check that
-the rate table's superoperator equals the eigenvalue table's, block by block,
-in O(n³). An eigenvalue-form generator acts as `apply_ev` on its table.
-`ev_is_lf` scales its tolerance with the table, as the check does.
+eta off those blocks as `kf_to_ev` reads lam (off the diagonal, the channel
+formula's lam_kl minus (s_k + s_l)/2), and `ev_to_lf` inverts that reader on
+the admissible tables. The converters share one private core in `channels`
+with the channel converters and check that the rate table's superoperator
+equals the eigenvalue table's, block by block, in O(n³). An eigenvalue-form
+generator acts as `apply_ev` on its table. `ev_is_lf` scales its tolerance
+with the table, as the check does.
 
 eta_from_lambda / lambda_from_eta translate between generator eigenvalues
 h(t) and channel eigenvalues l(t) per h = d/dt ln l and l = exp(integral h):

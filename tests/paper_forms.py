@@ -1,20 +1,50 @@
-"""The paper's closed forms for TP, the reverse converters and the block criterion, for the tests only.
+"""The paper's closed forms for TP, the converters and the block criterion, for the tests only.
 
-The library states trace preservation as sum_a p_a sigma_a² = I, inverts
-the forward eigenvalue readers numerically (`channels._reverse`) and reads the
-block criterion through one per-n matrix (`channels._sector_blocks`). These
-are the recursions and formulas written out entry by entry, the independent
-route those are tested against.
+The library states trace preservation as sum_a p_a sigma_a² = I, reads a
+table's eigenvalues off its superoperator (`channels._gell_mann_diagonal`),
+inverts that reader numerically (`channels._reverse`) and reads the block
+criterion through one per-n matrix (`channels._sector_blocks`). These are the
+recursions and formulas written out entry by entry, the independent route
+those are tested against.
 """
 
 import numpy as np
+
+from gmchan.basis import full_basis
+
+
+def suffix_sums(x):
+    """s_m = sum_{m<j<n} x_j of a vector x; s_{n-1} = 0."""
+    return np.array([np.sum(x[m + 1:]) for m in range(x.shape[0])])
 
 
 def tails(diag):
     """tail_m = sum_{m<j<n} d_j / (j(j+1)) of diagonal entries d."""
     n = diag.shape[0]
-    terms = diag / np.maximum(np.arange(n) * (np.arange(n) + 1.0), 1.0)
-    return np.array([np.sum(terms[m + 1:]) for m in range(n)])
+    return suffix_sums(diag / np.maximum(np.arange(n) * (np.arange(n) + 1.0), 1.0))
+
+
+def eigenvalue_formula(table, c, rate=False):
+    """The eigenvalue table of a basis-diagonal weight table's channel, or rate table's generator.
+
+    Off the diagonal, with M = max(k, l), lam_kl = t_00 + (t_kl - t_lk) - 2 t_MM/(M+1)
+    + 2 tail_M, which holds for any table; rate=True subtracts (s_k + s_l)/2, s the
+    diagonal of sum_a t_a sigma_a². Entry (k, k), k >= 1, is c - (k+1) col_k -
+    sum_{k<j<n} col_j with col_l = t_0l + t_l0, and lam_00 is c: 1 for a channel, 0
+    for a generator.
+    """
+    n = table.shape[0]
+    k = np.arange(n)
+    hi = np.maximum.outer(k, k)
+    diag = np.diagonal(table)
+    lam = table[0, 0] + (table - table.T) - (2.0 * diag / (k + 1.0))[hi] + (2.0 * tails(diag))[hi]
+    if rate:
+        s = table.ravel() @ np.sum(np.abs(full_basis(n).stack) ** 2, axis=2)
+        lam -= (s[:, None] + s) / 2.0
+    col = table[0] + table[:, 0]
+    lam[k, k] = c - (k + 1.0) * col - suffix_sums(col)
+    lam[0, 0] = c
+    return lam
 
 
 def sector_blocks(lam):

@@ -3,6 +3,7 @@ import pathlib
 import pickle
 import runpy
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,15 +28,15 @@ from gmchan.channels import (
     cp_check_oracle,
     cp_check_paper,
     tp_residuals,
-    _affine_maps,
     _apply_blocks,
     _block_margins,
     _choi_layout,
     _eigen_superoperator,
-    _eigenvalue_formula,
     _fill,
+    _gell_mann_diagonal,
     _is_cp,
     _pair_dict,
+    _reverse_maps,
     _sector_blocks,
     _square_sums,
     _superoperator,
@@ -57,7 +58,7 @@ from gmchan.sampling import (
 )
 
 from dense_route import eigen_action, rate_action, sandwich
-from paper_forms import sector_blocks, tp_formula, tp_p00, tp_solve
+from paper_forms import eigenvalue_formula, sector_blocks, tp_formula, tp_p00, tp_solve
 
 SWEEP = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "crossval_sweep.py"
 _halved_self_term_spectrum = runpy.run_path(str(SWEEP))["_halved_self_term_spectrum"]
@@ -874,38 +875,80 @@ def test_tp_recursion_spans_the_rows_of_the_square_sums(n):
     assert rank(paper) == rank(squares) == rank(np.vstack([paper, squares])) == (1 if n == 2 else n)
 
 
-# Affine maps: both eigenvalue readers of a table are one matvec with a per-n
-# map built from their closed forms.
+# Both eigenvalue readers are one read of the superoperator M the converters
+# fill: its Gell-Mann diagonal, lam_a = Tr(sigma_a Phi(sigma_a)) / Tr(sigma_a²).
 
-CLOSED_FORMS = {
-    "ev": lambda t: _eigenvalue_formula(t, 1.0).ravel(),
-    "rate": lambda t: _eigenvalue_formula(t, -0.0, rate=True).ravel(),
-}
+
+@lru_cache(maxsize=None)
+def _definition_rows(n):
+    """lam_a = Tr(sigma_a Phi(sigma_a)) / Tr(sigma_a²) as rows on the table, from the dense
+    basis: Tr((sigma_a sigma_b)²) for the sandwich, less Tr(sigma_a² sigma_b²) for the rate form."""
+    b = full_basis(n)
+    squares = b.stack @ b.stack
+    rows = [(np.einsum("bij,bji->b", p, p).real, np.einsum("ij,bji->b", sq, squares).real)
+            for p, sq in ((s @ b.stack, s @ s) for s in b.stack)]
+    sandwich, less = (np.array(r) / b.norms_sq[:, None] for r in zip(*rows))
+    return sandwich, sandwich - less
+
+
+def _definition(table, rate):
+    """`_definition_rows` applied to a table, lam_00 pinned as the reader pins it."""
+    lam = (_definition_rows(table.shape[0])[rate] @ table.ravel()).reshape(table.shape)
+    lam[0, 0] = 0.0 if rate else 1.0
+    return lam
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_affine_maps_match_the_closed_forms(n):
+    # every unit table and arbitrary ones: off the diagonal the closed form holds for
+    # any table, and every entry is the definition, through the dense route
     rng = np.random.default_rng(90 + n)
     scales = 10.0 ** rng.integers(-3, 4, (30, 1, 1))
     tables = [*np.eye(n * n).reshape(n * n, n, n), *(scales * rng.uniform(-1, 1, (30, n, n)))]
-    for key, formula in CLOSED_FORMS.items():
-        minus, const = _affine_maps(n)[key]
+    off = ~np.eye(n, dtype=bool)
+    for rate, c in ((False, 1.0), (True, 0.0)):
         for table in tables:
-            got, want = const - minus @ table.ravel(), formula(table)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-15 * _table_scale(table, want)
-        for arr in (minus, const):
+            got = _gell_mann_diagonal(_superoperator(table, rate), n, c)
+            formula, definition = eigenvalue_formula(table, c, rate), _definition(table, rate)
+            assert got.shape == (n, n) and got[0, 0] == c
+            assert np.max(np.abs(got - formula)[off]) <= 1e-15 * _table_scale(table, formula)
+            assert np.max(np.abs(got - definition)) <= 1e-15 * _table_scale(table, definition)
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**31), n=st.integers(2, 16), exponent=st.floats(-3.0, 3.0))
+def test_readers_match_the_paper_forms_on_admissible_tables(seed, n, exponent):
+    # a TP weight table and a rate table at any scale (a generator's lam_00 is 0 at every scale)
+    rng = np.random.default_rng(seed)
+    p = random_kf_ev_admissible(rng, n).p
+    gamma = 10.0 ** exponent * random_lf_ev_admissible(rng, n).gamma
+    lam, eta = kf_to_ev(KrausChannel(n=n, p=p)).lam, lf_to_ev(LindbladGenerator(n=n, gamma=gamma)).eta
+    for got, table, c, rate in ((lam, p, 1.0, False), (eta, gamma, 0.0, True)):
+        want = eigenvalue_formula(table, c, rate)
+        assert np.max(np.abs(got - want)) <= 1e-14 * _table_scale(table, want)
+
+
+@pytest.mark.parametrize("n", (2, 8, 16))
+def test_converters_cache_no_n2_by_n2_array(n):
+    # the reverse maps are the converters' one per-n cache: 2n x n² rows, read-only
+    import gmchan.channels
+
+    assert not hasattr(gmchan.channels, "_affine_maps")
+    for rows, const in _reverse_maps(n).values():
+        assert rows.shape == (2 * n, n * n) and const.shape == (2 * n,)
+        for arr in (rows, const):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
 
 
 @pytest.mark.parametrize("n", (3, 8, 16))
 def test_rate_reader_keeps_the_sign_of_a_zero(n):
-    # diagonal rates alone leave every diagonal eigenvalue at c = -0.0, by either route
+    # diagonal rates alone leave every diagonal eigenvalue at zero: the reader's sums
+    # start from +0.0, so each reads +0.0 (the closed form's c - 0 reads -0.0 for c = -0.0)
     gamma = np.diag(np.r_[0.0, np.linspace(0.1, 0.5, n - 1)])
     eta = lf_to_ev(LindbladGenerator(n=n, gamma=gamma)).eta
-    want = _eigenvalue_formula(gamma, -0.0, rate=True)
-    assert np.signbit(np.diagonal(eta)[1:]).all() and not np.signbit(eta[0, 0])
+    want = eigenvalue_formula(gamma, 0.0, rate=True)
+    assert (np.diagonal(eta) == 0.0).all() and not np.signbit(np.diagonal(eta)).any()
     assert np.array_equal(np.signbit(eta), np.signbit(want))
     assert np.max(np.abs(eta - want)) <= 1e-15
 
@@ -914,31 +957,33 @@ def test_rate_reader_keeps_the_sign_of_a_zero(n):
 def test_readers_verify_what_they_return(monkeypatch, n):
     import gmchan.channels
 
-    verified, mapped = [], []
-    verify, maps = gmchan.channels._verify_images, gmchan.channels._affine_maps
+    verified, filled = [], []
+    verify, fill = gmchan.channels._verify_images, gmchan.channels._superoperator
 
-    def spy_verify(table, lam, what, rate=False):
-        verified.append(lam.copy())
-        verify(table, lam, what, rate)
+    def spy_verify(table, lam, what, rate=False, M=None):
+        verified.append((lam.copy(), M))
+        verify(table, lam, what, rate, M)
 
-    def spy_maps(size):
-        mapped.append(size)
-        return maps(size)
+    def spy_fill(table, rate=False):
+        filled.append(fill(table, rate))
+        return filled[-1]
 
     rng = np.random.default_rng(95 + n)
     p = random_kf_ev_admissible(rng, n).p
     gamma = random_lf_ev_admissible(rng, n).gamma
     monkeypatch.setattr(gmchan.channels, "_verify_images", spy_verify)
-    monkeypatch.setattr(gmchan.channels, "_affine_maps", spy_maps)
+    monkeypatch.setattr(gmchan.channels, "_superoperator", spy_fill)
     readers = ((p, False, lambda: kf_to_ev(KrausChannel(n=n, p=p)).lam),
                (gamma, True, lambda: lf_to_ev(LindbladGenerator(n=n, gamma=gamma)).eta))
     for table, rate, read in readers:
         got = read()
-        assert verified.pop().tobytes() == got.tobytes()
-        want = _eigenvalue_formula(table, -0.0 if rate else 1.0, rate)
+        lam, M = verified.pop()
+        # M is filled once, read and checked: the check sees the very M and lam of the read
+        assert len(filled) == 1 and filled.pop() is M
+        assert lam.tobytes() == got.tobytes()
+        assert M.tobytes() == fill(table, rate).tobytes()
+        want = eigenvalue_formula(table, 0.0 if rate else 1.0, rate)
         assert np.max(np.abs(got - want)) <= 1e-15 * _table_scale(table, want)
-    # kf_to_ev reads the channel reader, lf_to_ev the rate reader
-    assert mapped == [n] * 2
 
 
 # Per-object memos: what depends on an object's table or entries but not on a tolerance
@@ -975,7 +1020,6 @@ def test_trace_preservation_evaluated_once_per_kraus_channel(monkeypatch, n):
     from gmchan.converters import kf_is_ev
 
     p = random_kf_ev_admissible(np.random.default_rng(81), n).p
-    _affine_maps(n)  # built once per n, the rate reader through _square_sums
     calls = _counting(monkeypatch, "_square_sums")
     ch = KrausChannel(n=n, p=p)
     tp_residuals(ch)
@@ -1092,8 +1136,11 @@ def test_state_copies_evolve_alike_without_a_stale_memo(copy_of):
     assert "_coefficients" in vars(rho0)  # the frames share one decomposition
     twin = copy_of(rho0)
     if isinstance(twin, DensityMatrix):
-        assert twin is not rho0 and "_coefficients" not in vars(twin)
-        assert not twin.entries.flags.writeable
+        # a copy keeps the memo, as a state loaded from a file must keep the file's coefficients
+        memo = vars(twin)["_coefficients"]
+        assert twin is not rho0 and memo is not rho0._coefficients
+        assert memo.tobytes() == rho0._coefficients.tobytes()
+        assert not twin.entries.flags.writeable and not memo.flags.writeable
     assert [evolve_state(traj, twin, idx).entries.tobytes() for idx in range(len(traj))] == want
 
 
@@ -1193,15 +1240,14 @@ def test_oracle_refuses_choi_blocks_that_overflow(n):
     import eager_reports as eager
 
     rng = np.random.default_rng(91)
-    # the ±ones tables fail the n×n eigensolve at n >= 3; the uniform one need not
-    for table, eigensolve_fails in ((np.ones((n, n)), n > 2), (-np.ones((n, n)), n > 2),
-                                    (rng.uniform(-1.0, 1.0, (n, n)), False)):
+    # the ±ones tables fail the n×n eigensolve at n >= 3; the uniform one need not, and
+    # then the spectrum holds NaN or +inf, which choi_of_channel refuses too
+    for table in (np.ones((n, n)), -np.ones((n, n)), rng.uniform(-1.0, 1.0, (n, n))):
         huge = KrausChannel(n=n, p=1.7e308 * table)
         with pytest.raises(InvariantError, match="overflow"):
             cp_check_oracle(huge)
-        if eigensolve_fails:
-            with pytest.raises(InvariantError, match="overflow"):
-                choi_of_channel(huge)
+        with pytest.raises(InvariantError, match="overflow"):
+            choi_of_channel(huge)
         # these overflow nothing, or only to an eigenvalue below the float range: decided
         for ch in (KrausChannel(n=n, p=1e307 * table), EigenChannel(n=n, lam=1e307 * table),
                    EigenChannel(n=n, lam=1.7e308 * table)):

@@ -202,7 +202,8 @@ def test_column_violations_match_loop_form(form):
 @pytest.mark.parametrize("name", ("kf_to_ev", "ev_to_kf", "lf_to_ev", "ev_to_lf"))
 @pytest.mark.parametrize("entry", ((3, 7), (15, 15)))
 def test_converters_reject_a_perturbed_closed_form(monkeypatch, name, entry):
-    # the closed-form output, nudged by 1e-9 before the converter verifies it
+    # the converter's output, nudged by 1e-9 before the converter verifies it; the
+    # eigenvalue readers pass the superoperator M they read it off, which stays as it is
     rng = np.random.default_rng(16)
     ch = random_kf_ev_admissible(rng, 16)
     gen = random_lf_ev_admissible(rng, 16)
@@ -213,10 +214,12 @@ def test_converters_reject_a_perturbed_closed_form(monkeypatch, name, entry):
     module = channels if outputs_eigenvalues else owner
     verify = module._verify_images
 
-    def nudged(table, lam, what, rate=False):
+    def nudged(table, lam, what, rate=False, M=None):
         out = (lam if outputs_eigenvalues else table).copy()
         out[entry] += 1e-9
-        return verify(table, out, what, rate) if outputs_eigenvalues else verify(out, lam, what, rate)
+        if outputs_eigenvalues:
+            return verify(table, out, what, rate, M)
+        return verify(out, lam, what, rate, M)
 
     convert = getattr(owner, name)
     convert(inputs[name])

@@ -1,9 +1,12 @@
+import copy
 import json
 import math
 import os
+import pickle
 import runpy
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from gmchan.fileio import (
     save,
 )
 from gmchan.generators import EigenGenerator, LindbladGenerator, lf_to_ev
+from gmchan.sampling import random_density
 
 
 SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "crossval_sweep.py"
@@ -88,6 +92,21 @@ def test_save_load_save_is_byte_identical(tmp_path):
     save(EigenChannel(n=3, lam=lam), a, metadata={"k": 2})
     save(load(a), b, metadata={"k": 2})
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_state_documents_are_a_fixed_point_of_load_then_save(tmp_path, n):
+    # a loaded state keeps the file's coefficients, and so do its copies and pickles;
+    # their entries, recomposed from them, decompose back only up to rounding
+    path = tmp_path / "state.json"
+    for k in range(20):
+        text = document_text(DensityMatrix(n=n, entries=random_density(np.random.default_rng([n, k]), n)))
+        path.write_text(text, encoding="utf-8")
+        state = load(path)
+        twins = [copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+        for obj in (state, *twins):
+            assert document_text(obj) == text
+            assert not obj._coefficients.flags.writeable
 
 
 def test_seventeen_digit_rendering():
@@ -412,7 +431,6 @@ def test_validate_kf_evaluates_trace_residuals_at_most_twice(tmp_path, monkeypat
         calls.append(table.shape)
         return original(table)
 
-    gmchan.channels._affine_maps(3)  # built once per n, the rate reader through _square_sums
     monkeypatch.setattr(gmchan.channels, "_square_sums", counted)
     p = np.zeros((3, 3))
     p[0, 0] = 1.0
@@ -447,14 +465,38 @@ def test_validate_bad_json_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_validate_kf_whose_choi_blocks_overflow_exit_one(tmp_path, capsys):
-    # finite weights whose Choi blocks overflow: an error, not "NotCP margin nan"
+    # finite weights whose Choi blocks overflow: an error, not "NotCP margin nan",
+    # and no numpy warning before it
     path = _write(tmp_path / "huge.json", _doc(2, "kf", [[1.7e308, 1.7e308]] * 2))
-    assert main(["validate", path]) == 1
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["validate", path]) == 1
     out, err = capsys.readouterr()
     assert "cp oracle" not in out
     assert err == "error: the Choi blocks of this table overflow the float range\n"
+    assert [str(w.message) for w in seen] == []
+
+
+@pytest.mark.parametrize("form", ("kf", "ev"))
+@pytest.mark.parametrize("n", (2, 4))
+def test_choi_whose_blocks_overflow_exit_one(tmp_path, capsys, form, n):
+    # finite float-max tables: a Choi spectrum that would hold NaN or +inf is one error,
+    # with no spectrum and no numpy warning, whether or not the n×n eigensolve fails;
+    # the ones table overflows, a uniform one may, and if not, it prints finite numbers
+    rng = np.random.default_rng(n)
+    for table in (np.ones((n, n)), *rng.uniform(0.0, 1.0, (4, n, n))):
+        path = _write(tmp_path / "huge.json", _doc(n, form, (1.7e308 * table).tolist()))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main(["choi", path])
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in seen] == []
+        if rc == 0 and table.min() < 1.0:
+            numbers = [float(x) for line in out.splitlines() for x in line.split(":")[1].split()]
+            assert len(numbers) == n * n + 2 and np.isfinite(numbers).all()
+        else:
+            assert (rc, out, err) == (1, "", "error: the Choi blocks of this table overflow the float range\n")
 
 
 def test_validate_negative_kf_exit_one(tmp_path, capsys):
