@@ -75,7 +75,16 @@ change of each median against an earlier file with the same tree labels.
 Each round also starts one fresh process per tree that runs the four
 converters (`kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`) once at every
 n = 2..16 and reports its peak RSS (`ru_maxrss`) before and after; the file
-holds their quartiles per tree under "convert_rss".
+holds their quartiles per tree under "convert_rss". Each round then starts
+one fresh process per tree and n in {32, 48, 64} that runs the first
+`cp_check_oracle` of the depolarizing eigenvalue channel (lam_00 = 1, every
+other entry 0.5), then `ev_to_kf` of it and `kf_to_ev` of the result, and
+reports each call's time and the process's peak RSS after it ("large_n";
+the peak is the process's own high-water mark, VmHWM, where Linux gives it:
+a child's `ru_maxrss` starts at its parent's RSS). Last, each round runs
+`gmchan validate` on one admissible n = 16 kf file as a subprocess per tree
+(`python -m gmchan.cli`, numpy's import included) and records its wall time
+("cli_validate").
 """
 
 from __future__ import annotations
@@ -89,6 +98,7 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -107,6 +117,7 @@ VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
 SEED = 6
+LARGE_SIZES = (32, 48, 64)
 
 
 def _rows_table(out, traj) -> None:
@@ -265,6 +276,44 @@ def _convert_rss(src: str) -> None:
     print(json.dumps({"before_mb": before, "after_mb": peak_mb()}))
 
 
+def _peak_mb() -> float:
+    """This process's peak RSS in MB: its own VmHWM where Linux gives it, else ru_maxrss."""
+    if os.path.exists("/proc/self/status"):
+        with open("/proc/self/status", encoding="utf-8") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM")) / 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _large_n(src: str, n: int) -> None:
+    """Print the time and peak RSS after the first oracle check and conversions at n."""
+    sys.path.insert(0, src)
+    import gmchan as gm
+
+    lam = np.full((n, n), 0.5)
+    lam[0, 0] = 1.0
+    ev = gm.EigenChannel(n=n, lam=lam)
+    out = {"start_mb": _peak_mb()}
+
+    def timed(name, call):
+        start = time.perf_counter()
+        value = call()
+        out[name] = {"s": time.perf_counter() - start, "peak_mb": _peak_mb()}
+        return value
+
+    timed("cp_check_oracle", lambda: gm.cp_check_oracle(ev))
+    kf = timed("ev_to_kf", lambda: gm.ev_to_kf(ev))
+    timed("kf_to_ev", lambda: gm.kf_to_ev(kf))
+    print(json.dumps(out))
+
+
+def _write_kf_file(src: str, path: str) -> None:
+    """Save an admissible n = 16 weight table, drawn with seed SEED, as a channel file."""
+    sys.path.insert(0, src)
+    from gmchan import fileio, sampling
+
+    fileio.save(sampling.random_kf_ev_admissible(np.random.default_rng([SEED, 16]), 16), path)
+
+
 def _quantiles(xs: list) -> dict:
     q1, median, q3 = (float(q) for q in 1e6 * np.percentile(xs, [25, 50, 75]))
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "iqr_us": q3 - q1, "samples": len(xs)}
@@ -308,12 +357,20 @@ def main() -> None:
     ap.add_argument("--previous", help="earlier output to print the change against")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--rss-child", help=argparse.SUPPRESS)
+    ap.add_argument("--large-child", nargs=2, help=argparse.SUPPRESS)
+    ap.add_argument("--kf-file", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
         _child(args.child, args.repeats)
         return
     if args.rss_child:
         _convert_rss(args.rss_child)
+        return
+    if args.large_child:
+        _large_n(args.large_child[0], int(args.large_child[1]))
+        return
+    if args.kf_file:
+        _write_kf_file(*args.kf_file)
         return
     if not args.out:
         ap.error("--out is required")
@@ -322,23 +379,41 @@ def main() -> None:
     trees = dict(t.split("=", 1) for t in args.tree) or {"change": ROOT}
     samples = {label: {layer: {str(n): [] for n in SIZES} for layer in LAYERS} for label in trees}
     rss = {label: {"before_mb": [], "after_mb": []} for label in trees}
+    large = {label: {str(n): [] for n in LARGE_SIZES} for label in trees}
+    cli = {label: [] for label in trees}
     env = {**os.environ, **PINNED}
-    for r in range(args.rounds):
-        for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
-            proc = subprocess.run(
-                [sys.executable, __file__, "--child", os.path.join(trees[label], "src"),
-                 "--repeats", str(args.repeats)],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            for layer, cells in json.loads(proc.stdout).items():
-                for n, xs in cells.items():
-                    samples[label][layer][n] += xs
-            proc = subprocess.run(
-                [sys.executable, __file__, "--rss-child", os.path.join(trees[label], "src")],
-                env=env, capture_output=True, text=True, check=True,
-            )
-            for key, mb in json.loads(proc.stdout).items():
-                rss[label][key].append(mb)
+    with tempfile.TemporaryDirectory() as scratch:
+        kf_file = os.path.join(scratch, "kf16.json")
+        subprocess.run([sys.executable, __file__, "--kf-file", os.path.join(ROOT, "src"), kf_file],
+                       env=env, check=True)
+        for r in range(args.rounds):
+            for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--child", os.path.join(trees[label], "src"),
+                     "--repeats", str(args.repeats)],
+                    env=env, capture_output=True, text=True, check=True,
+                )
+                for layer, cells in json.loads(proc.stdout).items():
+                    for n, xs in cells.items():
+                        samples[label][layer][n] += xs
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--rss-child", os.path.join(trees[label], "src")],
+                    env=env, capture_output=True, text=True, check=True,
+                )
+                for key, mb in json.loads(proc.stdout).items():
+                    rss[label][key].append(mb)
+                src = os.path.join(trees[label], "src")
+                for n in LARGE_SIZES:
+                    proc = subprocess.run([sys.executable, __file__, "--large-child", src, str(n)],
+                                          env=env, capture_output=True, text=True, check=True)
+                    large[label][str(n)].append(json.loads(proc.stdout))
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, "-m", "gmchan.cli", "validate", kf_file],
+                                      env={**env, "PYTHONPATH": src}, capture_output=True,
+                                      text=True)
+                cli[label].append(time.perf_counter() - start)
+                if proc.returncode != 0:
+                    sys.exit(f"{label}: gmchan validate exited {proc.returncode}: {proc.stderr}")
     result = {
         "environment": _environment(),
         "settings": {"trees": list(trees), "rounds": args.rounds, "repeats": args.repeats,
@@ -349,6 +424,13 @@ def main() -> None:
         "convert_rss": {label: {key: dict(zip(("q1", "median", "q3"), np.percentile(xs, [25, 50, 75])))
                                 for key, xs in per.items() if xs}
                         for label, per in rss.items()},
+        "large_n": {label: {n: {"start_mb": float(np.median([run["start_mb"] for run in runs])),
+                                **{step: {key: float(np.median([run[step][key] for run in runs]))
+                                          for key in ("s", "peak_mb")}
+                                   for step in ("cp_check_oracle", "ev_to_kf", "kf_to_ev")}}
+                            for n, runs in per.items()}
+                    for label, per in large.items()},
+        "cli_validate": {label: _quantiles(xs) for label, xs in cli.items()},
     }
     first = next(iter(trees))
     base = result["layers"][first]
@@ -386,6 +468,14 @@ def main() -> None:
     for label, per in result["convert_rss"].items():
         print(f"[{label}] peak RSS converting at n = 2..16, MB:",
               ", ".join(f"{key} {q['median']:.2f} ({q['q1']:.2f}-{q['q3']:.2f})" for key, q in per.items()))
+    for label, per in result["large_n"].items():
+        for n, cell in per.items():
+            print(f"[{label}] n = {n}, from {cell['start_mb']:.1f} MB:", ", ".join(
+                f"{step} {cell[step]['s'] * 1e3:.0f} ms, peak {cell[step]['peak_mb']:.1f} MB"
+                for step in ("cp_check_oracle", "ev_to_kf", "kf_to_ev")))
+    for label, cell in result["cli_validate"].items():
+        print(f"[{label}] gmchan validate, n = 16 kf file, subprocess: "
+              f"{cell['median_us'] / 1e3:.1f} ms ({cell['iqr_us'] / 1e3:.1f})")
     if "tier1" in result:
         print("tier-1:", json.dumps(result["tier1"]))
 

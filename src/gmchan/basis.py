@@ -61,16 +61,37 @@ def gell_mann(n: int, i: int, j: int) -> np.ndarray:
     return m
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+class _memo:
+    """A per-object memo like functools.cached_property, without its lock: a
+    non-data descriptor that stores the value in the instance's __dict__."""
+
+    def __init__(self, compute):
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class GellMannBasis:
-    """All n² basis matrices plus cached derived arrays.
+    """All n² basis matrices, stored as their nonzeros, plus derived arrays.
 
-    stack     -- shape (n², n, n), flat index alpha = i*n + j
+    nonzeros  -- (owner, row, col, value): matrix alpha = owner holds value at
+                 [row, col]; ordered by owner, then row*n + col, as np.nonzero
     norms_sq  -- Tr(sigma_alpha²), used to normalize HS projections
+    stack     -- shape (n², n, n), the nonzeros scattered on first read
     """
 
     n: int
-    stack: np.ndarray
+    nonzeros: tuple
     norms_sq: np.ndarray
 
     def flat(self, i: int, j: int) -> int:
@@ -84,23 +105,30 @@ class GellMannBasis:
     def __iter__(self):
         return iter(self.stack)
 
+    @_memo
+    def stack(self) -> np.ndarray:
+        stack = np.zeros((self.n * self.n, self.n, self.n), dtype=complex)
+        stack[self.nonzeros[:3]] = self.nonzeros[3]
+        return _read_only(stack)
+
 
 @lru_cache(maxsize=None)
 def _build_basis(n: int) -> GellMannBasis:
-    # every gell_mann(n, i, j) at once, written into stack[i, j]
-    stack = np.zeros((n, n, n, n), dtype=complex)
-    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
-    stack[i, j, i, j] = stack[i, j, j, i] = 1.0
-    stack[j, i, i, j], stack[j, i, j, i] = -1.0j, 1.0j
-    d = np.arange(n)
-    w = np.sqrt(2.0 / np.maximum(d * (d + 1), 1))
-    stack[d[:, None], d[:, None], d, d] = np.where(d < d[:, None], w[:, None], 0.0)
-    stack[d, d, d, d], stack[0, 0, d, d] = -d * w, 1.0
-    stack = stack.reshape(n * n, n, n)
-    norms_sq = np.einsum("aij,aji->a", stack, stack).real
-    for arr in (stack, norms_sq):
-        arr.setflags(write=False)
-    return GellMannBasis(n=n, stack=stack, norms_sq=norms_sq)
+    # the nonzeros of every gell_mann(n, i, j), matrix by matrix: n for the identity, d + 1
+    # for diagonal d > 0, two for a pair, (min(i, j), max(i, j)) first; t counts within each
+    i, j = np.divmod(np.arange(n * n), n)
+    count = np.where(i != j, 2, np.where(i == 0, n, i + 1))
+    owner = np.repeat(np.arange(n * n), count)
+    t = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    i, j = i[owner], j[owner]
+    row = np.where(i == j, t, np.where(t == 0, np.minimum(i, j), np.maximum(i, j)))
+    col = np.where(i == j, row, i + j - row)
+    w = np.sqrt(2.0 / np.maximum(i * (i + 1), 1))
+    value = np.where(i == j, np.where(i == 0, 1.0, np.where(t < i, w, -i * w)),
+                     np.where(i < j, 1.0 + 0j, np.where(t == 0, -1.0j, 1.0j)))
+    nonzeros = tuple(_read_only(column) for column in (owner, row, col, value))
+    norms_sq = np.bincount(nonzeros[0], np.abs(nonzeros[3]) ** 2, n * n)
+    return GellMannBasis(n=n, nonzeros=nonzeros, norms_sq=_read_only(norms_sq))
 
 
 def full_basis(n: int) -> GellMannBasis:

@@ -35,11 +35,13 @@ sum_a p_a vec(sigma_a) vec(sigma_a)†, and M of an eigenvalue table lam, the
 sum of lam_a / Tr(sigma_a²); that realignment gives the other two. Each
 sigma_a lies in the diagonal sector {(k, k)} or in one pair sector
 {(i, j), (j, i)}, so both are one n×n block plus n(n-1)/2 2×2 blocks, stored
-flat, and the realignment permutes the stored entries (`_ChoiLayout`).
+flat, and the realignment permutes the stored entries (`_ChoiLayout`, read off
+the basis's nonzeros: no CP check or converter builds the dense basis stack).
 `apply_kf` and `apply_lf` send X's diagonal through M's n×n block and each
 pair (X_ij, X_ji) through its 2×2 block (`_superoperator`, `_apply_blocks`),
 O(n³); `apply_ev`, `apply_to_state` and `evolve_state` scale X's basis
-coefficients c, recompose(lam ∘ c) (`_eigen_action`), two n²×n² matvecs.
+coefficients c, recompose(lam ∘ c) (`_eigen_action`), two n²×n² matvecs
+with that stack, which only `decompose` and `recompose` read.
 Two tables give the same map exactly when their M are equal, so every
 converter checks its output by comparing the two tables' blocks
 (`_eigen_superoperator` for lam), within ORACLE_TOL times the largest entry
@@ -72,7 +74,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .basis import decompose, full_basis, recompose, _check_dimension, _check_square
+from .basis import (decompose, full_basis, recompose, _check_dimension, _check_square, _memo,
+                    _read_only)
 from .errors import (
     ConstraintViolated,
     InvalidChannel,
@@ -104,25 +107,6 @@ def _coeff_table(n: int, table, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvariantError(f"{what} table contains non-finite entries")
     return _read_only(arr)
-
-
-def _read_only(arr):
-    arr.setflags(write=False)
-    return arr
-
-
-class _memo:
-    """A per-object memo like functools.cached_property, without its lock: a
-    non-data descriptor that stores the value in the instance's __dict__."""
-
-    def __init__(self, compute):
-        self.compute, self.__doc__ = compute, compute.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -517,14 +501,14 @@ class _ChoiLayout:
 
 @lru_cache(maxsize=None)
 def _choi_layout(n: int) -> _ChoiLayout:
-    """Block layout of J and M, built from the nonzeros of every basis matrix.
+    """Block layout of J and M, built from the basis's list of nonzeros.
 
-    The sum fills entry [r, c] with sum_a t_a conj(S[a, r]) S[a, c], where
-    S[a, k*n + l] = sigma_a[k, l]. `squares` holds the diagonals of sigma_a²,
-    the row sums of |sigma_a|², which the rate form adds to M's diagonal; as
-    sigma_a lies in one sector, sigma_a² is diagonal. Raises InvariantError
-    if a term lands off the blocks or is not real, or if the basis matrices
-    do not fill the sectors.
+    The sum fills entry [r, c] with sum_a t_a conj(sigma_a[r]) sigma_a[c] over
+    the nonzeros r, c = k*n + l of each sigma_a, with no dense basis stack.
+    `squares` holds the diagonals of sigma_a², the row sums of |sigma_a|²,
+    which the rate form adds to M's diagonal; as sigma_a lies in one sector,
+    sigma_a² is diagonal. Raises InvariantError if a term lands off the blocks
+    or is not real, or if the basis matrices do not fill the sectors.
     """
     nn = n * n
     k, l = np.divmod(np.arange(nn), n)
@@ -540,18 +524,17 @@ def _choi_layout(n: int) -> _ChoiLayout:
         return np.where(block[r] == 0, pos[r] * n + pos[c],
                         nn + 4 * (block[r] - 1) + 2 * pos[r] + pos[c])
 
-    b = full_basis(n)
-    S = b.stack.reshape(nn, nn)
-    # every ordered pair (r, c) of one basis matrix's nonzeros, row-major per
-    # matrix: the term sigma_a contributes to J[r, c]
-    owner, nz = np.nonzero(S)
+    owner, row, col, val = full_basis(n).nonzeros
+    nz = row * n + col
+    # every ordered pair (x, y) of one basis matrix's nonzeros, row-major per
+    # matrix: the term sigma_a contributes to J[nz[x], nz[y]]
     count = np.bincount(owner, minlength=nn)
     src = np.repeat(np.arange(nn), count * count)
     first = np.cumsum(count) - count
     t = np.arange(src.size) - np.repeat(np.cumsum(count * count) - count * count, count * count)
-    r = nz[first[src] + t // count[src]]
-    c = nz[first[src] + t % count[src]]
-    coef = np.conj(S[src, r]) * S[src, c]
+    x, y = first[src] + t // count[src], first[src] + t % count[src]
+    r, c = nz[x], nz[y]
+    coef = np.conj(val[x]) * val[y]
     if np.any(coef.imag != 0.0):
         raise InvariantError(f"the Choi matrix of a dimension-{n} table is not real")
     terms = (src, stored(r, c), coef.real)
@@ -570,7 +553,8 @@ def _choi_layout(n: int) -> _ChoiLayout:
         rows=rows, cols=cols, mirror=mirror, terms=terms,
         realign=stored(rows // n * n + cols // n, rows % n * n + cols % n),
         order=np.append(diag, sector),
-        norms=b.norms_sq.reshape(n, n), squares=np.sum(np.abs(b.stack) ** 2, axis=2),
+        norms=full_basis(n).norms_sq.reshape(n, n),
+        squares=np.bincount(owner * n + row, np.abs(val) ** 2, nn * n).reshape(nn, n),
     )
     for arr in (rows, cols, mirror, *terms, layout.realign, layout.order, layout.squares):
         arr.setflags(write=False)
@@ -719,9 +703,9 @@ def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
     """
     half, _, block, mid, radius = _choi_blocks(ch)
     edge, low = float((mid - radius).min()), float(block[0])
-    low = min(low, edge) + 0.0  # +0.0 for a zero of either sign
-    if not low + edge < np.inf:  # NaN or +inf: overflowed blocks; -inf: below the range, NotCP
+    if not (low < np.inf and edge < np.inf):  # NaN or +inf: overflowed; -inf: NotCP
         raise InvariantError(_OVERFLOW)
+    low = min(low, edge) + 0.0  # +0.0 for a zero of either sign
     return CpReport(_verdict(low, tol), METHOD_ORACLE, low,
                     partial(_choi_spectrum, half, block, mid, radius))
 

@@ -40,6 +40,27 @@ def test_stack_is_gell_mann_exactly(n):
             assert b.matrix(i, j).tobytes() == gell_mann(n, i, j).tobytes()
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_nonzeros_scatter_to_gell_mann_exactly(n):
+    # each matrix's nonzeros, scattered alone, are gell_mann's, bit for bit; the list
+    # runs by owner, then row-major, and holds no zero
+    owner, row, col, value = full_basis(n).nonzeros
+    assert np.all(np.diff((owner * n + row) * n + col) > 0) and np.all(value != 0)
+    for i in range(n):
+        for j in range(n):
+            mine = owner == i * n + j
+            m = np.zeros((n, n), dtype=complex)
+            m[row[mine], col[mine]] = value[mine]
+            assert m.tobytes() == gell_mann(n, i, j).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_norms_are_the_dense_traces_exactly(n):
+    b = full_basis(n)
+    want = np.einsum("aij,aji->a", b.stack, b.stack).real
+    assert b.norms_sq.dtype == want.dtype and b.norms_sq.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", DIMS)
 def test_invariants(n):
     b = full_basis(n)
@@ -114,3 +135,8 @@ def test_read_only_matrices():
     b = full_basis(3)
     with pytest.raises(ValueError):
         b.matrix(0, 1)[0, 0] = 5.0
+    # the stack is scattered from the nonzeros once, then kept on the basis
+    assert vars(b)["stack"] is b.stack
+    for arr in (*b.nonzeros, b.norms_sq):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0

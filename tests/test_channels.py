@@ -1,7 +1,10 @@
 import copy
+import os
 import pathlib
 import pickle
 import runpy
+import subprocess
+import sys
 import warnings
 from functools import lru_cache
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmchan.basis import full_basis
+from gmchan.basis import GellMannBasis, full_basis
 from gmchan.channels import (
     DEFAULT_TOL,
     ChoiMatrix,
@@ -593,14 +596,18 @@ def test_eigen_action_matches_the_block_route(n):
 
 
 def _edit_basis(monkeypatch, n, edits):
-    # the layout, uncached, sees a basis with (index, value) entries changed
+    # the layout, uncached, sees a basis whose nonzeros have the (owner, row, col)
+    # entries set to value: added where missing, dropped where 0, kept in the basis's order
     import gmchan.channels as channels
 
     b = full_basis(n)
-    stack = b.stack.copy()
+    entries = {(a, r, c): v for a, r, c, v in zip(*(arr.tolist() for arr in b.nonzeros))}
     for index, value in edits:
-        stack[index] = value
-    bad = type(b)(n=n, stack=stack, norms_sq=b.norms_sq)
+        entries[index] = value
+    keys = sorted(key for key, v in entries.items() if v != 0)
+    owner, row, col = np.array(keys).T
+    nonzeros = (owner, row, col, np.array([entries[key] for key in keys], dtype=complex))
+    bad = type(b)(n=n, nonzeros=nonzeros, norms_sq=b.norms_sq)
     monkeypatch.setattr(channels, "full_basis", lambda n: bad)
     monkeypatch.setattr(channels, "_choi_layout", _choi_layout.__wrapped__)
 
@@ -941,6 +948,65 @@ def test_converters_cache_no_n2_by_n2_array(n):
                 arr[...] = 0.0
 
 
+def _fresh_process(code: str) -> str:
+    # run code in a new interpreter on this checkout's gmchan; return its stdout
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_channel_path_builds_no_dense_basis_stack():
+    # only decompose and recompose (states, apply_ev) read the n²×n×n stack
+    code = """if True:
+        import numpy as np
+        import gmchan as gm
+        from gmchan.sampling import random_kf_ev_admissible, random_lf_ev_admissible
+        for n in range(2, 17):
+            rng = np.random.default_rng(n)
+            kf = random_kf_ev_admissible(rng, n)
+            gm.tp_residuals(kf), gm.kf_is_ev(kf), gm.complete_tp(kf.p, kf.p[1, 1])
+            ev = gm.kf_to_ev(kf)
+            gm.ev_to_kf(ev)
+            gen = random_lf_ev_admissible(rng, n)
+            gm.ev_to_lf(gm.lf_to_ev(gen))
+            for ch in (kf, ev):
+                gm.cp_check_oracle(ch), gm.choi_of_channel(ch)
+            gm.cp_check_paper(ev), gm.cp_check_normalized(ev)
+            X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            gm.apply_kf(kf, X), gm.apply_lf(gen, X)
+        print([n for n in range(2, 17) if "stack" in vars(gm.full_basis(n))])
+    """
+    assert _fresh_process(code) == "[]\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_large_n_checks_and_converts_in_less_than_one_dense_stack():
+    # n = 40: one complex n²×n×n stack is 40⁴ × 16 B = 41 MB; the oracle and a round trip
+    # through both channel converters must raise the peak RSS by less than that. The peak
+    # is the process's own VmHWM: a child's ru_maxrss starts at its parent's RSS
+    code = """if True:
+        import numpy as np
+        import gmchan as gm
+        def peak_mb():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM")) / 1024
+        n = 40
+        lam = np.full((n, n), 0.5)
+        lam[0, 0] = 1.0
+        ev = gm.EigenChannel(n=n, lam=lam)
+        before = peak_mb()
+        verdict = gm.cp_check_oracle(ev).verdict
+        back = gm.kf_to_ev(gm.ev_to_kf(ev)).lam
+        print(verdict, float(np.max(np.abs(back - lam))), peak_mb() - before)
+    """
+    verdict, defect, rise = _fresh_process(code).split()
+    assert verdict == "CP" and float(defect) <= 1e-13
+    assert float(rise) < 40 ** 4 * 16 / 2 ** 20
+
+
 @pytest.mark.parametrize("n", (3, 8, 16))
 def test_rate_reader_keeps_the_sign_of_a_zero(n):
     # diagonal rates alone leave every diagonal eigenvalue at zero: the reader's sums
@@ -1081,7 +1147,8 @@ def test_memos_are_lock_free_and_kept_on_the_instance():
 
     for cls, name in ((KrausChannel, "_tp_residuals"), (KrausChannel, "_tp_worst"),
                       (KrausChannel, "_gaps"), (EigenChannel, "_blocks"),
-                      (DensityMatrix, "_coefficients"), (CpReport, "diagnostics")):
+                      (DensityMatrix, "_coefficients"), (CpReport, "diagnostics"),
+                      (GellMannBasis, "stack")):
         memo = vars(cls)[name]
         assert not isinstance(memo, functools.cached_property)
         assert hasattr(memo, "__get__") and not hasattr(memo, "__set__")  # non-data
@@ -1232,6 +1299,15 @@ def test_report_copies_have_the_same_diagnostics(copy_of):
             twin = copy_of(rep)
             assert twin == rep and "diagnostics" not in vars(twin)
             assert _same(twin.diagnostics, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_oracle_decides_a_table_whose_block_minima_are_both_huge():
+    # both smallest block eigenvalues are 1e308: each is finite, though their sum is not
+    ch = KrausChannel(n=2, p=5e307 * np.ones((2, 2)))
+    rep, cm = cp_check_oracle(ch), choi_of_channel(ch)
+    assert cm.spectrum.tolist() == [1e308] * 4
+    assert (rep.verdict, rep.margin) == ("CP", cm.min_eigenvalue)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -478,6 +478,19 @@ def test_validate_kf_whose_choi_blocks_overflow_exit_one(tmp_path, capsys):
     assert [str(w.message) for w in seen] == []
 
 
+def test_validate_kf_whose_block_minima_are_both_huge_exit_two(tmp_path, capsys):
+    # a finite Choi spectrum [1e308] * 4 is decided, CP; the weights sum past the float
+    # range, so trace preservation fails
+    path = _write(tmp_path / "huge.json", _doc(2, "kf", [[5e307, 5e307]] * 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["validate", path]) == 2
+    out, err = capsys.readouterr()
+    assert "cp oracle      CP     margin +1.000000e+308\n" in out
+    assert "trace preservation: max residual inf (violated)\n" in out
+    assert err == ""
+
+
 @pytest.mark.parametrize("form", ("kf", "ev"))
 @pytest.mark.parametrize("n", (2, 4))
 def test_choi_whose_blocks_overflow_exit_one(tmp_path, capsys, form, n):
