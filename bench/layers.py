@@ -81,10 +81,21 @@ one fresh process per tree and n in {32, 48, 64} that runs the first
 other entry 0.5), then `ev_to_kf` of it and `kf_to_ev` of the result, and
 reports each call's time and the process's peak RSS after it ("large_n";
 the peak is the process's own high-water mark, VmHWM, where Linux gives it:
-a child's `ru_maxrss` starts at its parent's RSS). Last, each round runs
-`gmchan validate` on one admissible n = 16 kf file as a subprocess per tree
-(`python -m gmchan.cli`, numpy's import included) and records its wall time
-("cli_validate").
+a child's `ru_maxrss` starts at its parent's RSS). A second fresh process per
+tree and n runs the state path on that channel ("large_n_state"): the first
+and a later `apply_ev` on one random real matrix, then `evolve_semigroup`
+of a 3-point trajectory with its CP flags (every off-diagonal generator
+eigenvalue -0.5), then the first `evolve_state` of its last frame on a new
+`DensityMatrix` (which decomposes the state) and a later one (which reads
+its coefficients back); each step reports its time and the peak RSS after
+it. Last, each round runs four CLI
+subcommands as subprocesses per tree (`python -m gmchan.cli`, numpy's import
+included) and records their wall times: `gmchan validate` ("cli_validate"),
+`gmchan convert --to ev --out` ("cli_convert") and `gmchan choi`
+("cli_choi") on one admissible n = 16 kf file, and `gmchan evolve --t 1
+--steps 500 --stride 500 --out` with `--state` ("cli_evolve") on an n = 8
+eigenvalue-form generator and an n = 8 state file, as perfbench's files
+workload runs it.
 """
 
 from __future__ import annotations
@@ -118,6 +129,9 @@ PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_T
 SAMPLE_S = 0.002
 SEED = 6
 LARGE_SIZES = (32, 48, 64)
+CHANNEL_STEPS = ("cp_check_oracle", "ev_to_kf", "kf_to_ev")
+STATE_STEPS = ("apply_ev", "apply_ev_later", "evolve_semigroup", "evolve_state",
+               "evolve_state_later")
 
 
 def _rows_table(out, traj) -> None:
@@ -284,14 +298,16 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _large_n(src: str, n: int) -> None:
-    """Print the time and peak RSS after the first oracle check and conversions at n."""
+def _large_n(src: str, n: int, part: str) -> None:
+    """Print the time and peak RSS after the first oracle check and conversions at n
+    (part "channel") or after the first and a later apply_ev and evolve_state ("state")."""
     sys.path.insert(0, src)
     import gmchan as gm
 
     lam = np.full((n, n), 0.5)
     lam[0, 0] = 1.0
     ev = gm.EigenChannel(n=n, lam=lam)
+    X = np.random.default_rng([SEED, n]).normal(size=(n, n))
     out = {"start_mb": _peak_mb()}
 
     def timed(name, call):
@@ -300,18 +316,37 @@ def _large_n(src: str, n: int) -> None:
         out[name] = {"s": time.perf_counter() - start, "peak_mb": _peak_mb()}
         return value
 
-    timed("cp_check_oracle", lambda: gm.cp_check_oracle(ev))
-    kf = timed("ev_to_kf", lambda: gm.ev_to_kf(ev))
-    timed("kf_to_ev", lambda: gm.kf_to_ev(kf))
+    if part == "channel":
+        timed("cp_check_oracle", lambda: gm.cp_check_oracle(ev))
+        kf = timed("ev_to_kf", lambda: gm.ev_to_kf(ev))
+        timed("kf_to_ev", lambda: gm.kf_to_ev(kf))
+    else:
+        timed("apply_ev", lambda: gm.apply_ev(ev, X))
+        timed("apply_ev_later", lambda: gm.apply_ev(ev, X))
+        eta = np.full((n, n), -0.5)
+        eta[0, 0] = 0.0
+        traj = timed("evolve_semigroup", lambda: gm.evolve_semigroup(
+            gm.EigenGenerator(n=n, eta=eta), gm.uniform_grid(1.0, 3)))
+        rho = gm.DensityMatrix(n=n, entries=np.diag(np.linspace(1.0, 3.0, n)) / (2.0 * n))
+        timed("evolve_state", lambda: gm.evolve_state(traj, rho, 2))
+        timed("evolve_state_later", lambda: gm.evolve_state(traj, rho, 2))
     print(json.dumps(out))
 
 
-def _write_kf_file(src: str, path: str) -> None:
-    """Save an admissible n = 16 weight table, drawn with seed SEED, as a channel file."""
+def _write_files(src: str, scratch: str) -> None:
+    """Save the CLI layers' inputs, drawn with seed SEED: an admissible n = 16 weight table,
+    and an n = 8 eigenvalue-form generator of nonnegative rates with a random n = 8 state."""
     sys.path.insert(0, src)
+    import gmchan as gm
     from gmchan import fileio, sampling
 
-    fileio.save(sampling.random_kf_ev_admissible(np.random.default_rng([SEED, 16]), 16), path)
+    fileio.save(sampling.random_kf_ev_admissible(np.random.default_rng([SEED, 16]), 16),
+                os.path.join(scratch, "kf16.json"))
+    rng = np.random.default_rng([SEED, 8])
+    fileio.save(gm.lf_to_ev(sampling.random_lf_ev_admissible(rng, 8, nonnegative=True)),
+                os.path.join(scratch, "gen8.json"))
+    fileio.save(gm.DensityMatrix(n=8, entries=sampling.random_density(rng, 8)),
+                os.path.join(scratch, "state8.json"))
 
 
 def _quantiles(xs: list) -> dict:
@@ -357,8 +392,8 @@ def main() -> None:
     ap.add_argument("--previous", help="earlier output to print the change against")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--rss-child", help=argparse.SUPPRESS)
-    ap.add_argument("--large-child", nargs=2, help=argparse.SUPPRESS)
-    ap.add_argument("--kf-file", nargs=2, help=argparse.SUPPRESS)
+    ap.add_argument("--large-child", nargs=3, help=argparse.SUPPRESS)
+    ap.add_argument("--files", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
         _child(args.child, args.repeats)
@@ -367,10 +402,10 @@ def main() -> None:
         _convert_rss(args.rss_child)
         return
     if args.large_child:
-        _large_n(args.large_child[0], int(args.large_child[1]))
+        _large_n(args.large_child[0], int(args.large_child[1]), args.large_child[2])
         return
-    if args.kf_file:
-        _write_kf_file(*args.kf_file)
+    if args.files:
+        _write_files(*args.files)
         return
     if not args.out:
         ap.error("--out is required")
@@ -379,13 +414,22 @@ def main() -> None:
     trees = dict(t.split("=", 1) for t in args.tree) or {"change": ROOT}
     samples = {label: {layer: {str(n): [] for n in SIZES} for layer in LAYERS} for label in trees}
     rss = {label: {"before_mb": [], "after_mb": []} for label in trees}
-    large = {label: {str(n): [] for n in LARGE_SIZES} for label in trees}
-    cli = {label: [] for label in trees}
+    large = {part: {label: {str(n): [] for n in LARGE_SIZES} for label in trees}
+             for part in ("channel", "state")}
     env = {**os.environ, **PINNED}
     with tempfile.TemporaryDirectory() as scratch:
-        kf_file = os.path.join(scratch, "kf16.json")
-        subprocess.run([sys.executable, __file__, "--kf-file", os.path.join(ROOT, "src"), kf_file],
+        subprocess.run([sys.executable, __file__, "--files", os.path.join(ROOT, "src"), scratch],
                        env=env, check=True)
+        kf_file, out = os.path.join(scratch, "kf16.json"), os.path.join(scratch, "out")
+        commands = {
+            "validate": ["validate", kf_file],
+            "convert": ["convert", kf_file, "--to", "ev", "--out", out],
+            "choi": ["choi", kf_file],
+            "evolve": ["evolve", "--generator", os.path.join(scratch, "gen8.json"), "--t", "1",
+                       "--steps", "500", "--stride", "500", "--state",
+                       os.path.join(scratch, "state8.json"), "--out", out],
+        }
+        cli = {name: {label: [] for label in trees} for name in commands}
         for r in range(args.rounds):
             for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
                 proc = subprocess.run(
@@ -403,17 +447,20 @@ def main() -> None:
                 for key, mb in json.loads(proc.stdout).items():
                     rss[label][key].append(mb)
                 src = os.path.join(trees[label], "src")
-                for n in LARGE_SIZES:
-                    proc = subprocess.run([sys.executable, __file__, "--large-child", src, str(n)],
-                                          env=env, capture_output=True, text=True, check=True)
-                    large[label][str(n)].append(json.loads(proc.stdout))
-                start = time.perf_counter()
-                proc = subprocess.run([sys.executable, "-m", "gmchan.cli", "validate", kf_file],
-                                      env={**env, "PYTHONPATH": src}, capture_output=True,
-                                      text=True)
-                cli[label].append(time.perf_counter() - start)
-                if proc.returncode != 0:
-                    sys.exit(f"{label}: gmchan validate exited {proc.returncode}: {proc.stderr}")
+                for part in large:
+                    for n in LARGE_SIZES:
+                        proc = subprocess.run(
+                            [sys.executable, __file__, "--large-child", src, str(n), part],
+                            env=env, capture_output=True, text=True, check=True)
+                        large[part][label][str(n)].append(json.loads(proc.stdout))
+                for name, argv in commands.items():
+                    start = time.perf_counter()
+                    proc = subprocess.run([sys.executable, "-m", "gmchan.cli", *argv],
+                                          env={**env, "PYTHONPATH": src}, capture_output=True,
+                                          text=True)
+                    cli[name][label].append(time.perf_counter() - start)
+                    if proc.returncode != 0:
+                        sys.exit(f"{label}: gmchan {name} exited {proc.returncode}: {proc.stderr}")
     result = {
         "environment": _environment(),
         "settings": {"trees": list(trees), "rounds": args.rounds, "repeats": args.repeats,
@@ -424,13 +471,16 @@ def main() -> None:
         "convert_rss": {label: {key: dict(zip(("q1", "median", "q3"), np.percentile(xs, [25, 50, 75])))
                                 for key, xs in per.items() if xs}
                         for label, per in rss.items()},
-        "large_n": {label: {n: {"start_mb": float(np.median([run["start_mb"] for run in runs])),
-                                **{step: {key: float(np.median([run[step][key] for run in runs]))
-                                          for key in ("s", "peak_mb")}
-                                   for step in ("cp_check_oracle", "ev_to_kf", "kf_to_ev")}}
-                            for n, runs in per.items()}
-                    for label, per in large.items()},
-        "cli_validate": {label: _quantiles(xs) for label, xs in cli.items()},
+        **{key: {label: {n: {"start_mb": float(np.median([run["start_mb"] for run in runs])),
+                                 **{step: {k: float(np.median([run[step][k] for run in runs]))
+                                           for k in ("s", "peak_mb")}
+                                    for step in steps}}
+                             for n, runs in per.items()}
+                     for label, per in large[part].items()}
+           for key, part, steps in (("large_n", "channel", CHANNEL_STEPS),
+                                    ("large_n_state", "state", STATE_STEPS))},
+        **{"cli_" + name: {label: _quantiles(xs) for label, xs in per.items()}
+           for name, per in cli.items()},
     }
     first = next(iter(trees))
     base = result["layers"][first]
@@ -468,14 +518,16 @@ def main() -> None:
     for label, per in result["convert_rss"].items():
         print(f"[{label}] peak RSS converting at n = 2..16, MB:",
               ", ".join(f"{key} {q['median']:.2f} ({q['q1']:.2f}-{q['q3']:.2f})" for key, q in per.items()))
-    for label, per in result["large_n"].items():
-        for n, cell in per.items():
-            print(f"[{label}] n = {n}, from {cell['start_mb']:.1f} MB:", ", ".join(
-                f"{step} {cell[step]['s'] * 1e3:.0f} ms, peak {cell[step]['peak_mb']:.1f} MB"
-                for step in ("cp_check_oracle", "ev_to_kf", "kf_to_ev")))
-    for label, cell in result["cli_validate"].items():
-        print(f"[{label}] gmchan validate, n = 16 kf file, subprocess: "
-              f"{cell['median_us'] / 1e3:.1f} ms ({cell['iqr_us'] / 1e3:.1f})")
+    for key, steps in (("large_n", CHANNEL_STEPS), ("large_n_state", STATE_STEPS)):
+        for label, per in result[key].items():
+            for n, cell in per.items():
+                print(f"[{label}] n = {n}, from {cell['start_mb']:.1f} MB:", ", ".join(
+                    f"{step} {cell[step]['s'] * 1e3:.2f} ms, peak {cell[step]['peak_mb']:.1f} MB"
+                    for step in steps))
+    for name in commands:
+        for label, cell in result["cli_" + name].items():
+            print(f"[{label}] gmchan {name}, subprocess: "
+                  f"{cell['median_us'] / 1e3:.1f} ms ({cell['iqr_us'] / 1e3:.1f})")
     if "tier1" in result:
         print("tier-1:", json.dumps(result["tier1"]))
 

@@ -87,7 +87,7 @@ class GellMannBasis:
     nonzeros  -- (owner, row, col, value): matrix alpha = owner holds value at
                  [row, col]; ordered by owner, then row*n + col, as np.nonzero
     norms_sq  -- Tr(sigma_alpha²), used to normalize HS projections
-    stack     -- shape (n², n, n), the nonzeros scattered on first read
+    stack     -- shape (n², n, n), scattered on first read; no library path reads it
     """
 
     n: int
@@ -110,6 +110,24 @@ class GellMannBasis:
         stack = np.zeros((self.n * self.n, self.n, self.n), dtype=complex)
         stack[self.nonzeros[:3]] = self.nonzeros[3]
         return _read_only(stack)
+
+    @_memo
+    def _sums(self) -> tuple:
+        """decompose's (take, value, first) per owner, take the flat index of X^T at each nonzero,
+        and recompose's (owner, value, first) per entry row*n + col: entry (r, c), r != c, sums
+        sigma_lo,hi and sigma_hi,lo, and (k, k) the identity and each diagonal d >= max(k, 1)."""
+        n, (owner, row, col, value) = self.n, self.nonzeros
+        r, c = np.divmod(np.arange(n * n), n)
+        count = np.where(r != c, 2, n + 1 - np.maximum(r, 1))
+        start, first = np.cumsum(count) - count, np.flatnonzero(np.diff(owner, prepend=-1))
+        u = np.arange(start[-1] + count[-1]) - np.repeat(start, count)  # term u of its entry
+        r, c = np.repeat(r, count), np.repeat(c, count)
+        lo, hi = np.minimum(r, c), np.maximum(r, c)
+        by = np.where(r == c, (lo + u - (lo > 0)) * (n + 1) * (u > 0),
+                      np.where(u == 0, lo * n + hi, hi * n + lo))
+        at = first[by] + np.where(r == c, r, r > c)  # where that nonzero sits in the list
+        return tuple(tuple(map(_read_only, sums)) for sums in
+                     ((col * n + row, value, first), (by, value[at], start)))
 
 
 @lru_cache(maxsize=None)
@@ -155,19 +173,18 @@ def _check_square(X: np.ndarray, n: int) -> np.ndarray:
 def decompose(X: np.ndarray, basis: GellMannBasis) -> np.ndarray:
     """Coefficients c with X = sum_ij c_ij sigma_ij, as an n×n complex table.
 
-    c_ij = Tr(sigma_ij X) / Tr(sigma_ij²); the conjugate in the HS pairing
-    drops because every basis matrix is Hermitian. One matvec of the stack
-    read as an n²×n² matrix S, S[a, i*n + j] = sigma_a[i, j], with vec(X^T).
+    c_ij = Tr(sigma_ij X) / Tr(sigma_ij²); the conjugate in the HS pairing drops because
+    every basis matrix is Hermitian. One gather of X^T at the nonzeros, one sum per owner.
     """
     X = _check_square(X, basis.n)
-    return (basis.stack.reshape(X.size, X.size) @ X.T.ravel() / basis.norms_sq).reshape(X.shape)
+    take, value, first = basis._sums[0]
+    return (np.add.reduceat(value * X.ravel()[take], first) / basis.norms_sq).reshape(X.shape)
 
 
 def recompose(coeffs: np.ndarray, basis: GellMannBasis) -> np.ndarray:
-    """Inverse of decompose: sum_ij c_ij sigma_ij, one vector-matrix product vec(c) @ S."""
+    """Inverse of decompose: sum_ij c_ij sigma_ij, one gather of c and one sum per entry."""
     c = np.asarray(coeffs, dtype=complex)
     if c.shape != (basis.n, basis.n):
-        raise DimensionMismatch(
-            f"coefficient table shape {c.shape} does not match n={basis.n}"
-        )
-    return (c.ravel() @ basis.stack.reshape(c.size, c.size)).reshape(c.shape)
+        raise DimensionMismatch(f"coefficient table shape {c.shape} does not match n={basis.n}")
+    owner, value, first = basis._sums[1]
+    return np.add.reduceat(value * c.ravel()[owner], first).reshape(c.shape)

@@ -36,12 +36,11 @@ sum of lam_a / Tr(sigma_a²); that realignment gives the other two. Each
 sigma_a lies in the diagonal sector {(k, k)} or in one pair sector
 {(i, j), (j, i)}, so both are one n×n block plus n(n-1)/2 2×2 blocks, stored
 flat, and the realignment permutes the stored entries (`_ChoiLayout`, read off
-the basis's nonzeros: no CP check or converter builds the dense basis stack).
-`apply_kf` and `apply_lf` send X's diagonal through M's n×n block and each
-pair (X_ij, X_ji) through its 2×2 block (`_superoperator`, `_apply_blocks`),
-O(n³); `apply_ev`, `apply_to_state` and `evolve_state` scale X's basis
-coefficients c, recompose(lam ∘ c) (`_eigen_action`), two n²×n² matvecs
-with that stack, which only `decompose` and `recompose` read.
+the basis's nonzeros, as `decompose` and `recompose` are: no library path builds
+the dense basis stack). `apply_kf` and `apply_lf` send X's diagonal through M's
+n×n block and each pair (X_ij, X_ji) through its 2×2 block (`_superoperator`,
+`_apply_blocks`), O(n³); `apply_ev`, `apply_to_state` and `evolve_state` scale
+X's basis coefficients c and recompose(lam ∘ c) (`_eigen_action`), O(n²).
 Two tables give the same map exactly when their M are equal, so every
 converter checks its output by comparing the two tables' blocks
 (`_eigen_superoperator` for lam), within ORACLE_TOL times the largest entry

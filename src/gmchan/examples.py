@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import full_basis
+from .basis import gell_mann
 from .channels import apply_kf, complete_tp
 from .converters import kf_is_ev
 from .generators import LindbladGenerator, apply_lf, lf_is_ev
@@ -64,7 +64,6 @@ def run_example_1() -> ExampleReport:
     pt12, pt13, pt23 = pt[1, 2], pt[1, 3], pt[2, 3]
 
     ch = complete_tp(off, p11)
-    basis = full_basis(n)
 
     checks = []
     # trace preservation constraint on the off-diagonal block
@@ -102,22 +101,22 @@ def run_example_1() -> ExampleReport:
     # action on the diagonal basis matrices
     mix = _unit(n, 3, 3) - _unit(n, 2, 2)
     targets = [
-        ("image sigma_00", basis.matrix(0, 0), basis.matrix(0, 0)),
+        ("image sigma_00", gell_mann(n, 0, 0), gell_mann(n, 0, 0)),
         (
             "image sigma_11",
-            basis.matrix(1, 1),
-            (1 - 2 * pt01 - pt02 - pt03) * basis.matrix(1, 1),
+            gell_mann(n, 1, 1),
+            (1 - 2 * pt01 - pt02 - pt03) * gell_mann(n, 1, 1),
         ),
         (
             "image sigma_22",
-            basis.matrix(2, 2),
-            (1 - 3 * pt02 - pt03) * basis.matrix(2, 2)
+            gell_mann(n, 2, 2),
+            (1 - 3 * pt02 - pt03) * gell_mann(n, 2, 2)
             + (2 * np.sqrt(3) / 3) * (pt03 - pt23) * mix,
         ),
         (
             "image sigma_33",
-            basis.matrix(3, 3),
-            (1 - 4 * pt03) * basis.matrix(3, 3)
+            gell_mann(n, 3, 3),
+            (1 - 4 * pt03) * gell_mann(n, 3, 3)
             - (2 * np.sqrt(6) / 3) * (pt03 - pt23) * mix,
         ),
     ]
@@ -149,58 +148,57 @@ def run_example_2() -> ExampleReport:
         ]
     )
     gen = LindbladGenerator(n=n, gamma=g)
-    basis = full_basis(n)
 
     gt = g + g.T  # symmetrized rates gamma~_kl
     gt01, gt02, gt12 = gt[0, 1], gt[0, 2], gt[1, 2]
 
     targets = [
-        ("image sigma_00", (0, 0), 0.0 * basis.matrix(0, 0)),
+        ("image sigma_00", (0, 0), 0.0 * gell_mann(n, 0, 0)),
         (
             "image sigma_01",
             (0, 1),
-            -0.5 * (4 * g[1, 0] + 4 * g[1, 1] + gt02 + gt12) * basis.matrix(0, 1),
+            -0.5 * (4 * g[1, 0] + 4 * g[1, 1] + gt02 + gt12) * gell_mann(n, 0, 1),
         ),
         (
             "image sigma_10",
             (1, 0),
-            -0.5 * (4 * g[0, 1] + 4 * g[1, 1] + gt02 + gt12) * basis.matrix(1, 0),
+            -0.5 * (4 * g[0, 1] + 4 * g[1, 1] + gt02 + gt12) * gell_mann(n, 1, 0),
         ),
         (
             "image sigma_02",
             (0, 2),
             -0.5
             * (gt01 + g[1, 1] + 4 * g[2, 0] + gt12 + 3 * g[2, 2])
-            * basis.matrix(0, 2),
+            * gell_mann(n, 0, 2),
         ),
         (
             "image sigma_20",
             (2, 0),
             -0.5
             * (gt01 + g[1, 1] + 4 * g[0, 2] + gt12 + 3 * g[2, 2])
-            * basis.matrix(2, 0),
+            * gell_mann(n, 2, 0),
         ),
         (
             "image sigma_12",
             (1, 2),
             -0.5
             * (gt01 + g[1, 1] + gt02 + 4 * g[2, 1] + 3 * g[2, 2])
-            * basis.matrix(1, 2),
+            * gell_mann(n, 1, 2),
         ),
         (
             "image sigma_21",
             (2, 1),
             -0.5
             * (gt01 + g[1, 1] + gt02 + 4 * g[1, 2] + 3 * g[2, 2])
-            * basis.matrix(2, 1),
+            * gell_mann(n, 2, 1),
         ),
         (
             "image sigma_11",
             (1, 1),
             -0.5
             * (
-                (4 * gt01 + gt02 + gt12) * basis.matrix(1, 1)
-                + np.sqrt(3) * (gt02 - gt12) * basis.matrix(2, 2)
+                (4 * gt01 + gt02 + gt12) * gell_mann(n, 1, 1)
+                + np.sqrt(3) * (gt02 - gt12) * gell_mann(n, 2, 2)
             ),
         ),
         (
@@ -208,14 +206,14 @@ def run_example_2() -> ExampleReport:
             (2, 2),
             -0.5
             * (
-                np.sqrt(3) * (gt02 - gt12) * basis.matrix(1, 1)
-                + 3 * (gt02 + gt12) * basis.matrix(2, 2)
+                np.sqrt(3) * (gt02 - gt12) * gell_mann(n, 1, 1)
+                + 3 * (gt02 + gt12) * gell_mann(n, 2, 2)
             ),
         ),
     ]
     checks = []
     for label, (i, j), expected in targets:
-        got = apply_lf(gen, basis.matrix(i, j))
+        got = apply_lf(gen, gell_mann(n, i, j))
         checks.append((label, float(np.max(np.abs(got - expected)))))
 
     is_ev, violations = lf_is_ev(gen)

@@ -389,7 +389,8 @@ def _build(cf: ChannelFile):
     if cf.form == "ev-gen":
         return EigenGenerator(n=cf.n, eta=cf.coefficients)
     # the file's coefficients stay the state's own, so saving it writes them back unchanged
-    rho = recompose(cf.coefficients.astype(complex), full_basis(cf.n))
+    with np.errstate(over="ignore", invalid="ignore"):  # DensityMatrix refuses an overflow
+        rho = recompose(cf.coefficients, full_basis(cf.n))
     return DensityMatrix._of(cf.n, rho, cf.coefficients)
 
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmchan.basis import decompose, full_basis, gell_mann, hs_inner, recompose
-from gmchan.errors import BadDimension, DimensionMismatch, IndexOutOfRange
+from gmchan.channels import DensityMatrix
+from gmchan.errors import BadDimension, DimensionMismatch, IndexOutOfRange, InvariantError
 
 DIMS = range(2, 9)
 
@@ -111,14 +112,26 @@ def test_decompose_shape_guard():
         decompose(np.eye(4), b)
 
 
+def _dense(n):
+    # the stack read as an n²×n² matrix S, S[a, i*n + j] = sigma_a[i, j]: the reference
+    # route, decompose as S vec(X^T) / Tr sigma_a² and recompose as vec(c) S
+    b = full_basis(n)
+    return b, b.stack.reshape(n * n, n * n)
+
+
+def _terms(c, S):
+    # the largest sum of the magnitudes of one recomposed entry's terms, the scale of its rounding
+    return max(1.0, np.max(np.abs(c).ravel() @ np.abs(S)))
+
+
 @settings(deadline=None, max_examples=40)
-@given(n=st.integers(2, 6), seed=st.integers(0, 2**31))
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**31))
 def test_decompose_recompose_roundtrip(n, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    b = full_basis(n)
-    back = recompose(decompose(x, b), b)
-    assert np.max(np.abs(back - x)) <= 1e-12
+    b, S = _dense(n)
+    c = decompose(x, b)
+    assert np.max(np.abs(recompose(c, b) - x)) <= 1e-15 * _terms(c, S)
 
 
 @settings(deadline=None, max_examples=40)
@@ -129,6 +142,39 @@ def test_hermitian_matrices_have_real_coefficients(n, seed):
     h = x + x.conj().T
     c = decompose(h, full_basis(n))
     assert np.max(np.abs(c.imag)) <= 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**31), scale=st.sampled_from((1e-6, 1.0, 1e6)))
+def test_gather_routes_match_the_dense_stack(n, seed, scale):
+    # the gathers sum a diagonal entry's terms in another order than the dense matvec:
+    # decompose is within 1e-15 of it relative to max(1, largest |X|), recompose relative
+    # to its terms' scale. An off-diagonal entry or a pair coefficient sums two exact
+    # terms, so it is bit-equal to the dense route's
+    rng = np.random.default_rng(seed)
+    X = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    b, S = _dense(n)
+    off = ~np.eye(n, dtype=bool)
+    for got, want, bound in (
+            (decompose(X, b), (S @ X.T.ravel() / b.norms_sq).reshape(n, n), max(1.0, np.max(np.abs(X)))),
+            (recompose(X, b), (X.ravel() @ S).reshape(n, n), _terms(X, S))):
+        assert np.max(np.abs(got - want)) <= 1e-15 * bound
+        assert np.array_equal(got[off], want[off])
+
+
+@pytest.mark.parametrize("n", (2, 3, 8))
+def test_non_finite_entries_reach_only_their_own_terms(n):
+    # the gather touches only the basis matrices that hold an entry, where the dense
+    # matvec spread NaN to every coefficient; states still refuse non-finite entries
+    b = full_basis(n)
+    X = np.eye(n, dtype=complex)
+    X[0, n - 1] = np.nan
+    assert set(zip(*np.nonzero(np.isnan(decompose(X, b))))) == {(0, n - 1), (n - 1, 0)}
+    c = np.zeros((n, n), dtype=complex)
+    c[n - 1, n - 1] = np.nan
+    assert set(zip(*np.nonzero(np.isnan(recompose(c, b))))) == {(k, k) for k in range(n)}
+    with pytest.raises(InvariantError, match="non-finite"):
+        DensityMatrix(n=n, entries=X)
 
 
 def test_read_only_matrices():

@@ -982,6 +982,74 @@ def test_channel_path_builds_no_dense_basis_stack():
     assert _fresh_process(code) == "[]\n"
 
 
+def test_state_path_builds_no_dense_basis_stack():
+    # decompose and recompose read the nonzeros too, so states, apply_ev, state files and
+    # the worked examples leave the n²×n×n stack unbuilt at every n
+    code = """if True:
+        import contextlib, io, os, tempfile
+        import numpy as np
+        import gmchan as gm
+        from gmchan import cli, fileio
+        from gmchan.sampling import random_density, random_lf_ev_admissible
+        with tempfile.TemporaryDirectory() as tmp:
+            for n in range(2, 17):
+                rng = np.random.default_rng(n)
+                X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                gm.recompose(gm.decompose(X, gm.full_basis(n)), gm.full_basis(n))
+                lam = np.full((n, n), 0.5)
+                lam[0, 0] = 1.0
+                ev = gm.EigenChannel(n=n, lam=lam)
+                gm.apply_ev(ev, X)
+                rho = gm.DensityMatrix(n=n, entries=random_density(rng, n))
+                rho._coefficients
+                for ch in (gm.KrausChannel(n=n, p=np.eye(1, n * n).reshape(n, n)), ev):
+                    gm.apply_to_state(ch, gm.DensityMatrix(n=n, entries=rho.entries))
+                gen = gm.lf_to_ev(random_lf_ev_admissible(rng, n, nonnegative=True))
+                gm.evolve_state(gm.evolve_semigroup(gen, gm.uniform_grid(1.0, 3)), rho, 2)
+                path = os.path.join(tmp, "state.json")
+                fileio.save(gm.DensityMatrix(n=n, entries=random_density(rng, n)), path)
+                fileio.load(path)
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(["examples", which]) for which in ("paper-1", "paper-2")]
+        print(codes, [n for n in range(2, 17) if "stack" in vars(gm.full_basis(n))])
+    """
+    assert _fresh_process(code) == "[0, 0] []\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_large_n_acts_on_states_in_a_quarter_of_one_dense_stack():
+    # n = 40: apply_ev and evolve_state must raise the peak RSS (the process's own VmHWM,
+    # as below) by less than a quarter of one complex n²×n×n stack, 40⁴ × 16 B = 41 MB.
+    # A scattered stack's zero pages fault in lazily, so building one raised the peak by
+    # 39.0 MiB, just under the whole stack: a quarter keeps the bound clear of that
+    code = """if True:
+        import numpy as np
+        import gmchan as gm
+        def peak_mb():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM")) / 1024
+        n = 40
+        lam, eta = np.full((n, n), 0.5), np.full((n, n), -0.5)
+        lam[0, 0], eta[0, 0] = 1.0, 0.0
+        ev = gm.EigenChannel(n=n, lam=lam)
+        traj = gm.evolve_semigroup(gm.EigenGenerator(n=n, eta=eta), gm.uniform_grid(1.0, 3))
+        rho = gm.DensityMatrix(n=n, entries=np.diag(np.linspace(1.0, 3.0, n)) / (2.0 * n))
+        X = np.random.default_rng(n).normal(size=(n, n))
+        before = peak_mb()
+        out = gm.apply_ev(ev, X)
+        state = gm.evolve_state(traj, rho, 2).entries
+        # depolarizing maps: q X + (1 - q) Tr(X) I / n, with q = 0.5 and q = exp(-0.5)
+        q = np.exp(-0.5)
+        want = q * rho.entries + (1.0 - q) * np.eye(n) / n
+        defect = max(np.max(np.abs(out - (0.5 * X + 0.5 * np.trace(X) * np.eye(n) / n))),
+                     np.max(np.abs(state - want)))
+        print(float(defect), peak_mb() - before)
+    """
+    defect, rise = _fresh_process(code).split()
+    assert float(defect) <= 1e-14
+    assert float(rise) < 40 ** 4 * 16 / 2 ** 20 / 4
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
 def test_large_n_checks_and_converts_in_less_than_one_dense_stack():
     # n = 40: one complex n²×n×n stack is 40⁴ × 16 B = 41 MB; the oracle and a round trip

@@ -1004,6 +1004,22 @@ def test_evolve_overflow_leaves_one_error_line(tmp_path):
     assert proc.stderr == "error: eigenvalue table contains non-finite entries\n"
 
 
+@pytest.mark.parametrize("n", (3, 5, 8))
+def test_state_whose_entries_overflow_is_refused_without_numpy_warnings(tmp_path, capsys, n):
+    # finite coefficients whose recomposed entries overflow: loading refuses the state
+    # with the same error as before, and no numpy overflow warning reaches stderr
+    c = np.zeros((n, n))
+    c[0, 0], c[n - 1, n - 1], c[0, n - 1] = 1.0 / n, 1.7e308, 1.7e308
+    state = _write(tmp_path / "state.json", _doc(n, "state", c.tolist()))
+    with pytest.raises(InvariantError, match="^density matrix contains non-finite entries$"):
+        load(state)
+    save(EigenGenerator(n=n, eta=np.eye(1, n * n).reshape(n, n) - 1.0), tmp_path / "g.json")
+    argv = ["evolve", "--generator", str(tmp_path / "g.json"), "--t", "1", "--steps", "5",
+            "--state", state]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: density matrix contains non-finite entries\n"
+
+
 def test_nonmarkovian_demo_smoke(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "nonmarkovian_demo.py"
     src = str(Path(__file__).resolve().parents[1] / "src")
