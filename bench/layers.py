@@ -42,7 +42,13 @@ basis through its cache's uncached `__wrapped__` function (`full_basis`, or
 `basis._build_basis` where `full_basis` checks n first and looks it up), and
 `eigvalsh_block` one n×n Hermitian eigensolve alone, of that table's
 diagonal-sector block (`channels._block_margins`), the one the oracle and
-the block criterion each run per table. `validate_kf` and `validate_ev`
+the block criterion each run per table. `ev_is_kf`, `ev_is_lf` and
+`lf_is_ev` run the admissibility checks on a fresh object of the admissible
+eigenvalue, generator-eigenvalue and rate tables; their `_bad` twins, and
+`kf_is_ev_bad`, on tables with every entry but the inert (0, 0) one off by up
+to 1e-3 (for the weight table, only the weights among rows and columns >= 2,
+completed to trace preservation), which fail every condition they touch.
+`validate_kf` and `validate_ev`
 replay the call sequence that perfbench's certify workload makes on one
 fresh object: for a weight table the TP check, the oracle,
 `kf_is_ev`, `kf_to_ev` and the three CP checks of the result; for an
@@ -123,7 +129,8 @@ LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalize
           "evolve_timedep", "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev",
           "document_text", "parse_document", "maps_build", "evolve_table", "block_margins",
           "is_cp_frame", "decompose", "recompose", "report_diagnostics", "basis_build",
-          "eigvalsh_block")
+          "eigvalsh_block", "ev_is_kf", "ev_is_kf_bad", "ev_is_lf", "ev_is_lf_bad", "lf_is_ev",
+          "lf_is_ev_bad", "kf_is_ev_bad")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -202,6 +209,13 @@ def _child(src: str, repeats: int) -> None:
         table = gm.evolve_semigroup(markovian, gm.uniform_grid(4.0, 501), cp_stride=500)
         write_table = getattr(fileio, "_write_trajectory_table", _rows_table)
         block = channels._block_margins(lam)[0]
+        # inadmissible twins: every entry but the inert (0, 0) one off by up to 1e-3
+        off = 1e-3 * rng.uniform(-1.0, 1.0, (n, n))
+        off[0, 0] = 0.0
+        bad = {"lam": lam + off, "eta": eta + off, "gamma": gamma + off}
+        # weights among rows and columns >= 2 alone, which leaves rows 0 and 1 balanced
+        inner = np.arange(n) > 1
+        bad_p = gm.complete_tp(p + np.abs(off) * np.outer(inner, inner), p[1, 1]).p
 
         def timedep(tables=tables, grid=grid):
             return [gm.evolve_timedep(t, grid, cp_stride=s) for t in tables for s in (1, 50)]
@@ -248,6 +262,14 @@ def _child(src: str, repeats: int) -> None:
             ("report_diagnostics", n): lambda ev=ev: diagnostics(ev()),
             ("basis_build", n): lambda n=n: build_basis(n),
             ("eigvalsh_block", n): lambda block=block: np.linalg.eigvalsh(block),
+            ("ev_is_kf", n): lambda ev=ev: gm.ev_is_kf(ev()),
+            ("ev_is_kf_bad", n): lambda n=n, l=bad["lam"]: gm.ev_is_kf(gm.EigenChannel(n=n, lam=l)),
+            ("ev_is_lf", n): lambda n=n, h=eta: gm.ev_is_lf(gm.EigenGenerator(n=n, eta=h)),
+            ("ev_is_lf_bad", n): lambda n=n, h=bad["eta"]: gm.ev_is_lf(gm.EigenGenerator(n=n, eta=h)),
+            ("lf_is_ev", n): lambda n=n, g=gamma: gm.lf_is_ev(gm.LindbladGenerator(n=n, gamma=g)),
+            ("lf_is_ev_bad", n):
+                lambda n=n, g=bad["gamma"]: gm.lf_is_ev(gm.LindbladGenerator(n=n, gamma=g)),
+            ("kf_is_ev_bad", n): lambda n=n, p=bad_p: gm.kf_is_ev(gm.KrausChannel(n=n, p=p)),
         })
         builds = [getattr(channels, name).__wrapped__
                   for name in ("_affine_maps", "_reverse_maps") if hasattr(channels, name)]

@@ -40,7 +40,7 @@ the basis's nonzeros, as `decompose` and `recompose` are: no library path builds
 the dense basis stack). `apply_kf` and `apply_lf` send X's diagonal through M's
 n×n block and each pair (X_ij, X_ji) through its 2×2 block (`_superoperator`,
 `_apply_blocks`), O(n³); `apply_ev`, `apply_to_state` and `evolve_state` scale
-X's basis coefficients c and recompose(lam ∘ c) (`_eigen_action`), O(n²).
+X's basis coefficients c and recompose(lam ∘ c) (a state's: `_eigen_action`), O(n²).
 Two tables give the same map exactly when their M are equal, so every
 converter checks its output by comparing the two tables' blocks
 (`_eigen_superoperator` for lam), within ORACLE_TOL times the largest entry
@@ -54,10 +54,12 @@ overhead, not arithmetic, so what depends on n alone is built once per n:
 index arrays and weights, among them the block criterion's rows, one matvec
 from diag(lam) to A's diagonal and every d_j (`_kernel_table`), and the
 readers' inverses on the admissible tables (`_reverse_maps`, 2n × n² each).
+Each admissibility check owns its conditions' indices and keys, cached by its
+first call at n, and passes signed residuals through one threshold (`_violations`).
 
 What depends on an object's table or entries but not on a tolerance is
 computed once per object, on first use, and kept read-only on it: a
-KrausChannel's TP residuals, their max and `kf_is_ev`'s column gaps; an
+KrausChannel's TP residuals, their max and `kf_is_ev`'s column residuals; an
 EigenChannel's `_block_margins`, shared by `cp_check_paper` and
 `cp_check_normalized`; a DensityMatrix's basis coefficients (`_coefficients`);
 a CpReport's `diagnostics`, which the three checks, deciding from scalars,
@@ -77,6 +79,7 @@ from .basis import (decompose, full_basis, recompose, _check_dimension, _check_s
                     _read_only)
 from .errors import (
     ConstraintViolated,
+    DimensionMismatch,
     InvalidChannel,
     InvariantError,
     NegativeCoefficient,
@@ -148,9 +151,9 @@ class KrausChannel:
         return float(np.max(np.abs(self._tp_residuals)))
 
     @_memo
-    def _gaps(self) -> np.ndarray:
-        """`_column_gaps` of the weight table, read-only."""
-        return _read_only(_column_gaps(self.p))
+    def _residuals(self) -> np.ndarray:
+        """`_column_residuals` of the weight table, read-only."""
+        return _read_only(_column_residuals(self.p))
 
 
 @dataclass(frozen=True)
@@ -263,19 +266,15 @@ def _verdict(margin: float, tol: float) -> str:
 
 @lru_cache(maxsize=None)
 def _kernel_table(n: int) -> SimpleNamespace:
-    """Every index array and weight of the small-table kernels; they depend on n alone.
+    """Every index array and weight of the small-table kernels but the admissibility checks'.
 
-    Pairs i < j are row-major; the triples j < k < l of `_column_violations` run
-    by l, j, k, as flat indices (l*n + j, l*n + k). `ev_is_lf`'s mixing triples
-    1 <= k < l < m run by k, l, m, as flat indices of its (n-1, n) rise table.
-    diag(lam) @ `block_rows` is the block criterion's A_kk = lam_00/n + k/(k+1) lam_kk + tail_k,
-    then d_j = lam_00/n - lam_jj/(j+1) + tail_j, tail_m = sum_{m<j<n} lam_jj/(j(j+1));
-    `block_diag`, `pair_flat` (rows (i, j), (j, i)) and `pair_d` index them flat.
+    Pairs i < j are row-major. diag(lam) @ `block_rows` is the block criterion's
+    A_kk = lam_00/n + k/(k+1) lam_kk + tail_k, then d_j = lam_00/n - lam_jj/(j+1) + tail_j,
+    tail_m = sum_{m<j<n} lam_jj/(j(j+1)); `block_diag`, `pair_flat` (rows (i, j), (j, i)) and
+    `pair_d` index them flat.
     """
     k = np.arange(n)
     i, j = np.nonzero(k[:, None] < k)
-    l, a, b = np.nonzero((k[:, None] < k) & (k[:, None, None] > k))  # [l, j, k]: j < k < l
-    mk, ml, mm = np.nonzero((k[1:, None, None] < k[:, None]) & (k[:, None] < k))  # [k-1, l, m]
     hi = np.maximum.outer(k, k)
     k1 = k + 1.0
     tail = np.where(k[:, None] > k, 1.0 / np.maximum(k * k1, 1.0)[:, None], 0.0)  # lam_jj in tail_m
@@ -284,36 +283,40 @@ def _kernel_table(n: int) -> SimpleNamespace:
         k=k, hi=hi, block_rows=rows, block_diag=k * (n + 1),
         pairs=(i, j), pair_flat=np.stack([i * n + j, j * n + i]), pair_d=n + j,
         pair_keys=tuple(zip(i.tolist(), j.tolist())),
-        triples=(l * n + a, l * n + b), triple_keys=tuple(zip(a.tolist(), b.tolist(), l.tolist())),
-        mixing=(mk * n + ml, mk * n + mm),
-        mixing_keys=tuple(("mixing", *v) for v in zip((mk + 1).tolist(), ml.tolist(), mm.tolist())),
     )
-    for arr in (k, hi, rows, table.block_diag, i, j, table.pair_flat, table.pair_d,
-                *table.triples, *table.mixing):
+    for arr in (k, hi, rows, table.block_diag, i, j, table.pair_flat, table.pair_d):
         arr.setflags(write=False)
     return table
 
 
-def _exceeding(keys: tuple, gaps: np.ndarray, tol: float) -> list:
-    """The keys whose gaps exceed tol, in order."""
-    return [keys[x] for x in np.flatnonzero(gaps > tol).tolist()]
+def _violations(keys: tuple, residuals: np.ndarray, tol: float) -> list:
+    """The keys of the conditions whose signed residuals exceed tol in size, in key order."""
+    return [keys[x] for x in (np.abs(residuals) > tol).nonzero()[0].tolist()]  # residuals: 1-d
 
 
-def _column_gaps(table: np.ndarray) -> np.ndarray:
-    """|s_jl - s_kl| of s = t + t.T for every triple j < k < l, in `_kernel_table` order."""
-    a, b = _kernel_table(table.shape[0]).triples
+def _require(checked: tuple, error, what: str) -> None:
+    """Raise `error` with the violations of a failed admissibility check, counted after `what`."""
+    ok, violations = checked
+    if not ok:
+        raise error(f"{what} ({len(violations)} violations)", violations)
+
+
+@lru_cache(maxsize=None)
+def _column_triples(n: int) -> tuple:
+    """The column-equality conditions' flat index pairs (l*n + j, l*n + k) and keys (j, k, l),
+    j < k < l, ordered by l, then j, then k; built by the first check at n."""
+    k = np.arange(n)
+    l, a, b = np.nonzero((k[:, None] < k) & (k[:, None, None] > k))  # [l, j, k]: j < k < l
+    return (_read_only(l * n + a), _read_only(l * n + b),
+            tuple(zip(a.tolist(), b.tolist(), l.tolist())))
+
+
+def _column_residuals(table: np.ndarray) -> np.ndarray:
+    """s_jl - s_kl of s = t + t.T for every triple (j, k, l) of `_column_triples`: within every
+    column l of a diagonal map's table t, s_jl must agree for all rows j < l."""
+    a, b, _ = _column_triples(table.shape[0])
     sym = (table + table.T).ravel()  # sym[l*n + j] = t_lj + t_jl
-    return np.abs(sym[a] - sym[b])
-
-
-def _column_violations(table: np.ndarray, tol: float) -> list:
-    """Column-equality condition of a diagonal map's table t.
-
-    Within every column l the symmetrized entries t_jl + t_lj must agree for
-    all rows j < l. Returns the triples (j, k, l), j < k, whose entries differ
-    by more than tol, ordered by l, then j, then k.
-    """
-    return _exceeding(_kernel_table(table.shape[0]).triple_keys, _column_gaps(table), tol)
+    return sym[a] - sym[b]
 
 
 def _eigenvalue_table(table: np.ndarray, what: str, rate: bool = False) -> np.ndarray:
@@ -331,13 +334,17 @@ def apply_kf(ch: KrausChannel, X: np.ndarray) -> np.ndarray:
 
 
 def apply_ev(ch: EigenChannel, X: np.ndarray) -> np.ndarray:
-    """Scale X's basis coefficients by their eigenvalues (`_eigen_action`)."""
-    return _eigen_action(ch.lam, decompose(X, full_basis(ch.n)))
+    """Scale X's basis coefficients by their eigenvalues: recompose(lam ∘ decompose(X))."""
+    basis = full_basis(ch.n)
+    return recompose(ch.lam * decompose(X, basis), basis)
 
 
-def _eigen_action(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """recompose(lam ∘ c): lam's eigenvalue map on the matrix with basis coefficients c."""
-    return recompose(lam * _check_square(coeffs, lam.shape[0]), full_basis(lam.shape[0]))
+def _eigen_action(lam: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    """recompose(lam ∘ c): lam's eigenvalue map on the state rho, c its basis coefficients."""
+    n = lam.shape[0]
+    if rho.n != n:
+        raise DimensionMismatch(f"expected a {n}x{n} matrix, got shape {rho.entries.shape}")
+    return recompose(lam * rho._coefficients, full_basis(n))
 
 
 @lru_cache(maxsize=None)
@@ -826,7 +833,7 @@ def apply_to_state(ch, rho, tol: float = DEFAULT_TOL) -> DensityMatrix:
     elif isinstance(ch, EigenChannel):
         if abs(ch.lam[0, 0] - 1.0) > tol:
             raise InvalidChannel(f"not trace-preserving: lam_00 = {ch.lam[0, 0]!r}")
-        out = _eigen_action(ch.lam, rho._coefficients)
+        out = _eigen_action(ch.lam, rho)
     else:
         raise TypeError(f"expected a channel, got {type(ch).__name__}")
     report = cp_check_oracle(ch, tol)

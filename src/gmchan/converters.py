@@ -22,11 +22,13 @@ reported, not rejected; check `KrausChannel.nonnegative`.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .channels import (
-    COND_TOL, DEFAULT_TOL, EigenChannel, KrausChannel, _column_violations, _eigenvalue_table,
-    _exceeding, _kernel_table, _reverse, _table_scale, _verify_images,
+    COND_TOL, DEFAULT_TOL, EigenChannel, KrausChannel, _column_residuals, _column_triples,
+    _eigenvalue_table, _require, _reverse, _table_scale, _verify_images, _violations,
 )
 from .errors import NotEV, NotKF, NotTracePreserving
 
@@ -34,12 +36,12 @@ from .errors import NotEV, NotKF, NotTracePreserving
 def kf_is_ev(ch: KrausChannel, tol: float = COND_TOL):
     """Is the weight-table channel diagonal in the basis?
 
-    Returns (flag, violations); each violation is a triple (j, k, l) of two
-    rows j < k whose symmetrized weights disagree in column l.
+    Returns (flag, violations); each violation is a triple (j, k, l) of two rows j < k
+    whose symmetrized weights disagree in column l (`_column_residuals`, kept on the channel).
     """
     if ch._tp_worst > DEFAULT_TOL:
         raise NotTracePreserving(f"max trace residual {ch._tp_worst:.3e} exceeds {DEFAULT_TOL:g}")
-    violations = _exceeding(_kernel_table(ch.n).triple_keys, ch._gaps, tol)
+    violations = _violations(_column_triples(ch.n)[2], ch._residuals, tol)
     return (not violations), violations
 
 
@@ -53,33 +55,37 @@ def kf_to_ev(ch: KrausChannel, tol: float = COND_TOL) -> EigenChannel:
         lam_kl = p_00 + (p_kl - p_lk) - 2 p_MM/(M+1)
                  + sum_{M<j<n} 2 p_jj/(j(j+1)).
     """
-    ok, violations = kf_is_ev(ch, tol)
-    if not ok:
-        raise NotEV(
-            f"weight table is not basis-diagonal ({len(violations)} violations)",
-            violations,
-        )
+    _require(kf_is_ev(ch, tol), NotEV, "weight table is not basis-diagonal")
     return EigenChannel(n=ch.n, lam=_eigenvalue_table(ch.p, "kf_to_ev"), trace_preserving=True)
 
 
 def ev_is_kf(ch: EigenChannel, tol: float = COND_TOL):
     """Does the eigenvalue table admit a weight-table realization?
 
-    Two condition families, both linear: (a) column-equality of the
-    symmetrized eigenvalues, violations tagged ("tilde", j, k, l); (b) the
-    diagonal recursion lam_kk = lam_11 + (lt_1 + sum_{0<j<k} lt_j - k lt_k)/2
+    Two condition families, both linear (`_kf_residuals`): (a) column-equality
+    of the symmetrized eigenvalues, violations tagged ("tilde", j, k, l); (b)
+    the diagonal recursion lam_kk = lam_11 + (lt_1 + sum_{0<j<k} lt_j - k lt_k)/2
     with lt_j := lam_0j + lam_j0, violations tagged ("diag", k).
     """
     if abs(ch.lam[0, 0] - 1.0) > DEFAULT_TOL:
         raise NotTracePreserving(f"lam_00 = {ch.lam[0, 0]!r}, expected 1")
-    lam = ch.lam
-    lt = lam + lam.T
-    violations = [("tilde",) + v for v in _column_violations(lam, tol)]
-    rows = _kernel_table(ch.n).k[2:]
-    target = lam[1, 1] + 0.5 * (lt[0, 1] + np.cumsum(lt[0, 1:-1]) - rows * lt[0, rows])
-    bad = rows[np.abs(lam[rows, rows] - target) > tol]
-    violations += [("diag", k) for k in bad.tolist()]
-    return (not violations), violations
+    violations = _violations(_kf_keys(ch.n), _kf_residuals(ch.lam), tol)
+    # a column key (j, k, l) is tagged where it fails: no tagged copy of the keys is kept
+    return (not violations), [v if v[0] == "diag" else ("tilde", *v) for v in violations]
+
+
+@lru_cache(maxsize=None)
+def _kf_keys(n: int) -> tuple:
+    """`ev_is_kf`'s condition keys in `_kf_residuals` order: column triples, then ("diag", k)."""
+    return _column_triples(n)[2] + tuple(("diag", k) for k in range(2, n))
+
+
+def _kf_residuals(lam: np.ndarray) -> np.ndarray:
+    """Signed residuals of `ev_is_kf`'s conditions on lam, columns then diagonal, in key order."""
+    lt = lam[0] + lam[:, 0]
+    k = np.arange(2, lam.shape[0])
+    target = lam[1, 1] + 0.5 * (lt[1] + np.cumsum(lt[1:-1]) - k * lt[k])
+    return np.concatenate([_column_residuals(lam), lam[k, k] - target])
 
 
 def ev_to_kf(ch: EigenChannel, tol: float = COND_TOL) -> KrausChannel:
@@ -92,13 +98,7 @@ def ev_to_kf(ch: EigenChannel, tol: float = COND_TOL) -> KrausChannel:
     scale of zero, which the check cannot tell from zero, is returned as +0.0.
     Negative weights are possible and are returned as-is.
     """
-    ok, violations = ev_is_kf(ch, tol)
-    if not ok:
-        raise NotKF(
-            f"eigenvalue table admits no weight realization "
-            f"({len(violations)} violations)",
-            violations,
-        )
+    _require(ev_is_kf(ch, tol), NotKF, "eigenvalue table admits no weight realization")
     p = _reverse("ev", ch.lam)
     p[np.abs(p) <= COND_TOL * _table_scale(ch.lam)] = 0.0
     _verify_images(p, ch.lam, "ev_to_kf")

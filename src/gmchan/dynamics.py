@@ -254,4 +254,4 @@ def evolve_state(
             f"map at grid index {t_index} (t={traj.grid[t_index]:g}) is not CP",
             time_index=t_index,
         )
-    return DensityMatrix(n=traj.n, entries=_eigen_action(traj.lams[t_index], rho0._coefficients))
+    return DensityMatrix(n=traj.n, entries=_eigen_action(traj.lams[t_index], rho0))

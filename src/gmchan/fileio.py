@@ -23,7 +23,7 @@ for the cells the kernel leaves out (zero, near-ties, exponents beyond 280).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -36,17 +36,19 @@ from .generators import EigenGenerator, LindbladGenerator
 
 FORMAT_VERSION = "1"
 
-FORMS = ("kf", "ev", "lf", "ev-gen", "state")
+# each file form: the type of its object and the field holding its table, for a state
+# its basis coefficients, which must be real
+_FORMS = {
+    "kf": (KrausChannel, "p"),
+    "ev": (EigenChannel, "lam"),
+    "lf": (LindbladGenerator, "gamma"),
+    "ev-gen": (EigenGenerator, "eta"),
+    "state": (DensityMatrix, "_coefficients"),
+}
+FORMS = tuple(_FORMS)
+_FORM_OF_TYPE = {cls: form for form, (cls, _) in _FORMS.items()}
 
 _INT_OVERFLOW = 2 ** 1024 - 2 ** 970  # the least int that float() rounds past the largest float
-
-_FORM_OF_TYPE = {
-    KrausChannel: "kf",
-    EigenChannel: "ev",
-    LindbladGenerator: "lf",
-    EigenGenerator: "ev-gen",
-    DensityMatrix: "state",
-}
 
 
 @dataclass(frozen=True)
@@ -281,34 +283,23 @@ def _check_kf_sign(table: np.ndarray) -> None:
         raise InvariantError(f"kf coefficient ({i},{j}) is negative")
 
 
-def _coefficients_of(obj) -> np.ndarray:
-    if isinstance(obj, KrausChannel):
-        _check_kf_sign(obj.p)
-        return obj.p
-    if isinstance(obj, EigenChannel):
-        return obj.lam
-    if isinstance(obj, LindbladGenerator):
-        return obj.gamma
-    if isinstance(obj, EigenGenerator):
-        return obj.eta
-    if isinstance(obj, DensityMatrix):
-        c = obj._coefficients
-        if float(np.max(np.abs(c.imag))) > 1e-12:
-            raise InvariantError("state has non-real basis coefficients")
-        return c.real
-    raise SchemaError(f"cannot save object of type {type(obj).__name__}")
-
-
 def document_text(obj, metadata: dict | None = None) -> str:
     """Render an object to channel-file JSON text."""
     form = _FORM_OF_TYPE.get(type(obj))
     if form is None:
         raise SchemaError(f"cannot save object of type {type(obj).__name__}")
+    table = getattr(obj, _FORMS[form][1])
+    if form == "kf":
+        _check_kf_sign(table)
+    elif form == "state":
+        if float(np.max(np.abs(table.imag))) > 1e-12:
+            raise InvariantError("state has non-real basis coefficients")
+        table = table.real
     doc = {
         "format_version": FORMAT_VERSION,
         "n": obj.n,
         "form": form,
-        "coefficients": _coefficients_of(obj),
+        "coefficients": table,
         "metadata": dict(metadata or {}),
     }
     return _fmt(doc, 0) + "\n"
@@ -379,34 +370,22 @@ def _parse_document(text: str) -> ChannelFile:
 
 
 def _build(cf: ChannelFile):
-    if cf.form == "kf":
+    cls, name = _FORMS[cf.form]
+    if cls is DensityMatrix:
+        # the file's coefficients stay the state's own, so saving it writes them back unchanged
+        with np.errstate(over="ignore", invalid="ignore"):  # DensityMatrix refuses an overflow
+            rho = recompose(cf.coefficients, full_basis(cf.n))
+        return DensityMatrix._of(cf.n, rho, cf.coefficients)
+    if cls is KrausChannel:
         _check_kf_sign(cf.coefficients)
-        return KrausChannel(n=cf.n, p=cf.coefficients)
-    if cf.form == "ev":
-        return EigenChannel(n=cf.n, lam=cf.coefficients)
-    if cf.form == "lf":
-        return LindbladGenerator(n=cf.n, gamma=cf.coefficients)
-    if cf.form == "ev-gen":
-        return EigenGenerator(n=cf.n, eta=cf.coefficients)
-    # the file's coefficients stay the state's own, so saving it writes them back unchanged
-    with np.errstate(over="ignore", invalid="ignore"):  # DensityMatrix refuses an overflow
-        rho = recompose(cf.coefficients, full_basis(cf.n))
-    return DensityMatrix._of(cf.n, rho, cf.coefficients)
+    return cls(n=cf.n, **{name: cf.coefficients})
 
 
 def load_document(path) -> ChannelFile:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     cf = _parse_document(text)
-    obj = _build(cf)
-    return ChannelFile(
-        format_version=cf.format_version,
-        n=cf.n,
-        form=cf.form,
-        coefficients=cf.coefficients,
-        metadata=cf.metadata,
-        obj=obj,
-    )
+    return replace(cf, obj=_build(cf))
 
 
 def load(path):

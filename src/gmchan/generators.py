@@ -27,21 +27,23 @@ with the table, as the check does.
 eta_from_lambda / lambda_from_eta translate between generator eigenvalues
 h(t) and channel eigenvalues l(t) per h = d/dt ln l and l = exp(integral h):
 one scan of the samples (finite, clear of zero, fixed sign), then np.gradient's
-second-order differences in log space, written out, one way; trapezoid
-quadrature the other, which `dynamics` runs on the grid it has checked.
+second-order differences in log space, written out where the steps differ, one
+way; trapezoid quadrature the other, which `dynamics` runs on the grid it has
+checked.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import _check_dimension, _check_square
+from .basis import _check_dimension, _check_square, _read_only
 from .channels import (
-    COND_TOL, _apply_blocks, _coeff_table, _column_violations, _eigenvalue_table, _exceeding,
-    _kernel_table, _reverse, _superoperator, _table_scale, _verify_images,
+    COND_TOL, _apply_blocks, _coeff_table, _column_residuals, _column_triples, _eigenvalue_table,
+    _require, _reverse, _superoperator, _table_scale, _verify_images, _violations,
 )
 from .errors import (
     ConstraintViolated, DimensionMismatch, InvariantError, NotEV, NotLF, ZeroEigenvalue,
@@ -99,25 +101,20 @@ def lf_is_ev(gen: LindbladGenerator, tol: float = COND_TOL):
     Returns (flag, violations); violations are triples (j, k, l) of rows
     whose symmetrized rates disagree in column l.
     """
-    violations = _column_violations(gen.gamma, tol)
+    violations = _violations(_column_triples(gen.n)[2], _column_residuals(gen.gamma), tol)
     return (not violations), violations
 
 
 def lf_to_ev(gen: LindbladGenerator, tol: float = COND_TOL) -> EigenGenerator:
     """Read off generator eigenvalues from an admissible rate table."""
-    ok, violations = lf_is_ev(gen, tol)
-    if not ok:
-        raise NotEV(
-            f"rate table is not basis-diagonal ({len(violations)} violations)",
-            violations,
-        )
+    _require(lf_is_ev(gen, tol), NotEV, "rate table is not basis-diagonal")
     return EigenGenerator(n=gen.n, eta=_eigenvalue_table(gen.gamma, "lf_to_ev", rate=True))
 
 
 def ev_is_lf(gen: EigenGenerator, tol: float = COND_TOL):
     """Does the eigenvalue table admit a rate-table realization?
 
-    Three linear condition families on ht_kl := eta_kl + eta_lk:
+    Three linear condition families on ht_kl := eta_kl + eta_lk (`_lf_residuals`):
       ("tilde01", l)     ht_0l = ht_1l                        for 2 <= l <= n-1
       ("diag", k)        eta_kk follows the fixed recursion   for 2 <= k <= n-2
       ("mixing", k,l,m)  ht_kl - ht_{k-1,l} = ht_km - ht_{k-1,m}
@@ -126,23 +123,33 @@ def ev_is_lf(gen: EigenGenerator, tol: float = COND_TOL):
     misses by more than tol times max(1, the largest |eta_kl|).
     """
     eta = gen.eta
-    t = _kernel_table(gen.n)
-    tol = tol * _table_scale(eta)
+    violations = _violations(_lf_conditions(gen.n)[2], _lf_residuals(eta), tol * _table_scale(eta))
+    return (not violations), violations
+
+
+@lru_cache(maxsize=None)
+def _lf_conditions(n: int) -> tuple:
+    """`ev_is_lf`'s mixing triples 1 <= k < l < m, run by k, l, m, as flat index pairs of its
+    (n-1, n) rise table, and its condition keys in `_lf_residuals` order."""
+    i = np.arange(n)
+    k, l, m = np.nonzero((i[1:, None, None] < i[:, None]) & (i[:, None] < i))  # [k-1, l, m]
+    keys = (*(("tilde01", x) for x in range(2, n)), *(("diag", x) for x in range(2, n - 1)),
+            *(("mixing", *v) for v in zip((k + 1).tolist(), l.tolist(), m.tolist())))
+    return _read_only(k * n + l), _read_only(k * n + m), keys
+
+
+def _lf_residuals(eta: np.ndarray) -> np.ndarray:
+    """Signed residuals of `ev_is_lf`'s conditions on eta, in `_lf_conditions` key order."""
     ht = eta + eta.T
-    bad = np.flatnonzero(np.abs(ht[0, 2:] - ht[1, 2:]) > tol) + 2
-    violations = [("tilde01", l) for l in bad.tolist()]
-    j = t.k[1:-2]
+    j = np.arange(1, eta.shape[0] - 2)
     steps = (j + 1.0) / 2.0 * (
         -(j + 2.0) / j * (ht[j, j + 2] - ht[j + 1, j + 2]) + ht[j - 1, j] - ht[j - 1, j + 1]
     )
     # the recursion's value of eta_kk for k = 2..n-2, summed in order of j
     acc = np.cumsum(np.concatenate([[eta[1, 1]], steps]))[1:]
-    bad = np.flatnonzero(np.abs(np.diagonal(eta)[2:-1] - acc) > tol) + 2
-    violations += [("diag", k) for k in bad.tolist()]
     rise = np.diff(ht, axis=0).ravel()  # rise[(k-1)*n + l] = ht_kl - ht_{k-1,l}
-    a, b = t.mixing
-    violations += _exceeding(t.mixing_keys, np.abs(rise[a] - rise[b]), tol)
-    return (not violations), violations
+    a, b, _ = _lf_conditions(eta.shape[0])
+    return np.concatenate([ht[0, 2:] - ht[1, 2:], np.diagonal(eta)[2:-1] - acc, rise[a] - rise[b]])
 
 
 def ev_to_lf(gen: EigenGenerator, tol: float = COND_TOL) -> LindbladGenerator:
@@ -153,13 +160,7 @@ def ev_to_lf(gen: EigenGenerator, tol: float = COND_TOL) -> LindbladGenerator:
     non-Markovian); they are returned as-is. The output is re-checked before
     returning: the rate table's superoperator must equal the eigenvalue table's.
     """
-    ok, violations = ev_is_lf(gen, tol)
-    if not ok:
-        raise NotLF(
-            f"eigenvalue table admits no rate realization "
-            f"({len(violations)} violations)",
-            violations,
-        )
+    _require(ev_is_lf(gen, tol), NotLF, "eigenvalue table admits no rate realization")
     result = LindbladGenerator(n=gen.n, gamma=_reverse("rate", gen.eta))
     _verify_images(result.gamma, gen.eta, "ev_to_lf", rate=True)
     return result
@@ -205,21 +206,18 @@ def eta_from_lambda(lams: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _log_gradient(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """np.gradient(y, grid, axis=0, edge_order=2) for dx = np.diff(grid), bit for bit: its
-    uniform-spacing formulas when every step is exactly equal, else the non-uniform ones."""
-    out = np.empty_like(y)
+    """np.gradient(y, grid, axis=0, edge_order=2) for dx = np.diff(grid), bit for bit: numpy's
+    own call when every step is exactly equal, else its non-uniform formulas, written out."""
     if (dx == dx[0]).all():
-        h = dx[0]
-        out[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-        first, last = (-1.5 / h, 2.0 / h, -0.5 / h), (0.5 / h, -2.0 / h, 1.5 / h)
-    else:
-        d1, d2 = dx[:-1, None], dx[1:, None]
-        out[1:-1] = (-d2 / (d1 * (d1 + d2)) * y[:-2] + (d2 - d1) / (d1 * d2) * y[1:-1]
-                     + d1 / (d2 * (d1 + d2)) * y[2:])
-        d1, d2 = dx[0], dx[1]
-        first = (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2), -d1 / (d2 * (d1 + d2)))
-        d1, d2 = dx[-2], dx[-1]
-        last = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2), (2.0 * d2 + d1) / (d2 * (d1 + d2)))
+        return np.gradient(y, dx[0], axis=0, edge_order=2)
+    out = np.empty_like(y)
+    d1, d2 = dx[:-1, None], dx[1:, None]
+    out[1:-1] = (-d2 / (d1 * (d1 + d2)) * y[:-2] + (d2 - d1) / (d1 * d2) * y[1:-1]
+                 + d1 / (d2 * (d1 + d2)) * y[2:])
+    d1, d2 = dx[0], dx[1]
+    first = (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2), -d1 / (d2 * (d1 + d2)))
+    d1, d2 = dx[-2], dx[-1]
+    last = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2), (2.0 * d2 + d1) / (d2 * (d1 + d2)))
     out[0] = first[0] * y[0] + first[1] * y[1] + first[2] * y[2]
     out[-1] = last[0] * y[-3] + last[1] * y[-2] + last[2] * y[-1]
     return out

@@ -49,6 +49,7 @@ from gmchan.channels import (
 from gmchan.dynamics import evolve_semigroup, evolve_state, uniform_grid
 from gmchan.errors import (
     ConstraintViolated,
+    DimensionMismatch,
     InvalidChannel,
     InvariantError,
     NegativeCoefficient,
@@ -293,6 +294,13 @@ def test_apply_to_state_rejects_noncp():
     rho = np.eye(2, dtype=complex) / 2
     with pytest.raises(InvalidChannel):
         apply_to_state(bad, rho)
+
+
+def test_apply_to_state_rejects_a_state_of_another_dimension():
+    rho = DensityMatrix(n=3, entries=np.eye(3, dtype=complex) / 3)
+    for ch in (KrausChannel(n=2, p=np.full((2, 2), 0.25)), EigenChannel(n=2, lam=np.ones((2, 2)))):
+        with pytest.raises(DimensionMismatch, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
+            apply_to_state(ch, rho)
 
 
 def test_density_matrix_validation():
@@ -691,7 +699,7 @@ def test_crossval_variants_match_entrywise_conditions():
 
 # The small-table kernels read their indices and weights from one cached
 # per-n table; each is pinned here to its definition, written as loops
-# (`_column_violations` in test_converters). n = 2 has one pair, n = 3 no TP
+# (the column-equality check's in test_converters). n = 2 has one pair, n = 3 no TP
 # recursion step.
 
 
@@ -1016,6 +1024,29 @@ def test_state_path_builds_no_dense_basis_stack():
     assert _fresh_process(code) == "[0, 0] []\n"
 
 
+def test_evolution_builds_no_admissibility_cache():
+    # the block criterion reads none of the admissibility checks' indices or keys: evolving
+    # at n = 48 builds none of their per-n caches, and the kernel table holds the block
+    # criterion's and the reverse converters' arrays alone; the first check at n builds its own
+    code = """if True:
+        import numpy as np
+        import gmchan as gm
+        from gmchan import channels, converters, generators
+        n = 48
+        eta = np.full((n, n), -0.5)
+        eta[0, 0] = 0.0
+        gm.evolve_semigroup(gm.EigenGenerator(n=n, eta=eta), gm.uniform_grid(1.0, 3))
+        caches = (channels._column_triples, converters._kf_keys, generators._lf_conditions)
+        sizes = [cache.cache_info().currsize for cache in caches]
+        print(sizes, sorted(vars(channels._kernel_table(n))))
+        ev = gm.EigenChannel(n=5, lam=np.ones((5, 5)))
+        gm.ev_is_kf(ev), gm.ev_is_lf(gm.EigenGenerator(n=5, eta=np.zeros((5, 5))))
+        print([cache.cache_info().currsize for cache in caches])
+    """
+    fields = ["block_diag", "block_rows", "hi", "k", "pair_d", "pair_flat", "pair_keys", "pairs"]
+    assert _fresh_process(code) == f"[0, 0, 0] {fields}\n[1, 1, 1]\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
 def test_large_n_acts_on_states_in_a_quarter_of_one_dense_stack():
     # n = 40: apply_ev and evolve_state must raise the peak RSS (the process's own VmHWM,
@@ -1123,7 +1154,7 @@ def test_readers_verify_what_they_return(monkeypatch, n):
 # Per-object memos: what depends on an object's table or entries but not on a tolerance
 # is computed once per object, on first use, and kept read-only.
 
-MEMOS = ("_tp_residuals", "_tp_worst", "_gaps", "_blocks", "_coefficients")
+MEMOS = ("_tp_residuals", "_tp_worst", "_residuals", "_blocks", "_coefficients")
 
 
 def _counting(monkeypatch, *names):
@@ -1201,7 +1232,7 @@ def test_report_arrays_and_memos_are_read_only():
     arrays = [v for r in reports for v in r.diagnostics.values() if isinstance(v, np.ndarray)]
     arrays += [a for a in ch._blocks if isinstance(a, np.ndarray)]
     kf = random_kf_ev_admissible(np.random.default_rng(82), 4)
-    arrays += [kf._tp_residuals, kf._gaps]
+    arrays += [kf._tp_residuals, kf._residuals]
     rho = DensityMatrix(n=3, entries=random_density(np.random.default_rng(82), 3))
     arrays += [rho._coefficients]
     assert len(arrays) == 11
@@ -1214,7 +1245,7 @@ def test_memos_are_lock_free_and_kept_on_the_instance():
     import functools
 
     for cls, name in ((KrausChannel, "_tp_residuals"), (KrausChannel, "_tp_worst"),
-                      (KrausChannel, "_gaps"), (EigenChannel, "_blocks"),
+                      (KrausChannel, "_residuals"), (EigenChannel, "_blocks"),
                       (DensityMatrix, "_coefficients"), (CpReport, "diagnostics"),
                       (GellMannBasis, "stack")):
         memo = vars(cls)[name]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from gmchan import channels, converters, generators
 from gmchan.basis import full_basis
 from gmchan.channels import (
-    EigenChannel, KrausChannel, _choi_layout, _column_violations, _table_scale, apply_kf, complete_tp,
+    EigenChannel, KrausChannel, _choi_layout, _column_residuals, _column_triples, _table_scale,
+    _violations, apply_kf, complete_tp,
 )
 from gmchan.converters import ev_is_kf, ev_to_kf, kf_is_ev, kf_to_ev
 from gmchan.errors import InvariantError, NegativeCoefficient, NotEV, NotKF, NotTracePreserving
@@ -194,7 +195,8 @@ def test_column_violations_match_loop_form(form):
             assert got == want
             assert all(type(i) is int for v in got for i in v)
             # tol < 0 flags every triple j < k < l: all of them, in loop order
-            assert _column_violations(table, -1.0) == _column_violations_by_loop(table, -1.0)
+            every = _violations(_column_triples(n)[2], _column_residuals(table), -1.0)
+            assert every == _column_violations_by_loop(table, -1.0)
             seen += bool(want)
     assert seen >= 20
 
@@ -355,17 +357,37 @@ def _column_rows(n):
     return rows
 
 
+def _unit_rows(residuals, n):
+    """The matrix of a linear residual helper, read off the n² unit tables: one row per condition."""
+    return np.stack([residuals(u) for u in np.eye(n * n).reshape(n * n, n, n)], axis=1)
+
+
 @pytest.mark.parametrize("n", range(2, 17))
 def test_admissible_subspaces_have_the_paper_dimensions(n):
     squares = _choi_layout(n).squares.T  # sum_a p_a sigma_a² = I, one row per diagonal entry
+    # the package's own condition maps: the column check's and the two eigenvalue checks'
+    columns = _unit_rows(_column_residuals, n)
+    weights = _unit_rows(converters._kf_residuals, n)
+    rates = _unit_rows(generators._lf_residuals, n)
+    assert sorted(map(tuple, columns.tolist())) == sorted(map(tuple, _column_rows(n)))
     if n <= 6:
-        # the entries are 1, 2/(j(j+1)) and 2j/(j+1): rationals with small denominators
-        tp = [[Fraction(x).limit_denominator(1000) for x in row] for row in squares]
-        assert all(abs(float(f) - x) <= 1e-15 for row, fs in zip(squares, tp) for x, f in zip(row, fs))
+        # the entries are 1, 2/(j(j+1)), 2j/(j+1) and the recursions' (j+1)(j+2)/(2j):
+        # rationals with small denominators
+        def exact(rows):
+            fs = [[Fraction(x).limit_denominator(1000) for x in row] for row in rows]
+            assert all(abs(float(f) - x) <= 1e-15 for row, r in zip(rows, fs) for x, f in zip(row, r))
+            return fs
+        tp, weights, rates = (exact(m) for m in (squares, weights, rates))
         rank = _exact_rank
     else:
-        tp, rank = squares.tolist(), _svd_rank
-    pin = [[1] + [0] * (n * n - 1)]  # a generator's inert (0, 0) rate
+        tp, weights, rates, rank = squares.tolist(), weights.tolist(), rates.tolist(), _svd_rank
+    pin = [[1] + [0] * (n * n - 1)]  # a generator's inert (0, 0) rate, a channel's lam_00 = 1
     assert rank(tp) == (1 if n == 2 else n)
     assert n * n - rank(tp + _column_rows(n)) == n * (n + 1) // 2
     assert n * n - rank(pin + _column_rows(n)) == (n + 4) * (n - 1) // 2
+    # the eigenvalue checks leave as many tables as the weight and rate checks do, so
+    # each converter pair is a bijection between the admissible sets
+    assert rank(weights) == (n + 1) * (n - 2) // 2
+    assert rank(rates) == (n - 1) * (n - 2) // 2
+    assert n * n - rank(pin + weights) == n * (n + 1) // 2
+    assert n * n - rank(pin + rates) == (n + 4) * (n - 1) // 2
