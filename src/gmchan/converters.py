@@ -22,6 +22,7 @@ reported, not rejected; check `KrausChannel.nonnegative`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -70,13 +71,13 @@ def ev_is_kf(ch: EigenChannel, tol: float = COND_TOL):
     if abs(ch.lam[0, 0] - 1.0) > DEFAULT_TOL:
         raise NotTracePreserving(f"lam_00 = {ch.lam[0, 0]!r}, expected 1")
     violations = _violations(_kf_keys(ch.n), _kf_residuals(ch.lam), tol)
-    # a column key (j, k, l) is tagged where it fails: no tagged copy of the keys is kept
-    return (not violations), [v if v[0] == "diag" else ("tilde", *v) for v in violations]
+    c = bisect_left(violations, True, key=lambda v: len(v) == 2)  # column keys, then ("diag", k)
+    return (not violations), [("tilde",) + v for v in violations[:c]] + violations[c:]
 
 
 @lru_cache(maxsize=None)
 def _kf_keys(n: int) -> tuple:
-    """`ev_is_kf`'s condition keys in `_kf_residuals` order: column triples, then ("diag", k)."""
+    """`ev_is_kf`'s keys in `_kf_residuals` order: the untagged column triples, then ("diag", k)."""
     return _column_triples(n)[2] + tuple(("diag", k) for k in range(2, n))
 
 
