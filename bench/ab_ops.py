@@ -22,7 +22,9 @@ time for the same op (one stall moves the sum, not this median), the p50
 and p90 op latency in ms and the number of ops whose check failed or that
 raised; then, per tree after the first, that paired median ratio for each
 (op kind, n), with its op count, so the ops of each kind show where a saving
-lands. The times are plain wall time, not perfbench's host-calibrated
+lands. Certify's kf ops are split by `op.ref["diagonal"]` into "kf-diag",
+basis-diagonal tables, which a TP op also converts (`kf_to_ev` and the
+three checks of its result), and "kf-offdiag", which stop after `kf_is_ev`. The times are plain wall time, not perfbench's host-calibrated
 time: both trees run each op within milliseconds of each other, so their
 ratio needs no calibration. --out writes the same figures and the per-op
 times as JSON.
@@ -57,6 +59,13 @@ def _load(tree: str):
     if where != os.path.join(os.path.abspath(src), "gmchan"):
         sys.exit(f"ab_ops: gmchan imported from {where}, not from {src}")
     return gmchan
+
+
+def _kind(workload: str, op) -> str:
+    """The op's kind, certify's kf ops split by whether the table is basis-diagonal."""
+    if workload == "certify" and op.kind == "kf":
+        return "kf-diag" if op.ref["diagonal"] else "kf-offdiag"
+    return op.kind
 
 
 def main() -> None:
@@ -96,7 +105,7 @@ def main() -> None:
             for op in ops:
                 order = list(trees)[:: 1 if turn % 2 == 0 else -1]
                 turn += 1
-                keys += [(step.kind, step.n) for step in W.chained([op])]
+                keys += [(_kind(args.workload, step), step.n) for step in W.chained([op])]
                 for label in order:
                     for step in W.chained([op]):
                         c = checkers[label]

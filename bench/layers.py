@@ -15,9 +15,11 @@ times a `DensityMatrix` built from a random density matrix. `decompose` and
 `recompose` take one random complex matrix (its coefficient table) and the
 basis from `full_basis(n)`, looked up in the call. The `apply_*` layers
 read no memo and act on one random complex matrix with one object built
-beforehand; `choi_of_channel_kf`/`_ev` assemble the Choi matrix (blocks,
-spectrum and the dense n²×n² entries) of those same weight and eigenvalue
-channels. `evolve_state` applies the last frame of an 11-frame semigroup
+beforehand. `choi_of_channel_kf`/`_ev` assemble the Choi matrix (blocks,
+spectrum and the dense n²×n² entries) of a fresh channel of that weight
+and eigenvalue table, and `choi_blocks_kf`/`_ev` do the oracle's work on
+one without its report (`channels._choi_blocks`: the fill, the one n×n
+eigensolve and the 2×2 blocks' centres and radii). `evolve_state` applies the last frame of an 11-frame semigroup
 trajectory, built beforehand with its CP flags, to one random
 `DensityMatrix`, built beforehand too: on a tree where a state keeps its
 basis coefficients, every call after the first reads them from that memo,
@@ -42,7 +44,8 @@ basis through its cache's uncached `__wrapped__` function (`full_basis`, or
 `basis._build_basis` where `full_basis` checks n first and looks it up), and
 `eigvalsh_block` one n×n Hermitian eigensolve alone, of that table's
 diagonal-sector block (`channels._block_margins`), the one the oracle and
-the block criterion each run per table. `ev_is_kf`, `ev_is_lf` and
+the block criterion each run per table: `choi_blocks_*` over it is the
+oracle's cost per eigensolve. `ev_is_kf`, `ev_is_lf` and
 `lf_is_ev` run the admissibility checks on a fresh object of the admissible
 eigenvalue, generator-eigenvalue and rate tables; their `_bad` twins, and
 `kf_is_ev_bad`, on tables with every entry but the inert (0, 0) one off by up
@@ -129,8 +132,8 @@ LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalize
           "evolve_timedep", "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev",
           "document_text", "parse_document", "maps_build", "evolve_table", "block_margins",
           "is_cp_frame", "decompose", "recompose", "report_diagnostics", "basis_build",
-          "eigvalsh_block", "ev_is_kf", "ev_is_kf_bad", "ev_is_lf", "ev_is_lf_bad", "lf_is_ev",
-          "lf_is_ev_bad", "kf_is_ev_bad")
+          "eigvalsh_block", "choi_blocks_kf", "choi_blocks_ev", "ev_is_kf", "ev_is_kf_bad",
+          "ev_is_lf", "ev_is_lf_bad", "lf_is_ev", "lf_is_ev_bad", "kf_is_ev_bad")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -250,8 +253,10 @@ def _child(src: str, repeats: int) -> None:
             ("trajectory_flags", n): lambda tr=flipping: dynamics._flagged(tr, 1, VERDICT_TOL),
             ("evolve_timedep", n): timedep,
             ("eta_from_lambda", n): lambda tr=tabulated: gm.eta_from_lambda(tr.lams, tr.grid),
-            ("choi_of_channel_kf", n): lambda a=acting: gm.choi_of_channel(a[0]),
-            ("choi_of_channel_ev", n): lambda a=acting: gm.choi_of_channel(a[2]),
+            ("choi_of_channel_kf", n): lambda kf=kf: gm.choi_of_channel(kf()),
+            ("choi_of_channel_ev", n): lambda ev=ev: gm.choi_of_channel(ev()),
+            ("choi_blocks_kf", n): lambda kf=kf: channels._choi_blocks(kf()),
+            ("choi_blocks_ev", n): lambda ev=ev: channels._choi_blocks(ev()),
             ("document_text", n): lambda a=acting: fileio.document_text(a[2]),
             ("parse_document", n): lambda text=text: fileio._parse_document(text),
             ("evolve_table", n): lambda tr=table: write_table(io.StringIO(), tr),

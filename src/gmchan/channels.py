@@ -37,15 +37,19 @@ sigma_a lies in the diagonal sector {(k, k)} or in one pair sector
 {(i, j), (j, i)}, so both are one n×n block plus n(n-1)/2 2×2 blocks, stored
 flat, and the realignment permutes the stored entries (`_ChoiLayout`, read off
 the basis's nonzeros, as `decompose` and `recompose` are: no library path builds
-the dense basis stack). `apply_kf` and `apply_lf` send X's diagonal through M's
-n×n block and each pair (X_ij, X_ji) through its 2×2 block (`_superoperator`,
-`_apply_blocks`), O(n³); `apply_ev`, `apply_to_state` and `evolve_state` scale
-X's basis coefficients c and recompose(lam ∘ c) (a state's: `_eigen_action`), O(n²).
-Two tables give the same map exactly when their M are equal, so every
+the dense basis stack). The realignment is an involution, so lam's sum lands
+in J's stored order when each term goes to its realigned destination
+(`_eigen_choi`), and everything below reads J in that order with no gather:
+the oracle's blocks, the converters' checks and the eigenvalue readers.
+`apply_kf` and `apply_lf` send X's diagonal through M's n×n block and each
+pair (X_ij, X_ji) through its 2×2 block (`_superoperator`, `_apply_blocks`),
+O(n³); `apply_ev`, `apply_to_state` and `evolve_state` scale X's basis
+coefficients c and recompose(lam ∘ c) (a state's: `_eigen_action`), O(n²).
+Two tables give the same map exactly when their J are equal, so every
 converter checks its output by comparing the two tables' blocks
-(`_eigen_superoperator` for lam), within ORACLE_TOL times the largest entry
+(`_choi_entries`, `_eigen_choi`), within ORACLE_TOL times the largest entry
 of either table, if above 1 (`_verify_images`), O(n³). `kf_to_ev` and
-`lf_to_ev` read lam off the M they check, as its Gell-Mann diagonal
+`lf_to_ev` read lam off the J they check, as its Gell-Mann diagonal
 Tr(sigma_a Phi(sigma_a)) / Tr(sigma_a²), one sparse sum (`_gell_mann_diagonal`).
 
 The private helpers below are the one core that the channel and generator
@@ -59,12 +63,16 @@ first call at n, and passes signed residuals through one threshold (`_violations
 
 What depends on an object's table or entries but not on a tolerance is
 computed once per object, on first use, and kept read-only on it: a
-KrausChannel's TP residuals, their max and `kf_is_ev`'s column residuals; an
-EigenChannel's `_block_margins`, shared by `cp_check_paper` and
-`cp_check_normalized`; a DensityMatrix's basis coefficients (`_coefficients`);
-a CpReport's `diagnostics`, which the three checks, deciding from scalars,
-leave to a builder they pass in. `tp_residuals` returns a copy.
-`cp_check_oracle` keeps no memo on the channel, so it stays an independent route.
+KrausChannel's TP residuals, their max and `kf_is_ev`'s column residuals; each
+channel's stored Choi entries (`_choi_values`), which `cp_check_oracle` and
+`choi_of_channel` read and `kf_to_ev` reads lam off, handing the fill of lam it
+verified against to the EigenChannel it returns, so a weight table and its lam
+are each filled once; an EigenChannel's `_block_margins`, shared by
+`cp_check_paper` and `cp_check_normalized`; a DensityMatrix's basis
+coefficients (`_coefficients`); a CpReport's `diagnostics`, which the three
+checks, deciding from scalars, leave to a builder they pass in. `tp_residuals`
+returns a copy. The oracle reads only the Choi entries of the channel's own
+table, so it stays an independent route.
 """
 
 from __future__ import annotations
@@ -106,7 +114,7 @@ def _coeff_table(n: int, table, what: str) -> np.ndarray:
     arr = np.array(table, dtype=float)
     if arr.shape != (n, n):
         raise InvariantError(f"{what} table must be {n}x{n}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvariantError(f"{what} table contains non-finite entries")
     return _read_only(arr)
 
@@ -148,12 +156,17 @@ class KrausChannel:
 
     @_memo
     def _tp_worst(self) -> float:
-        return float(np.max(np.abs(self._tp_residuals)))
+        return float(np.abs(self._tp_residuals).max())
 
     @_memo
     def _residuals(self) -> np.ndarray:
         """`_column_residuals` of the weight table, read-only."""
         return _read_only(_column_residuals(self.p))
+
+    @_memo
+    def _choi_values(self) -> np.ndarray:
+        """The stored entries of the Choi matrix J (`_choi_entries`), read-only."""
+        return _read_only(_choi_entries(self.p))
 
 
 @dataclass(frozen=True)
@@ -174,6 +187,19 @@ class EigenChannel:
 
     def __reduce__(self):  # as KrausChannel's
         return type(self), (self.n, self.lam, self.trace_preserving)
+
+    @classmethod
+    def _of(cls, n, lam, choi_values):
+        """The trace-preserving channel of lam, keeping `choi_values`, lam's `_eigen_choi`, as its
+        `_choi_values`."""
+        ch = cls(n=n, lam=lam, trace_preserving=True)
+        ch.__dict__["_choi_values"] = _read_only(choi_values)
+        return ch
+
+    @_memo
+    def _choi_values(self) -> np.ndarray:
+        """The stored entries of the Choi matrix J (`_eigen_choi`), read-only."""
+        return _read_only(_eigen_choi(self.lam))
 
     @_memo
     def _blocks(self) -> tuple:
@@ -319,13 +345,13 @@ def _column_residuals(table: np.ndarray) -> np.ndarray:
     return sym[a] - sym[b]
 
 
-def _eigenvalue_table(table: np.ndarray, what: str, rate: bool = False) -> np.ndarray:
-    """The eigenvalue table of a weight table's channel (or, with rate=True, a rate table's
-    generator), read off its superoperator M (`_gell_mann_diagonal`) and verified on that M."""
-    M = _superoperator(table, rate)
-    lam = _gell_mann_diagonal(M, table.shape[0], 0.0 if rate else 1.0)
-    _verify_images(table, lam, what, rate, M)
-    return lam
+def _eigenvalue_table(table: np.ndarray, what: str, rate: bool = False, J=None) -> tuple:
+    """The eigenvalue table lam of a weight table's channel (or, with rate=True, a rate table's
+    generator), read off its Choi entries J (`_gell_mann_diagonal`), filled unless passed, and
+    verified on that J; returned with the Choi entries of lam's map (`_verify_images`)."""
+    J = _choi_entries(table, rate) if J is None else J
+    lam = _gell_mann_diagonal(J, table.shape[0], 0.0 if rate else 1.0)
+    return lam, _verify_images(table, lam, what, rate, J)
 
 
 def apply_kf(ch: KrausChannel, X: np.ndarray) -> np.ndarray:
@@ -367,7 +393,7 @@ def _reverse_maps(n: int) -> dict:
     maps = {}
     for key, rate, c in (("ev", False, 1.0), ("rate", True, 0.0)):
         def read(u, lam_00):  # the reader on the table of unknowns u, flat
-            return _gell_mann_diagonal(_superoperator(_from_unknowns(u), rate), n, lam_00).ravel()
+            return _gell_mann_diagonal(_choi_entries(_from_unknowns(u), rate), n, lam_00).ravel()
         A, u0 = np.stack([read(u, 0.0) for u in np.eye(2 * n)], axis=1), np.zeros(2 * n)
         if not rate:
             A, u0[n] = np.vstack([A, (units.reshape(2 * n, -1) @ _choi_layout(n).squares).T]), 1.0
@@ -488,11 +514,12 @@ class _ChoiLayout:
     entry's position in J and `mirror` the index of its transpose. `terms` =
     (src, dest, coef) is the sparse sum of `_fill`: stored entry dest
     accumulates coef × table entry src. `realign[s]` is the stored index of
-    entry s's realigned position (see the module docstring), an involution.
+    entry s's realigned position (see the module docstring), an involution,
+    and `ev_dest` = realign[dest] lands an eigenvalue table's sum in J's order.
 
     M is stored the same way; `order` lists its vec indices sector by sector
     and `norms` holds Tr(sigma_a²) as an n×n table. Two tables describe the
-    same map exactly when their M are equal.
+    same map exactly when their M are equal, or their J.
     """
 
     rows: np.ndarray
@@ -500,6 +527,7 @@ class _ChoiLayout:
     mirror: np.ndarray
     terms: tuple
     realign: np.ndarray
+    ev_dest: np.ndarray
     order: np.ndarray
     norms: np.ndarray
     squares: np.ndarray
@@ -543,7 +571,7 @@ def _choi_layout(n: int) -> _ChoiLayout:
     coef = np.conj(val[x]) * val[y]
     if np.any(coef.imag != 0.0):
         raise InvariantError(f"the Choi matrix of a dimension-{n} table is not real")
-    terms = (src, stored(r, c), coef.real)
+    terms = (src, stored(r, c), np.ascontiguousarray(coef.real))
     diag = np.arange(n) * (n + 1)
     i, j = _kernel_table(n).pairs
     sector = np.stack([i * n + j, j * n + i], axis=1)
@@ -555,37 +583,43 @@ def _choi_layout(n: int) -> _ChoiLayout:
     home = block[nz[first]]
     if not np.array_equal(np.bincount(home, minlength=block.max() + 1), np.bincount(block)):
         raise InvariantError(f"the basis matrices of dimension {n} do not fill the Choi blocks")
+    realign = stored(rows // n * n + cols // n, rows % n * n + cols % n)
     layout = _ChoiLayout(
-        rows=rows, cols=cols, mirror=mirror, terms=terms,
-        realign=stored(rows // n * n + cols // n, rows % n * n + cols % n),
-        order=np.append(diag, sector),
+        rows=rows, cols=cols, mirror=mirror, terms=terms, realign=realign,
+        ev_dest=realign[terms[1]], order=np.append(diag, sector),
         norms=full_basis(n).norms_sq.reshape(n, n),
         squares=np.bincount(owner * n + row, np.abs(val) ** 2, nn * n).reshape(nn, n),
     )
-    for arr in (rows, cols, mirror, *terms, layout.realign, layout.order, layout.squares):
+    for arr in (rows, cols, mirror, *terms, realign, layout.ev_dest, layout.order, layout.squares):
         arr.setflags(write=False)
     return layout
 
 
-def _fill(layout: _ChoiLayout, table: np.ndarray) -> np.ndarray:
-    """Stored block entries of the layout's sparse sum for one table."""
-    src, dest, coef = layout.terms
-    return np.bincount(dest, weights=coef * table.ravel()[src], minlength=layout.rows.size)
+def _fill(layout: _ChoiLayout, table: np.ndarray, dest=None) -> np.ndarray:
+    """Stored block entries of the layout's sparse sum for one table, each term landing at
+    `dest` (by default the terms' own)."""
+    src, own, coef = layout.terms
+    return np.bincount(own if dest is None else dest, weights=coef * table.ravel()[src],
+                       minlength=layout.rows.size)
 
 
-def _superoperator(table: np.ndarray, rate: bool = False) -> np.ndarray:
-    """Stored blocks of M for X -> sum_a t_a sigma_a X sigma_a (see `_ChoiLayout`).
+def _choi_entries(table: np.ndarray, rate: bool = False) -> np.ndarray:
+    """Stored blocks of J for X -> sum_a t_a sigma_a X sigma_a (see `_ChoiLayout`).
 
     rate=True gives the rate form, that sum minus (S X + X S)/2 with the
     diagonal S = sum_a t_a sigma_a²: (s_i + s_j)/2 comes off M[i*n + j, i*n + j],
     which is J's n×n-block entry (i, j), stored at i*n + j.
     """
-    layout = _choi_layout(table.shape[0])
-    J = _fill(layout, table)
+    J = _fill(_choi_layout(table.shape[0]), table)
     if rate:
         s = _square_sums(table)
         J[:table.size] -= ((s[:, None] + s) / 2.0).ravel()
-    return J[layout.realign]
+    return J
+
+
+def _superoperator(table: np.ndarray, rate: bool = False) -> np.ndarray:
+    """Stored blocks of M, `_choi_entries` realigned, for the block action (`_apply_blocks`)."""
+    return _choi_entries(table, rate)[_choi_layout(table.shape[0]).realign]
 
 
 def _square_sums(table: np.ndarray) -> np.ndarray:
@@ -594,18 +628,28 @@ def _square_sums(table: np.ndarray) -> np.ndarray:
 
 
 def _eigen_superoperator(lam: np.ndarray) -> np.ndarray:
-    """Stored blocks of M for sigma_a -> lam_a sigma_a: the sum of lam / Tr(sigma_a²)."""
+    """Stored blocks of M for sigma_a -> lam_a sigma_a: the sum of lam / Tr(sigma_a²), which
+    `_apply_blocks` acts through; the library reads the map's J (`_eigen_choi`)."""
     layout = _choi_layout(lam.shape[0])
     return _fill(layout, lam / layout.norms)
 
 
-def _gell_mann_diagonal(M: np.ndarray, n: int, c: float) -> np.ndarray:
-    """lam_a = Tr(sigma_a Phi(sigma_a)) / Tr(sigma_a²) of the map with stored blocks M: each
-    vec(sigma_a)† M vec(sigma_a) sums coef × M[dest] over sigma_a's `_ChoiLayout.terms`. lam_00
-    is pinned to its TP value c, 1 for a channel and 0 for a generator; a zero reads +0.0."""
+def _eigen_choi(lam: np.ndarray) -> np.ndarray:
+    """Stored blocks of J for sigma_a -> lam_a sigma_a: `_eigen_superoperator`'s sum, each term
+    landing at its realigned destination (`_ChoiLayout.ev_dest`), so no gather realigns it."""
+    layout = _choi_layout(lam.shape[0])
+    return _fill(layout, lam / layout.norms, layout.ev_dest)
+
+
+def _gell_mann_diagonal(J: np.ndarray, n: int, c: float) -> np.ndarray:
+    """lam_a = Tr(sigma_a Phi(sigma_a)) / Tr(sigma_a²) of the map with stored Choi blocks J: each
+    vec(sigma_a)† M vec(sigma_a) sums coef × M[dest] = J[ev_dest] over sigma_a's
+    `_ChoiLayout.terms`. lam_00 is pinned to its TP value c, 1 for a channel and 0 for a
+    generator; a zero reads +0.0."""
     layout = _choi_layout(n)
-    src, dest, coef = layout.terms
-    lam = np.bincount(src, weights=coef * M[dest], minlength=n * n).reshape(n, n) / layout.norms
+    src, _, coef = layout.terms
+    lam = np.bincount(src, weights=coef * J[layout.ev_dest], minlength=n * n).reshape(n, n)
+    lam /= layout.norms
     lam[0, 0] = c
     return lam
 
@@ -627,43 +671,46 @@ def _apply_blocks(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def _table_scale(*tables: np.ndarray) -> float:
     """max(1, the largest |entry| of the tables): the rounding of a check on them grows with it."""
-    return max(1.0, *(float(np.max(np.abs(t))) for t in tables))
+    return max(1.0, *(float(np.abs(t).max()) for t in tables))
 
 
-def _verify_images(table: np.ndarray, lam: np.ndarray, what: str, rate=False, M=None) -> None:
-    """Demand that the map of `table` equal the eigenvalue map of `lam`.
+def _verify_images(table: np.ndarray, lam: np.ndarray, what: str, rate=False, J=None):
+    """Demand that the map of `table` equal the eigenvalue map of `lam`; return the latter's
+    Choi entries (`_eigen_choi`).
 
-    Phi is the sandwich (or, with rate=True, the rate-form) map of `table`, M
-    its superoperator if filled; the maps are equal iff their superoperators
-    are. The defect is the largest entrywise |M - M_lam|, the largest |Phi(e_kl)
-    - lam(e_kl)| over matrix units e_kl. It is rounding, which grows with the
-    entries: the bound is ORACLE_TOL times `_table_scale` of table and lam.
+    Phi is the sandwich (or, with rate=True, the rate-form) map of `table`, J
+    its Choi entries if filled; the maps are equal iff their Choi matrices
+    are. The defect is the largest entrywise |J - J_lam|, which permutes the
+    entries of M - M_lam, so it is the largest |Phi(e_kl) - lam(e_kl)| over
+    matrix units e_kl. It is rounding, which grows with the entries: the
+    bound is ORACLE_TOL times `_table_scale` of table and lam.
     """
-    M = _superoperator(table, rate) if M is None else M
-    defect = float(np.max(np.abs(M - _eigen_superoperator(lam))))
+    J = _choi_entries(table, rate) if J is None else J
+    J_lam = _eigen_choi(lam)
+    defect = float(np.abs(J - J_lam).max())
     if not defect <= ORACLE_TOL * _table_scale(table, lam):  # a NaN defect fails too
         raise InvariantError(
             f"{what}: closed-form output fails the application oracle "
             f"(defect {defect:.3e})"
         )
+    return J_lam
 
 
 def _choi_blocks(ch):
-    """Blocks of a channel's Choi matrix: the halved entries and their symmetrization (stored
-    as in `_ChoiLayout`), the n×n block's spectrum and the 2×2 blocks' centres and radii
-    (eigenvalues centre ± radius). InvariantError if the blocks overflow the eigensolve."""
-    if isinstance(ch, KrausChannel):
-        vals = _fill(_choi_layout(ch.n), ch.p)
-    elif isinstance(ch, EigenChannel):
-        vals = _eigen_superoperator(ch.lam)[_choi_layout(ch.n).realign]
-    else:
+    """Blocks of a channel's Choi matrix (its `_choi_values`): the halved entries and their
+    symmetrization (stored as in `_ChoiLayout`), the n×n block's spectrum and the 2×2 blocks'
+    centres and radii (eigenvalues centre ± radius). InvariantError if the blocks overflow the
+    eigensolve."""
+    if not isinstance(ch, (KrausChannel, EigenChannel)):
         raise TypeError(f"expected a channel, got {type(ch).__name__}")
     n = ch.n
-    half = vals / 2.0  # halves, then sums: the sum of two huge entries overflows
+    half = ch._choi_values / 2.0  # halves, then sums: the sum of two huge entries overflows
     vals = half + half[_choi_layout(n).mirror]
-    pair = vals[n * n:].reshape(-1, 4)
-    h0, h3 = pair[:, 0] / 2.0, pair[:, 3] / 2.0
-    mid, radius = h0 + h3, np.hypot(h0 - h3, pair[:, 1])
+    # pair block b is stored at n² + 4b .. n² + 4b + 3, row-major, and its diagonal entries are
+    # their own mirrors, so their symmetrized values halved, (h + h)/2, are h exactly (doubling
+    # a halved float cannot overflow): strided views, no gather
+    h0, h3 = half[n * n::4], half[n * n + 3::4]
+    mid, radius = h0 + h3, np.hypot(h0 - h3, vals[n * n + 1::4])
     try:
         block = np.linalg.eigvalsh(vals[:n * n].reshape(n, n))
     except np.linalg.LinAlgError:

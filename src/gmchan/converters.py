@@ -57,7 +57,7 @@ def kf_to_ev(ch: KrausChannel, tol: float = COND_TOL) -> EigenChannel:
                  + sum_{M<j<n} 2 p_jj/(j(j+1)).
     """
     _require(kf_is_ev(ch, tol), NotEV, "weight table is not basis-diagonal")
-    return EigenChannel(n=ch.n, lam=_eigenvalue_table(ch.p, "kf_to_ev"), trace_preserving=True)
+    return EigenChannel._of(ch.n, *_eigenvalue_table(ch.p, "kf_to_ev", J=ch._choi_values))
 
 
 def ev_is_kf(ch: EigenChannel, tol: float = COND_TOL):

@@ -108,7 +108,7 @@ def lf_is_ev(gen: LindbladGenerator, tol: float = COND_TOL):
 def lf_to_ev(gen: LindbladGenerator, tol: float = COND_TOL) -> EigenGenerator:
     """Read off generator eigenvalues from an admissible rate table."""
     _require(lf_is_ev(gen, tol), NotEV, "rate table is not basis-diagonal")
-    return EigenGenerator(n=gen.n, eta=_eigenvalue_table(gen.gamma, "lf_to_ev", rate=True))
+    return EigenGenerator(n=gen.n, eta=_eigenvalue_table(gen.gamma, "lf_to_ev", rate=True)[0])
 
 
 def ev_is_lf(gen: EigenGenerator, tol: float = COND_TOL):
@@ -212,8 +212,10 @@ def _log_gradient(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
         return np.gradient(y, dx[0], axis=0, edge_order=2)
     out = np.empty_like(y)
     d1, d2 = dx[:-1, None], dx[1:, None]
-    out[1:-1] = (-d2 / (d1 * (d1 + d2)) * y[:-2] + (d2 - d1) / (d1 * d2) * y[1:-1]
-                 + d1 / (d2 * (d1 + d2)) * y[2:])
+    mid = out[1:-1]  # accumulated in place, in the formula's order: one temporary at a time
+    np.multiply(-d2 / (d1 * (d1 + d2)), y[:-2], out=mid)
+    mid += (d2 - d1) / (d1 * d2) * y[1:-1]
+    mid += d1 / (d2 * (d1 + d2)) * y[2:]
     d1, d2 = dx[0], dx[1]
     first = (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2), -d1 / (d2 * (d1 + d2)))
     d1, d2 = dx[-2], dx[-1]

@@ -33,7 +33,9 @@ from gmchan.channels import (
     tp_residuals,
     _apply_blocks,
     _block_margins,
+    _choi_entries,
     _choi_layout,
+    _eigen_choi,
     _eigen_superoperator,
     _fill,
     _gell_mann_diagonal,
@@ -453,6 +455,13 @@ def test_choi_layout_covers_the_blocks(n):
     assert np.array_equal(np.unique(dest), np.arange(layout.rows.size))
     # the realignment J <-> M permutes the stored entries and is its own inverse
     assert np.array_equal(layout.realign[layout.realign], np.arange(layout.rows.size))
+    assert np.array_equal(layout.ev_dest, layout.realign[dest])
+    # pair block b, stored at n² + 4b + (0, 1, 2, 3), is row-major: its diagonal entries, which
+    # are their own mirrors, at offsets 0 and 3, and the upper entry, mirrored at 2, at 1
+    pairs = np.arange(n * n, layout.rows.size).reshape(-1, 4)
+    assert np.array_equal(layout.mirror[pairs], pairs[:, [0, 2, 1, 3]])
+    assert np.array_equal(layout.rows[pairs[:, 0]], layout.rows[pairs[:, 1]])
+    assert np.all(layout.rows[pairs[:, 1]] < layout.cols[pairs[:, 1]])
 
 
 def _layout_by_loop(n):
@@ -519,9 +528,11 @@ def test_blocks_are_the_dense_choi_matrix_and_its_realignment(n):
         return out
 
     for J_blocks, M_blocks, action in (
-        (_fill(layout, table), _superoperator(table), sandwich),
-        (_eigen_superoperator(table)[layout.realign], _eigen_superoperator(table), eigen_action),
+        (_choi_entries(table), _superoperator(table), sandwich),
+        (_eigen_choi(table), _eigen_superoperator(table), eigen_action),
     ):
+        # the realignment of J is M entry for entry, and the eigenvalue form's J its M realigned
+        assert J_blocks[layout.realign].tobytes() == M_blocks.tobytes()
         J = choi(lambda X: action(table, X), n).entries
         M = J.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
         assert np.max(np.abs(dense(J_blocks) - J)) <= 1e-13
@@ -923,7 +934,7 @@ def test_affine_maps_match_the_closed_forms(n):
     off = ~np.eye(n, dtype=bool)
     for rate, c in ((False, 1.0), (True, 0.0)):
         for table in tables:
-            got = _gell_mann_diagonal(_superoperator(table, rate), n, c)
+            got = _gell_mann_diagonal(_choi_entries(table, rate), n, c)
             formula, definition = eigenvalue_formula(table, c, rate), _definition(table, rate)
             assert got.shape == (n, n) and got[0, 0] == c
             assert np.max(np.abs(got - formula)[off]) <= 1e-15 * _table_scale(table, formula)
@@ -1123,11 +1134,11 @@ def test_readers_verify_what_they_return(monkeypatch, n):
     import gmchan.channels
 
     verified, filled = [], []
-    verify, fill = gmchan.channels._verify_images, gmchan.channels._superoperator
+    verify, fill = gmchan.channels._verify_images, gmchan.channels._choi_entries
 
-    def spy_verify(table, lam, what, rate=False, M=None):
-        verified.append((lam.copy(), M))
-        verify(table, lam, what, rate, M)
+    def spy_verify(table, lam, what, rate=False, J=None):
+        verified.append((lam.copy(), J, verify(table, lam, what, rate, J)))
+        return verified[-1][2]
 
     def spy_fill(table, rate=False):
         filled.append(fill(table, rate))
@@ -1137,24 +1148,29 @@ def test_readers_verify_what_they_return(monkeypatch, n):
     p = random_kf_ev_admissible(rng, n).p
     gamma = random_lf_ev_admissible(rng, n).gamma
     monkeypatch.setattr(gmchan.channels, "_verify_images", spy_verify)
-    monkeypatch.setattr(gmchan.channels, "_superoperator", spy_fill)
-    readers = ((p, False, lambda: kf_to_ev(KrausChannel(n=n, p=p)).lam),
-               (gamma, True, lambda: lf_to_ev(LindbladGenerator(n=n, gamma=gamma)).eta))
-    for table, rate, read in readers:
-        got = read()
-        lam, M = verified.pop()
-        # M is filled once, read and checked: the check sees the very M and lam of the read
-        assert len(filled) == 1 and filled.pop() is M
+    monkeypatch.setattr(gmchan.channels, "_choi_entries", spy_fill)
+    readers = ((p, False, lambda: kf_to_ev(KrausChannel(n=n, p=p)), "lam"),
+               (gamma, True, lambda: lf_to_ev(LindbladGenerator(n=n, gamma=gamma)), "eta"))
+    for table, rate, read, field in readers:
+        out = read()
+        got = getattr(out, field)
+        lam, J, J_lam = verified.pop()
+        # J is filled once, read and checked: the check sees the very J and lam of the read
+        assert len(filled) == 1 and filled.pop() is J
         assert lam.tobytes() == got.tobytes()
-        assert M.tobytes() == fill(table, rate).tobytes()
+        assert J.tobytes() == fill(table, rate).tobytes()
         want = eigenvalue_formula(table, 0.0 if rate else 1.0, rate)
         assert np.max(np.abs(got - want)) <= 1e-15 * _table_scale(table, want)
+        if not rate:
+            # the channel returned keeps the very fill of lam that the check compared
+            assert vars(out)["_choi_values"] is J_lam
+            assert J_lam.tobytes() == _eigen_choi(lam).tobytes()
 
 
 # Per-object memos: what depends on an object's table or entries but not on a tolerance
 # is computed once per object, on first use, and kept read-only.
 
-MEMOS = ("_tp_residuals", "_tp_worst", "_residuals", "_blocks", "_coefficients")
+MEMOS = ("_tp_residuals", "_tp_worst", "_residuals", "_choi_values", "_blocks", "_coefficients")
 
 
 def _counting(monkeypatch, *names):
@@ -1245,7 +1261,8 @@ def test_memos_are_lock_free_and_kept_on_the_instance():
     import functools
 
     for cls, name in ((KrausChannel, "_tp_residuals"), (KrausChannel, "_tp_worst"),
-                      (KrausChannel, "_residuals"), (EigenChannel, "_blocks"),
+                      (KrausChannel, "_residuals"), (KrausChannel, "_choi_values"),
+                      (EigenChannel, "_choi_values"), (EigenChannel, "_blocks"),
                       (DensityMatrix, "_coefficients"), (CpReport, "diagnostics"),
                       (GellMannBasis, "stack")):
         memo = vars(cls)[name]
@@ -1264,10 +1281,10 @@ def test_constructors_compute_no_memo():
     # the trace-preserving flag needs the residuals, and only them
     flagged = KrausChannel(n=4, p=p, trace_preserving=True)
     assert set(MEMOS) & set(vars(flagged)) == {"_tp_residuals", "_tp_worst"}
-    # the oracle is an independent route: it reads no memo and stores none
+    # the oracle reads the channel's own Choi entries and no other memo
     ev = EigenChannel(n=4, lam=np.eye(4))
     cp_check_oracle(ev)
-    assert not set(MEMOS) & set(vars(ev))
+    assert set(MEMOS) & set(vars(ev)) == {"_choi_values"}
 
 
 @pytest.mark.parametrize("copy_of", (copy.deepcopy, lambda ch: pickle.loads(pickle.dumps(ch))))
@@ -1289,6 +1306,105 @@ def test_copies_are_rebuilt_without_memos(copy_of):
         assert not table.flags.writeable
         assert not set(MEMOS) & set(vars(twin))
         assert result(twin) == want
+
+
+def _choi_tables(rng, n):
+    """A TP admissible weight table, an arbitrary one and an arbitrary eigenvalue table at
+    scales 1e-3..1e3."""
+    scale = 10.0 ** rng.integers(-3, 4)
+    return (random_kf_ev_admissible(rng, n).p, scale * rng.uniform(-1.0, 1.0, (n, n)),
+            scale * rng.uniform(-1.0, 1.0, (n, n)))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_choi_values_are_a_read_only_fresh_fill(n):
+    # each form's Choi entries, kept on the channel, are the sparse sum of its table in J's
+    # stored order: the eigenvalue form's its M realigned, bit for bit
+    layout = _choi_layout(n)
+    rng = np.random.default_rng(610 + n)
+    for _ in range(4):
+        p, q, lam = _choi_tables(rng, n)
+        for ch, want in ((KrausChannel(n=n, p=p), _fill(layout, p)),
+                         (KrausChannel(n=n, p=q), _fill(layout, q)),
+                         (EigenChannel(n=n, lam=lam), _eigen_superoperator(lam)[layout.realign])):
+            values = ch._choi_values
+            assert vars(ch)["_choi_values"] is values and ch._choi_values is values
+            assert values.tobytes() == want.tobytes() and values.dtype == want.dtype
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        ev = kf_to_ev(KrausChannel(n=n, p=p))
+        assert not vars(ev)["_choi_values"].flags.writeable
+        assert ev._choi_values.tobytes() == EigenChannel(n=n, lam=ev.lam)._choi_values.tobytes()
+
+
+@pytest.mark.parametrize("copy_of", (copy.copy, copy.deepcopy,
+                                     lambda ch: pickle.loads(pickle.dumps(ch))))
+def test_copies_rebuild_choi_values_through_the_constructor(copy_of):
+    rng = np.random.default_rng(620)
+    for n in (2, 5, 16):
+        p, q, lam = _choi_tables(rng, n)
+        kf = KrausChannel(n=n, p=p)
+        for ch in (kf, KrausChannel(n=n, p=q), EigenChannel(n=n, lam=lam), kf_to_ev(kf)):
+            want = ch._choi_values
+            twin = copy_of(ch)
+            assert twin is not ch and "_choi_values" not in vars(twin)
+            assert twin._choi_values is not want
+            assert twin._choi_values.tobytes() == want.tobytes()
+            assert not twin._choi_values.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_oracle_of_a_converted_channel_matches_a_fresh_one(n):
+    # kf_to_ev hands its verified fill of lam to the channel it returns; the oracle and the
+    # Choi matrix read from it equal those of a fresh channel of the same lam, bit for bit
+    rng = np.random.default_rng(630 + n)
+    for scale in (0.0, 0.1, 10.0):
+        # an antisymmetric part keeps the table TP and admissible and makes it signed
+        p = random_kf_ev_admissible(rng, n).p
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        ev = kf_to_ev(KrausChannel(n=n, p=p + scale * (a - a.T)))
+        fresh = EigenChannel(n=n, lam=ev.lam)
+        for tol in (1e-10, 0.0):
+            got, want = cp_check_oracle(ev, tol), cp_check_oracle(fresh, tol)
+            assert (got.verdict, got.method) == (want.verdict, want.method)
+            assert _same(got.margin, want.margin)
+            assert _same(got.diagnostics, want.diagnostics)
+        got, want = choi_of_channel(ev), choi_of_channel(fresh)
+        for field in ("entries", "spectrum"):
+            assert _same(getattr(got, field), getattr(want, field))
+        assert _same(got.min_eigenvalue, want.min_eigenvalue)
+        assert _same(got.hermiticity_defect, want.hermiticity_defect)
+
+
+@pytest.mark.parametrize("n", (2, 3, 8, 16))
+def test_a_validated_diagonal_weight_table_fills_each_table_once(monkeypatch, n):
+    # the calls a validate of a basis-diagonal kf table makes (as perfbench's certify op does):
+    # the weight table's Choi blocks are filled once, for the oracle and kf_to_ev, and lam's
+    # once, for kf_to_ev's check and the eigenvalue channel's oracle
+    import gmchan.channels
+    from gmchan.converters import kf_is_ev
+
+    fills = []
+    fill = gmchan.channels._fill
+
+    def spy(layout, table, dest=None):
+        fills.append(table.copy())
+        return fill(layout, table, dest)
+
+    p = random_kf_ev_admissible(np.random.default_rng(640 + n), n).p
+    monkeypatch.setattr(gmchan.channels, "_fill", spy)
+    ch = KrausChannel(n=n, p=p)
+    tp_residuals(ch)
+    reports = [cp_check_oracle(ch)]
+    assert kf_is_ev(ch)[0]
+    ev = kf_to_ev(ch)
+    reports += [check(ev) for check in (cp_check_oracle, cp_check_paper, cp_check_normalized)]
+    assert all(r.is_cp for r in reports)
+    assert [f.tobytes() for f in fills] == [
+        p.tobytes(), (ev.lam / _choi_layout(n).norms).tobytes()]
+    for channel in (ch, ev):
+        choi_of_channel(channel)
+    assert len(fills) == 2
 
 
 @pytest.mark.parametrize("copy_of", (copy.copy, lambda rho: pickle.loads(pickle.dumps(rho)),
