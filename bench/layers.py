@@ -26,13 +26,16 @@ basis coefficients, every call after the first reads them from that memo,
 as the 11 frames of one perfbench evolve op do; `evolve_state_skipped`
 applies its middle frame from a copy built with a CP stride that skips it,
 so its verdict is decided on demand. `block_margins` reads the block
-criterion of the (CP) eigenvalue table, `channels._block_margins`, which
-keeps no memo, so each call starts afresh;
-`is_cp_frame` decides that table's verdict alone (`channels._is_cp` on one
-frame, as `evolve_state` does for a frame the stride skipped).
-`trajectory_flags` sets the stride-1 CP flags (`dynamics._flagged`) of a
-201-frame semigroup trajectory, built beforehand, of a rate table with one
-negative diagonal rate, so its verdicts flip. One `evolve_timedep` call builds four
+criterion of the (CP) eigenvalue table, `channels._block_margins` on one
+table, which keeps no memo, so each call starts afresh;
+`is_cp_frame` decides that table's verdict as `evolve_state` does for a frame
+the stride skipped: its `_block_margins` margin against the tolerance, or, on
+an older tree whose `dynamics` does not read `_block_margins`, `channels._is_cp`
+on the one table. `trajectory_flags` sets the stride-1 CP flags
+(`dynamics._flagged`) of a 201-frame semigroup trajectory, built beforehand, of
+a rate table with one negative diagonal rate, so its verdicts flip, and
+`is_cp_stack` decides that trajectory's 201 frames alone (`channels._is_cp` on
+the (201, n, n) stack). One `evolve_timedep` call builds four
 201-point trajectories of a Markovian generator: with tabulated (9 knots)
 and with quadratic polynomial profiles, each at CP stride 1 and 50.
 `eta_from_lambda` differentiates the stride-1 tabulated one.
@@ -72,7 +75,9 @@ one-`%`-template-per-row writer that `cmd_evolve` held before). A tree
 without a layer's function (an older checkout) gets no samples for it. Each
 tree is a source checkout (default: this one, labelled "change"); its `src/`
 is imported in a child process started with OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS set to 1. The
+OMP_NUM_THREADS and MKL_NUM_THREADS set to 1. Every tree's random inputs come
+from the samplers of this checkout's `tests/sampling.py`, run on that tree's
+gmchan, so trees with and without a `gmchan.sampling` draw the same ones. The
 rounds run the trees in turn, first tree first in odd rounds and last in
 even ones, so slow spells of a shared host fall on every tree alike. Each
 round takes K samples per (layer, n); a sample is the mean of as many calls
@@ -131,7 +136,7 @@ LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalize
           "validate_ev", "construct_state", "evolve_state_skipped", "trajectory_flags",
           "evolve_timedep", "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev",
           "document_text", "parse_document", "maps_build", "evolve_table", "block_margins",
-          "is_cp_frame", "decompose", "recompose", "report_diagnostics", "basis_build",
+          "is_cp_frame", "is_cp_stack", "decompose", "recompose", "report_diagnostics", "basis_build",
           "eigvalsh_block", "choi_blocks_kf", "choi_blocks_ev", "ev_is_kf", "ev_is_kf_bad",
           "ev_is_lf", "ev_is_lf_bad", "lf_is_ev", "lf_is_ev_bad", "kf_is_ev_bad")
 VERDICT_TOL = 1e-10  # certify's tolerance
@@ -155,11 +160,19 @@ def _rows_table(out, traj) -> None:
     out.writelines(row_format % (*row, cell) for row, cell in zip(rows, cells, strict=True))
 
 
+def _use_tree(src: str) -> None:
+    """Import gmchan from `src`, and `sampling` from this checkout's tests/, whatever the tree:
+    every tree draws its inputs from the one sampler file, run on its own gmchan."""
+    sys.path.insert(0, src)
+    sys.path.append(os.path.join(ROOT, "tests"))
+
+
 def _child(src: str, repeats: int) -> None:
     """Print {layer: {n: [seconds per call, ...]}} for the gmchan under `src`."""
-    sys.path.insert(0, src)
+    _use_tree(src)
     import gmchan as gm
-    from gmchan import basis, channels, dynamics, fileio, sampling
+    import sampling
+    from gmchan import basis, channels, dynamics, fileio
 
     def ev_checks(ch):
         return [check(ch, VERDICT_TOL)
@@ -170,6 +183,11 @@ def _child(src: str, repeats: int) -> None:
 
     build_basis = next(f.__wrapped__ for f in (basis.full_basis, getattr(basis, "_build_basis", None))
                        if hasattr(f, "__wrapped__"))
+    # a skipped frame's verdict as the tree's evolve_state takes it: its one-table margin where
+    # dynamics reads `_block_margins`, else (an older tree) `_is_cp` on the one table
+    margins = getattr(dynamics, "_block_margins", None)
+    frame_verdict = ((lambda lam: margins(lam)[3] >= -VERDICT_TOL) if margins
+                     else (lambda lam: channels._is_cp(lam, VERDICT_TOL)))
 
     def validate_kf(n, p):  # perfbench/workloads.py, Certify.run on a kf op
         ch = gm.KrausChannel(n=n, p=p)
@@ -261,7 +279,8 @@ def _child(src: str, repeats: int) -> None:
             ("parse_document", n): lambda text=text: fileio._parse_document(text),
             ("evolve_table", n): lambda tr=table: write_table(io.StringIO(), tr),
             ("block_margins", n): lambda lam=lam: channels._block_margins(lam),
-            ("is_cp_frame", n): lambda lam=lam: channels._is_cp(lam, VERDICT_TOL),
+            ("is_cp_frame", n): lambda lam=lam: frame_verdict(lam),
+            ("is_cp_stack", n): lambda lams=flipping.lams: channels._is_cp(lams, VERDICT_TOL),
             ("decompose", n): lambda n=n, X=X: gm.decompose(X, gm.full_basis(n)),
             ("recompose", n): lambda n=n, X=X: gm.recompose(X, gm.full_basis(n)),
             ("report_diagnostics", n): lambda ev=ev: diagnostics(ev()),
@@ -300,9 +319,9 @@ def _child(src: str, repeats: int) -> None:
 
 def _convert_rss(src: str) -> None:
     """Print the peak RSS in MB of this fresh process before and after converting at every n."""
-    sys.path.insert(0, src)
+    _use_tree(src)
     import gmchan as gm
-    from gmchan import sampling
+    import sampling
 
     def peak_mb():
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -363,9 +382,10 @@ def _large_n(src: str, n: int, part: str) -> None:
 def _write_files(src: str, scratch: str) -> None:
     """Save the CLI layers' inputs, drawn with seed SEED: an admissible n = 16 weight table,
     and an n = 8 eigenvalue-form generator of nonnegative rates with a random n = 8 state."""
-    sys.path.insert(0, src)
+    _use_tree(src)
     import gmchan as gm
-    from gmchan import fileio, sampling
+    import sampling
+    from gmchan import fileio
 
     fileio.save(sampling.random_kf_ev_admissible(np.random.default_rng([SEED, 16]), 16),
                 os.path.join(scratch, "kf16.json"))

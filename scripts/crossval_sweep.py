@@ -10,7 +10,8 @@ are only necessary for n >= 3, and this sweep measures how often the gap
 actually bites on uniform random tables.
 
 Writes the full per-n reports (including up to five disagreeing tables each)
-as JSON and prints a one-line summary per dimension. From a source checkout:
+as JSON and prints a one-line summary per dimension. The tables come from
+the test suite's seeded samplers (`tests/sampling.py`). From a source checkout:
 
     PYTHONPATH=src python3 scripts/crossval_sweep.py --n 3 --samples 300 --seed 7
 
@@ -22,13 +23,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from gmchan.channels import DEFAULT_TOL, cp_check_normalized, cp_check_oracle, cp_check_paper
 from gmchan.errors import ConstraintViolated
-from gmchan.sampling import random_ev_channel
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))  # the seeded samplers
+from sampling import random_ev_channel  # noqa: E402
 
 
 def _halved_self_term_spectrum(A: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ CP checking routes, in decreasing order of authority:
   cp_check_normalized  closed-form block criterion for eigenvalue-form maps:
                        the same blocks of the ev Choi matrix, written with
                        the paper's d_j/tail formulas. Exactly equivalent to
-                       the oracle, O(n³), for a table or a stack of tables.
-                       `_is_cp` keeps the verdict alone (see dynamics).
+                       the oracle, O(n³) (`_block_margins`, one table).
+                       `_is_cp` keeps the verdicts alone, of a stack of
+                       tables (see dynamics).
   cp_check_paper       closed-form block criterion from the unnormalized sum
                        sum_a l_a conj(sigma_a) (x) sigma_a, which equals
                        2J + ((n-2)/n) l_00 I. Exact for n = 2, strictly
@@ -627,15 +628,8 @@ def _square_sums(table: np.ndarray) -> np.ndarray:
     return table.reshape(table.shape[:-2] + (-1,)) @ _choi_layout(table.shape[-1]).squares
 
 
-def _eigen_superoperator(lam: np.ndarray) -> np.ndarray:
-    """Stored blocks of M for sigma_a -> lam_a sigma_a: the sum of lam / Tr(sigma_a²), which
-    `_apply_blocks` acts through; the library reads the map's J (`_eigen_choi`)."""
-    layout = _choi_layout(lam.shape[0])
-    return _fill(layout, lam / layout.norms)
-
-
 def _eigen_choi(lam: np.ndarray) -> np.ndarray:
-    """Stored blocks of J for sigma_a -> lam_a sigma_a: `_eigen_superoperator`'s sum, each term
+    """Stored blocks of J for sigma_a -> lam_a sigma_a: M's sum of lam / Tr(sigma_a²), each term
     landing at its realigned destination (`_ChoiLayout.ev_dest`), so no gather realigns it."""
     layout = _choi_layout(lam.shape[0])
     return _fill(layout, lam / layout.norms, layout.ev_dest)
@@ -728,6 +722,16 @@ def _choi_spectrum(half, block, mid, radius) -> dict:
             "hermiticity_defect": defect}
 
 
+def _choi_minimum(block, mid, radius) -> float:
+    """The least Choi eigenvalue, the smaller of the n×n block's and the 2×2 blocks' minima.
+    InvariantError if either is NaN or +inf: the blocks overflowed. A -inf reads NotCP, and
+    eigenvalues above the minima may overflow."""
+    edge, low = float((mid - radius).min()), float(block[0])
+    if not (low < np.inf and edge < np.inf):
+        raise InvariantError(_OVERFLOW)
+    return min(low, edge) + 0.0  # +0.0 for a zero of either sign
+
+
 def choi_of_channel(ch) -> ChoiMatrix:
     """Choi matrix of either channel representation, from its table in closed form.
 
@@ -736,12 +740,12 @@ def choi_of_channel(ch) -> ChoiMatrix:
     (`_choi_spectrum`). `entries` is built eagerly (1 MB at n = 16): only
     `gmchan choi` and the tests call this, and the CP checks read the blocks
     alone, so a lazy field would add a code path and save nothing measured.
-    Raises InvariantError, as `cp_check_oracle` does, on a NaN or +inf eigenvalue.
+    Raises InvariantError where `cp_check_oracle` does (`_choi_minimum`); a top
+    eigenvalue that overflows reads +inf.
     """
     half, vals, *spectra = _choi_blocks(ch)
+    _choi_minimum(*spectra)
     spectrum = _choi_spectrum(half, *spectra)
-    if not spectrum["spectrum"][-1] < np.inf:  # NaN sorts last
-        raise InvariantError(_OVERFLOW)
     layout = _choi_layout(ch.n)
     J = np.zeros((ch.n ** 2, ch.n ** 2), dtype=complex)
     J[layout.rows, layout.cols] = vals
@@ -755,10 +759,7 @@ def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
     blocks overflow.
     """
     half, _, block, mid, radius = _choi_blocks(ch)
-    edge, low = float((mid - radius).min()), float(block[0])
-    if not (low < np.inf and edge < np.inf):  # NaN or +inf: overflowed; -inf: NotCP
-        raise InvariantError(_OVERFLOW)
-    low = min(low, edge) + 0.0  # +0.0 for a zero of either sign
+    low = _choi_minimum(block, mid, radius)
     return CpReport(_verdict(low, tol), METHOD_ORACLE, low,
                     partial(_choi_spectrum, half, block, mid, radius))
 
@@ -776,33 +777,28 @@ def _sector_blocks(lams: np.ndarray):
     return A, ad[..., t.pair_d] - np.abs(h[..., 0, :] - h[..., 1, :])
 
 
-def _block_margins(lams: np.ndarray):
-    """Normalized block criterion for one table (n, n) or a stack (..., n, n).
+def _block_margins(lam: np.ndarray):
+    """Normalized block criterion for one table.
 
     The ev Choi matrix splits into one n×n diagonal-sector block A and one
     2×2 block per index pair i < j, with eigenvalues d_j ± |l_ij - l_ji|/2.
-    Returns A, its spectrum (one eigensolve per table), the pair margins
+    Returns A, its spectrum (one eigensolve), the pair margins
     d_j - |l_ij - l_ji|/2 in row-major (i, j) order (`_sector_blocks`), and the
-    smallest of them all, each carrying the leading axes of `lams`.
+    smallest of them all, the table's margin: its verdict is margin >= -tol.
     """
-    A, pairs = _sector_blocks(lams)
+    A, pairs = _sector_blocks(lam)
     a_spectrum = np.linalg.eigvalsh(A)
-    margin = np.minimum(a_spectrum[..., 0], pairs.min(axis=-1))
-    return A, a_spectrum, pairs, margin
+    return A, a_spectrum, pairs, np.minimum(a_spectrum[0], pairs.min())
 
 
-def _is_cp(lams: np.ndarray, tol: float):
-    """`_block_margins(lams)[3] >= -tol` up to rounding: pair margins, then A + tol I PSD.
-
-    One table takes A's one eigensolve, skipped if a pair fails. A stack takes
-    the Cholesky pivots of every frame's A + tol I per step (tol on the diagonal
-    alone, so tol = inf reads CP): all but the last must be > 0, the last (the
-    n = 2 identity's is 0) >= 0. A PSD block never overflows; one that does is
-    not PSD, and its -inf or NaN reads not CP."""
+def _is_cp(lams: np.ndarray, tol: float) -> np.ndarray:
+    """Each frame's `_block_margins` verdict, margin >= -tol, up to rounding, for a (T, n, n)
+    stack: pair margins, then the Cholesky pivots of every frame's A + tol I per step (tol on
+    the diagonal alone, so tol = inf reads CP): all but the last must be > 0, the last (the
+    n = 2 identity's is 0) >= 0. A PSD block never overflows; one that does is not PSD, and
+    its -inf or NaN reads not CP."""
     A, pairs = _sector_blocks(lams)
     ok = pairs.min(axis=-1) >= -tol
-    if lams.ndim == 2:
-        return bool(ok) and bool(np.linalg.eigvalsh(A)[0] >= -tol)
     k = _kernel_table(lams.shape[-1]).k
     A[..., k, k] += tol  # the diagonal alone: tol = inf times an off-diagonal 0 is NaN
     with np.errstate(all="ignore"):

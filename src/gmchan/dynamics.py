@@ -11,9 +11,10 @@ t = 0, where the map is the identity. Two builders:
 Each checks its grid and builds its Trajectory once, whose constructor alone
 validates the frames. A frame can carry a CP verdict (every frame by default;
 a stride skips frames, leaving their flag None), the normalized block
-criterion's, which keeps no margin (`_is_cp`): the checked frames together,
-by pair margins and Cholesky pivots of the (T, n, n) diagonal-sector blocks,
-no eigensolve; a skipped one on demand, by pair margins, then one eigensolve.
+criterion's: the checked frames together, keeping no margin (`_is_cp`), by
+pair margins and Cholesky pivots of the (T, n, n) diagonal-sector blocks, no
+eigensolve; a skipped one on demand, as margin >= -tol of its `_block_margins`,
+the margin `cp_check_normalized` reports for that table.
 The block spectra make up the Choi spectrum: each verdict is the oracle's.
 Frames where some eigenvalue sits within 1e-13 of zero are flagged singular:
 the map is still fine, but no generator eigenvalue table exists there.
@@ -26,7 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DEFAULT_TOL, DensityMatrix, EigenChannel, _eigen_action, _is_cp
+from .channels import (
+    DEFAULT_TOL, DensityMatrix, EigenChannel, _block_margins, _eigen_action, _is_cp,
+)
 from .errors import (
     ConstraintViolated, DimensionMismatch, IndexOutOfRange, InvariantError, NotCPAtTime,
 )
@@ -248,7 +251,7 @@ def evolve_state(
     t_index = traj._index(t_index)
     flag = traj.cp_flags[t_index] if traj.cp_flags else None
     if flag is None:
-        flag = _is_cp(traj.lams[t_index], tol)
+        flag = _block_margins(traj.lams[t_index])[3] >= -tol
     if not flag:
         raise NotCPAtTime(
             f"map at grid index {t_index} (t={traj.grid[t_index]:g}) is not CP",

@@ -14,7 +14,6 @@ from gmchan.channels import (
     KrausChannel,
     _block_margins,
     _choi_layout,
-    _eigen_superoperator,
     _fill,
     _kernel_table,
     _read_only,
@@ -25,12 +24,13 @@ from gmchan.channels import (
 def choi_blocks(ch):
     """Symmetrized block entries, sorted union spectrum and Hermiticity defect."""
     n = ch.n
+    layout = _choi_layout(n)
     if isinstance(ch, KrausChannel):
-        vals = _fill(_choi_layout(n), ch.p)
-    else:
-        vals = _eigen_superoperator(ch.lam)[_choi_layout(n).realign]
+        vals = _fill(layout, ch.p)
+    else:  # M's sum of lam / Tr(sigma_a²), realigned
+        vals = _fill(layout, ch.lam / layout.norms)[layout.realign]
     vals = vals / 2.0
-    mirrored = vals[_choi_layout(n).mirror]
+    mirrored = vals[layout.mirror]
     defect = 2.0 * float(np.abs(vals - mirrored).max())
     vals = vals + mirrored
     pair = vals[n * n:].reshape(-1, 4)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import EigenChannel, KrausChannel, _kernel_table, _square_sums, complete_tp
-from .errors import NegativeCoefficient
-from .generators import EigenGenerator, LindbladGenerator
+from gmchan.channels import EigenChannel, KrausChannel, _kernel_table, _square_sums, complete_tp
+from gmchan.errors import NegativeCoefficient
+from gmchan.generators import EigenGenerator, LindbladGenerator
 
 _MAX_TRIES = 200
 

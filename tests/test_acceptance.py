@@ -35,7 +35,7 @@ from gmchan.generators import (
     lambda_from_eta,
     lf_to_ev,
 )
-from gmchan.sampling import (
+from sampling import (
     random_complex_matrix,
     random_ev_channel,
     random_ev_generator,

@@ -36,7 +36,6 @@ from gmchan.channels import (
     _choi_entries,
     _choi_layout,
     _eigen_choi,
-    _eigen_superoperator,
     _fill,
     _gell_mann_diagonal,
     _is_cp,
@@ -59,7 +58,7 @@ from gmchan.errors import (
 )
 from gmchan.generators import LindbladGenerator, apply_lf, lf_to_ev
 from gmchan.converters import kf_to_ev
-from gmchan.sampling import (
+from sampling import (
     random_density, random_ev_channel, random_kf_ev_admissible, random_lf_ev_admissible,
 )
 
@@ -68,6 +67,13 @@ from paper_forms import eigenvalue_formula, sector_blocks, tp_formula, tp_p00, t
 
 SWEEP = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "crossval_sweep.py"
 _halved_self_term_spectrum = runpy.run_path(str(SWEEP))["_halved_self_term_spectrum"]
+
+
+def _eigen_superoperator(lam):
+    # stored blocks of M for sigma_a -> lam_a sigma_a, the sum of lam / Tr(sigma_a²) in M's
+    # own order: the independent route to `_eigen_choi`, which lands each term realigned
+    layout = _choi_layout(lam.shape[0])
+    return _fill(layout, lam / layout.norms)
 
 
 def identity_kf(n):
@@ -335,7 +341,7 @@ def test_density_matrix_rejects_non_finite_entries(entries):
 @given(seed=st.integers(0, 2**31), n=st.integers(2, 5))
 def test_apply_kf_preserves_hermiticity_and_trace(seed, n):
     rng = np.random.default_rng(seed)
-    from gmchan.sampling import random_tp_kraus
+    from sampling import random_tp_kraus
 
     ch = random_tp_kraus(rng, n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -349,7 +355,7 @@ def test_apply_kf_preserves_hermiticity_and_trace(seed, n):
 @given(seed=st.integers(0, 2**31))
 def test_apply_kf_is_linear(seed):
     rng = np.random.default_rng(seed)
-    from gmchan.sampling import random_tp_kraus
+    from sampling import random_tp_kraus
 
     ch = random_tp_kraus(rng, 3)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -720,13 +726,14 @@ def test_block_margins_pairs_match_loop_form(n):
     # order than the loop's sums (and a stack's matmul in another than one table's)
     rng = np.random.default_rng(70 + n)
     lams = rng.uniform(-1.0, 1.0, (4, n, n))
-    pairs = _block_margins(lams)[2]
-    assert pairs.shape == (4, n * (n - 1) // 2)
+    stacked = _sector_blocks(lams)[1]
     bound = 0.0 if n == 2 else 1e-15
-    for lam, row in zip(lams, pairs):
+    for lam, stacked_row in zip(lams, stacked):
+        row = _block_margins(lam)[2]
+        assert row.shape == (n * (n - 1) // 2,)
         want = sector_blocks(lam)[1]
         assert np.max(np.abs(row - list(want.values()))) <= bound
-        assert np.max(np.abs(_block_margins(lam)[2] - row)) <= bound
+        assert np.max(np.abs(stacked_row - row)) <= bound
         got = _pair_dict(n, row)
         assert list(got) == list(want) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -749,9 +756,13 @@ def test_sector_blocks_match_the_loop_form(seed, n, frames, exponent):
         assert np.max(np.abs(row - list(want_pairs.values()))) <= bound
 
 
-# `_is_cp` keeps only the verdict of `_block_margins`: pair margins first,
-# then a PSD test of the diagonal-sector block, by eigensolve on one table
-# and by Cholesky pivots on a stack.
+# `_is_cp` keeps only the verdicts of `_block_margins` for a stack: pair margins
+# first, then a PSD test of the diagonal-sector blocks by Cholesky pivots. One
+# table's verdict is its margin >= -tol, as `evolve_state` reads it.
+
+
+def _margins(lams):
+    return np.array([_block_margins(lam)[3] for lam in lams])
 
 
 def _verdict_frames(seed, n, frames, scale):
@@ -774,22 +785,23 @@ def _verdict_frames(seed, n, frames, scale):
 def test_is_cp_matches_block_margins_away_from_the_boundary(seed, n, frames, exponent, tol):
     scale = 10.0 ** exponent
     lams = _verdict_frames(seed, n, frames, scale)
-    margins = _block_margins(lams)[3]
+    margins = _margins(lams)
     far = np.abs(margins + tol) > 1e-9 * max(1.0, scale)
     stacked = _is_cp(lams, tol)
     assert stacked.dtype == bool and stacked.shape == (frames,)
     assert (stacked == (margins >= -tol))[far].all()
     for lam, flag, sure in zip(lams, stacked, far):
         if sure:
-            assert _is_cp(lam, tol) is bool(flag) is bool(_is_cp(lam[None], tol)[0])
+            assert bool(_is_cp(lam[None], tol)[0]) is bool(flag)
 
 
 def test_verdict_frames_reach_every_branch():
     # the frames above are CP, fail on a pair margin, or fail on A alone
     kinds = set()
     for seed in range(20):
-        A, spectrum, pairs, _ = _block_margins(_verdict_frames(seed, 4, 40, 1.0))
-        for low, pair in zip(spectrum[:, 0], pairs.min(axis=1)):
+        for lam in _verdict_frames(seed, 4, 40, 1.0):
+            _, spectrum, pairs, _ = _block_margins(lam)
+            low, pair = spectrum[0], pairs.min()
             kinds.add("pair" if pair < -1e-6 else "A" if low < -1e-6 else "CP")
     assert kinds == {"CP", "pair", "A"}
 
@@ -797,7 +809,7 @@ def test_verdict_frames_reach_every_branch():
 def test_is_cp_keeps_the_identity_cp_at_tolerance_zero():
     # the n = 2 identity's block A is all ones: its last pivot is exactly 0
     assert _block_margins(np.ones((2, 2)))[3] == 0.0
-    assert _is_cp(np.ones((2, 2)), 0.0) is True
+    assert _is_cp(np.ones((1, 2, 2)), 0.0).tolist() == [True]
     assert _is_cp(np.ones((3, 2, 2)), 0.0).tolist() == [True] * 3
 
 
@@ -806,7 +818,7 @@ def test_is_cp_of_the_identity_at_tolerance_zero_is_pinned(n):
     # rounding leaves A's lowest eigenvalue a few ulps below 0 for every n >= 3
     # (an open defect of the tolerance policy); both routes keep that verdict
     ones = np.ones((n, n))
-    assert _is_cp(ones, 0.0) is (n == 2)
+    assert bool(_block_margins(ones)[3] >= 0.0) is (n == 2)
     assert _is_cp(np.stack([ones] * 3), 0.0).tolist() == [n == 2] * 3
 
 
@@ -818,7 +830,7 @@ def test_is_cp_stacked_matches_single_frames_at_every_tolerance(n, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stacked = _is_cp(lams, tol).tolist()
-        single = [_is_cp(lam, tol) for lam in lams]
+        single = (_margins(lams) >= -tol).tolist()
     assert stacked == single
     if tol == np.inf:
         assert all(stacked)
@@ -839,8 +851,7 @@ def test_huge_frames_decided_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _is_cp(stack, DEFAULT_TOL).tolist() == [False, True, False]
-        assert [_is_cp(frame, DEFAULT_TOL) for frame in stack] == [False, True, False]
-        assert (_block_margins(stack)[3] >= -DEFAULT_TOL).tolist() == [False, True, False]
+        assert (_margins(stack) >= -DEFAULT_TOL).tolist() == [False, True, False]
 
 
 def test_pair_margins_halve_before_they_subtract():
@@ -855,7 +866,7 @@ def test_pair_margins_halve_before_they_subtract():
     assert abs(oracle.margin - normalized.margin) <= 1e-15 * 1e308
     assert paper.margin == -np.inf  # doubled, it saturates (see cp_check_paper)
     assert {normalized.verdict, oracle.verdict, paper.verdict} == {"NotCP"}
-    assert _is_cp(ch.lam, DEFAULT_TOL) is False
+    assert _is_cp(ch.lam[None], DEFAULT_TOL).tolist() == [False]
 
 
 @pytest.mark.parametrize("n", (3, 4, 9, 16))
@@ -968,10 +979,11 @@ def test_converters_cache_no_n2_by_n2_array(n):
 
 
 def _fresh_process(code: str) -> str:
-    # run code in a new interpreter on this checkout's gmchan; return its stdout
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    # run code in a new interpreter on this checkout's gmchan and samplers; return its stdout
+    here = pathlib.Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -982,7 +994,7 @@ def test_channel_path_builds_no_dense_basis_stack():
     code = """if True:
         import numpy as np
         import gmchan as gm
-        from gmchan.sampling import random_kf_ev_admissible, random_lf_ev_admissible
+        from sampling import random_kf_ev_admissible, random_lf_ev_admissible
         for n in range(2, 17):
             rng = np.random.default_rng(n)
             kf = random_kf_ev_admissible(rng, n)
@@ -1009,7 +1021,7 @@ def test_state_path_builds_no_dense_basis_stack():
         import numpy as np
         import gmchan as gm
         from gmchan import cli, fileio
-        from gmchan.sampling import random_density, random_lf_ev_admissible
+        from sampling import random_density, random_lf_ev_admissible
         with tempfile.TemporaryDirectory() as tmp:
             for n in range(2, 17):
                 rng = np.random.default_rng(n)

@@ -15,7 +15,7 @@ from gmchan.channels import (
 from gmchan.converters import ev_is_kf, ev_to_kf, kf_is_ev, kf_to_ev
 from gmchan.errors import InvariantError, NegativeCoefficient, NotEV, NotKF, NotTracePreserving
 from gmchan.generators import EigenGenerator, LindbladGenerator, ev_to_lf, lf_is_ev, lf_to_ev
-from gmchan.sampling import random_kf_ev_admissible, random_lf_ev_admissible
+from sampling import random_kf_ev_admissible, random_lf_ev_admissible
 
 import paper_forms
 

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from gmchan.channels import DEFAULT_TOL, DensityMatrix, apply_ev, choi, cp_check_oracle
+from gmchan.channels import (
+    DEFAULT_TOL, DensityMatrix, apply_ev, choi, cp_check_normalized, cp_check_oracle,
+)
 from gmchan.dynamics import (
     RateProfile,
     Trajectory,
@@ -27,7 +29,7 @@ from gmchan.generators import (
     lambda_from_eta,
     lf_to_ev,
 )
-from gmchan.sampling import random_lf_ev_admissible
+from sampling import random_lf_ev_admissible
 
 
 def test_rate_profile_shapes():
@@ -265,6 +267,29 @@ def test_evolve_state_computes_skipped_flags():
     assert traj.cp_flags[3] is None
     rho0 = DensityMatrix(n=2, entries=np.eye(2, dtype=complex) / 2)
     evolve_state(traj, rho0, 3)  # flag computed on demand, frame is CP
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a pair margin may overflow to -inf
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 16))
+def test_skipped_frames_near_float_max_are_decided(n):
+    # entries up to float max with lam_00 = 1 (a trace-preserving CP map has |lam| <= 1, so
+    # none is CP): the on-demand verdict is that of the table's normalized check, NotCPAtTime,
+    # never a LinAlgError from the eigensolve
+    rng = np.random.default_rng(80 + n)
+    top = np.finfo(float).max
+    sym = rng.uniform(-1.0, 1.0, (2, n, n))
+    huge = [top * np.ones((n, n)), top * rng.uniform(-1.0, 1.0, (n, n)),
+            1.7e308 * ((sym[0] + sym[0].T) / 2), top * ((np.abs(sym[1]) + np.abs(sym[1].T)) / 2)]
+    for lam in huge:
+        lam[0, 0] = 1.0
+    lams = np.stack([np.ones((n, n)), *huge, np.ones((n, n))])
+    traj = Trajectory(n=n, grid=np.arange(len(lams), dtype=float), lams=lams,
+                      cp_flags=(True,) + (None,) * len(huge) + (True,))
+    rho0 = DensityMatrix(n=n, entries=np.eye(n) / n)
+    for k in range(1, len(huge) + 1):
+        assert not cp_check_normalized(traj.frame(k)).is_cp
+        with pytest.raises(NotCPAtTime):
+            evolve_state(traj, rho0, k)
 
 
 def test_singular_frames_flagged_but_evolution_continues():

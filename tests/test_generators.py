@@ -17,7 +17,7 @@ from gmchan.generators import (
     lf_is_ev,
     lf_to_ev,
 )
-from gmchan.sampling import random_lf_ev_admissible
+from sampling import random_lf_ev_admissible
 
 from dense_route import rate_action
 

@@ -1,7 +1,12 @@
-"""Every import in the package, the scripts, the benchmarks and the tests is used."""
+"""Every import in the package, the scripts, the benchmarks and the tests is used, and every
+module of the package is one that the package itself imports."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -34,3 +39,18 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_library_imports_every_module_it_ships():
+    # a module that neither gmchan nor its CLI imports (a sampler only tests read, say)
+    # belongs in tests/ or scripts/, not in src/gmchan
+    src = ROOT / "src"
+    shipped = sorted(".".join(p.relative_to(src).with_suffix("").parts).removesuffix(".__init__")
+                     for p in (src / "gmchan").rglob("*.py"))
+    code = "import json, sys, gmchan, gmchan.cli; print(json.dumps(sorted(sys.modules)))"
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [name for name in json.loads(proc.stdout) if name.split(".")[0] == "gmchan"]
+    assert loaded == shipped

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gmchan.channels import DensityMatrix, EigenChannel, KrausChannel
+from gmchan.channels import DensityMatrix, EigenChannel, KrausChannel, cp_check_oracle
 from gmchan.cli import main
 from gmchan.errors import ConstraintViolated, InvariantError, ParseError, SchemaError
 from gmchan.fileio import (
@@ -29,7 +29,7 @@ from gmchan.fileio import (
     save,
 )
 from gmchan.generators import EigenGenerator, LindbladGenerator, lf_to_ev
-from gmchan.sampling import random_density
+from sampling import random_density
 
 
 SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "crossval_sweep.py"
@@ -491,25 +491,53 @@ def test_validate_kf_whose_block_minima_are_both_huge_exit_two(tmp_path, capsys)
     assert err == ""
 
 
+@pytest.mark.parametrize("n", (2, 4))
+def test_choi_and_validate_decide_a_float_max_table_by_one_rule(tmp_path, capsys, n):
+    # 5e307·ones: the Choi minima are finite, so validate decides the oracle CP; choi
+    # decides from the same minima, printing a top that overflows (at n = 4) as inf
+    p = 5e307 * np.ones((n, n))
+    path = _write(tmp_path / "huge.json", _doc(n, "kf", p.tolist()))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["validate", path]) == 2
+        validated = capsys.readouterr().out
+        assert main(["choi", path]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            margin = cp_check_oracle(KrausChannel(n=n, p=p)).margin
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in seen] == [] and err == ""
+    assert f"cp oracle      CP     margin {margin:+.6e}\n" in validated
+    spectrum, low, _ = (line.split(":")[1].split() for line in out.splitlines())
+    assert float(low[0]) == margin == float(spectrum[0])
+    assert spectrum[-1] == ("1e+308" if n == 2 else "inf")
+    assert "nan" not in out
+
+
 @pytest.mark.parametrize("form", ("kf", "ev"))
 @pytest.mark.parametrize("n", (2, 4))
 def test_choi_whose_blocks_overflow_exit_one(tmp_path, capsys, form, n):
-    # finite float-max tables: a Choi spectrum that would hold NaN or +inf is one error,
-    # with no spectrum and no numpy warning, whether or not the n×n eigensolve fails;
-    # the ones table overflows, a uniform one may, and if not, it prints finite numbers
+    # finite float-max tables: where the oracle refuses the blocks (a NaN or +inf minimum),
+    # choi is one error, with no spectrum and no numpy warning, whether or not the n×n
+    # eigensolve fails; elsewhere it prints the spectrum, whose minimum is the oracle's margin
     rng = np.random.default_rng(n)
     for table in (np.ones((n, n)), *rng.uniform(0.0, 1.0, (4, n, n))):
         path = _write(tmp_path / "huge.json", _doc(n, form, (1.7e308 * table).tolist()))
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             rc = main(["choi", path])
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    margin = cp_check_oracle(load(path)).margin
+                except InvariantError:
+                    margin = None
         out, err = capsys.readouterr()
         assert [str(w.message) for w in seen] == []
-        if rc == 0 and table.min() < 1.0:
-            numbers = [float(x) for line in out.splitlines() for x in line.split(":")[1].split()]
-            assert len(numbers) == n * n + 2 and np.isfinite(numbers).all()
-        else:
+        if margin is None:
             assert (rc, out, err) == (1, "", "error: the Choi blocks of this table overflow the float range\n")
+        else:
+            numbers = [float(x) for line in out.splitlines() for x in line.split(":")[1].split()]
+            assert rc == 0 and len(numbers) == n * n + 2 and not np.isnan(numbers).any()
+            assert numbers[0] == numbers[n * n] == margin
 
 
 def test_validate_negative_kf_exit_one(tmp_path, capsys):
