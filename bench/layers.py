@@ -3,6 +3,8 @@
     python bench/layers.py --out FILE [--tree LABEL=DIR ...] [--rounds R]
                            [--repeats K] [--tier1] [--perfbench FILE]
                            [--previous FILE]
+    python bench/layers.py --workload NAME [--tree LABEL=DIR ...] [--seed S]
+                           [--cycles C] [--out FILE]
 
 Times `cp_check_oracle`, `cp_check_normalized`, `cp_check_paper`,
 `tp_residuals`, `complete_tp`, `kf_is_ev`, `kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`,
@@ -29,9 +31,8 @@ so its verdict is decided on demand. `block_margins` reads the block
 criterion of the (CP) eigenvalue table, `channels._block_margins` on one
 table, which keeps no memo, so each call starts afresh;
 `is_cp_frame` decides that table's verdict as `evolve_state` does for a frame
-the stride skipped: its `_block_margins` margin against the tolerance, or, on
-an older tree whose `dynamics` does not read `_block_margins`, `channels._is_cp`
-on the one table. `trajectory_flags` sets the stride-1 CP flags
+the stride skipped: its `_block_margins` margin against the tolerance.
+`trajectory_flags` sets the stride-1 CP flags
 (`dynamics._flagged`) of a 201-frame semigroup trajectory, built beforehand, of
 a rate table with one negative diagonal rate, so its verdicts flip, and
 `is_cp_stack` decides that trajectory's 201 frames alone (`channels._is_cp` on
@@ -43,8 +44,7 @@ and with quadratic polynomial profiles, each at CP stride 1 and 50.
 eigenvalue table, as `validate_ev` does, and then reads every value of each
 report's `diagnostics` (the path of `scripts/crossval_sweep.py`, which reads
 the paper diagnostics). `basis_build` times one cold build of the Gell-Mann
-basis through its cache's uncached `__wrapped__` function (`full_basis`, or
-`basis._build_basis` where `full_basis` checks n first and looks it up), and
+basis through its cache's uncached `__wrapped__` function (`basis._build_basis`), and
 `eigvalsh_block` one n×n Hermitian eigensolve alone, of that table's
 diagonal-sector block (`channels._block_margins`), the one the oracle and
 the block criterion each run per table: `choi_blocks_*` over it is the
@@ -63,29 +63,32 @@ channel as channel-file text and `parse_document` parses that text back
 (`fileio._parse_document`: JSON, schema and the coefficient table, no file
 I/O and no object built). `complete_tp` completes the admissible weight
 table's off-diagonals and p_11. `maps_build` times one cold build of the
-reverse converters' data and, on a tree that has them, of the per-n dense
-eigenvalue readers (`channels._reverse_maps` and `channels._affine_maps`,
-through their uncached `__wrapped__` functions, so the data the other layers
-read stay cached): the one-off cost a process pays per size on its first
-conversions. `evolve_table` writes the
-`gmchan evolve` table of a 501-frame semigroup trajectory, built beforehand
-with CP stride 500 as perfbench's files workload runs it, to an in-memory
-text stream (`fileio._write_trajectory_table`; on a tree without it, the
-one-`%`-template-per-row writer that `cmd_evolve` held before). A tree
-without a layer's function (an older checkout) gets no samples for it. Each
-tree is a source checkout (default: this one, labelled "change"); its `src/`
-is imported in a child process started with OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS set to 1. Every tree's random inputs come
-from the samplers of this checkout's `tests/sampling.py`, run on that tree's
-gmchan, so trees with and without a `gmchan.sampling` draw the same ones. The
-rounds run the trees in turn, first tree first in odd rounds and last in
-even ones, so slow spells of a shared host fall on every tree alike. Each
-round takes K samples per (layer, n); a sample is the mean of as many calls
-as fill about 2 ms. The file written holds the environment, the median and
-quartiles of the R * K samples in microseconds, the ratio of each tree's
-medians to the first tree's, and, on request, the Tier-1 wall time of each
-tree and a perfbench summary read from a JSON file. --previous prints the
-change of each median against an earlier file with the same tree labels.
+reverse converters' data (`channels._reverse_maps`, through its uncached
+`__wrapped__` function, so the data the other layers read stay cached): the
+one-off cost a process pays per size on its first conversions. `evolve_table`
+writes the `gmchan evolve` table of a 501-frame semigroup trajectory, built
+beforehand with CP stride 500 as perfbench's files workload runs it, to an
+in-memory text stream (`fileio._write_trajectory_table`).
+
+Each tree is a source checkout (default: this one, labelled "change"). Each
+round starts one child process, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS set to 1, that imports every tree's `src/gmchan` as its own
+set of module objects (`_load`) and runs this checkout's `tests/sampling.py`
+once against each, so every tree draws the same random inputs from one
+sampler file. The child times each (layer, n) cell on every tree back to
+back, and which tree goes first alternates from cell to cell, from sample to
+sample and from round to round (`_alternate`), so a slow spell of a shared
+host falls on every tree alike. Each round takes
+K samples per cell and tree; a sample is the mean of as many calls as fill
+about 2 ms on the fastest tree. A tree without a layer's function (an older
+checkout) gets no samples for it. The file written holds the environment, the
+median and quartiles of the R * K samples in microseconds, each later tree's
+`ratio_to_<first>`, its time over the first tree's per paired sample (same
+cell, round and repeat) as `_paired` reads it, and, on request, the Tier-1
+wall time of each tree and a perfbench summary read from a JSON file. --previous
+prints the change of each median against an earlier file with the same tree
+labels.
+
 Each round also starts one fresh process per tree that runs the four
 converters (`kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`) once at every
 n = 2..16 and reports its peak RSS (`ru_maxrss`) before and after; the file
@@ -110,15 +113,33 @@ included) and records their wall times: `gmchan validate` ("cli_validate"),
 --steps 500 --stride 500 --out` with `--state` ("cli_evolve") on an n = 8
 eigenvalue-form generator and an n = 8 state file, as perfbench's files
 workload runs it.
+
+--workload NAME times perfbench's seeded ops op by op instead, in one child
+that loads the trees as above. The inputs are perfbench's own
+(`perfbench/workloads.py`, imported as is and never written): cycle i of
+--seed S, i = 1..C, shuffled as the perfbench worker shuffles them, after one
+untimed warm-up op of each kind, size and tag of cycle 0 per tree. Every op
+runs on every tree back to back through the same alternation, a chained op (a
+convert round trip) together with the op it follows, and each run is checked
+with the workload's own `check`, untimed. Printed per tree: its op count, the
+ops whose check failed or that raised, the median and quartiles of op time,
+and, per tree after the first, its time over the first tree's for the same op
+as `_paired` reads it (one stall moves a summed time, not this ratio), over
+all ops and per (op kind, n; certify's kf ops split into "kf-diag", which a
+TP op also converts, and "kf-offdiag"). The times are plain wall time, not
+perfbench's host-calibrated time. --out writes the same figures and each op's
+times as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
 import platform
+import random
 import re
 import resource
 import subprocess
@@ -130,15 +151,6 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (2, 3, 4, 6, 8, 12, 16)
-LAYERS = ("construct_kf", "construct_ev", "cp_check_oracle", "cp_check_normalized",
-          "cp_check_paper", "tp_residuals", "complete_tp", "kf_is_ev", "kf_to_ev", "ev_to_kf", "lf_to_ev",
-          "ev_to_lf", "apply_kf", "apply_lf", "apply_ev", "evolve_state", "validate_kf",
-          "validate_ev", "construct_state", "evolve_state_skipped", "trajectory_flags",
-          "evolve_timedep", "eta_from_lambda", "choi_of_channel_kf", "choi_of_channel_ev",
-          "document_text", "parse_document", "maps_build", "evolve_table", "block_margins",
-          "is_cp_frame", "is_cp_stack", "decompose", "recompose", "report_diagnostics", "basis_build",
-          "eigvalsh_block", "choi_blocks_kf", "choi_blocks_ev", "ev_is_kf", "ev_is_kf_bad",
-          "ev_is_lf", "ev_is_lf_bad", "lf_is_ev", "lf_is_ev_bad", "kf_is_ev_bad")
 VERDICT_TOL = 1e-10  # certify's tolerance
 PINNED = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 SAMPLE_S = 0.002
@@ -149,191 +161,261 @@ STATE_STEPS = ("apply_ev", "apply_ev_later", "evolve_semigroup", "evolve_state",
                "evolve_state_later")
 
 
-def _rows_table(out, traj) -> None:
-    # the trajectory table as `cmd_evolve` wrote it before the fileio kernel
-    n = traj.n
-    names = [f"lambda_{i}_{j}" for i in range(n) for j in range(n)]
-    out.write("\t".join(["t"] + names + ["cp"]) + "\n")
-    row_format = "%.17g\t" * (1 + n * n) + "%s\n"
-    cells = ["-" if flag is None else ("1" if flag else "0") for flag in traj.cp_flags]
-    rows = np.column_stack([traj.grid, traj.lams.reshape(len(traj), -1)]).tolist()
-    out.writelines(row_format % (*row, cell) for row, cell in zip(rows, cells, strict=True))
-
-
-def _use_tree(src: str) -> None:
-    """Import gmchan from `src`, and `sampling` from this checkout's tests/, whatever the tree:
-    every tree draws its inputs from the one sampler file, run on its own gmchan."""
+def _load(tree: str):
+    """gmchan (with gmchan.cli) from tree/src, and this checkout's tests/sampling.py run on it,
+    as module objects the import system then forgets, so the next call loads the next tree
+    afresh. This works because `src/gmchan` imports nothing inside its functions."""
+    src = os.path.join(os.path.abspath(tree), "src")
     sys.path.insert(0, src)
-    sys.path.append(os.path.join(ROOT, "tests"))
+    try:
+        import gmchan
+        import gmchan.cli
+        spec = importlib.util.spec_from_file_location(
+            "sampling", os.path.join(ROOT, "tests", "sampling.py"))
+        sampling = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sampling)
+    finally:
+        sys.path.remove(src)
+        for name in [m for m in sys.modules if m == "gmchan" or m.startswith("gmchan.")]:
+            del sys.modules[name]
+    if os.path.dirname(gmchan.__file__) != os.path.join(src, "gmchan"):
+        sys.exit(f"layers: gmchan imported from {gmchan.__file__}, not from {src}")
+    return gmchan, sampling
 
 
-def _child(src: str, repeats: int) -> None:
-    """Print {layer: {n: [seconds per call, ...]}} for the gmchan under `src`."""
-    _use_tree(src)
-    import gmchan as gm
-    import sampling
-    from gmchan import basis, channels, dynamics, fileio
+def _alternate(labels: list, cells, measure) -> tuple:
+    """Each cell of the (turn, cell) pairs of `cells` measured on every tree back to back, the
+    first tree first on even turns and last on odd ones, so a slow spell falls on every tree
+    alike: ({label: [measure(label, cell), ...]}, [whether the first tree went first, ...])."""
+    out, forward = {label: [] for label in labels}, []
+    for turn, cell in cells:
+        forward.append(turn % 2 == 0)
+        for label in labels[:: 1 if forward[-1] else -1]:
+            out[label].append(measure(label, cell))
+    return out, forward
+
+
+def _cells(gm, sampling, n: int) -> dict:
+    """{layer: call} at n on one tree's gmchan, its inputs drawn with seed (SEED, n)."""
+    channels, dynamics, fileio = gm.channels, gm.dynamics, gm.fileio
 
     def ev_checks(ch):
         return [check(ch, VERDICT_TOL)
                 for check in (gm.cp_check_oracle, gm.cp_check_paper, gm.cp_check_normalized)]
 
-    def diagnostics(ch):  # every diagnostics value, read after the checks
-        return [tuple(rep.diagnostics.values()) for rep in ev_checks(ch)]
-
-    build_basis = next(f.__wrapped__ for f in (basis.full_basis, getattr(basis, "_build_basis", None))
-                       if hasattr(f, "__wrapped__"))
-    # a skipped frame's verdict as the tree's evolve_state takes it: its one-table margin where
-    # dynamics reads `_block_margins`, else (an older tree) `_is_cp` on the one table
-    margins = getattr(dynamics, "_block_margins", None)
-    frame_verdict = ((lambda lam: margins(lam)[3] >= -VERDICT_TOL) if margins
-                     else (lambda lam: channels._is_cp(lam, VERDICT_TOL)))
-
-    def validate_kf(n, p):  # perfbench/workloads.py, Certify.run on a kf op
-        ch = gm.KrausChannel(n=n, p=p)
+    def validate_kf():  # perfbench/workloads.py, Certify.run on a kf op
+        ch = kf()
         out = [float(np.max(np.abs(gm.tp_residuals(ch)))) <= VERDICT_TOL,
                gm.cp_check_oracle(ch, VERDICT_TOL)]
         if out[0] and gm.kf_is_ev(ch)[0]:
             out += ev_checks(gm.kf_to_ev(ch))
         return out
 
-    calls = {}
-    for n in SIZES:
-        rng = np.random.default_rng([SEED, n])
-        p = sampling.random_kf_ev_admissible(rng, n).p
-        lam = gm.kf_to_ev(gm.KrausChannel(n=n, p=p)).lam
-        gamma = sampling.random_lf_ev_admissible(rng, n).gamma
-        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        acting = (gm.KrausChannel(n=n, p=p), gm.LindbladGenerator(n=n, gamma=gamma),
-                  gm.EigenChannel(n=n, lam=lam))
-        eta = gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=gamma)).eta
-        markovian = gm.lf_to_ev(sampling.random_lf_ev_admissible(rng, n, nonnegative=True))
-        traj = gm.evolve_semigroup(markovian, gm.uniform_grid(1.0, 11))
-        skipping = gm.evolve_semigroup(markovian, gm.uniform_grid(1.0, 11), cp_stride=100)
-        rho = sampling.random_density(rng, n)
-        rho0 = gm.DensityMatrix(n=n, entries=rho)
-        grid = gm.uniform_grid(1.0, 201)
-        knots, shape = np.linspace(0.0, 1.0, 9), 1.0 + 0.5 * np.sin(rng.uniform(2.0, 6.0, 9))
-        coeffs = (1.0, rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.5))
-        h = markovian.eta
-        tables = [[[None if (i, j) == (0, 0) else make(h[i, j]) for j in range(n)]
-                   for i in range(n)]
-                  for make in (lambda e: gm.RateProfile.tabulated(knots, e * shape),
-                               lambda e: gm.RateProfile.polynomial(*(e * c for c in coeffs)))]
-        tabulated = gm.evolve_timedep(tables[0], grid)
-        rates = sampling.random_lf_ev_admissible(np.random.default_rng([SEED, n, 1]), n,
-                                                 nonnegative=True).gamma.copy()
-        rates[1, 1] = -0.05  # frames leave CP, then re-enter it
-        flipping = gm.evolve_semigroup(gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=rates)),
-                                       gm.uniform_grid(4.0, 201))
-        text = fileio.document_text(acting[2])
-        table = gm.evolve_semigroup(markovian, gm.uniform_grid(4.0, 501), cp_stride=500)
-        write_table = getattr(fileio, "_write_trajectory_table", _rows_table)
-        block = channels._block_margins(lam)[0]
-        # inadmissible twins: every entry but the inert (0, 0) one off by up to 1e-3
-        off = 1e-3 * rng.uniform(-1.0, 1.0, (n, n))
-        off[0, 0] = 0.0
-        bad = {"lam": lam + off, "eta": eta + off, "gamma": gamma + off}
-        # weights among rows and columns >= 2 alone, which leaves rows 0 and 1 balanced
-        inner = np.arange(n) > 1
-        bad_p = gm.complete_tp(p + np.abs(off) * np.outer(inner, inner), p[1, 1]).p
+    rng = np.random.default_rng([SEED, n])
+    p = sampling.random_kf_ev_admissible(rng, n).p
+    lam = gm.kf_to_ev(gm.KrausChannel(n=n, p=p)).lam
+    gamma = sampling.random_lf_ev_admissible(rng, n).gamma
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    acting = (gm.KrausChannel(n=n, p=p), gm.LindbladGenerator(n=n, gamma=gamma),
+              gm.EigenChannel(n=n, lam=lam))
+    eta = gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=gamma)).eta
+    markovian = gm.lf_to_ev(sampling.random_lf_ev_admissible(rng, n, nonnegative=True))
+    traj = gm.evolve_semigroup(markovian, gm.uniform_grid(1.0, 11))
+    skipping = gm.evolve_semigroup(markovian, gm.uniform_grid(1.0, 11), cp_stride=100)
+    rho = sampling.random_density(rng, n)
+    rho0 = gm.DensityMatrix(n=n, entries=rho)
+    grid = gm.uniform_grid(1.0, 201)
+    knots, shape = np.linspace(0.0, 1.0, 9), 1.0 + 0.5 * np.sin(rng.uniform(2.0, 6.0, 9))
+    coeffs = (1.0, rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.5))
+    h = markovian.eta
+    tables = [[[None if (i, j) == (0, 0) else make(h[i, j]) for j in range(n)]
+               for i in range(n)]
+              for make in (lambda e: gm.RateProfile.tabulated(knots, e * shape),
+                           lambda e: gm.RateProfile.polynomial(*(e * c for c in coeffs)))]
+    tabulated = gm.evolve_timedep(tables[0], grid)
+    rates = sampling.random_lf_ev_admissible(np.random.default_rng([SEED, n, 1]), n,
+                                             nonnegative=True).gamma.copy()
+    rates[1, 1] = -0.05  # frames leave CP, then re-enter it
+    flipping = gm.evolve_semigroup(gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=rates)),
+                                   gm.uniform_grid(4.0, 201))
+    text = fileio.document_text(acting[2])
+    table = gm.evolve_semigroup(markovian, gm.uniform_grid(4.0, 501), cp_stride=500)
+    block = channels._block_margins(lam)[0]
+    # inadmissible twins: every entry but the inert (0, 0) one off by up to 1e-3
+    off = 1e-3 * rng.uniform(-1.0, 1.0, (n, n))
+    off[0, 0] = 0.0
+    bad_lam, bad_eta, bad_gamma = lam + off, eta + off, gamma + off
+    # weights among rows and columns >= 2 alone, which leaves rows 0 and 1 balanced
+    inner = np.arange(n) > 1
+    bad_p = gm.complete_tp(p + np.abs(off) * np.outer(inner, inner), p[1, 1]).p
 
-        def timedep(tables=tables, grid=grid):
-            return [gm.evolve_timedep(t, grid, cp_stride=s) for t in tables for s in (1, 50)]
+    def kf():
+        return gm.KrausChannel(n=n, p=p)
 
-        def kf(n=n, p=p):
-            return gm.KrausChannel(n=n, p=p)
+    def ev():
+        return gm.EigenChannel(n=n, lam=lam)
 
-        def ev(n=n, lam=lam):
-            return gm.EigenChannel(n=n, lam=lam)
+    return {
+        "construct_kf": kf,
+        "construct_ev": ev,
+        "cp_check_oracle": lambda: gm.cp_check_oracle(ev()),
+        "cp_check_normalized": lambda: gm.cp_check_normalized(ev()),
+        "cp_check_paper": lambda: gm.cp_check_paper(ev()),
+        "tp_residuals": lambda: gm.tp_residuals(kf()),
+        "complete_tp": lambda: gm.complete_tp(p, p[1, 1]),
+        "kf_is_ev": lambda: gm.kf_is_ev(kf()),
+        "kf_to_ev": lambda: gm.kf_to_ev(kf()),
+        "ev_to_kf": lambda: gm.ev_to_kf(ev()),
+        "lf_to_ev": lambda: gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=gamma)),
+        "ev_to_lf": lambda: gm.ev_to_lf(gm.EigenGenerator(n=n, eta=eta)),
+        "apply_kf": lambda: gm.apply_kf(acting[0], X),
+        "apply_lf": lambda: gm.apply_lf(acting[1], X),
+        "apply_ev": lambda: gm.apply_ev(acting[2], X),
+        "evolve_state": lambda: gm.evolve_state(traj, rho0, 10),
+        "validate_kf": validate_kf,
+        "validate_ev": lambda: ev_checks(ev()),
+        "construct_state": lambda: gm.DensityMatrix(n=n, entries=rho),
+        "evolve_state_skipped": lambda: gm.evolve_state(skipping, rho0, 5),
+        "trajectory_flags": lambda: dynamics._flagged(flipping, 1, VERDICT_TOL),
+        "evolve_timedep": lambda: [gm.evolve_timedep(t, grid, cp_stride=s)
+                                   for t in tables for s in (1, 50)],
+        "eta_from_lambda": lambda: gm.eta_from_lambda(tabulated.lams, tabulated.grid),
+        "choi_of_channel_kf": lambda: gm.choi_of_channel(kf()),
+        "choi_of_channel_ev": lambda: gm.choi_of_channel(ev()),
+        "document_text": lambda: fileio.document_text(acting[2]),
+        "parse_document": lambda: fileio._parse_document(text),
+        "maps_build": lambda: channels._reverse_maps.__wrapped__(n),
+        "evolve_table": lambda: fileio._write_trajectory_table(io.StringIO(), table),
+        "block_margins": lambda: channels._block_margins(lam),
+        "is_cp_frame": lambda: dynamics._block_margins(lam)[3] >= -VERDICT_TOL,
+        "is_cp_stack": lambda: channels._is_cp(flipping.lams, VERDICT_TOL),
+        "decompose": lambda: gm.decompose(X, gm.full_basis(n)),
+        "recompose": lambda: gm.recompose(X, gm.full_basis(n)),
+        "report_diagnostics": lambda: [tuple(rep.diagnostics.values()) for rep in ev_checks(ev())],
+        "basis_build": lambda: gm.basis._build_basis.__wrapped__(n),
+        "eigvalsh_block": lambda: np.linalg.eigvalsh(block),
+        "choi_blocks_kf": lambda: channels._choi_blocks(kf()),
+        "choi_blocks_ev": lambda: channels._choi_blocks(ev()),
+        "ev_is_kf": lambda: gm.ev_is_kf(ev()),
+        "ev_is_kf_bad": lambda: gm.ev_is_kf(gm.EigenChannel(n=n, lam=bad_lam)),
+        "ev_is_lf": lambda: gm.ev_is_lf(gm.EigenGenerator(n=n, eta=eta)),
+        "ev_is_lf_bad": lambda: gm.ev_is_lf(gm.EigenGenerator(n=n, eta=bad_eta)),
+        "lf_is_ev": lambda: gm.lf_is_ev(gm.LindbladGenerator(n=n, gamma=gamma)),
+        "lf_is_ev_bad": lambda: gm.lf_is_ev(gm.LindbladGenerator(n=n, gamma=bad_gamma)),
+        "kf_is_ev_bad": lambda: gm.kf_is_ev(gm.KrausChannel(n=n, p=bad_p)),
+    }
 
-        calls.update({
-            ("construct_kf", n): kf,
-            ("construct_ev", n): ev,
-            ("cp_check_oracle", n): lambda ev=ev: gm.cp_check_oracle(ev()),
-            ("cp_check_normalized", n): lambda ev=ev: gm.cp_check_normalized(ev()),
-            ("cp_check_paper", n): lambda ev=ev: gm.cp_check_paper(ev()),
-            ("tp_residuals", n): lambda kf=kf: gm.tp_residuals(kf()),
-            ("complete_tp", n): lambda p=p: gm.complete_tp(p, p[1, 1]),
-            ("kf_is_ev", n): lambda kf=kf: gm.kf_is_ev(kf()),
-            ("kf_to_ev", n): lambda kf=kf: gm.kf_to_ev(kf()),
-            ("ev_to_kf", n): lambda ev=ev: gm.ev_to_kf(ev()),
-            ("lf_to_ev", n): lambda n=n, g=gamma: gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=g)),
-            ("ev_to_lf", n): lambda n=n, h=eta: gm.ev_to_lf(gm.EigenGenerator(n=n, eta=h)),
-            ("apply_kf", n): lambda a=acting, X=X: gm.apply_kf(a[0], X),
-            ("apply_lf", n): lambda a=acting, X=X: gm.apply_lf(a[1], X),
-            ("apply_ev", n): lambda a=acting, X=X: gm.apply_ev(a[2], X),
-            ("evolve_state", n): lambda tr=traj, r=rho0: gm.evolve_state(tr, r, 10),
-            ("validate_kf", n): lambda n=n, p=p: validate_kf(n, p),
-            ("validate_ev", n): lambda ev=ev: ev_checks(ev()),
-            ("construct_state", n): lambda n=n, r=rho: gm.DensityMatrix(n=n, entries=r),
-            ("evolve_state_skipped", n): lambda tr=skipping, r=rho0: gm.evolve_state(tr, r, 5),
-            ("trajectory_flags", n): lambda tr=flipping: dynamics._flagged(tr, 1, VERDICT_TOL),
-            ("evolve_timedep", n): timedep,
-            ("eta_from_lambda", n): lambda tr=tabulated: gm.eta_from_lambda(tr.lams, tr.grid),
-            ("choi_of_channel_kf", n): lambda kf=kf: gm.choi_of_channel(kf()),
-            ("choi_of_channel_ev", n): lambda ev=ev: gm.choi_of_channel(ev()),
-            ("choi_blocks_kf", n): lambda kf=kf: channels._choi_blocks(kf()),
-            ("choi_blocks_ev", n): lambda ev=ev: channels._choi_blocks(ev()),
-            ("document_text", n): lambda a=acting: fileio.document_text(a[2]),
-            ("parse_document", n): lambda text=text: fileio._parse_document(text),
-            ("evolve_table", n): lambda tr=table: write_table(io.StringIO(), tr),
-            ("block_margins", n): lambda lam=lam: channels._block_margins(lam),
-            ("is_cp_frame", n): lambda lam=lam: frame_verdict(lam),
-            ("is_cp_stack", n): lambda lams=flipping.lams: channels._is_cp(lams, VERDICT_TOL),
-            ("decompose", n): lambda n=n, X=X: gm.decompose(X, gm.full_basis(n)),
-            ("recompose", n): lambda n=n, X=X: gm.recompose(X, gm.full_basis(n)),
-            ("report_diagnostics", n): lambda ev=ev: diagnostics(ev()),
-            ("basis_build", n): lambda n=n: build_basis(n),
-            ("eigvalsh_block", n): lambda block=block: np.linalg.eigvalsh(block),
-            ("ev_is_kf", n): lambda ev=ev: gm.ev_is_kf(ev()),
-            ("ev_is_kf_bad", n): lambda n=n, l=bad["lam"]: gm.ev_is_kf(gm.EigenChannel(n=n, lam=l)),
-            ("ev_is_lf", n): lambda n=n, h=eta: gm.ev_is_lf(gm.EigenGenerator(n=n, eta=h)),
-            ("ev_is_lf_bad", n): lambda n=n, h=bad["eta"]: gm.ev_is_lf(gm.EigenGenerator(n=n, eta=h)),
-            ("lf_is_ev", n): lambda n=n, g=gamma: gm.lf_is_ev(gm.LindbladGenerator(n=n, gamma=g)),
-            ("lf_is_ev_bad", n):
-                lambda n=n, g=bad["gamma"]: gm.lf_is_ev(gm.LindbladGenerator(n=n, gamma=g)),
-            ("kf_is_ev_bad", n): lambda n=n, p=bad_p: gm.kf_is_ev(gm.KrausChannel(n=n, p=p)),
-        })
-        builds = [getattr(channels, name).__wrapped__
-                  for name in ("_affine_maps", "_reverse_maps") if hasattr(channels, name)]
-        calls["maps_build", n] = lambda n=n, builds=builds: [build(n) for build in builds]
-    number = {}
-    for key, call in calls.items():  # warm caches, then size each sample
-        start, count = time.perf_counter(), 0
-        while time.perf_counter() - start < SAMPLE_S:
-            call()
-            count += 1
-        number[key] = count
-    samples = {key: [] for key in calls}
-    for _ in range(repeats):  # every cell once per repeat, so drift spreads
-        for key, call in calls.items():
-            start = time.perf_counter()
-            for _ in range(number[key]):
+
+def _time_layers(trees: dict, rnd: int, repeats: int) -> dict:
+    """`repeats` samples of every (layer, n) cell on every loaded tree, the first tree going
+    first by the parity of round + repeat + cell: {"times": {label: {layer: {n: [seconds per
+    call, ...]}}}, "forward": {layer: {n: [whether the first tree went first, ...]}}}."""
+    calls = {label: {(layer, n): call for n in SIZES for layer, call in _cells(*mods, n).items()}
+             for label, mods in trees.items()}
+    labels, keys = list(trees), list(calls[next(iter(trees))])
+
+    def fill(label, key):  # warm caches, then count the calls of one sample; 0: no such layer
+        call, start, count = calls[label][key], time.perf_counter(), 0
+        try:
+            while time.perf_counter() - start < SAMPLE_S:
                 call()
-            samples[key].append((time.perf_counter() - start) / number[key])
-    out = {layer: {str(n): samples[layer, n] for n in SIZES}
-           for layer in LAYERS if (layer, SIZES[0]) in samples}
-    print(json.dumps(out))
+                count += 1
+        except AttributeError:  # a tree without this layer's function
+            del calls[label][key]
+            return 0
+        return count
+
+    counts = zip(keys, *_alternate(labels, enumerate(keys), fill)[0].values())
+    number = {key: min(c for c in per if c) for key, *per in counts if any(per)}
+
+    def sample(label, key):
+        call = calls[label].get(key)
+        if call is None:
+            return None
+        start = time.perf_counter()
+        for _ in range(number[key]):
+            call()
+        return (time.perf_counter() - start) / number[key]
+
+    turns = [(rnd + r + c, key) for r in range(repeats) for c, key in enumerate(number)]
+    times, forward = _alternate(labels, turns, sample)
+    out = {"times": {label: {} for label in labels}, "forward": {}}
+    for (_, (layer, n)), f in zip(turns, forward):
+        out["forward"].setdefault(layer, {}).setdefault(str(n), []).append(f)
+    for label, xs in times.items():
+        for (_, (layer, n)), x in zip(turns, xs, strict=True):
+            if x is not None:
+                out["times"][label].setdefault(layer, {}).setdefault(str(n), []).append(x)
+    return out
 
 
-def _convert_rss(src: str) -> None:
+def _op_times(trees: dict, W, workload, ops: list) -> dict:
+    """{label: [[kind, n, seconds, failed, forward], ...] per step}: each op of perfbench's
+    `workload` (module W, `perfbench/workloads.py`), with the ops chained to it, run on every
+    loaded tree back to back (`_alternate`; forward: the first tree went first), each run
+    checked untimed. Certify's kf ops are split into "kf-diag" and "kf-offdiag" by whether the
+    table is basis-diagonal."""
+    checkers = {label: W.Checker() for label in trees}
+
+    def run(label, op):
+        gm, c, out = trees[label][0], checkers[label], []
+        for step in W.chained([op]):
+            kind = step.kind
+            if isinstance(workload, W.Certify) and kind == "kf":
+                kind = "kf-diag" if step.ref["diagonal"] else "kf-offdiag"
+            c.op_ok = True
+            start = time.perf_counter()
+            try:
+                result = workload.run(gm, step)
+            except Exception:  # an op that raises counts as failed, as in perfbench
+                c.op_ok = False
+            seconds = time.perf_counter() - start
+            if c.op_ok:
+                workload.check(step, result, c)
+            out.append([kind, step.n, seconds, not c.op_ok])
+        return out
+
+    times, forward = _alternate(list(trees), enumerate(ops), run)
+    return {label: [step + [f] for steps, f in zip(per, forward) for step in steps]
+            for label, per in times.items()}
+
+
+def _time_workload(trees: dict, name: str, seed: int, cycles: int) -> dict:
+    """`_op_times` of perfbench workload `name`'s cycles 1..`cycles` of `seed`, shuffled as the
+    perfbench worker shuffles them, after one untimed warm-up op of each kind, size and tag of
+    cycle 0 per tree."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads as W
+
+    with tempfile.TemporaryDirectory() as workdir:
+        workload = W.make(name, workdir)
+        warm = {}
+        for op in workload.cycle(np.random.default_rng([seed, 0]), 0):
+            warm.setdefault((op.kind, op.n, op.tag), op)
+        for op in warm.values():
+            for gm, _ in trees.values():
+                for step in W.chained([op]):
+                    workload.run(gm, step)
+        ops, shuffle = [], random.Random(seed)
+        for index in range(1, cycles + 1):
+            cycle = workload.cycle(np.random.default_rng([seed, index]), index)
+            shuffle.shuffle(cycle)
+            ops += cycle
+        return _op_times(trees, W, workload, ops)
+
+
+def _convert_rss(tree: str) -> None:
     """Print the peak RSS in MB of this fresh process before and after converting at every n."""
-    _use_tree(src)
-    import gmchan as gm
-    import sampling
-
-    def peak_mb():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-    before = peak_mb()
+    gm, sampling = _load(tree)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     for n in range(2, 17):
         rng = np.random.default_rng([SEED, n])
         lam = gm.kf_to_ev(sampling.random_kf_ev_admissible(rng, n)).lam
         gm.ev_to_kf(gm.EigenChannel(n=n, lam=lam))
         eta = gm.lf_to_ev(sampling.random_lf_ev_admissible(rng, n)).eta
         gm.ev_to_lf(gm.EigenGenerator(n=n, eta=eta))
-    print(json.dumps({"before_mb": before, "after_mb": peak_mb()}))
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps({"before_mb": before, "after_mb": after}))
 
 
 def _peak_mb() -> float:
@@ -344,12 +426,10 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _large_n(src: str, n: int, part: str) -> None:
+def _large_n(tree: str, n: int, part: str) -> None:
     """Print the time and peak RSS after the first oracle check and conversions at n
     (part "channel") or after the first and a later apply_ev and evolve_state ("state")."""
-    sys.path.insert(0, src)
-    import gmchan as gm
-
+    gm, _ = _load(tree)
     lam = np.full((n, n), 0.5)
     lam[0, 0] = 1.0
     ev = gm.EigenChannel(n=n, lam=lam)
@@ -379,26 +459,55 @@ def _large_n(src: str, n: int, part: str) -> None:
     print(json.dumps(out))
 
 
-def _write_files(src: str, scratch: str) -> None:
+def _write_files(scratch: str) -> None:
     """Save the CLI layers' inputs, drawn with seed SEED: an admissible n = 16 weight table,
     and an n = 8 eigenvalue-form generator of nonnegative rates with a random n = 8 state."""
-    _use_tree(src)
-    import gmchan as gm
-    import sampling
-    from gmchan import fileio
-
-    fileio.save(sampling.random_kf_ev_admissible(np.random.default_rng([SEED, 16]), 16),
-                os.path.join(scratch, "kf16.json"))
+    gm, sampling = _load(ROOT)
+    gm.fileio.save(sampling.random_kf_ev_admissible(np.random.default_rng([SEED, 16]), 16),
+                   os.path.join(scratch, "kf16.json"))
     rng = np.random.default_rng([SEED, 8])
-    fileio.save(gm.lf_to_ev(sampling.random_lf_ev_admissible(rng, 8, nonnegative=True)),
-                os.path.join(scratch, "gen8.json"))
-    fileio.save(gm.DensityMatrix(n=8, entries=sampling.random_density(rng, 8)),
-                os.path.join(scratch, "state8.json"))
+    gm.fileio.save(gm.lf_to_ev(sampling.random_lf_ev_admissible(rng, 8, nonnegative=True)),
+                   os.path.join(scratch, "gen8.json"))
+    gm.fileio.save(gm.DensityMatrix(n=8, entries=sampling.random_density(rng, 8)),
+                   os.path.join(scratch, "state8.json"))
 
 
 def _quantiles(xs: list) -> dict:
     q1, median, q3 = (float(q) for q in 1e6 * np.percentile(xs, [25, 50, 75]))
     return {"median_us": median, "q1_us": q1, "q3_us": q3, "iqr_us": q3 - q1, "samples": len(xs)}
+
+
+def _paired(xs: list, base: list, forward: list) -> float:
+    """xs over base, sample by sample: the geometric mean of the median over the samples where
+    the first tree went first (`forward`) and that over the samples where it went last, so the
+    lift that going second gives (up to 30% on some cells: state that the same work on the
+    other tree has just warmed) cancels even where the two orders are not taken equally often.
+    Above 1, xs took longer."""
+    ratios, forward = np.divide(xs, base), np.asarray(forward, dtype=bool)
+    medians = [np.median(ratios[forward == side]) for side in (True, False) if any(forward == side)]
+    return round(float(np.exp(np.mean(np.log(medians)))), 3)
+
+
+def _op_summary(times: dict) -> dict:
+    """Per tree: op and failure counts, op time quantiles and, after the first tree, the paired
+    ratio (`_paired`) of its op times to the first tree's, over all ops and per (op kind, n)."""
+    first = next(iter(times))
+    base = [s for _, _, s, _, _ in times[first]]
+    forward = [f for *_, f in times[first]]
+    out = {}
+    for label, steps in times.items():
+        xs = [s for _, _, s, _, _ in steps]
+        out[label] = {"ops": len(xs), "failed": sum(f for *_, f, _ in steps), **_quantiles(xs)}
+        if label != first:
+            by = {}
+            for (kind, n, s, _, f), b in zip(steps, base, strict=True):
+                for column, x in zip(by.setdefault((kind, n), ([], [], [])), (s, b, f)):
+                    column.append(x)
+            out[label]["ratio_to_" + first] = _paired(xs, base, forward)
+            out[label]["by_kind_n"] = {f"{kind} n={n}": {"ratio": _paired(*cell), "ops": len(cell[0])}
+                                       for (kind, n), cell in sorted(by.items())}
+        out[label]["op_s"] = xs
+    return out
 
 
 def _environment() -> dict:
@@ -428,6 +537,35 @@ def _tier1(tree: str) -> dict:
     return {"wall_s": round(wall, 2), "exit": proc.returncode, **counts}
 
 
+def _in_child(rnd: int) -> dict:
+    """What this script prints, as JSON, run on the same arguments with --child `rnd` in a child
+    process whose BLAS threads are pinned."""
+    proc = subprocess.run([sys.executable, __file__, *sys.argv[1:], "--child", str(rnd)],
+                          env={**os.environ, **PINNED}, stdout=subprocess.PIPE, text=True,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+def _workload_main(args) -> None:
+    """Run --workload's op-by-op timing in one child and print (and write) its summary."""
+    summary = _op_summary(_in_child(0))
+    first = next(iter(summary))
+    print(f"{args.workload} seed {args.seed}: {args.cycles} cycles, "
+          f"{summary[first]['ops']} ops per tree")
+    for label, cell in summary.items():
+        ratio = cell.get("ratio_to_" + first)
+        print(f"  {label:10s} median {cell['median_us'] / 1e3:.3f} ms "
+              f"(IQR {cell['iqr_us'] / 1e3:.3f})  failed {cell['failed']}"
+              + (f"  paired ratio to {first} {ratio:.3f}, by op kind and n:" if ratio else ""))
+        for key, pair in cell.get("by_kind_n", {}).items():
+            print(f"    {key:16s} {pair['ratio']:.3f}  ({pair['ops']} ops)")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump({"workload": args.workload, "seed": args.seed, "cycles": args.cycles,
+                       "trees": summary}, fh)
+            fh.write("\n")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="JSON file to write")
@@ -437,13 +575,20 @@ def main() -> None:
     ap.add_argument("--tier1", action="store_true", help="also time each tree's test suite")
     ap.add_argument("--perfbench", help="JSON summary of perfbench runs to include")
     ap.add_argument("--previous", help="earlier output to print the change against")
-    ap.add_argument("--child", help=argparse.SUPPRESS)
+    ap.add_argument("--workload", choices=("certify", "evolve", "files"),
+                    help="time perfbench's ops of this workload instead of the layers")
+    ap.add_argument("--seed", type=int, default=11, help="--workload's seed")
+    ap.add_argument("--cycles", type=int, default=8, help="--workload's cycles")
+    ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--rss-child", help=argparse.SUPPRESS)
     ap.add_argument("--large-child", nargs=3, help=argparse.SUPPRESS)
-    ap.add_argument("--files", nargs=2, help=argparse.SUPPRESS)
+    ap.add_argument("--files", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.child:
-        _child(args.child, args.repeats)
+    trees = dict(t.split("=", 1) for t in args.tree) or {"change": ROOT}
+    if args.child is not None:
+        loaded = {label: _load(tree) for label, tree in trees.items()}
+        print(json.dumps(_time_workload(loaded, args.workload, args.seed, args.cycles)
+                         if args.workload else _time_layers(loaded, args.child, args.repeats)))
         return
     if args.rss_child:
         _convert_rss(args.rss_child)
@@ -452,21 +597,23 @@ def main() -> None:
         _large_n(args.large_child[0], int(args.large_child[1]), args.large_child[2])
         return
     if args.files:
-        _write_files(*args.files)
+        _write_files(args.files)
+        return
+    if args.workload:
+        _workload_main(args)
         return
     if not args.out:
         ap.error("--out is required")
     if args.rounds * args.repeats < 15:
         ap.error("need at least 15 samples per cell (--rounds x --repeats)")
-    trees = dict(t.split("=", 1) for t in args.tree) or {"change": ROOT}
-    samples = {label: {layer: {str(n): [] for n in SIZES} for layer in LAYERS} for label in trees}
+    env = {**os.environ, **PINNED}
+    samples, forward = {label: {} for label in trees}, {}
     rss = {label: {"before_mb": [], "after_mb": []} for label in trees}
     large = {part: {label: {str(n): [] for n in LARGE_SIZES} for label in trees}
              for part in ("channel", "state")}
-    env = {**os.environ, **PINNED}
     with tempfile.TemporaryDirectory() as scratch:
-        subprocess.run([sys.executable, __file__, "--files", os.path.join(ROOT, "src"), scratch],
-                       env=env, check=True)
+        # in a child: a child's ru_maxrss starts at its parent's RSS, so this process stays lean
+        subprocess.run([sys.executable, __file__, "--files", scratch], env=env, check=True)
         kf_file, out = os.path.join(scratch, "kf16.json"), os.path.join(scratch, "out")
         commands = {
             "validate": ["validate", kf_file],
@@ -477,43 +624,44 @@ def main() -> None:
                        os.path.join(scratch, "state8.json"), "--out", out],
         }
         cli = {name: {label: [] for label in trees} for name in commands}
+
+        def fresh(label, _):  # one tree's fresh-process sections of a round
+            tree = trees[label]
+            proc = subprocess.run([sys.executable, __file__, "--rss-child", tree],
+                                  env=env, capture_output=True, text=True, check=True)
+            for key, mb in json.loads(proc.stdout).items():
+                rss[label][key].append(mb)
+            for part in large:
+                for n in LARGE_SIZES:
+                    proc = subprocess.run(
+                        [sys.executable, __file__, "--large-child", tree, str(n), part],
+                        env=env, capture_output=True, text=True, check=True)
+                    large[part][label][str(n)].append(json.loads(proc.stdout))
+            for name, argv in commands.items():
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, "-m", "gmchan.cli", *argv],
+                                      env={**env, "PYTHONPATH": os.path.join(tree, "src")},
+                                      capture_output=True, text=True)
+                cli[name][label].append(time.perf_counter() - start)
+                if proc.returncode != 0:
+                    sys.exit(f"{label}: gmchan {name} exited {proc.returncode}: {proc.stderr}")
+
         for r in range(args.rounds):
-            for label in list(trees)[:: 1 if r % 2 == 0 else -1]:
-                proc = subprocess.run(
-                    [sys.executable, __file__, "--child", os.path.join(trees[label], "src"),
-                     "--repeats", str(args.repeats)],
-                    env=env, capture_output=True, text=True, check=True,
-                )
-                for layer, cells in json.loads(proc.stdout).items():
+            child = _in_child(r)
+            for into, per in ((forward, child["forward"]), *((samples[label], per)
+                              for label, per in child["times"].items())):
+                for layer, cells in per.items():
                     for n, xs in cells.items():
-                        samples[label][layer][n] += xs
-                proc = subprocess.run(
-                    [sys.executable, __file__, "--rss-child", os.path.join(trees[label], "src")],
-                    env=env, capture_output=True, text=True, check=True,
-                )
-                for key, mb in json.loads(proc.stdout).items():
-                    rss[label][key].append(mb)
-                src = os.path.join(trees[label], "src")
-                for part in large:
-                    for n in LARGE_SIZES:
-                        proc = subprocess.run(
-                            [sys.executable, __file__, "--large-child", src, str(n), part],
-                            env=env, capture_output=True, text=True, check=True)
-                        large[part][label][str(n)].append(json.loads(proc.stdout))
-                for name, argv in commands.items():
-                    start = time.perf_counter()
-                    proc = subprocess.run([sys.executable, "-m", "gmchan.cli", *argv],
-                                          env={**env, "PYTHONPATH": src}, capture_output=True,
-                                          text=True)
-                    cli[name][label].append(time.perf_counter() - start)
-                    if proc.returncode != 0:
-                        sys.exit(f"{label}: gmchan {name} exited {proc.returncode}: {proc.stderr}")
+                        into.setdefault(layer, {}).setdefault(n, []).extend(xs)
+            _alternate(list(trees), [(r, r)], fresh)
+    first = next(iter(trees))
+    base = samples[first]
     result = {
         "environment": _environment(),
         "settings": {"trees": list(trees), "rounds": args.rounds, "repeats": args.repeats,
                      "sample_s": SAMPLE_S, "seed": SEED, "sizes": list(SIZES)},
         "layers": {label: {layer: {n: _quantiles(xs) for n, xs in cells.items()}
-                           for layer, cells in per.items() if any(cells.values())}
+                           for layer, cells in per.items()}
                    for label, per in samples.items()},
         "convert_rss": {label: {key: dict(zip(("q1", "median", "q3"), np.percentile(xs, [25, 50, 75])))
                                 for key, xs in per.items() if xs}
@@ -528,14 +676,11 @@ def main() -> None:
                                     ("large_n_state", "state", STATE_STEPS))},
         **{"cli_" + name: {label: _quantiles(xs) for label, xs in per.items()}
            for name, per in cli.items()},
-    }
-    first = next(iter(trees))
-    base = result["layers"][first]
-    result["ratio_to_" + first] = {
-        label: {layer: {n: round(cell["median_us"] / base[layer][n]["median_us"], 3)
-                        for n, cell in cells.items()} for layer, cells in per.items()
-                if layer in base}
-        for label, per in result["layers"].items() if label != first
+        "ratio_to_" + first: {
+            label: {layer: {n: _paired(xs, base[layer][n], forward[layer][n])
+                            for n, xs in cells.items()}
+                    for layer, cells in per.items() if layer in base}
+            for label, per in samples.items() if label != first},
     }
     if args.tier1:
         result["tier1"] = {label: _tier1(tree) for label, tree in trees.items()}

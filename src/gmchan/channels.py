@@ -712,21 +712,22 @@ def _choi_blocks(ch):
     return half, vals, block, mid, radius
 
 
-def _choi_spectrum(half, block, mid, radius) -> dict:
-    """The Choi `spectrum`, the sorted union of the block spectra, read-only, its
-    `min_eigenvalue` and the `hermiticity_defect`, the largest entrywise |J - J†|
-    over the blocks (entries off them are exactly zero)."""
-    spectrum = _read_only(np.sort(np.concatenate([block, mid - radius, mid + radius])))
+def _choi_spectrum(half, block, lows, mid, radius) -> dict:
+    """The Choi `spectrum`, the sorted union of the block spectra (the 2×2 blocks' are
+    `lows` = mid - radius and mid + radius), read-only, its `min_eigenvalue` and the
+    `hermiticity_defect`, the largest entrywise |J - J†| over the blocks (entries off them
+    are exactly zero)."""
+    spectrum = _read_only(np.sort(np.concatenate([block, lows, mid + radius])))
     defect = 2.0 * float(np.abs(half - half[_choi_layout(block.size).mirror]).max())
     return {"spectrum": spectrum, "min_eigenvalue": float(spectrum[0]),
             "hermiticity_defect": defect}
 
 
-def _choi_minimum(block, mid, radius) -> float:
-    """The least Choi eigenvalue, the smaller of the n×n block's and the 2×2 blocks' minima.
-    InvariantError if either is NaN or +inf: the blocks overflowed. A -inf reads NotCP, and
-    eigenvalues above the minima may overflow."""
-    edge, low = float((mid - radius).min()), float(block[0])
+def _choi_minimum(block, lows) -> float:
+    """The least Choi eigenvalue, the smaller of the n×n block's and the 2×2 blocks' minima
+    (`lows`). InvariantError if either is NaN or +inf: the blocks overflowed. A -inf reads
+    NotCP, and eigenvalues above the minima may overflow."""
+    edge, low = float(lows.min()), float(block[0])
     if not (low < np.inf and edge < np.inf):
         raise InvariantError(_OVERFLOW)
     return min(low, edge) + 0.0  # +0.0 for a zero of either sign
@@ -743,9 +744,10 @@ def choi_of_channel(ch) -> ChoiMatrix:
     Raises InvariantError where `cp_check_oracle` does (`_choi_minimum`); a top
     eigenvalue that overflows reads +inf.
     """
-    half, vals, *spectra = _choi_blocks(ch)
-    _choi_minimum(*spectra)
-    spectrum = _choi_spectrum(half, *spectra)
+    half, vals, block, mid, radius = _choi_blocks(ch)
+    lows = mid - radius
+    _choi_minimum(block, lows)
+    spectrum = _choi_spectrum(half, block, lows, mid, radius)
     layout = _choi_layout(ch.n)
     J = np.zeros((ch.n ** 2, ch.n ** 2), dtype=complex)
     J[layout.rows, layout.cols] = vals
@@ -759,9 +761,10 @@ def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
     blocks overflow.
     """
     half, _, block, mid, radius = _choi_blocks(ch)
-    low = _choi_minimum(block, mid, radius)
+    lows = mid - radius
+    low = _choi_minimum(block, lows)
     return CpReport(_verdict(low, tol), METHOD_ORACLE, low,
-                    partial(_choi_spectrum, half, block, mid, radius))
+                    partial(_choi_spectrum, half, block, lows, mid, radius))
 
 
 def _sector_blocks(lams: np.ndarray):

@@ -90,36 +90,10 @@ def cmd_validate(args) -> int:
     print(f"form: {doc.form}  n: {doc.n}")
 
     if doc.form == "kf":
-        worst = obj._tp_worst
-        tp_ok = worst <= tol
-        print(f"trace preservation: max residual {worst:.3e} ({'ok' if tp_ok else 'violated'})")
-        oracle = cp_check_oracle(obj, tol)
-        _print_report("oracle", oracle)
-        ev, reason = None, "not trace-preserving"
-        if tp_ok:
-            try:
-                ev = kf_to_ev(obj)
-            except NotEV:
-                reason = "weight table does not diagonalize"
-            except NotTracePreserving as e:
-                # within the user's tolerance but not the converter's own
-                reason = str(e)
-        if ev is not None:
-            _print_report("paper", cp_check_paper(ev, tol))
-            _print_report("normalized", cp_check_normalized(ev, tol))
-        else:
-            print(f"cp paper       n/a ({reason})")
-            print(f"cp normalized  n/a ({reason})")
-        ok = tp_ok and oracle.is_cp
+        residual, tp_ok = f"max residual {obj._tp_worst:.3e}", obj._tp_worst <= tol
     elif doc.form == "ev":
         dev = abs(float(obj.lam[0, 0]) - 1.0)
-        tp_ok = dev <= tol
-        print(f"trace preservation: |lambda_00 - 1| = {dev:.3e} ({'ok' if tp_ok else 'violated'})")
-        oracle = cp_check_oracle(obj, tol)
-        _print_report("oracle", oracle)
-        _print_report("paper", cp_check_paper(obj, tol))
-        _print_report("normalized", cp_check_normalized(obj, tol))
-        ok = tp_ok and oracle.is_cp
+        residual, tp_ok = f"|lambda_00 - 1| = {dev:.3e}", dev <= tol
     elif doc.form == "lf":
         diagonalizes, violations = lf_is_ev(obj, tol=min(tol, COND_TOL))
         print(f"min rate: {float(np.min(obj.gamma)):+.6e}")
@@ -141,6 +115,27 @@ def cmd_validate(args) -> int:
         print(f"min eigenvalue: {float(spectrum[0]):+.6e}")
         return EXIT_OK
 
+    print(f"trace preservation: {residual} ({'ok' if tp_ok else 'violated'})")
+    oracle = cp_check_oracle(obj, tol)
+    _print_report("oracle", oracle)
+    ev, reason = obj, None
+    if doc.form == "kf":
+        ev, reason = None, "not trace-preserving"
+        if tp_ok:
+            try:
+                ev = kf_to_ev(obj)
+            except NotEV:
+                reason = "weight table does not diagonalize"
+            except NotTracePreserving as e:
+                # within the user's tolerance but not the converter's own
+                reason = str(e)
+    if ev is not None:
+        _print_report("paper", cp_check_paper(ev, tol))
+        _print_report("normalized", cp_check_normalized(ev, tol))
+    else:
+        print(f"cp paper       n/a ({reason})")
+        print(f"cp normalized  n/a ({reason})")
+    ok = tp_ok and oracle.is_cp
     print(f"verdict: {'valid quantum channel' if ok else 'not a valid quantum channel'}")
     return EXIT_OK if ok else EXIT_INVALID
 
