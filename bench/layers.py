@@ -2,7 +2,6 @@
 
     python bench/layers.py --out FILE [--tree LABEL=DIR ...] [--rounds R]
                            [--repeats K] [--tier1] [--perfbench FILE]
-                           [--previous FILE]
     python bench/layers.py --workload NAME [--tree LABEL=DIR ...] [--seed S]
                            [--cycles C] [--out FILE]
 
@@ -30,13 +29,18 @@ applies its middle frame from a copy built with a CP stride that skips it,
 so its verdict is decided on demand. `block_margins` reads the block
 criterion of the (CP) eigenvalue table, `channels._block_margins` on one
 table, which keeps no memo, so each call starts afresh;
-`is_cp_frame` decides that table's verdict as `evolve_state` does for a frame
-the stride skipped: its `_block_margins` margin against the tolerance.
+`is_cp_frame` decides that table's verdict as the tree's `evolve_state` does for
+a frame the stride skipped: the block kernel's verdict on one table
+(`channels._psd_blocks`), or, on a tree without that kernel, its
+`_block_margins` margin against the tolerance.
 `trajectory_flags` sets the stride-1 CP flags
 (`dynamics._flagged`) of a 201-frame semigroup trajectory, built beforehand, of
-a rate table with one negative diagonal rate, so its verdicts flip, and
-`is_cp_stack` decides that trajectory's 201 frames alone (`channels._is_cp` on
-the (201, n, n) stack). One `evolve_timedep` call builds four
+a rate table with one negative diagonal rate, so its verdicts flip;
+`is_cp_stack` decides that trajectory's 201 frames alone, and `is_cp_strided`
+the 5 frames that CP stride 50 checks (0, 50, ..., 200), the other stack shape
+perfbench evolve decides: the block kernel's verdicts on the (201, n, n) and
+(5, n, n) stacks, or `channels._is_cp` on a tree without it. One
+`evolve_timedep` call builds four
 201-point trajectories of a Markovian generator: with tabulated (9 knots)
 and with quadratic polynomial profiles, each at CP stride 1 and 50.
 `eta_from_lambda` differentiates the stride-1 tabulated one.
@@ -85,9 +89,10 @@ checkout) gets no samples for it. The file written holds the environment, the
 median and quartiles of the R * K samples in microseconds, each later tree's
 `ratio_to_<first>`, its time over the first tree's per paired sample (same
 cell, round and repeat) as `_paired` reads it, and, on request, the Tier-1
-wall time of each tree and a perfbench summary read from a JSON file. --previous
-prints the change of each median against an earlier file with the same tree
-labels.
+wall time of each tree and a perfbench summary read from a JSON file. Trees
+are compared in one run, by the paired ratio, never by medians across files:
+medians are unpaired, and those of one checkout under two labels read
+0.70-1.48 of each other in an A/A run.
 
 Each round also starts one fresh process per tree that runs the four
 converters (`kf_to_ev`, `ev_to_kf`, `lf_to_ev`, `ev_to_lf`) once at every
@@ -126,9 +131,10 @@ ops whose check failed or that raised, the median and quartiles of op time,
 and, per tree after the first, its time over the first tree's for the same op
 as `_paired` reads it (one stall moves a summed time, not this ratio), over
 all ops and per (op kind, n; certify's kf ops split into "kf-diag", which a
-TP op also converts, and "kf-offdiag"). The times are plain wall time, not
-perfbench's host-calibrated time. --out writes the same figures and each op's
-times as JSON.
+TP op also converts, and "kf-offdiag"), and its total op time over the first
+tree's: the ratio perfbench's ops_per_s follows, which the paired median need
+not. The times are plain wall time, not perfbench's host-calibrated time.
+--out writes the same figures and each op's times as JSON.
 """
 
 from __future__ import annotations
@@ -238,6 +244,13 @@ def _cells(gm, sampling, n: int) -> dict:
     rates[1, 1] = -0.05  # frames leave CP, then re-enter it
     flipping = gm.evolve_semigroup(gm.lf_to_ev(gm.LindbladGenerator(n=n, gamma=rates)),
                                    gm.uniform_grid(4.0, 201))
+    strided = np.ascontiguousarray(flipping.lams[::50])  # the frames CP stride 50 checks
+    kernel = getattr(channels, "_psd_blocks", None)
+    if kernel:  # the block kernel's verdicts: a stack's, or one skipped frame's
+        stacked = frame = lambda lams: kernel(lams, VERDICT_TOL)
+    else:  # an older tree: `_is_cp` on a stack, `_block_margins`' margin on one frame
+        stacked = lambda lams: channels._is_cp(lams, VERDICT_TOL)
+        frame = lambda lam: dynamics._block_margins(lam)[3] >= -VERDICT_TOL
     text = fileio.document_text(acting[2])
     table = gm.evolve_semigroup(markovian, gm.uniform_grid(4.0, 501), cp_stride=500)
     block = channels._block_margins(lam)[0]
@@ -287,8 +300,9 @@ def _cells(gm, sampling, n: int) -> dict:
         "maps_build": lambda: channels._reverse_maps.__wrapped__(n),
         "evolve_table": lambda: fileio._write_trajectory_table(io.StringIO(), table),
         "block_margins": lambda: channels._block_margins(lam),
-        "is_cp_frame": lambda: dynamics._block_margins(lam)[3] >= -VERDICT_TOL,
-        "is_cp_stack": lambda: channels._is_cp(flipping.lams, VERDICT_TOL),
+        "is_cp_frame": lambda: frame(lam),
+        "is_cp_stack": lambda: stacked(flipping.lams),
+        "is_cp_strided": lambda: stacked(strided),
         "decompose": lambda: gm.decompose(X, gm.full_basis(n)),
         "recompose": lambda: gm.recompose(X, gm.full_basis(n)),
         "report_diagnostics": lambda: [tuple(rep.diagnostics.values()) for rep in ev_checks(ev())],
@@ -504,6 +518,7 @@ def _op_summary(times: dict) -> dict:
                 for column, x in zip(by.setdefault((kind, n), ([], [], [])), (s, b, f)):
                     column.append(x)
             out[label]["ratio_to_" + first] = _paired(xs, base, forward)
+            out[label]["total_ratio_to_" + first] = round(sum(xs) / sum(base), 3)
             out[label]["by_kind_n"] = {f"{kind} n={n}": {"ratio": _paired(*cell), "ops": len(cell[0])}
                                        for (kind, n), cell in sorted(by.items())}
         out[label]["op_s"] = xs
@@ -553,10 +568,11 @@ def _workload_main(args) -> None:
     print(f"{args.workload} seed {args.seed}: {args.cycles} cycles, "
           f"{summary[first]['ops']} ops per tree")
     for label, cell in summary.items():
-        ratio = cell.get("ratio_to_" + first)
+        ratio, total = cell.get("ratio_to_" + first), cell.get("total_ratio_to_" + first)
         print(f"  {label:10s} median {cell['median_us'] / 1e3:.3f} ms "
               f"(IQR {cell['iqr_us'] / 1e3:.3f})  failed {cell['failed']}"
-              + (f"  paired ratio to {first} {ratio:.3f}, by op kind and n:" if ratio else ""))
+              + (f"  total op time over {first}'s {total:.3f}, paired ratio {ratio:.3f},"
+                 " by op kind and n:" if ratio else ""))
         for key, pair in cell.get("by_kind_n", {}).items():
             print(f"    {key:16s} {pair['ratio']:.3f}  ({pair['ops']} ops)")
     if args.out:
@@ -574,7 +590,6 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=5, help="samples per cell per round")
     ap.add_argument("--tier1", action="store_true", help="also time each tree's test suite")
     ap.add_argument("--perfbench", help="JSON summary of perfbench runs to include")
-    ap.add_argument("--previous", help="earlier output to print the change against")
     ap.add_argument("--workload", choices=("certify", "evolve", "files"),
                     help="time perfbench's ops of this workload instead of the layers")
     ap.add_argument("--seed", type=int, default=11, help="--workload's seed")
@@ -690,22 +705,12 @@ def main() -> None:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
-    previous = None
-    if args.previous:
-        with open(args.previous, encoding="utf-8") as fh:
-            previous = json.load(fh)["layers"]
     for label, per in result["layers"].items():
-        note = " and change against the previous file" if previous else ""
-        print(f"[{label}] median us per call (IQR){note}")
+        print(f"[{label}] median us per call (IQR)")
         print(f"{'layer':20s}" + "".join(f"{'n=' + str(n):>18s}" for n in SIZES))
         for layer, cells in per.items():
-            row = ""
-            for n, cell in cells.items():
-                text = f"{cell['median_us']:.1f} ({cell['iqr_us']:.1f})"
-                old = (previous or {}).get(label, {}).get(layer, {}).get(n)
-                if old:
-                    text += f" {cell['median_us'] / old['median_us'] - 1:+.0%}"
-                row += f"{text:>18s}"
+            row = "".join(f"{cell['median_us']:.1f} ({cell['iqr_us']:.1f})".rjust(18)
+                          for cell in cells.values())
             print(f"{layer:20s}{row}")
     for label, per in result["convert_rss"].items():
         print(f"[{label}] peak RSS converting at n = 2..16, MB:",

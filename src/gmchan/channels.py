@@ -18,8 +18,8 @@ CP checking routes, in decreasing order of authority:
                        the same blocks of the ev Choi matrix, written with
                        the paper's d_j/tail formulas. Exactly equivalent to
                        the oracle, O(n³) (`_block_margins`, one table).
-                       `_is_cp` keeps the verdicts alone, of a stack of
-                       tables (see dynamics).
+                       `_psd_blocks` builds its blocks, of a table or a
+                       stack, and keeps the verdicts alone (see dynamics).
   cp_check_paper       closed-form block criterion from the unnormalized sum
                        sum_a l_a conj(sigma_a) (x) sigma_a, which equals
                        2J + ((n-2)/n) l_00 I. Exact for n = 2, strictly
@@ -297,8 +297,7 @@ def _kernel_table(n: int) -> SimpleNamespace:
 
     Pairs i < j are row-major. diag(lam) @ `block_rows` is the block criterion's
     A_kk = lam_00/n + k/(k+1) lam_kk + tail_k, then d_j = lam_00/n - lam_jj/(j+1) + tail_j,
-    tail_m = sum_{m<j<n} lam_jj/(j(j+1)); `block_diag`, `pair_flat` (rows (i, j), (j, i)) and
-    `pair_d` index them flat.
+    tail_m = sum_{m<j<n} lam_jj/(j(j+1)); pair (i, j) is at i*n + j (`pair_flat`), d_j at `pair_d`.
     """
     k = np.arange(n)
     i, j = np.nonzero(k[:, None] < k)
@@ -306,12 +305,9 @@ def _kernel_table(n: int) -> SimpleNamespace:
     k1 = k + 1.0
     tail = np.where(k[:, None] > k, 1.0 / np.maximum(k * k1, 1.0)[:, None], 0.0)  # lam_jj in tail_m
     rows = np.hstack([tail + np.diag(k / k1), tail - np.diag(1.0 / k1)]) + (k[:, None] == 0) / n
-    table = SimpleNamespace(
-        k=k, hi=hi, block_rows=rows, block_diag=k * (n + 1),
-        pairs=(i, j), pair_flat=np.stack([i * n + j, j * n + i]), pair_d=n + j,
-        pair_keys=tuple(zip(i.tolist(), j.tolist())),
-    )
-    for arr in (k, hi, rows, table.block_diag, i, j, table.pair_flat, table.pair_d):
+    table = SimpleNamespace(k=k, hi=hi, block_rows=rows, pairs=(i, j), pair_flat=i * n + j,
+                            pair_d=n + j, pair_keys=tuple(zip(i.tolist(), j.tolist())))
+    for arr in (k, hi, rows, i, j, table.pair_flat, table.pair_d):
         arr.setflags(write=False)
     return table
 
@@ -767,48 +763,50 @@ def cp_check_oracle(ch, tol: float = DEFAULT_TOL) -> CpReport:
                     partial(_choi_spectrum, half, block, lows, mid, radius))
 
 
-def _sector_blocks(lams: np.ndarray):
-    """The diagonal-sector block A and the pair margins of `_block_margins`, table or stack:
-    A's diagonal and every d_j are one matvec through `_kernel_table(n).block_rows`."""
+def _psd_blocks(lams: np.ndarray, tol=None):
+    """The normalized block criterion of one (n, n) table or a (T, n, n) stack.
+
+    Without tol: A and the pair margins of `_block_margins`, a stack's frame-last, (n, n, T) and
+    (pairs, T), the same bits for a frame alone or in a stack (one gemv a frame). With tol, each
+    frame's verdict margin >= -tol, silently: one table's exactly, the eigensolve only if its
+    pair margins pass (a failed one reads not CP); a stack's up to rounding, by pair margins and
+    the Cholesky pivots of every A + tol I (tol on the diagonal alone: tol = inf reads CP), all
+    but the last > 0, the last (0 for the n = 2 identity) >= 0; an overflow's -inf or NaN fails.
+    """
     n = lams.shape[-1]
+    if tol is not None:
+        with np.errstate(all="ignore"):
+            A, pairs = _psd_blocks(lams)
+            ok = pairs.min(axis=0) >= -tol
+            if lams.ndim == 2:
+                try:
+                    return bool(ok and np.linalg.eigvalsh(A)[0] >= -tol)
+                except np.linalg.LinAlgError:
+                    return False
+            pivots = A.reshape(n * n, -1)[:: n + 1]  # a view; a step leaves its own pivot
+            pivots += tol  # the diagonal alone: tol = inf times an off-diagonal 0 is NaN
+            for p in range(n - 1):  # each step updates contiguous rows of T frames in place
+                A[p + 1:, p + 1:] -= A[p + 1:, p, None] * (A[p, p + 1:] / A[p, p])
+            return ok & (pivots[:-1] > 0).all(axis=0) & (pivots[-1] >= 0)
     t = _kernel_table(n)
-    ad = lams.diagonal(0, -2, -1) @ t.block_rows
-    half = lams / 2.0  # halves, then sums or differences, as in _choi_blocks: no overflow
-    A = half + half.swapaxes(-1, -2)
-    A.reshape(A.shape[:-2] + (n * n,))[..., t.block_diag] = ad[..., :n]  # a view: A is new
-    h = half.reshape(A.shape[:-2] + (n * n,))[..., t.pair_flat]  # (..., 2, pairs)
-    return A, ad[..., t.pair_d] - np.abs(h[..., 0, :] - h[..., 1, :])
+    ad = (t.block_rows.T @ lams.diagonal(0, -2, -1)[..., None])[..., 0].T  # one gemv a frame
+    if lams.ndim == 3:
+        lams = lams.transpose(1, 2, 0)  # frame-last
+    half = np.divide(lams, 2.0, order="C")  # halves, then sums or differences: no overflow
+    flip, flat = half.swapaxes(0, 1), (n * n,) + half.shape[2:]
+    A = half + flip
+    A.reshape(flat)[:: n + 1] = ad[:n]
+    return A, ad[t.pair_d] - np.abs((half - flip).reshape(flat)[t.pair_flat])
 
 
 def _block_margins(lam: np.ndarray):
-    """Normalized block criterion for one table.
-
-    The ev Choi matrix splits into one n×n diagonal-sector block A and one
-    2×2 block per index pair i < j, with eigenvalues d_j ± |l_ij - l_ji|/2.
-    Returns A, its spectrum (one eigensolve), the pair margins
-    d_j - |l_ij - l_ji|/2 in row-major (i, j) order (`_sector_blocks`), and the
-    smallest of them all, the table's margin: its verdict is margin >= -tol.
-    """
-    A, pairs = _sector_blocks(lam)
+    """Normalized block criterion for one table: the ev Choi matrix splits into one n×n
+    diagonal-sector block A and one 2×2 block per pair i < j, with eigenvalues
+    d_j ± |l_ij - l_ji|/2. Returns A, its spectrum (one eigensolve), the pair margins
+    (`_psd_blocks`) and the least of them all, the margin: its verdict is margin >= -tol."""
+    A, pairs = _psd_blocks(lam)
     a_spectrum = np.linalg.eigvalsh(A)
     return A, a_spectrum, pairs, np.minimum(a_spectrum[0], pairs.min())
-
-
-def _is_cp(lams: np.ndarray, tol: float) -> np.ndarray:
-    """Each frame's `_block_margins` verdict, margin >= -tol, up to rounding, for a (T, n, n)
-    stack: pair margins, then the Cholesky pivots of every frame's A + tol I per step (tol on
-    the diagonal alone, so tol = inf reads CP): all but the last must be > 0, the last (the
-    n = 2 identity's is 0) >= 0. A PSD block never overflows; one that does is not PSD, and
-    its -inf or NaN reads not CP."""
-    A, pairs = _sector_blocks(lams)
-    ok = pairs.min(axis=-1) >= -tol
-    k = _kernel_table(lams.shape[-1]).k
-    A[..., k, k] += tol  # the diagonal alone: tol = inf times an off-diagonal 0 is NaN
-    with np.errstate(all="ignore"):
-        for _ in range(k.size - 1):
-            ok &= A[..., 0, 0] > 0
-            A = A[..., 1:, 1:] - A[..., 1:, :1] * (A[..., :1, 1:] / A[..., :1, :1])
-        return ok & (A[..., 0, 0] >= 0)
 
 
 def _pair_dict(n: int, pairs: np.ndarray) -> dict:

@@ -9,15 +9,14 @@ t = 0, where the map is the identity. Two builders:
                     exponentiate
 
 Each checks its grid and builds its Trajectory once, whose constructor alone
-validates the frames. A frame can carry a CP verdict (every frame by default;
-a stride skips frames, leaving their flag None), the normalized block
-criterion's: the checked frames together, keeping no margin (`_is_cp`), by
-pair margins and Cholesky pivots of the (T, n, n) diagonal-sector blocks, no
-eigensolve; a skipped one on demand, as margin >= -tol of its `_block_margins`,
-the margin `cp_check_normalized` reports for that table.
-The block spectra make up the Choi spectrum: each verdict is the oracle's.
-Frames where some eigenvalue sits within 1e-13 of zero are flagged singular:
-the map is still fine, but no generator eigenvalue table exists there.
+validates the frames. A frame can carry a CP verdict (every frame by default; a
+stride skips frames, leaving their flag None), the normalized block criterion's
+(`_psd_blocks`): for the checked frames together, pair margins and Cholesky
+pivots of their blocks laid out frame-last, no eigensolve; for a skipped one,
+on demand, margin >= -tol of the margin `cp_check_normalized` reports, pair
+margins first. The block spectra make up the Choi spectrum: each verdict is the
+oracle's. Frames where some eigenvalue sits within 1e-13 of zero are flagged
+singular: the map is fine, but no generator eigenvalue table exists there.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
-    DEFAULT_TOL, DensityMatrix, EigenChannel, _block_margins, _eigen_action, _is_cp,
+    DEFAULT_TOL, DensityMatrix, EigenChannel, _eigen_action, _psd_blocks,
 )
 from .errors import (
     ConstraintViolated, DimensionMismatch, IndexOutOfRange, InvariantError, NotCPAtTime,
@@ -192,9 +191,9 @@ def _flagged(traj: Trajectory, cp_stride: int, tol: float) -> Trajectory:
     Frames 0, cp_stride, 2*cp_stride, ... and the last frame are checked.
     Trajectory's constructor has refused a non-finite frame, checked or not.
     """
-    lams = traj.lams
-    last = lams.shape[0] - 1
-    flags = _is_cp(np.concatenate([lams[:last:cp_stride], lams[last:]]), tol).tolist()
+    lams, last = traj.lams, traj.lams.shape[0] - 1
+    checked = lams if cp_stride == 1 else np.concatenate([lams[:last:cp_stride], lams[last:]])
+    flags = _psd_blocks(checked, tol).tolist()
     cp = [None] * (last + 1)
     cp[:last:cp_stride], cp[last] = flags[:-1], flags[-1]
     singular = (abs(lams) <= ZERO_TOL).any(axis=(1, 2))
@@ -251,7 +250,7 @@ def evolve_state(
     t_index = traj._index(t_index)
     flag = traj.cp_flags[t_index] if traj.cp_flags else None
     if flag is None:
-        flag = _block_margins(traj.lams[t_index])[3] >= -tol
+        flag = _psd_blocks(traj.lams[t_index], tol)
     if not flag:
         raise NotCPAtTime(
             f"map at grid index {t_index} (t={traj.grid[t_index]:g}) is not CP",

@@ -216,9 +216,9 @@ def _log_gradient(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
     np.multiply(-d2 / (d1 * (d1 + d2)), y[:-2], out=mid)
     mid += (d2 - d1) / (d1 * d2) * y[1:-1]
     mid += d1 / (d2 * (d1 + d2)) * y[2:]
-    d1, d2 = dx[0], dx[1]
+    d1, d2 = float(dx[0]), float(dx[1])  # edge weights in Python floats: the same IEEE operations
     first = (-(2.0 * d1 + d2) / (d1 * (d1 + d2)), (d1 + d2) / (d1 * d2), -d1 / (d2 * (d1 + d2)))
-    d1, d2 = dx[-2], dx[-1]
+    d1, d2 = float(dx[-2]), float(dx[-1])
     last = (d2 / (d1 * (d1 + d2)), -(d2 + d1) / (d1 * d2), (2.0 * d2 + d1) / (d2 * (d1 + d2)))
     out[0] = first[0] * y[0] + first[1] * y[1] + first[2] * y[2]
     out[-1] = last[0] * y[-3] + last[1] * y[-2] + last[2] * y[-1]
@@ -230,8 +230,8 @@ def _steps(grid: np.ndarray) -> np.ndarray:
     if not np.isfinite(grid).all():
         first = int(np.argmin(np.isfinite(grid)))
         raise ConstraintViolated(f"time grid point {first} is not finite: {float(grid[first])!r}")
-    dx = np.diff(grid)
-    if np.any(dx <= 0):
+    dx = grid[1:] - grid[:-1]
+    if (dx <= 0).any():
         raise ConstraintViolated("time grid must be strictly increasing")
     return dx
 
@@ -265,7 +265,7 @@ def lambda_from_eta(etas: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 def _integrated(etas: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """`lambda_from_eta` on a checked grid and a stack of etas that matches it."""
-    dt = np.diff(grid).reshape((-1,) + (1,) * (etas.ndim - 1))
+    dt = (grid[1:] - grid[:-1]).reshape((-1,) + (1,) * (etas.ndim - 1))
     integral = np.zeros(etas.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(0.5 * (etas[1:] + etas[:-1]) * dt, axis=0, out=integral[1:])

@@ -3,7 +3,7 @@
 The library states trace preservation as sum_a p_a sigma_a² = I, reads a
 table's eigenvalues off its superoperator (`channels._gell_mann_diagonal`),
 inverts that reader numerically (`channels._reverse`) and reads the block
-criterion through one per-n matrix (`channels._sector_blocks`). These are the
+criterion through one per-n matrix (`channels._psd_blocks`). These are the
 recursions and formulas written out entry by entry, the independent route
 those are tested against.
 """

@@ -101,7 +101,7 @@ def random_noncp_ev(rng: np.random.Generator, n: int) -> EigenChannel:
     lam[0, 0] = 1.0
     i = int(rng.integers(0, n - 1))
     j = int(rng.integers(i + 1, n))
-    d = np.diagonal(lam) @ _kernel_table(n).block_rows[:, n + j]  # d_j of `_sector_blocks`
+    d = np.diagonal(lam) @ _kernel_table(n).block_rows[:, n + j]  # d_j of `_psd_blocks`
     v = max(d, 0.0) + 0.1 + rng.uniform(0.0, 0.5)
     lam[i, j] = v
     lam[j, i] = -v

@@ -31,12 +31,12 @@ def test_harness_loads_each_tree_apart_and_times_every_cell_on_each():
         for gm, sampling in trees.values():
             assert gm.__file__.startswith(os.path.join(root, "src", "gmchan") + os.sep)
             assert sampling.KrausChannel is gm.KrausChannel
-        del b.channels._is_cp  # B now lacks the function of one layer, and only B does
+        del b.fileio._write_trajectory_table  # B now lacks one layer's function, and only B does
         layers.SIZES = (2,)
         out = layers._time_layers(trees, 0, 1)
         times = out["times"]
-        assert set(times["A"]) - set(times["B"]) == {"is_cp_stack"}
-        assert len(times["A"]) == len(out["forward"]) == 46
+        assert set(times["A"]) - set(times["B"]) == {"evolve_table"}
+        assert len(times["A"]) == len(out["forward"]) == 47
         assert all(cells == {"2": cells["2"]} and len(cells["2"]) == 1 and cells["2"][0] > 0
                    for per in times.values() for cells in per.values())
 

@@ -38,10 +38,9 @@ from gmchan.channels import (
     _eigen_choi,
     _fill,
     _gell_mann_diagonal,
-    _is_cp,
     _pair_dict,
+    _psd_blocks,
     _reverse_maps,
-    _sector_blocks,
     _square_sums,
     _superoperator,
     _table_scale,
@@ -723,17 +722,17 @@ def test_crossval_variants_match_entrywise_conditions():
 @pytest.mark.parametrize("n", (2, 3, 16))
 def test_block_margins_pairs_match_loop_form(n):
     # exact at n = 2; above, the matvec through `block_rows` rounds in another
-    # order than the loop's sums (and a stack's matmul in another than one table's)
+    # order than the loop's sums (a stack's frame-last margins are one table's bits)
     rng = np.random.default_rng(70 + n)
     lams = rng.uniform(-1.0, 1.0, (4, n, n))
-    stacked = _sector_blocks(lams)[1]
+    stacked = _psd_blocks(lams)[1]
     bound = 0.0 if n == 2 else 1e-15
-    for lam, stacked_row in zip(lams, stacked):
+    for lam, stacked_row in zip(lams, stacked.T):
         row = _block_margins(lam)[2]
         assert row.shape == (n * (n - 1) // 2,)
         want = sector_blocks(lam)[1]
         assert np.max(np.abs(row - list(want.values()))) <= bound
-        assert np.max(np.abs(stacked_row - row)) <= bound
+        assert np.array_equal(stacked_row, row)
         got = _pair_dict(n, row)
         assert list(got) == list(want) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -742,23 +741,24 @@ def test_block_margins_pairs_match_loop_form(n):
 @given(seed=st.integers(0, 2**31), n=st.integers(2, 16),
        frames=st.one_of(st.none(), st.integers(1, 40)), exponent=st.floats(-3.0, 3.0))
 def test_sector_blocks_match_the_loop_form(seed, n, frames, exponent):
-    # A and the pair margins of one table or a stack, against the paper's sums
+    # A and the pair margins of one table or, frame-last, of a stack, against the paper's sums
     scale = 10.0 ** exponent
     shape = (n, n) if frames is None else (frames, n, n)
     lams = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
-    A, pairs = _sector_blocks(lams)
-    assert A.shape == shape and pairs.shape == shape[:-2] + (n * (n - 1) // 2,)
+    A, pairs = _psd_blocks(lams)
+    assert A.shape == (n, n) + shape[:-2] and pairs.shape == (n * (n - 1) // 2,) + shape[:-2]
     bound = 0.0 if n == 2 else 1e-15 * max(1.0, scale)
-    for lam, a, row in zip(lams.reshape(-1, n, n), A.reshape(-1, n, n),
-                           pairs.reshape(-1, pairs.shape[-1])):
+    for lam, a, row in zip(lams.reshape(-1, n, n), A.reshape(n, n, -1).transpose(2, 0, 1),
+                           pairs.reshape(pairs.shape[0], -1).T):
         want_a, want_pairs = sector_blocks(lam)
         assert np.max(np.abs(a - want_a)) <= bound
         assert np.max(np.abs(row - list(want_pairs.values()))) <= bound
 
 
-# `_is_cp` keeps only the verdicts of `_block_margins` for a stack: pair margins
-# first, then a PSD test of the diagonal-sector blocks by Cholesky pivots. One
-# table's verdict is its margin >= -tol, as `evolve_state` reads it.
+# `_psd_blocks(lams, tol)` keeps only the verdicts of `_block_margins`: for a stack, pair
+# margins and a PSD test of the diagonal-sector blocks by Cholesky pivots, up to rounding;
+# for one table exactly its margin >= -tol, as `evolve_state` reads a skipped frame, the
+# pair margins first and the eigensolve only when they pass.
 
 
 def _margins(lams):
@@ -787,12 +787,12 @@ def test_is_cp_matches_block_margins_away_from_the_boundary(seed, n, frames, exp
     lams = _verdict_frames(seed, n, frames, scale)
     margins = _margins(lams)
     far = np.abs(margins + tol) > 1e-9 * max(1.0, scale)
-    stacked = _is_cp(lams, tol)
+    stacked = _psd_blocks(lams, tol)
     assert stacked.dtype == bool and stacked.shape == (frames,)
     assert (stacked == (margins >= -tol))[far].all()
     for lam, flag, sure in zip(lams, stacked, far):
         if sure:
-            assert bool(_is_cp(lam[None], tol)[0]) is bool(flag)
+            assert bool(_psd_blocks(lam[None], tol)[0]) is bool(flag)
 
 
 def test_verdict_frames_reach_every_branch():
@@ -809,33 +809,90 @@ def test_verdict_frames_reach_every_branch():
 def test_is_cp_keeps_the_identity_cp_at_tolerance_zero():
     # the n = 2 identity's block A is all ones: its last pivot is exactly 0
     assert _block_margins(np.ones((2, 2)))[3] == 0.0
-    assert _is_cp(np.ones((1, 2, 2)), 0.0).tolist() == [True]
-    assert _is_cp(np.ones((3, 2, 2)), 0.0).tolist() == [True] * 3
+    assert _psd_blocks(np.ones((2, 2)), 0.0) is True
+    assert _psd_blocks(np.ones((1, 2, 2)), 0.0).tolist() == [True]
+    assert _psd_blocks(np.ones((3, 2, 2)), 0.0).tolist() == [True] * 3
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_is_cp_of_the_identity_at_tolerance_zero_is_pinned(n):
     # rounding leaves A's lowest eigenvalue a few ulps below 0 for every n >= 3
-    # (an open defect of the tolerance policy); both routes keep that verdict
+    # (an open defect of the tolerance policy); every route keeps that verdict
     ones = np.ones((n, n))
     assert bool(_block_margins(ones)[3] >= 0.0) is (n == 2)
-    assert _is_cp(np.stack([ones] * 3), 0.0).tolist() == [n == 2] * 3
+    assert _psd_blocks(ones, 0.0) is (n == 2)
+    assert _psd_blocks(np.stack([ones] * 3), 0.0).tolist() == [n == 2] * 3
 
 
-@pytest.mark.parametrize("tol", (0.0, 1e-10, np.inf))
-@pytest.mark.parametrize("n", (2, 3, 6))
+@pytest.mark.parametrize("tol", (0.0, 1e-12, 1e-10, np.inf))
+@pytest.mark.parametrize("n", (2, 3, 4, 6, 8))
 def test_is_cp_stacked_matches_single_frames_at_every_tolerance(n, tol):
     # an infinite tolerance goes on A's diagonal alone: inf * 0 off it would be NaN
-    lams = _verdict_frames(6, n, 30, 1.0)  # CP frames and not CP ones, none within 1e-9 of 0
+    # CP frames and not CP ones, none within 1e-9 of 0
+    lams = np.concatenate([_verdict_frames(seed, n, 30, 1.0) for seed in (6, 7)])
+    assert (np.abs(_margins(lams)) > 1e-9).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = _is_cp(lams, tol).tolist()
+        stacked = _psd_blocks(lams, tol).tolist()
+        alone = [_psd_blocks(lam, tol) for lam in lams]
         single = (_margins(lams) >= -tol).tolist()
-    assert stacked == single
+    assert stacked == alone == single
     if tol == np.inf:
         assert all(stacked)
     else:
         assert any(stacked) and not all(stacked)
+
+
+@pytest.mark.parametrize("frames", (1, 2, 5, 201))
+@pytest.mark.parametrize("n", range(2, 17))
+def test_stacked_blocks_are_each_frames_own_bits(n, frames):
+    # A and the pair margins of a frame are one matvec per frame alone or in a stack, so
+    # a stride-1 flag and an on-demand verdict of one frame decide the same numbers
+    rng = np.random.default_rng([71, n, frames])
+    for scale in (1e-3, 1.0, 1e3):
+        lams = scale * rng.uniform(-1.0, 1.0, (frames, n, n))
+        A, pairs = _psd_blocks(lams)
+        assert A.flags.c_contiguous and A.shape == (n, n, frames)
+        for t, lam in enumerate(lams):
+            a, row = _psd_blocks(lam)
+            assert np.array_equal(A[:, :, t], a) and np.array_equal(pairs[:, t], row)
+            assert np.array_equal(a, _block_margins(lam)[0])
+
+
+def _quiet_margin_verdict(lam, tol):
+    # `_block_margins`' verdict where its eigensolve fails too: not CP
+    with np.errstate(all="ignore"):
+        try:
+            return bool(_block_margins(lam)[3] >= -tol)
+        except np.linalg.LinAlgError:
+            return False
+
+
+@pytest.mark.parametrize("tol", (0.0, 1e-12, 1e-10, np.inf))
+@pytest.mark.parametrize("n", (2, 3, 4, 6, 8, 16))
+def test_one_frame_verdict_is_its_margins(n, tol):
+    # pair margins first, the eigensolve only when they pass: the same answer on every frame,
+    # CP, failing on a pair or on A alone, and on NaN, infinite and float-max tables, where
+    # the blocks overflow; a table with a NaN or infinite entry reads not CP; none warns or
+    # raises LinAlgError
+    rng = np.random.default_rng([72, n])
+    top = np.finfo(float).max
+    odd = [np.full((n, n), np.nan), np.full((n, n), np.inf), np.full((n, n), -np.inf),
+           np.where(np.eye(n) > 0, 1.0, np.nan), np.where(np.eye(n) > 0, np.inf, 0.0)]
+    lam = np.eye(n)
+    lam[0, -1] = -np.inf
+    odd.append(lam)
+    huge = [top * np.ones((n, n)), -top * np.ones((n, n)), top * np.eye(n),
+            top * rng.uniform(-1.0, 1.0, (n, n)), top * np.abs(rng.uniform(-1.0, 1.0, (n, n)))]
+    frames = [*_verdict_frames(73, n, 40, 1.0), *huge, *odd]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = [_psd_blocks(lam, tol) for lam in frames]
+    assert all(type(v) is bool for v in verdicts)
+    assert verdicts == [_quiet_margin_verdict(lam, tol) for lam in frames]
+    assert not any(verdicts[-len(odd):])
+    if tol < np.inf:
+        assert any(verdicts) and not all(verdicts)
 
 
 def test_huge_frames_decided_without_warnings():
@@ -850,7 +907,8 @@ def test_huge_frames_decided_without_warnings():
     stack = np.stack([lam, depolarizing, other])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _is_cp(stack, DEFAULT_TOL).tolist() == [False, True, False]
+        assert _psd_blocks(stack, DEFAULT_TOL).tolist() == [False, True, False]
+        assert [_psd_blocks(x, DEFAULT_TOL) for x in stack] == [False, True, False]
         assert (_margins(stack) >= -DEFAULT_TOL).tolist() == [False, True, False]
 
 
@@ -866,7 +924,7 @@ def test_pair_margins_halve_before_they_subtract():
     assert abs(oracle.margin - normalized.margin) <= 1e-15 * 1e308
     assert paper.margin == -np.inf  # doubled, it saturates (see cp_check_paper)
     assert {normalized.verdict, oracle.verdict, paper.verdict} == {"NotCP"}
-    assert _is_cp(ch.lam[None], DEFAULT_TOL).tolist() == [False]
+    assert _psd_blocks(ch.lam[None], DEFAULT_TOL).tolist() == [False]
 
 
 @pytest.mark.parametrize("n", (3, 4, 9, 16))
@@ -1066,7 +1124,7 @@ def test_evolution_builds_no_admissibility_cache():
         gm.ev_is_kf(ev), gm.ev_is_lf(gm.EigenGenerator(n=5, eta=np.zeros((5, 5))))
         print([cache.cache_info().currsize for cache in caches])
     """
-    fields = ["block_diag", "block_rows", "hi", "k", "pair_d", "pair_flat", "pair_keys", "pairs"]
+    fields = ["block_rows", "hi", "k", "pair_d", "pair_flat", "pair_keys", "pairs"]
     assert _fresh_process(code) == f"[0, 0, 0] {fields}\n[1, 1, 1]\n"
 
 

@@ -250,14 +250,34 @@ def test_lf_ev_round_trip_hypothesis(seed, n):
 @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
 def test_eta_from_lambda_rejects_non_finite_samples(value):
     # a NaN is no sign change and an infinity no rate: both are reported as
-    # non-finite entries, before the zero and sign scans
+    # non-finite entries, before the zero and sign scans; a component that is 0
+    # in frame 0 is scanned without 0 * inf, so no RuntimeWarning comes first
     grid = np.linspace(0.0, 1.0, 11)
-    lams = np.exp(-np.outer(grid, [0.0, 0.5, 0.5, 1.0])).reshape(11, 2, 2)
-    lams[4, 1, 0] = value
-    lams[7, 1, 1] = 0.0
-    with pytest.raises(InvariantError, match=r"1 non-finite entries, the first at component "
-                                             r"\(1, 0\), grid index 4"):
+    for zero_at in ((7, 1, 1), (0, 1, 0)):
+        lams = np.exp(-np.outer(grid, [0.0, 0.5, 0.5, 1.0])).reshape(11, 2, 2)
+        lams[4, 1, 0] = value
+        lams[zero_at] = 0.0
+        with pytest.raises(InvariantError, match=r"1 non-finite entries, the first at "
+                                                 r"component \(1, 0\), grid index 4"):
+            eta_from_lambda(lams, grid)
+
+
+@pytest.mark.parametrize("first, later, message", [
+    (0.0, 0.5, "vanishes at grid index 0"),
+    (-0.0, 0.5, "vanishes at grid index 0"),
+    (0.5, -0.25, r"changes sign by grid index 6 \(crossed zero between samples\)"),
+    (-0.5, 0.25, "changes sign by grid index 6"),
+])
+def test_eta_from_lambda_names_the_first_zero_or_sign_change(first, later, message):
+    # one scan reads each sample against its first frame's sign; the message names the first
+    # failing sample, frame by frame
+    grid = np.linspace(0.0, 1.0, 11)
+    lams = np.ones((11, 2, 2))
+    lams[:, 0, 1] = -np.exp(-grid)  # a fixed negative sign is fine
+    lams[:6, 1, 0], lams[6:, 1, 0] = first, later
+    with pytest.raises(ZeroEigenvalue, match=message) as exc:
         eta_from_lambda(lams, grid)
+    assert exc.value.component == (1, 0)
 
 
 def _uneven(points):
